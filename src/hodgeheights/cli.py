@@ -8,7 +8,7 @@
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical degeneracy, 4 usage,
 5 I/O.  The environment variable MHS_TOLERANCE overrides the default
-rank/splitting tolerances.
+rank tolerance.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ equation is kept as an internal cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -123,10 +123,9 @@ def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
     return Bigrading(h, pieces, basis, tuple(labels))
 
 
-@lru_cache(maxsize=512)
 def bigrading(h: MixedHodgeStructure) -> Bigrading:
-    """Deligne bigrading of a valid MHS (cached per structure instance)."""
-    return _compute_bigrading(h)
+    """Deligne bigrading of a valid MHS (memoized on the structure)."""
+    return h.memo("bigrading", lambda: _compute_bigrading(h))
 
 
 def grading_operator(b: Bigrading) -> np.ndarray:
@@ -233,7 +232,7 @@ class SplittingData:
     lambda_residual: float
 
 
-def _solve_delta(y: np.ndarray, b: Bigrading, tol: float) -> np.ndarray:
+def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
     """Degree-by-degree elimination for delta.
 
     For m = 2, 3, ...: the drop-m part of e^{-2i delta_<m} Y e^{2i delta_<m}
@@ -287,32 +286,33 @@ def _delta_fixed_point(y: np.ndarray, b: Bigrading, max_iter: int = 64,
     return delta
 
 
-@lru_cache(maxsize=512)
-def delta_splitting(h: MixedHodgeStructure,
-                    splitting_tol: float = SPLITTING_TOL,
-                    reality_tol: float = REALITY_TOL) -> SplittingData:
+def delta_splitting(h: MixedHodgeStructure) -> SplittingData:
     """Compute Y, delta and friends; raises ResidualTooLarge on solver failure.
 
-    Cached per structure instance (results are never mutated by callers).
+    Memoized on the structure (results are never mutated by callers).
     """
+    return h.memo("splitting", lambda: _compute_splitting(h))
+
+
+def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     b = bigrading(h)
     proj = projectors(b)
     y = grading_operator(b)
     if h.dimension == 0:
         return SplittingData(b, y, y.copy(), {}, proj, 0.0, 0.0, 0.0)
 
-    delta = _solve_delta(y, b, splitting_tol)
+    delta = _solve_delta(y, b)
     scale = max(1.0, float(np.linalg.norm(y)))
     g = nilpotent_exp(-2j * delta)
     ginv = nilpotent_exp(2j * delta)
     defining = float(np.linalg.norm(g @ y @ ginv - y.conj())) / scale
-    if defining > splitting_tol:
+    if defining > SPLITTING_TOL:
         raise ResidualTooLarge(
-            f"splitting residual {defining:.2e} exceeds {splitting_tol:.2e}")
+            f"splitting residual {defining:.2e} exceeds {SPLITTING_TOL:.2e}")
     reality = float(np.linalg.norm(delta.imag))
-    if reality > reality_tol * scale:
+    if reality > REALITY_TOL * scale:
         raise ResidualTooLarge(
-            f"delta has imaginary part {reality:.2e} (tolerance {reality_tol:.2e})")
+            f"delta has imaginary part {reality:.2e} (tolerance {REALITY_TOL:.2e})")
 
     comps = hodge_components(delta, b)
     lam_resid = 0.0

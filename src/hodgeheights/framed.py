@@ -3,8 +3,10 @@
 An (a, b)-framing of an MHS H singles out a rational class phi in
 Gr^W_{2a} of Hodge type (a, a) and a rational functional psi on
 Gr^W_{2b} of type (b, b).  Lifting phi into the bigrading piece I^{a,a}
-gives the frame element e_H; the analogous lift on the dual structure
-gives e_Hdual in I^{-b,-b} of the dual.  The two heights are
+gives the frame element e_H.  The bigrading is compatible with duals, so
+the rows of the inverse bigrading basis labelled (b, b) span I^{-b,-b}
+of the dual; lifting psi in that dual-basis frame gives e_Hdual, and no
+dual structure is built.  The two heights are
 
     ht1 = Im < e_Hdual, conj(e_H) >
     ht2 = < e_Hdual, delta(e_H) >        (real by construction)
@@ -19,17 +21,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from . import _rational, deligne, mhs as mhs_mod
-from .deligne import bigrading, delta_splitting
+from . import _rational, mhs as mhs_mod
+from .deligne import REALITY_TOL, bigrading, delta_splitting
 from .linalg import DTYPE, nilpotent_exp
 from .mhs import MixedHodgeStructure, require_valid
-
-#: Tolerance for the imaginary part of quantities that must be real.
-REALITY_TOL = 1e-9
 
 
 class FramingTypeError(ValueError):
@@ -85,36 +83,34 @@ class FrameElements:
     e_h_dual: np.ndarray   # in I^{-b,-b} of the dual, dual coordinates
 
 
-@lru_cache(maxsize=512)
-def _dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
-    return mhs_mod.dual(h)
-
-
-def _typed_lift(b: deligne.Bigrading, vector: np.ndarray, p: int, q: int,
+def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
                 what: str) -> np.ndarray:
-    """Project onto I^{p,q}, checking the class has no other components of
-    the same weight (that is the pure-type condition on the graded piece)."""
-    coords = b.inverse_basis @ vector
+    """Project coords (in the columns of frame, typed by labels) onto I^{p,q},
+    checking the class has no other components of the same weight (that is
+    the pure-type condition on the graded piece)."""
     scale = max(float(np.linalg.norm(coords)), 1e-30)
     lift = np.zeros_like(coords)
-    for i, (pi, qi) in enumerate(b.labels):
+    for i, (pi, qi) in enumerate(labels):
         if (pi, qi) == (p, q):
             lift[i] = coords[i]
         elif pi + qi == p + q and abs(coords[i]) > 1e-8 * scale:
             raise FramingTypeError(
                 f"{what}: graded class has a component of type ({pi},{qi}), "
                 f"expected pure ({p},{q})")
-    return b.basis @ lift
+    return frame @ lift
 
 
 def frame_elements(fh: FramedMHS) -> FrameElements:
-    """The lifts e_H in I^{a,a}(H) and e_Hdual in I^{-b,-b}(dual H)."""
+    """The lifts e_H in I^{a,a}(H) and e_Hdual in I^{-b,-b}(dual H), both
+    in the frame of H's bigrading (e_Hdual in its dual basis)."""
     fh.check()
     h, a, b = fh.mhs, fh.a, fh.b
     phi = np.array([float(x) for x in fh.phi_class], dtype=DTYPE)
     psi = np.array([float(x) for x in fh.psi_class], dtype=DTYPE)
-    e_h = _typed_lift(bigrading(h), phi, a, a, "phi_class")
-    e_hd = _typed_lift(bigrading(_dual(h)), psi, -b, -b, "psi_class")
+    bg = bigrading(h)
+    e_h = _typed_lift(bg.basis, bg.inverse_basis @ phi, bg.labels, a, a, "phi_class")
+    e_hd = _typed_lift(bg.inverse_basis.T, bg.basis.T @ psi,
+                       [(-p, -q) for p, q in bg.labels], -b, -b, "psi_class")
     return FrameElements(e_h, e_hd)
 
 
@@ -158,12 +154,12 @@ def delta_pairing(fh: FramedMHS, power: int = 1) -> complex:
     return _pair(el.e_h_dual, v)
 
 
-def height2(fh: FramedMHS, reality_tol: float = REALITY_TOL) -> float:
+def height2(fh: FramedMHS) -> float:
     """Second height: < e_Hdual, delta(e_H) >, asserted real."""
     _warn_degenerate(fh)
     value = delta_pairing(fh, 1)
     scale = max(1.0, abs(value))
-    if abs(value.imag) > reality_tol * scale:
+    if abs(value.imag) > REALITY_TOL * scale:
         raise RealityViolation(
             f"height2 pairing has imaginary part {value.imag:.2e}")
     return float(value.real)
@@ -171,7 +167,7 @@ def height2(fh: FramedMHS, reality_tol: float = REALITY_TOL) -> float:
 
 def dual_framed(fh: FramedMHS) -> FramedMHS:
     """The (-b, -a)-framed dual: phi and psi swap roles.  Heights negate."""
-    return FramedMHS(_dual(fh.mhs), -fh.b, -fh.a, fh.psi_class, fh.phi_class)
+    return FramedMHS(mhs_mod.dual(fh.mhs), -fh.b, -fh.a, fh.psi_class, fh.phi_class)
 
 
 def twist_framed(fh: FramedMHS, p: int) -> FramedMHS:

@@ -15,14 +15,15 @@ Filtrations are stored sparsely by jump index:
   largest jump; the value at the smallest jump must be the full space.
 
 Instances are immutable; all operations are pure functions returning new
-structures, safe for concurrent use.
+structures, safe for concurrent use.  Facts derived from a structure (its
+subspaces, validation report, bigrading and splitting) are memoized on
+the instance and die with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,6 +104,7 @@ class MixedHodgeStructure:
             comparison_matrix.setflags(write=False)
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
         object.__setattr__(self, "rank_tolerance", float(rank_tolerance))
+        object.__setattr__(self, "_memo", {})
 
     # -- sparse filtration queries -------------------------------------
 
@@ -127,26 +129,23 @@ class MixedHodgeStructure:
             return np.zeros((0, self.dimension), dtype=DTYPE)
         return self.hodge_filtration[jumps[0]]
 
-    @cached_property
-    def _memo(self) -> dict:
-        return {}
+    def memo(self, key, compute):
+        """compute(), evaluated once and kept for the lifetime of this structure."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def weight_subspace(self, k: int) -> Subspace:
-        key = ("W", k)
-        if key not in self._memo:
+        def compute():
             rows = [[float(x) for x in row] for row in self.weight_rows(k)]
-            self._memo[key] = Subspace.from_vectors(
+            return Subspace.from_vectors(
                 np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),
                 ambient_dim=self.dimension, tol=self.rank_tolerance)
-        return self._memo[key]
+        return self.memo(("W", k), compute)
 
     def hodge_subspace(self, p: int) -> Subspace:
-        key = ("F", p)
-        if key not in self._memo:
-            self._memo[key] = Subspace.from_vectors(
-                self.hodge_rows(p), ambient_dim=self.dimension,
-                tol=self.rank_tolerance)
-        return self._memo[key]
+        return self.memo(("F", p), lambda: Subspace.from_vectors(
+            self.hodge_rows(p), ambient_dim=self.dimension, tol=self.rank_tolerance))
 
     # -- exact weight-graded data --------------------------------------
 
@@ -270,7 +269,8 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
 
 def require_valid(h: MixedHodgeStructure) -> None:
-    report = validate(h)
+    """Raise InvalidMHS unless h is valid; the report is kept on h."""
+    report = h.memo("report", lambda: validate(h))
     if not report.ok:
         raise InvalidMHS(report)
 

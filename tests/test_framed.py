@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hodgeheights.framed import (FramedMHS, FramingTypeError,
                                  delta_pairing, dual_framed, frame_elements,
                                  framed_morphism_check, height1,
                                  height1_via_delta, height2, twist_framed)
+from hodgeheights import deligne, mhs as mhs_mod
 from hodgeheights.linalg import nilpotent_exp
 from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
@@ -64,6 +67,74 @@ class TestFrameElements:
         bad = FramedMHS(h, -1, -1, unit(0, 2), unit(1, 2))  # e_0 not in W_{-2}
         with pytest.raises(FramingTypeError):
             frame_elements(bad)
+
+    def test_off_type_functional_rejected(self):
+        # Q(0) + V with V pure of weight -2 and types (0,-2), (-2,0): phi = e0
+        # lifts fine, but Gr^W_{-2} has no (-1,-1) part, so the functional
+        # psi = e1* has no pure dual type (1,1)
+        h = MixedHodgeStructure(
+            3,
+            {-2: [[0, 1, 0], [0, 0, 1]], 0: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            {-2: np.eye(3, dtype=complex), 0: np.array([[1, 0, 0], [0, 1, 1j]])},
+        )
+        assert mhs_mod.validate(h).ok
+        fh = FramedMHS(h, 0, -1, unit(0, 3), unit(1, 3))
+        with pytest.raises(FramingTypeError, match="psi_class"):
+            frame_elements(fh)
+
+
+class TestEachFactOnce:
+    """Frame elements and heights validate and bigrade their structure once,
+    and build no other structure (in particular no dual)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"validate": [], "bigrading": []}
+        validate, compute = mhs_mod.validate, deligne._compute_bigrading
+
+        def counted_validate(h):
+            seen["validate"].append(h)
+            return validate(h)
+
+        def counted_bigrading(h):
+            seen["bigrading"].append(h)
+            return compute(h)
+
+        monkeypatch.setattr(mhs_mod, "validate", counted_validate)
+        monkeypatch.setattr(deligne, "_compute_bigrading", counted_bigrading)
+        return seen
+
+    @staticmethod
+    def all_heights(fh):
+        frame_elements(fh)
+        height1(fh)
+        height2(fh)
+        height1_via_delta(fh)
+        delta_pairing(fh, 2)
+
+    def test_random_hodge_tate(self, calls):
+        h = random_hodge_tate([1, 2, 1, 2], seed=31)
+        self.all_heights(random_framing(h, np.random.default_rng(31)))
+        assert calls == {"validate": [h], "bigrading": [h]}
+
+    def test_polylog(self, calls, polylog_ctx_factory):
+        from hodgeheights.polylog import polylog_framed
+        fh = polylog_framed(polylog_ctx_factory(0.37 - 0.41j, 6), 1, 4)
+        # a fresh copy: polylog_mhs is cached by value across tests
+        g = fh.mhs
+        h = MixedHodgeStructure(g.dimension, g.weight_filtration,
+                                g.hodge_filtration, g.comparison_matrix)
+        self.all_heights(FramedMHS(h, fh.a, fh.b, fh.phi_class, fh.psi_class))
+        assert calls == {"validate": [h], "bigrading": [h]}
+
+    def test_structure_dies_after_its_heights(self):
+        h = random_hodge_tate([1, 1, 2], seed=5)
+        fh = random_framing(h, np.random.default_rng(5))
+        self.all_heights(fh)
+        ref = weakref.ref(h)
+        del h, fh
+        gc.collect()
+        assert ref() is None
 
 
 class TestHeights:
