@@ -182,23 +182,46 @@ def _sweep_grid(spec: dict) -> list[complex]:
     return points
 
 
+def _delta_residual(ctx: PolylogContext) -> float:
+    """Frobenius distance between the generic delta of H(z) and its closed form."""
+    delta = deligne.delta_splitting(pl.polylog_mhs(ctx)).delta
+    return float(np.linalg.norm(delta - pl.delta_closed_form(ctx)))
+
+
+def _framed_heights(ctx: PolylogContext, fh, a: int, b: int) -> dict:
+    """Heights of fh, the (-a,-b)-framed H(z), beside their closed forms."""
+    c1, c2 = pl.heights_closed_form(ctx, a, b)
+    return {"a": a, "b": b, "ht1": framed_mod.height1(fh),
+            "ht2": framed_mod.height2(fh), "ht1_closed": c1, "ht2_closed": c2}
+
+
+def _csv_row(ctx: PolylogContext, point: dict) -> list:
+    """The CSV_COLUMNS row of a framed point from _framed_heights."""
+    return [ctx.z.real, ctx.z.imag, ctx.N, point["a"], point["b"]] + [
+        repr(point[key]) for key in
+        ("ht1", "ht1_closed", "ht2", "ht2_closed", "delta_residual")]
+
+
 def _sweep_rows(spec: dict):
     points = _sweep_grid(spec)
-    n_trunc = int(spec.get("N", 6))
+    n_trunc = spec.get("N", 6)
     framings = spec.get("framings", [])
-    if not framings:
+    if not isinstance(framings, list) or not framings:
         raise CliError(EXIT_VALIDATION, "sweep spec has no framings")
+    if type(n_trunc) is not int or n_trunc < 1:
+        raise CliError(EXIT_VALIDATION,
+                       f"sweep N must be an integer >= 1, got {n_trunc!r}")
+    for f in framings:
+        if not (isinstance(f, list) and len(f) == 2
+                and all(type(x) is int for x in f) and 0 <= f[0] < f[1] <= n_trunc):
+            raise CliError(EXIT_VALIDATION, f"framing {f!r} is not a pair of "
+                           f"integers 0 <= a < b <= N = {n_trunc}")
     for z in points:
         ctx = PolylogContext(z, N=n_trunc)
-        h = pl.polylog_mhs(ctx)
-        delta = deligne.delta_splitting(h).delta
-        resid = float(np.linalg.norm(delta - pl.delta_closed_form(ctx)))
+        resid = _delta_residual(ctx)
         for a, b in framings:
-            fh = pl.polylog_framed(ctx, int(a), int(b))
-            ht1, ht2 = framed_mod.height1(fh), framed_mod.height2(fh)
-            c1, c2 = pl.heights_closed_form(ctx, int(a), int(b))
-            yield [z.real, z.imag, n_trunc, int(a), int(b),
-                   repr(ht1), repr(c1), repr(ht2), repr(c2), repr(resid)]
+            point = _framed_heights(ctx, pl.polylog_framed(ctx, a, b), a, b)
+            yield _csv_row(ctx, {**point, "delta_residual": resid})
 
 
 CSV_COLUMNS = ["re_z", "im_z", "N", "a", "b", "ht1_pipeline", "ht1_closed",
@@ -243,14 +266,8 @@ def cmd_polylog(args) -> int:
         out: dict = {"z": jsonio.format_complex(z), "N": args.N}
         if args.a is not None:
             fh = pl.polylog_framed(ctx, args.a, args.b)
-            out["a"], out["b"] = args.a, args.b
-            out["ht1"] = framed_mod.height1(fh)
-            out["ht2"] = framed_mod.height2(fh)
-            c1, c2 = pl.heights_closed_form(ctx, args.a, args.b)
-            out["ht1_closed"], out["ht2_closed"] = c1, c2
-        delta = deligne.delta_splitting(h).delta
-        out["delta_residual"] = float(
-            np.linalg.norm(delta - pl.delta_closed_form(ctx)))
+            out.update(_framed_heights(ctx, fh, args.a, args.b))
+        out["delta_residual"] = _delta_residual(ctx)
     except (PathThroughSingularity, InvalidMHS, NumericalDegeneracy,
             ResidualTooLarge, NonConvergent, RealityViolation) as exc:
         raise CliError(EXIT_NUMERICAL, str(exc))
@@ -264,10 +281,7 @@ def cmd_polylog(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         if fh is not None:
-            writer.writerow([z.real, z.imag, args.N, args.a, args.b,
-                             repr(out["ht1"]), repr(out["ht1_closed"]),
-                             repr(out["ht2"]), repr(out["ht2_closed"]),
-                             repr(out["delta_residual"])])
+            writer.writerow(_csv_row(ctx, out))
         _write_output(buf.getvalue(), args.csv)
         return EXIT_OK
     _write_output(json.dumps(out, indent=2), None)

@@ -4,7 +4,7 @@ Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
 
     I^{p,q} = F^p cap W_{p+q} cap (conj(F^q) cap W_{p+q} + conj(U^{q-1}_{p+q-2})),
-    U^r_s   = sum_{j>=0} F^{r-j} cap W_{s-j},
+    U^r_s   = F^r cap W_s + U^{r-1}_{s-1}     (zero below the lowest weight),
 
 refining both filtrations.  The grading operator Y acts by p+q on I^{p,q},
 and there is a unique real operator delta, all of whose Hodge components
@@ -12,10 +12,11 @@ strictly lower both indices, with  conj(Y) = e^{-2i delta} Y e^{2i delta}.
 delta vanishes exactly when the structure splits over R; it is the raw
 material of the second height functional.
 
-The solver works degree by degree in the Y-weight drop: the drop-m part
-of delta is read off from the residual of the defining equation at level
-m and divided by 2im.  A slower fixed-point iteration on the same
-equation is kept as an internal cross-check oracle.
+The bigrading evaluates U by its recursion, each F^r cap W_s and U^r_s
+once.  The splitting solver works degree by degree in the Y-weight drop:
+the drop-m part of delta is read off from the residual of the defining
+equation at level m and divided by 2im.  An independent fixed-point
+solver of the same equation is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -76,31 +77,38 @@ class Bigrading:
         return {pq: s.dim for pq, s in self.pieces.items()}
 
 
-def _u_subspace(h: MixedHodgeStructure, r: int, s: int) -> Subspace:
-    """U^r_s = sum_{j>=0} F^{r-j} cap W_{s-j} (finite: stops below the lowest weight)."""
-    jumps = h.weight_jumps
-    low = jumps[0] if jumps else 0
-    acc = Subspace.zero(h.dimension, h.rank_tolerance)
-    j = 0
-    while s - j >= low:
-        acc = acc.sum(h.hodge_subspace(r - j).intersect(h.weight_subspace(s - j)))
-        j += 1
-    return acc
-
-
 def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
     require_valid(h)
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:
+        low = h.weight_jumps[0]
+        fw_cache, u_cache = {}, {}      # F^r cap W_s and U^r_s, keyed (r, s)
+
+        def fw(r: int, s: int) -> Subspace:
+            if (r, s) not in fw_cache:
+                fw_cache[(r, s)] = h.hodge_subspace(r).intersect(h.weight_subspace(s))
+            return fw_cache[(r, s)]
+
+        def u(r: int, s: int) -> Subspace:
+            # Filled upward from the lowest weight by a loop: a self-recursive
+            # closure would be a reference cycle keeping h and the caches alive.
+            acc = Subspace.zero(n, h.rank_tolerance)
+            for j in range(s - low, -1, -1):
+                key = (r - j, s - j)
+                if key not in u_cache:
+                    u_cache[key] = fw(*key).sum(acc)
+                acc = u_cache[key]
+            return acc
+
         pjumps = h.hodge_jumps
         for k in h.weights_present():
             for p in range(pjumps[0], pjumps[-1] + 1):
                 q = k - p
-                wk = h.weight_subspace(k)
-                right = (h.hodge_subspace(q).conjugate().intersect(wk)
-                         .sum(_u_subspace(h, q - 1, k - 2).conjugate()))
-                piece = h.hodge_subspace(p).intersect(wk).intersect(right)
+                # W_k is real, so conj(F^q) cap W_k = conj(F^q cap W_k); both
+                # summands lie in W_k, so the sum needs no second cut by W_k.
+                right = fw(q, k).sum(u(q - 1, k - 2)).conjugate()
+                piece = fw(p, k).intersect(right)
                 if piece.dim > 0:
                     pieces[(p, q)] = piece
 
@@ -139,30 +147,11 @@ def hodge_components(x: np.ndarray, b: Bigrading) -> dict[tuple[int, int], np.nd
     """Decompose an operator into pieces mapping I^{p,q} into I^{p+a,q+b}."""
     x = np.asarray(x, dtype=DTYPE)
     t = b.inverse_basis @ x @ b.basis
-    comps: dict[tuple[int, int], np.ndarray] = {}
-    labels = b.labels
-    for i, (pi, qi) in enumerate(labels):
-        for j, (pj, qj) in enumerate(labels):
-            if t[i, j] == 0:
-                continue
-            key = (pi - pj, qi - qj)
-            if key not in comps:
-                comps[key] = np.zeros_like(t)
-            comps[key][i, j] = t[i, j]
-    return {key: b.basis @ m @ b.inverse_basis for key, m in comps.items()}
-
-
-def _drop_masks(b: Bigrading) -> dict[int, np.ndarray]:
-    w = b.column_weights
-    drops = w[None, :] - w[:, None]      # drop of the (row i, col j) block
-    return {int(m): (drops == m) for m in np.unique(drops)}
-
-
-def _drop_part(t: np.ndarray, masks: dict[int, np.ndarray], m: int) -> np.ndarray:
-    mask = masks.get(m)
-    if mask is None:
-        return np.zeros_like(t)
-    return np.where(mask, t, 0.0)
+    pq = np.array(b.labels, dtype=int).reshape(-1, 2)
+    shift = pq[:, None, :] - pq[None, :, :]     # (i, j) -> (p_i - p_j, q_i - q_j)
+    keys = dict.fromkeys(map(tuple, shift[t != 0].tolist()))
+    return {key: b.basis @ np.where((shift == key).all(axis=2), t, 0) @ b.inverse_basis
+            for key in keys}
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +215,6 @@ class SplittingData:
     Y: np.ndarray
     delta: np.ndarray
     delta_components: dict[tuple[int, int], np.ndarray]
-    projectors: Projectors
     defining_residual: float
     reality_residual: float
     lambda_residual: float
@@ -239,7 +227,9 @@ def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
     - conj(Y), divided by 2im, is the drop-m part of delta.  Terminates
     after the weight span since delta is nilpotent.
     """
-    masks = _drop_masks(b)
+    w = b.column_weights
+    drops = w[None, :] - w[:, None]      # drop of the (row i, col j) block
+    masks = {int(m): (drops == m) for m in np.unique(drops)}
     ybar = y.conj()
     s, sinv = b.basis, b.inverse_basis
     delta = np.zeros_like(y)
@@ -248,41 +238,7 @@ def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
         g = nilpotent_exp(-2j * delta)
         ginv = nilpotent_exp(2j * delta)
         resid = sinv @ (g @ y @ ginv - ybar) @ s
-        delta = delta + s @ _drop_part(resid, masks, m) @ sinv / (2j * m)
-    return delta
-
-
-def _delta_fixed_point(y: np.ndarray, b: Bigrading, max_iter: int = 64,
-                       tol: float = 1e-13) -> np.ndarray:
-    """Independent fixed-point solver for delta (internal oracle).
-
-    Rewrites the defining equation as D delta = (Y - conj(Y) +
-    sum_{j>=2} ad(-2i delta)^j(Y)/j!) / 2i with D scaling the drop-m part
-    by m, and iterates from delta = 0.
-    """
-    masks = _drop_masks(b)
-    ybar = y.conj()
-    s, sinv = b.basis, b.inverse_basis
-    span = max(masks) if masks else 0
-    delta = np.zeros_like(y)
-    for _ in range(max_iter):
-        a = -2j * delta
-        term = a @ y - y @ a
-        series = np.zeros_like(y)
-        fact = 1.0
-        for j in range(2, span + 2):
-            term = a @ term - term @ a
-            fact *= j
-            series = series + term / fact
-        rhs = sinv @ ((y - ybar + series) / 2j) @ s
-        new = np.zeros_like(y)
-        for m, mask in masks.items():
-            if m >= 2:
-                new = new + np.where(mask, rhs, 0.0) / m
-        new = s @ new @ sinv
-        if np.linalg.norm(new - delta) < tol * max(1.0, np.linalg.norm(y)):
-            return new
-        delta = new
+        delta = delta + s @ np.where(masks.get(m, False), resid, 0) @ sinv / (2j * m)
     return delta
 
 
@@ -296,10 +252,9 @@ def delta_splitting(h: MixedHodgeStructure) -> SplittingData:
 
 def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     b = bigrading(h)
-    proj = projectors(b)
     y = grading_operator(b)
     if h.dimension == 0:
-        return SplittingData(b, y, y.copy(), {}, proj, 0.0, 0.0, 0.0)
+        return SplittingData(b, y, y.copy(), {}, 0.0, 0.0, 0.0)
 
     delta = _solve_delta(y, b)
     scale = max(1.0, float(np.linalg.norm(y)))
@@ -323,5 +278,5 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
         else:
             lam_resid += float(np.linalg.norm(mat))
 
-    return SplittingData(b, y, delta, delta_components, proj,
+    return SplittingData(b, y, delta, delta_components,
                          defining, reality, lam_resid)

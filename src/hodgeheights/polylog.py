@@ -337,22 +337,6 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
     return PolylogMatrices(L, A, B, shift_matrix(n), ell)
 
 
-def closed_form_betti_conjugator(ctx: PolylogContext) -> np.ndarray:
-    """A conj(A)^{-1} from its block closed form
-    [[1,0],[ell,Id]] e^{log(zzbar) e0} tau(-1) [[1,0],[-conj(ell),Id]];
-    B(z) is this matrix times tau(-1).
-    """
-    n = ctx.N + 1
-    m = build_matrices(ctx)
-    lzz = 2.0 * log_z(ctx).real
-    lower = np.eye(n, dtype=DTYPE)
-    lower[1:, 0] = m.ell
-    unlower = np.eye(n, dtype=DTYPE)
-    unlower[1:, 0] = -m.ell.conj()
-    from .linalg import nilpotent_exp
-    return lower @ nilpotent_exp(lzz * m.e0) @ tau(-1.0, n) @ unlower
-
-
 @lru_cache(maxsize=256)
 def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
     """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates.

@@ -1,12 +1,20 @@
-"""Independent exact-arithmetic oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Deliberately self-contained textbook Gaussian elimination over Fraction
-(for real data) and over pairs of Fractions (for complex rational data),
-so subspace dimensions can be checked against the numeric code without
-sharing any implementation with it.
+* Deliberately self-contained textbook Gaussian elimination over Fraction
+  (for real data) and over pairs of Fractions (for complex rational data),
+  so subspace dimensions can be checked against the numeric code without
+  sharing any implementation with it.
+* A fixed-point solver for delta, cross-checking the degree-by-degree
+  elimination of `hodgeheights.deligne`.
+* The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
 """
 
 from fractions import Fraction
+
+import numpy as np
+
+from hodgeheights.linalg import DTYPE, nilpotent_exp
+from hodgeheights.polylog import build_matrices, log_z, tau
 
 
 class QI:
@@ -94,3 +102,52 @@ def oracle_annihilator_dim(rows, ambient: int) -> int:
 
 def oracle_member(vector, rows) -> bool:
     return oracle_rank(list(rows) + [list(vector)]) == oracle_rank(rows)
+
+
+def delta_fixed_point(y, b, max_iter=64, tol=1e-13):
+    """Independent fixed-point solver for delta.
+
+    Rewrites the defining equation as D delta = (Y - conj(Y) +
+    sum_{j>=2} ad(-2i delta)^j(Y)/j!) / 2i with D scaling the drop-m part
+    by m, and iterates from delta = 0.  The drop of entry (i, j) in the
+    bigrading frame is weight(j) - weight(i), read from `b.labels`.
+    """
+    w = np.array([p + q for p, q in b.labels])
+    drops = w[None, :] - w[:, None]
+    ybar = y.conj()
+    s, sinv = b.basis, b.inverse_basis
+    span = int(drops.max()) if drops.size else 0
+    delta = np.zeros_like(y)
+    for _ in range(max_iter):
+        a = -2j * delta
+        term = a @ y - y @ a
+        series = np.zeros_like(y)
+        fact = 1.0
+        for j in range(2, span + 2):
+            term = a @ term - term @ a
+            fact *= j
+            series = series + term / fact
+        rhs = sinv @ ((y - ybar + series) / 2j) @ s
+        new = np.zeros_like(y)
+        for m in range(2, span + 1):
+            new = new + np.where(drops == m, rhs, 0.0) / m
+        new = s @ new @ sinv
+        if np.linalg.norm(new - delta) < tol * max(1.0, np.linalg.norm(y)):
+            return new
+        delta = new
+    return delta
+
+
+def closed_form_betti_conjugator(ctx):
+    """A conj(A)^{-1} from its block closed form
+    [[1,0],[ell,Id]] e^{log(zzbar) e0} tau(-1) [[1,0],[-conj(ell),Id]];
+    B(z) is this matrix times tau(-1).
+    """
+    n = ctx.N + 1
+    m = build_matrices(ctx)
+    lzz = 2.0 * log_z(ctx).real
+    lower = np.eye(n, dtype=DTYPE)
+    lower[1:, 0] = m.ell
+    unlower = np.eye(n, dtype=DTYPE)
+    unlower[1:, 0] = -m.ell.conj()
+    return lower @ nilpotent_exp(lzz * m.e0) @ tau(-1.0, n) @ unlower

@@ -250,6 +250,17 @@ class TestCli:
         spec_path.write_text(json.dumps(spec))
         assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize("n, framing", [(4, [2, 2]), (4, [1, 5]), (4, [1]),
+                                            (0, [0, 1])],
+                             ids=["a_not_below_b", "b_above_N", "not_a_pair",
+                                  "N_zero"])
+    def test_sweep_rejects_bad_spec(self, tmp_path, capsys, n, framing):
+        spec = {"grid": ["0.3+0.2i"], "N": n, "framings": [[0, 1], framing]}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_errors(self, tmp_path):
         assert cli.main(["polylog"]) == 4
         assert cli.main(["polylog", "--z", "0.3", "--a", "1"]) == 4

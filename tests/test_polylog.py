@@ -9,11 +9,12 @@ from hodgeheights.linalg import nilpotent_exp, nilpotent_log
 from hodgeheights.mhs import validate
 from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
                                   PolylogContext, bernoulli, branch_data,
-                                  build_matrices,
-                                  closed_form_betti_conjugator,
-                                  delta_closed_form, heights_closed_form, li,
-                                  log_z, polylog_framed, polylog_mhs, sv_bd,
-                                  sv_brown, tau)
+                                  build_matrices, delta_closed_form,
+                                  heights_closed_form, li, log_z,
+                                  polylog_framed, polylog_mhs, sv_bd, sv_brown,
+                                  tau)
+
+from oracles import closed_form_betti_conjugator
 
 # frozen oracle values (defining series summed in 35-digit arithmetic)
 LI2_HALF = 0.5822405264650125059026563201596801
