@@ -159,7 +159,10 @@ def cmd_height(args) -> int:
 def _sweep_grid(spec: dict) -> list[complex]:
     grid = spec.get("grid")
     if isinstance(grid, list):
-        points = [jsonio.parse_complex(g, f"$.grid[{i}]") for i, g in enumerate(grid)]
+        try:
+            points = [jsonio.parse_complex(g, f"$.grid[{i}]") for i, g in enumerate(grid)]
+        except ParseError as exc:
+            raise CliError(EXIT_VALIDATION, str(exc))
     elif isinstance(grid, dict):
         try:
             re_lo, re_hi = grid["re"]
@@ -168,6 +171,10 @@ def _sweep_grid(spec: dict) -> list[complex]:
         except (KeyError, TypeError, ValueError):
             raise CliError(EXIT_VALIDATION,
                            "grid rectangle needs re, im, resolution")
+        if not (all(type(v) in (int, float) for v in (re_lo, re_hi, im_lo, im_hi, n_re, n_im))
+                and all(float(n).is_integer() and n >= 1 for n in (n_re, n_im))):
+            raise CliError(EXIT_VALIDATION, "grid rectangle needs numeric re/im "
+                           "bounds and integer resolutions >= 1")
         points = [complex(x, y)
                   for y in np.linspace(im_lo, im_hi, int(n_im))
                   for x in np.linspace(re_lo, re_hi, int(n_re))]
@@ -203,6 +210,8 @@ def _csv_row(ctx: PolylogContext, point: dict) -> list:
 
 
 def _sweep_rows(spec: dict):
+    if not isinstance(spec, dict):
+        raise CliError(EXIT_VALIDATION, "sweep spec must be a JSON object")
     points = _sweep_grid(spec)
     n_trunc = spec.get("N", 6)
     framings = spec.get("framings", [])

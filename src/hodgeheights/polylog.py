@@ -9,9 +9,10 @@ polyline from its basepoint (which must sit in the series disk
 |z| <= 1/2, where all branches agree with the principal one).
 
 Continuation integrates d Li_k = Li_{k-1} dt/t panel by panel along the
-polyline.  Within a panel the functions are analytic, so each Li_k is
-represented by a Chebyshev interpolant of its predecessor's integrand
-and integrated coefficient-wise; panels are kept short relative to their
+polyline.  Within a panel the functions are analytic, so each Li_k is the
+primitive of the Chebyshev interpolant of its predecessor's integrand at
+the Chebyshev--Lobatto nodes, applied as one cached integration matrix
+per order (32, then 48); panels are kept short relative to their
 distance to the singularities {0, 1} and the whole transport is repeated
 at a finer resolution until two runs agree, so endpoint values are
 accurate to ~1e-11 for |z| <= 4.
@@ -143,42 +144,42 @@ def _panel_points(a: complex, b: complex, step: float) -> list[complex]:
 
 @lru_cache(maxsize=8)
 def _cheb_nodes(order: int):
-    x = -np.cos(np.pi * np.arange(order + 1) / order)   # ascending, x[0] = -1
-    vand = cheb.chebvander(x, order)
-    return x, np.linalg.inv(vand)
+    """Lobatto nodes x (ascending, x[0] = -1) and the integration matrix Q.
+
+    Q @ f is the primitive of f's Chebyshev interpolant at the nodes,
+    measured from x[0]; its entries are real, stored complex so that
+    Q @ f takes no per-call cast.
+    """
+    x = -np.cos(np.pi * np.arange(order + 1) / order)
+    Q = (cheb.chebvander(x, order + 1) @ cheb.chebint(np.eye(order + 1), axis=0)
+         @ np.linalg.inv(cheb.chebvander(x, order)))
+    return x, (Q - Q[0]).astype(DTYPE)
 
 
-def _transport_once(points: tuple[complex, ...], count: int, terms: int,
+def _transport_once(points: tuple[complex, ...], li: list[complex],
                     step: float, order: int) -> tuple[complex, list[complex]]:
-    """Continue (log t, Li_1..Li_count) along the polyline; returns end values."""
-    t0 = points[0]
-    log_t = complex(np.log(t0))
-    li = np.array(_series_values(t0, count, terms), dtype=DTYPE)
+    """Continue (log t, Li_1..Li_count) from their values li at points[0]
+    along the polyline; returns end values."""
+    x, Q = _cheb_nodes(order)
+    log_t = complex(np.log(points[0]))
     for a, b in zip(points, points[1:]):
         if abs(b - a) < 1e-15:
             continue
         _check_segment(a, b)
         panels = _panel_points(a, b, step)
         for lo, hi in zip(panels, panels[1:]):
-            x, fit = _cheb_nodes(order)
             half = (hi - lo) / 2
             t = (lo + hi) / 2 + half * x
+            w = half / t                     # dt / t = w dx on the panel
             # short panels keep the ratios in the right half plane, so the
             # principal log of the ratio continues the running branch
-            log_nodes = log_t + np.log(t / lo)
-            li1_nodes = li[0] - np.log((1.0 - t) / (1.0 - lo))
-            values = [li1_nodes]
-            prev = li1_nodes
-            for k in range(1, count):
-                integrand = prev * half / t
-                coeffs = fit @ integrand
-                anti = cheb.chebint(coeffs)
-                primitive = cheb.chebval(x, anti)
-                vals_k = li[k] + (primitive - primitive[0])
-                values.append(vals_k)
-                prev = vals_k
-            log_t = complex(log_nodes[-1])
-            li = np.array([v[-1] for v in values], dtype=DTYPE)
+            log_t = complex(log_t + np.log(t[-1] / lo))
+            prev = li[0] - np.log((1.0 - t) / (1.0 - lo))
+            ends = [prev[-1]]
+            for k in range(1, len(li)):
+                prev = li[k] + Q @ (prev * w)
+                ends.append(prev[-1])
+            li = ends
     return log_t, [complex(v) for v in li]
 
 
@@ -186,12 +187,13 @@ def _transport_once(points: tuple[complex, ...], count: int, terms: int,
 def _transport(points: tuple[complex, ...], count: int, terms: int,
                step: float, refine_tol: float) -> tuple[complex, tuple[complex, ...]]:
     """Transport with one refinement pass; fails loudly if runs disagree."""
-    log1, li1 = _transport_once(points, count, terms, step, order=32)
-    log2, li2 = _transport_once(points, count, terms, step / 2, order=48)
+    li0 = _series_values(points[0], count, terms)
+    log1, li1 = _transport_once(points, li0, step, order=32)
+    log2, li2 = _transport_once(points, li0, step / 2, order=48)
     worst = max([abs(log1 - log2)] + [abs(u - v) for u, v in zip(li1, li2)])
     if worst > refine_tol:
         log1, li1 = log2, li2
-        log2, li2 = _transport_once(points, count, terms, step / 4, order=48)
+        log2, li2 = _transport_once(points, li0, step / 4, order=48)
         worst = max([abs(log1 - log2)] + [abs(u - v) for u, v in zip(li1, li2)])
         if worst > refine_tol:
             raise NonConvergent(f"quadrature refinement stalled at {worst:.2e}")

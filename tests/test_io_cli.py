@@ -261,6 +261,21 @@ class TestCli:
         assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3], "resolution": ["a", 2]},
+         "N": 2, "framings": [[0, 1]]},
+        {"grid": {"re": ["x", 0.5], "im": [0.1, 0.3], "resolution": [2, 2]},
+         "N": 2, "framings": [[0, 1]]},
+        {"grid": ["0.3+0.2i", "x"], "N": 2, "framings": [[0, 1]]},
+    ], ids=["not_an_object", "resolution_not_integer", "bound_not_number",
+            "point_not_complex"])
+    def test_sweep_rejects_malformed_spec(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_errors(self, tmp_path):
         assert cli.main(["polylog"]) == 4
         assert cli.main(["polylog", "--z", "0.3", "--a", "1"]) == 4

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgeheights import deligne, framed
+from hodgeheights import deligne, framed, polylog
 from hodgeheights.linalg import nilpotent_exp, nilpotent_log
 from hodgeheights.mhs import validate
 from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
@@ -21,6 +21,9 @@ LI2_HALF = 0.5822405264650125059026563201596801
 SV_BROWN_03 = {2: -0.8588538649734232566827463953273347,
                3: 2.444139173742035453653688478331136,
                4: -2.5276930748256828600534849370718843}
+# the criterion-8 loop: once counterclockwise around t = 1 from 0.3,
+# which adds -2 pi i (log z)^(k-1) / (k-1)! to Li_k
+LOOP_AROUND_ONE = (0.3, 0.3 - 0.9j, 2.3 - 0.9j, 2.3 + 0.9j, 0.3 + 0.9j, 0.3)
 SV_BD_03_02 = {1: 0.31743913621798476694575688516983532,   # real part, b odd
                2: 0.51976430145400816027084220115227733,   # imag part, b even
                3: 0.73248041069754547799577468417786402}
@@ -46,6 +49,23 @@ class TestLi:
         for k in range(1, 6):
             ref = complex(mpmath.polylog(k, z))
             assert abs(li(k, ctx) - ref) < 1e-10
+
+    @pytest.mark.parametrize("radius", [0.6, 1.5, 2.5, 4.0])
+    @pytest.mark.parametrize("looped", [False, True], ids=["principal", "loop"])
+    def test_against_mpmath_weight_ten(self, radius, looped):
+        mpmath = pytest.importorskip("mpmath")
+        for angle in (0.7, 2.4, -1.9):
+            z = radius * complex(math.cos(angle), math.sin(angle))
+            path = LOOP_AROUND_ONE + (z,) if looped else ()
+            got = branch_data(PolylogContext(z, N=10, path=path), 10)[1]
+            for k in range(1, 11):
+                with mpmath.workdps(30):
+                    ref = mpmath.polylog(k, z)
+                    if looped:
+                        ref -= (2j * mpmath.pi * mpmath.log(z) ** (k - 1)
+                                / mpmath.factorial(k - 1))
+                    ref = complex(ref)
+                assert abs(got[k - 1] - ref) < 1e-10 * abs(ref), (z, k)
 
     def test_log_branch_matches_principal_off_cuts(self):
         for z in (0.7 + 0.4j, -2.0 + 1.0j, 3.0 + 2.0j):
@@ -151,6 +171,56 @@ class TestSingleValued:
             assert abs(sv_bd(b, plain) - sv_bd(b, loop)) < 1e-6
             jumped |= abs(li(b, plain) - li(b, loop)) > 1.0
         assert jumped
+
+
+class TestTransport:
+    @pytest.mark.parametrize("order", [32, 48])
+    def test_integration_matrix_is_exact_on_chebyshev_polynomials(self, order):
+        x, Q = polylog._cheb_nodes(order)
+        assert not Q[0].any()
+
+        def T(j):
+            return np.cos(j * np.arccos(x))
+
+        def primitive(j):   # an antiderivative of T_j, as a function at x
+            if j == 0:
+                return x
+            if j == 1:
+                return x ** 2 / 2
+            return T(j + 1) / (2 * (j + 1)) - T(j - 1) / (2 * (j - 1))
+
+        for j in range(order + 1):
+            exact = primitive(j) - primitive(j)[0]   # from x[0] = -1
+            assert np.abs(Q @ T(j) - exact).max() < 1e-12, j
+
+    @pytest.mark.parametrize("z, path, panels", [
+        (2.5 + 1.0j, (), [16, 32]),
+        (1.2 + 0.1j, (), [10, 11]),     # panels shortened near t = 1
+        (0.45 + 0.35j, LOOP_AROUND_ONE + (0.45 + 0.35j,),
+         [5, 8, 8, 8, 5, 2, 8, 16, 16, 16, 8, 4]),
+    ], ids=["principal", "near_one", "loop"])
+    def test_quadrature_grid_is_fixed(self, monkeypatch, z, path, panels):
+        # the transport's speed must come from the panel kernel, not from
+        # fewer passes or coarser panels: two passes (order 32 at step,
+        # order 48 at step/2) and a fixed panel count per segment and pass
+        passes, seen = [], []
+        once, split = polylog._transport_once, polylog._panel_points
+
+        def counted_once(*args, **kwargs):
+            passes.append(kwargs.get("order"))
+            return once(*args, **kwargs)
+
+        def counted_split(*args, **kwargs):
+            out = split(*args, **kwargs)
+            seen.append(len(out) - 1)
+            return out
+
+        monkeypatch.setattr(polylog, "_transport_once", counted_once)
+        monkeypatch.setattr(polylog, "_panel_points", counted_split)
+        polylog._transport.cache_clear()
+        li(10, PolylogContext(z, N=10, path=path))
+        assert passes == [32, 48]
+        assert seen == panels
 
 
 class TestMatrices:
