@@ -13,8 +13,7 @@ oracle.  See the README for the CLI (`mhs ...`) and file formats.
 """
 
 from .linalg import (DimensionMismatch, NotNilpotent, NotUnipotent, Subspace,
-                     annihilator, intersect, nilpotent_exp, nilpotent_log,
-                     subspace_sum)
+                     nilpotent_exp, nilpotent_log)
 from .mhs import (InvalidMHS, MixedHodgeStructure, ValidationReport, conjugate,
                   dual, random_hodge_tate, random_hodge_tate_pair, tate, twist,
                   validate)
@@ -35,8 +34,7 @@ from .polylog import (NonConvergent, PathThroughSingularity, PolylogContext,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Subspace", "intersect", "subspace_sum", "annihilator",
-    "nilpotent_exp", "nilpotent_log",
+    "Subspace", "nilpotent_exp", "nilpotent_log",
     "DimensionMismatch", "NotUnipotent", "NotNilpotent",
     "MixedHodgeStructure", "ValidationReport", "InvalidMHS",
     "validate", "dual", "twist", "conjugate", "tate",

@@ -14,6 +14,8 @@ from typing import Sequence
 
 RationalVector = tuple[Fraction, ...]
 RationalMatrix = tuple[RationalVector, ...]
+#: (reduced nonzero rows, pivot columns), as returned by `rref`.
+Echelon = tuple[list[list[Fraction]], list[int]]
 
 
 def as_fraction_vector(entries: Sequence) -> RationalVector:
@@ -24,7 +26,7 @@ def as_fraction_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
     return tuple(as_fraction_vector(r) for r in rows)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
     if not mat:
@@ -54,13 +56,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return mat[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[RationalVector]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    reduced, pivots = rref(rows)
+def nullspace(echelon: Echelon, ncols: int) -> list[RationalVector]:
+    """Basis of {x : M x = 0} for M given by its echelon form `rref(rows)`."""
+    reduced, pivots = echelon
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
@@ -72,10 +70,15 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[RationalVe
     return basis
 
 
-def in_span(vector: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact membership of `vector` in the row span of `rows`."""
-    base = rank(rows)
-    return rank(list(rows) + [list(vector)]) == base
+def remainder(vector: Sequence[Fraction], echelon: Echelon) -> list[Fraction]:
+    """`vector` reduced against the echelon form `rref(rows)`: zero exactly
+    when `vector` lies in the row span."""
+    v = list(vector)
+    for row, c in zip(*echelon):
+        if v[c] != 0:
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
 
 
 def complement_indices(inner_rows: Sequence[Sequence[Fraction]],
@@ -85,11 +88,11 @@ def complement_indices(inner_rows: Sequence[Sequence[Fraction]],
     Used to pick rational representatives of a graded piece W_k / W_{k-1}.
     """
     acc = [list(r) for r in inner_rows]
-    current = rank(acc)
+    current = len(rref(acc)[0])
     chosen = []
     for i, row in enumerate(outer_rows):
         acc.append(list(row))
-        new = rank(acc)
+        new = len(rref(acc)[0])
         if new > current:
             chosen.append(i)
             current = new

@@ -14,9 +14,11 @@ rank tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -52,14 +54,17 @@ def _tolerance() -> float | None:
         raise CliError(EXIT_USAGE, f"MHS_TOLERANCE={raw!r} is not a number")
 
 
-def _read_document(path: str):
+def _read_document(path: str, require_valid: bool = True):
+    """(structure, framing or None) from a document; invalid ones exit 2
+    unless require_valid is off (validate reports them itself)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
     try:
-        return jsonio.parse_mhs_document(text, rank_tolerance=_tolerance())
+        return jsonio.parse_mhs_document(text, require_valid=require_valid,
+                                         rank_tolerance=_tolerance())
     except ParseError as exc:
         raise CliError(EXIT_VALIDATION, f"parse error: {exc}")
     except DocumentValidationError as exc:
@@ -82,27 +87,13 @@ def _matrix_json(mat: np.ndarray) -> list:
 
 
 def cmd_validate(args) -> int:
-    h, _ = _read_document_loose(args.file)
+    h, _ = _read_document(args.file, require_valid=False)
     report = validate(h)
     if report.ok:
         print("valid")
         return EXIT_OK
     print(report.describe())
     return EXIT_VALIDATION
-
-
-def _read_document_loose(path: str):
-    """Like _read_document but tolerates invalid structures (validate reports them)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    try:
-        return jsonio.parse_mhs_document(text, require_valid=False,
-                                         rank_tolerance=_tolerance())
-    except ParseError as exc:
-        raise CliError(EXIT_VALIDATION, f"parse error: {exc}")
 
 
 def cmd_splitting(args) -> int:
@@ -172,15 +163,18 @@ def _sweep_grid(spec: dict) -> list[complex]:
             raise CliError(EXIT_VALIDATION,
                            "grid rectangle needs re, im, resolution")
         if not (all(type(v) in (int, float) for v in (re_lo, re_hi, im_lo, im_hi, n_re, n_im))
+                and all(math.isfinite(v) for v in (re_lo, re_hi, im_lo, im_hi))
                 and all(float(n).is_integer() and n >= 1 for n in (n_re, n_im))):
-            raise CliError(EXIT_VALIDATION, "grid rectangle needs numeric re/im "
-                           "bounds and integer resolutions >= 1")
+            raise CliError(EXIT_VALIDATION, "grid rectangle needs finite numeric "
+                           "re/im bounds and integer resolutions >= 1")
         points = [complex(x, y)
                   for y in np.linspace(im_lo, im_hi, int(n_im))
                   for x in np.linspace(re_lo, re_hi, int(n_re))]
     else:
         raise CliError(EXIT_VALIDATION, "sweep spec has no grid")
     for z in points:
+        if not cmath.isfinite(z):
+            raise CliError(EXIT_VALIDATION, f"grid point {z} is not finite")
         if abs(z) < 1e-12 or abs(z - 1) < 1e-12:
             raise CliError(EXIT_VALIDATION, f"grid point {z} is singular")
         if spec.get("path_policy", "principal") == "principal" and pl._on_cut(z):

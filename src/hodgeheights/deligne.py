@@ -12,9 +12,14 @@ strictly lower both indices, with  conj(Y) = e^{-2i delta} Y e^{2i delta}.
 delta vanishes exactly when the structure splits over R; it is the raw
 material of the second height functional.
 
-The bigrading evaluates U by its recursion, each F^r cap W_s and U^r_s
-once.  The splitting solver works degree by degree in the Y-weight drop:
-the drop-m part of delta is read off from the residual of the defining
+The formula is evaluated with U by its recursion, each F^r cap W_s and
+U^r_s once, for any (W, F) whose filtrations are nested, and the pieces
+are memoized on the structure.  Validation decides on them whether
+(W, F) is an MHS at all; the bigrading of a valid structure is the same
+pieces, once their basis is checked to be well conditioned.
+
+The splitting solver works degree by degree in the Y-weight drop: the
+drop-m part of delta is read off from the residual of the defining
 equation at level m and divided by 2im.  An independent fixed-point
 solver of the same equation is a test oracle (tests/oracles.py).
 """
@@ -68,6 +73,10 @@ class Bigrading:
         return np.array([p + q for p, q in self.labels])
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.basis, compute_uv=False)
+
+    @cached_property
     def inverse_basis(self) -> np.ndarray:
         if not self.basis.size:
             return self.basis.copy()
@@ -77,8 +86,13 @@ class Bigrading:
         return {pq: s.dim for pq, s in self.pieces.items()}
 
 
-def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
-    require_valid(h)
+def _pieces(h: MixedHodgeStructure) -> Bigrading:
+    """Deligne's formula for any nested (W, F), unchecked and memoized on h:
+    validate decides validity on it, and it is the bigrading if h is valid."""
+    return h.memo("pieces", lambda: _compute_pieces(h))
+
+
+def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:
@@ -118,17 +132,17 @@ def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
         blocks.append(pieces[pq].basis)
         labels.extend([pq] * pieces[pq].dim)
     basis = np.hstack(blocks) if blocks else np.zeros((n, 0), dtype=DTYPE)
-
-    total = basis.shape[1]
-    if total != n:
-        raise NumericalDegeneracy(
-            f"bigrading dimensions sum to {total}, expected {n}")
-    if n > 0:
-        smin = np.linalg.svd(basis, compute_uv=False)[-1]
-        if smin < SUBSPACE_TOL:
-            raise NumericalDegeneracy(
-                f"bigrading pieces nearly dependent (sigma_min={smin:.2e})")
     return Bigrading(h, pieces, basis, tuple(labels))
+
+
+def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
+    require_valid(h)
+    b = _pieces(h)
+    # validation made the pieces a direct sum; they must also be well apart
+    if h.dimension > 0 and b.singular_values[-1] < SUBSPACE_TOL:
+        raise NumericalDegeneracy(f"bigrading pieces nearly dependent "
+                                  f"(sigma_min={b.singular_values[-1]:.2e})")
+    return b
 
 
 def bigrading(h: MixedHodgeStructure) -> Bigrading:

@@ -68,9 +68,9 @@ class FramedMHS:
         require_valid(h)
         if len(self.phi_class) != h.dimension or len(self.psi_class) != h.dimension:
             raise FramingTypeError("frame vectors of wrong length")
-        if not _rational.in_span(self.phi_class, h.weight_rows(2 * a)):
+        if not h.weight_contains(2 * a, self.phi_class):
             raise FramingTypeError(f"phi_class is not in W_{2 * a}")
-        if _rational.in_span(self.phi_class, h.weight_rows(2 * a - 1)):
+        if h.weight_contains(2 * a - 1, self.phi_class):
             raise FramingTypeError(f"phi_class vanishes in Gr^W_{2 * a}")
         for row in h.weight_rows(2 * b - 1):
             if sum(f * x for f, x in zip(self.psi_class, row)) != 0:

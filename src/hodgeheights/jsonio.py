@@ -14,8 +14,9 @@ from typing import Any
 
 import numpy as np
 
+from . import mhs
 from .framed import FramedMHS
-from .mhs import MixedHodgeStructure, ValidationReport, validate
+from .mhs import InvalidMHS, MixedHodgeStructure, ValidationReport
 
 
 class ParseError(ValueError):
@@ -176,9 +177,10 @@ def parse_mhs_document(doc: dict | str | bytes,
     h = MixedHodgeStructure(n, weight, hodge, comparison, **kwargs)
 
     if require_valid:
-        report = validate(h)
-        if not report.ok:
-            raise DocumentValidationError(report)
+        try:
+            mhs.require_valid(h)
+        except InvalidMHS as exc:
+            raise DocumentValidationError(exc.report) from exc
 
     framed = None
     if "framing" in doc:

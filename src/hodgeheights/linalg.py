@@ -183,18 +183,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def annihilator(s: Subspace) -> Subspace:
-    return s.annihilator()
-
-
 def _nilpotency_order(mat: np.ndarray, tol: float) -> int:
     """Smallest k with mat^k = 0 at tolerance, or raise if there is none."""
     n = mat.shape[0]

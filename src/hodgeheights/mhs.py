@@ -14,10 +14,14 @@ Filtrations are stored sparsely by jump index:
 * F^p is the value stored at the smallest jump >= p, and 0 above the
   largest jump; the value at the smallest jump must be the full space.
 
+Validity is decided on Deligne's pieces I^{p,q}, which then become the
+bigrading (see `validate`); exact weight data is one echelon form per
+jump of W.
+
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
-subspaces, validation report, bigrading and splitting) are memoized on
-the instance and die with it.
+subspaces, weight echelon forms, validation report, pieces, bigrading and
+splitting) are memoized on the instance and die with it.
 """
 
 from __future__ import annotations
@@ -116,12 +120,15 @@ class MixedHodgeStructure:
     def hodge_jumps(self) -> list[int]:
         return sorted(self.hodge_filtration)
 
+    def _weight_jump(self, k: int) -> int | None:
+        """The jump whose value is W_k (None below the lowest jump)."""
+        jumps = [j for j in self.weight_jumps if j <= k]
+        return jumps[-1] if jumps else None
+
     def weight_rows(self, k: int) -> RationalMatrix:
         """Exact rational spanning rows of W_k (empty below the lowest jump)."""
-        jumps = [j for j in self.weight_jumps if j <= k]
-        if not jumps:
-            return ()
-        return self.weight_filtration[jumps[-1]]
+        jump = self._weight_jump(k)
+        return () if jump is None else self.weight_filtration[jump]
 
     def hodge_rows(self, p: int) -> np.ndarray:
         jumps = [j for j in self.hodge_jumps if j >= p]
@@ -149,8 +156,24 @@ class MixedHodgeStructure:
 
     # -- exact weight-graded data --------------------------------------
 
+    def weight_echelon(self, k: int) -> _rational.Echelon:
+        """Reduced row echelon form of W_k, computed once per jump.
+
+        Every exact rank and membership decision about W reads it; callers
+        must not mutate it.
+        """
+        jump = self._weight_jump(k)
+        if jump is None:
+            return [], []
+        return self.memo(("rref", jump),
+                         lambda: _rational.rref(self.weight_filtration[jump]))
+
     def weight_rank(self, k: int) -> int:
-        return _rational.rank(self.weight_rows(k))
+        return len(self.weight_echelon(k)[0])
+
+    def weight_contains(self, k: int, vector: Sequence[Fraction]) -> bool:
+        """Exact membership of a rational vector in W_k."""
+        return not any(_rational.remainder(vector, self.weight_echelon(k)))
 
     def graded_dimension(self, k: int) -> int:
         return self.weight_rank(k) - self.weight_rank(k - 1)
@@ -170,37 +193,19 @@ class MixedHodgeStructure:
                 f"W jumps={self.weight_jumps}, F jumps={self.hodge_jumps})")
 
 
-def _graded_model(h: MixedHodgeStructure, k: int) -> np.ndarray | None:
-    """Real orthonormal columns modelling Gr^W_k = W_k minus W_{k-1}.
-
-    W is rational, so the model can be taken real; conjugation on the
-    graded piece is then entrywise in model coordinates.
-    """
-    wk = h.weight_subspace(k)
-    wk1 = h.weight_subspace(k - 1)
-    m = wk.dim - wk1.dim
-    if m <= 0:
-        return None
-    proj = np.eye(h.dimension) - wk1.basis.real @ wk1.basis.real.T
-    reduced = proj @ wk.basis.real
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
-    return u[:, :m]
-
-
-def _induced_on_graded(h: MixedHodgeStructure, sub: Subspace, k: int,
-                       model: np.ndarray) -> Subspace:
-    """Image of (sub cap W_k) in the graded model of Gr^W_k."""
-    cut = sub.intersect(h.weight_subspace(k))
-    coords = model.T @ cut.basis
-    return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1],
-                                 tol=h.rank_tolerance)
-
-
 def validate(h: MixedHodgeStructure) -> ValidationReport:
     """Check all MHS invariants; never raises.
 
-    Weight containments and fullness are checked exactly in rational
-    arithmetic; purity of the graded pieces is checked numerically.
+    After the data and the filtrations' containments and fullness (W
+    exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
+    on h for its bigrading.  (W, F) is an MHS exactly when (i) the pieces
+    form a direct sum of C^n, (ii) dim F^p is the total dim of the pieces
+    I^{p',q} with p' >= p, (iii) the pieces of weight k have total dim
+    Gr^W_k and (iv) dim I^{p,q} = dim I^{q,p}: each piece of weight k lies
+    in F^p and, modulo W_{k-1}, in conj F^q, so (i)-(iv) give Gr^W_k =
+    F^p (+) conj F^{k-p+1}; conversely the formula returns the Deligne
+    splitting of every MHS.  A failure is a purity violation at its
+    weight k, or at None for (i) and (ii).
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -230,11 +235,9 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     # W increasing (exact), top = full space
     jumps = h.weight_jumps
     for lo, hi in zip(jumps, jumps[1:]):
-        lo_rows = h.weight_filtration[lo]
-        hi_rank = _rational.rank(h.weight_filtration[hi])
-        if _rational.rank(list(h.weight_filtration[hi]) + list(lo_rows)) != hi_rank:
+        if not all(h.weight_contains(hi, row) for row in h.weight_echelon(lo)[0]):
             bad.append(Violation("weight", hi, f"W_{lo} not contained in W_{hi}"))
-    if _rational.rank(h.weight_filtration[jumps[-1]]) != n:
+    if h.weight_rank(jumps[-1]) != n:
         bad.append(Violation("weight", jumps[-1], "top weight subspace is not full"))
 
     # F decreasing (numeric), bottom = full space
@@ -248,23 +251,27 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    # graded purity: on Gr^W_k, F^p and conj(F^{k-p+1}) are complementary
-    p_lo, p_hi = pjumps[0], pjumps[-1]
-    for k in jumps:
-        model = _graded_model(h, k)
-        if model is None:
-            continue
-        m = model.shape[1]
-        for p in range(p_lo, p_hi + 2):
-            f_side = _induced_on_graded(h, h.hodge_subspace(p), k, model)
-            conj_side = _induced_on_graded(
-                h, h.hodge_subspace(k - p + 1).conjugate(), k, model)
-            if f_side.dim + conj_side.dim != m or f_side.intersect(conj_side).dim != 0:
-                bad.append(Violation(
-                    "purity", k,
-                    f"Gr^W_{k}: F^{p} (dim {f_side.dim}) and conj F^{k - p + 1} "
-                    f"(dim {conj_side.dim}) do not split dim {m}"))
-
+    from . import deligne
+    pieces = deligne._pieces(h)
+    dims = pieces.piece_dims()
+    for k in h.weights_present():
+        total = sum(d for (p, q), d in dims.items() if p + q == k)
+        if total != h.graded_dimension(k):
+            bad.append(Violation("purity", k, f"pieces of weight {k} have dim {total}, "
+                                 f"Gr^W_{k} has dim {h.graded_dimension(k)}"))
+        for (p, q), d in sorted(dims.items()):
+            if p + q == k and d > dims.get((q, p), 0):
+                bad.append(Violation("purity", k, f"dim I^({p},{q}) = {d} exceeds "
+                                     f"dim I^({q},{p}) = {dims.get((q, p), 0)}"))
+    for p in range(pjumps[0], pjumps[-1] + 1):
+        total = sum(d for (pp, q), d in dims.items() if pp >= p)
+        if total != h.hodge_subspace(p).dim:
+            bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
+                                 f"pieces I^(p',q) with p' >= {p} have dim {total}"))
+    if not bad:
+        sv = pieces.singular_values
+        if np.sum(sv > h.rank_tolerance * sv[0]) < n:
+            bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
     return ValidationReport(tuple(bad))
 
 
@@ -273,24 +280,6 @@ def require_valid(h: MixedHodgeStructure) -> None:
     report = h.memo("report", lambda: validate(h))
     if not report.ok:
         raise InvalidMHS(report)
-
-
-def induced_hodge_numbers(h: MixedHodgeStructure, k: int) -> dict[int, int]:
-    """h^{p, k-p} of the pure structure on Gr^W_k from the induced filtration.
-
-    These must match the dimensions of the bigrading pieces I^{p, k-p}.
-    """
-    model = _graded_model(h, k)
-    if model is None:
-        return {}
-    jumps = h.hodge_jumps
-    out = {}
-    for p in range(jumps[0], jumps[-1] + 1):
-        here = _induced_on_graded(h, h.hodge_subspace(p), k, model).dim
-        above = _induced_on_graded(h, h.hodge_subspace(p + 1), k, model).dim
-        if here > above:
-            out[p] = here - above
-    return out
 
 
 # -- constructions ------------------------------------------------------
@@ -315,13 +304,9 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     require_valid(h)
     n = h.dimension
 
-    jumps = h.weight_jumps                     # k_1 < ... < k_r, value S_i at k_i
-    dual_w: dict[int, list] = {}
-    prev_rows: tuple = ()
-    # ascending j segments: value Ann(S_{i-1}) starts at j = -k_i
-    for k in jumps:
-        dual_w[-k] = [list(v) for v in _rational.nullspace(prev_rows, n)]
-        prev_rows = h.weight_filtration[k]
+    # W_j(dual) = Ann(W_{-j-1}) jumps at j = -k for each jump k of W
+    dual_w = {-k: [list(v) for v in _rational.nullspace(h.weight_echelon(k - 1), n)]
+              for k in h.weight_jumps}
 
     pjumps = h.hodge_jumps                     # p_1 < ... < p_r, value T_i at p_i
     dual_f: dict[int, np.ndarray] = {}

@@ -28,6 +28,7 @@ oracles for the generic pipeline.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +72,8 @@ class PolylogContext:
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "path", tuple(complex(p) for p in self.path))
+        if not all(cmath.isfinite(p) for p in (self.z, *self.path)):
+            raise ValueError("evaluation point and path must be finite")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         # z = 0 is allowed for bare Li evaluation (all Li_k(0) = 0); log z

@@ -4,6 +4,10 @@
   (for real data) and over pairs of Fractions (for complex rational data),
   so subspace dimensions can be checked against the numeric code without
   sharing any implementation with it.
+* The graded-purity sweep that once decided validity, cross-checking the
+  dimension counts on Deligne's pieces that `hodgeheights.mhs.validate`
+  now makes: on each Gr^W_k the induced F^p and conj F^{k-p+1} must be
+  complementary, with the Hodge numbers read off the induced filtration.
 * A fixed-point solver for delta, cross-checking the degree-by-degree
   elimination of `hodgeheights.deligne`.
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
@@ -13,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from hodgeheights.linalg import DTYPE, nilpotent_exp
+from hodgeheights.linalg import DTYPE, Subspace, nilpotent_exp
+from hodgeheights.mhs import Violation
 from hodgeheights.polylog import build_matrices, log_z, tau
 
 
@@ -102,6 +107,69 @@ def oracle_annihilator_dim(rows, ambient: int) -> int:
 
 def oracle_member(vector, rows) -> bool:
     return oracle_rank(list(rows) + [list(vector)]) == oracle_rank(rows)
+
+
+def _graded_model(h, k):
+    """Real orthonormal columns modelling Gr^W_k = W_k minus W_{k-1}.
+
+    W is rational, so the model can be taken real; conjugation on the
+    graded piece is then entrywise in model coordinates.
+    """
+    wk = h.weight_subspace(k)
+    wk1 = h.weight_subspace(k - 1)
+    m = wk.dim - wk1.dim
+    if m <= 0:
+        return None
+    proj = np.eye(h.dimension) - wk1.basis.real @ wk1.basis.real.T
+    u, _, _ = np.linalg.svd(proj @ wk.basis.real, full_matrices=False)
+    return u[:, :m]
+
+
+def _induced_on_graded(h, sub, k, model):
+    """Image of (sub cap W_k) in the graded model of Gr^W_k."""
+    coords = model.T @ sub.intersect(h.weight_subspace(k)).basis
+    return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1],
+                                 tol=h.rank_tolerance)
+
+
+def graded_purity_violations(h):
+    """Purity violations of a structure whose filtrations are nested.
+
+    Sweeps every weight k and every p from the lowest Hodge jump to one
+    past the highest, checking F^p (+) conj F^{k-p+1} = Gr^W_k.
+    """
+    bad = []
+    pjumps = h.hodge_jumps
+    for k in h.weight_jumps:
+        model = _graded_model(h, k)
+        if model is None:
+            continue
+        m = model.shape[1]
+        for p in range(pjumps[0], pjumps[-1] + 2):
+            f_side = _induced_on_graded(h, h.hodge_subspace(p), k, model)
+            conj_side = _induced_on_graded(
+                h, h.hodge_subspace(k - p + 1).conjugate(), k, model)
+            if f_side.dim + conj_side.dim != m or f_side.intersect(conj_side).dim != 0:
+                bad.append(Violation(
+                    "purity", k,
+                    f"Gr^W_{k}: F^{p} (dim {f_side.dim}) and conj F^{k - p + 1} "
+                    f"(dim {conj_side.dim}) do not split dim {m}"))
+    return bad
+
+
+def induced_hodge_numbers(h, k):
+    """h^{p, k-p} of the pure structure on Gr^W_k from the induced filtration."""
+    model = _graded_model(h, k)
+    if model is None:
+        return {}
+    jumps = h.hodge_jumps
+    out = {}
+    for p in range(jumps[0], jumps[-1] + 1):
+        here = _induced_on_graded(h, h.hodge_subspace(p), k, model).dim
+        above = _induced_on_graded(h, h.hodge_subspace(p + 1), k, model).dim
+        if here > above:
+            out[p] = here - above
+    return out
 
 
 def delta_fixed_point(y, b, max_iter=64, tol=1e-13):

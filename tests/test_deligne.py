@@ -59,13 +59,14 @@ class TestBigrading:
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
-        # U is built by its recursion and each F^r cap W_s once, so the
-        # bigrading of H(z) costs about 6 (N+1)^2 SVDs (O(N^3) when U is
-        # rebuilt from scratch for every piece).
+        # Validation solves Deligne's pieces once (U by its recursion, each
+        # F^r cap W_s once) and the bigrading assembles the same pieces, so
+        # validating and bigrading H(z) costs about 6 (N+1)^2 SVDs.  A
+        # second solve (a graded-purity sweep) or rebuilding U for every
+        # piece breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs.__wrapped__(PolylogContext(0.3 + 0.2j, n))  # fresh, uncached
-        require_valid(h)
         real_svd, calls = np.linalg.svd, []
 
         def counting_svd(*args, **kwargs):
@@ -73,8 +74,9 @@ class TestBigrading:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= 7 * (n + 1) ** 2
+        assert len(calls) <= min(7 * (n + 1) ** 2, 800)
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},

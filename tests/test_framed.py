@@ -83,25 +83,25 @@ class TestFrameElements:
             frame_elements(fh)
 
 
+def _recording(seen, fn):
+    """fn, appending its first argument to `seen` on every call."""
+    def wrapper(first, *args, **kwargs):
+        seen.append(first)
+        return fn(first, *args, **kwargs)
+    return wrapper
+
+
 class TestEachFactOnce:
     """Frame elements and heights validate and bigrade their structure once,
     and build no other structure (in particular no dual)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"validate": [], "bigrading": []}
-        validate, compute = mhs_mod.validate, deligne._compute_bigrading
-
-        def counted_validate(h):
-            seen["validate"].append(h)
-            return validate(h)
-
-        def counted_bigrading(h):
-            seen["bigrading"].append(h)
-            return compute(h)
-
-        monkeypatch.setattr(mhs_mod, "validate", counted_validate)
-        monkeypatch.setattr(deligne, "_compute_bigrading", counted_bigrading)
+        seen = {"validate": [], "pieces": [], "bigrading": []}
+        for name, module, attr in (("validate", mhs_mod, "validate"),
+                                   ("pieces", deligne, "_compute_pieces"),
+                                   ("bigrading", deligne, "_compute_bigrading")):
+            monkeypatch.setattr(module, attr, _recording(seen[name], getattr(module, attr)))
         return seen
 
     @staticmethod
@@ -115,7 +115,7 @@ class TestEachFactOnce:
     def test_random_hodge_tate(self, calls):
         h = random_hodge_tate([1, 2, 1, 2], seed=31)
         self.all_heights(random_framing(h, np.random.default_rng(31)))
-        assert calls == {"validate": [h], "bigrading": [h]}
+        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h]}
 
     def test_polylog(self, calls, polylog_ctx_factory):
         from hodgeheights.polylog import polylog_framed
@@ -125,7 +125,33 @@ class TestEachFactOnce:
         h = MixedHodgeStructure(g.dimension, g.weight_filtration,
                                 g.hodge_filtration, g.comparison_matrix)
         self.all_heights(FramedMHS(h, fh.a, fh.b, fh.phi_class, fh.psi_class))
-        assert calls == {"validate": [h], "bigrading": [h]}
+        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h]}
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_rref_once_per_weight_jump(self, n, monkeypatch):
+        # exact weight data is an echelon form per jump of W (N+1 of them
+        # for H(z)), read by validation, the bigrading and every framing
+        from hodgeheights import _rational
+        from hodgeheights.polylog import PolylogContext, polylog_framed
+        ctx = PolylogContext(0.3 + 0.2j, n)
+        g = polylog_framed(ctx, 0, 1).mhs
+        h = MixedHodgeStructure(g.dimension, g.weight_filtration,
+                                g.hodge_filtration, g.comparison_matrix)
+        framings = [FramedMHS(h, fh.a, fh.b, fh.phi_class, fh.psi_class)
+                    for fh in (polylog_framed(ctx, a, b) for a in range(n + 1)
+                               for b in range(a + 1, n + 1))]
+        calls = []
+        monkeypatch.setattr(_rational, "rref", _recording(calls, _rational.rref))
+        mhs_mod.require_valid(h)
+        deligne.bigrading(h)
+        height1(framings[0])
+        height2(framings[0])
+        first = len(calls)
+        for fh in framings[1:]:
+            height1(fh)
+            height2(fh)
+        assert first <= n + 1
+        assert len(calls) == first
 
     def test_structure_dies_after_its_heights(self):
         h = random_hodge_tate([1, 1, 2], seed=5)

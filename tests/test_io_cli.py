@@ -238,6 +238,26 @@ class TestCli:
         # base framing of the shipped document satisfies ht2 = -ht1/2
         assert abs(out["ht2"] + 0.5 * out["ht1"]) < 1e-9
 
+    @pytest.mark.parametrize("command", ["height", "splitting"])
+    def test_document_is_validated_once(self, command, monkeypatch, capsys):
+        from pathlib import Path
+
+        from hodgeheights import mhs
+        seen = []
+        validate = mhs.validate
+
+        def counted(h):
+            seen.append(h)
+            return validate(h)
+
+        # every module-level binding of validate, so no call path is missed
+        for module in (mhs, jsonio, cli):
+            if getattr(module, "validate", None) is validate:
+                monkeypatch.setattr(module, "validate", counted)
+        doc = Path(__file__).parent.parent / "docs" / "examples" / "polylog-framed.json"
+        assert cli.main([command, str(doc)]) == 0
+        assert len(seen) == 1
+
     def test_sweep_rejects_singular_grid_point(self, tmp_path):
         spec = {"grid": ["1", "0.3"], "N": 2, "framings": [[0, 1]]}
         spec_path = tmp_path / "sweep.json"
@@ -268,8 +288,15 @@ class TestCli:
         {"grid": {"re": ["x", 0.5], "im": [0.1, 0.3], "resolution": [2, 2]},
          "N": 2, "framings": [[0, 1]]},
         {"grid": ["0.3+0.2i", "x"], "N": 2, "framings": [[0, 1]]},
+        {"grid": ["0.3+0.2i", "nan+0.2i"], "N": 2, "framings": [[0, 1]]},
+        {"grid": [float("nan")], "N": 2, "framings": [[0, 1]]},
+        {"grid": {"re": [0.1, float("nan")], "im": [0.1, 0.3], "resolution": [1, 1]},
+         "N": 2, "framings": [[0, 1]]},
+        {"grid": {"re": [0.1, 0.5], "im": [float("-inf"), 0.3], "resolution": [2, 2]},
+         "N": 2, "framings": [[0, 1]]},
     ], ids=["not_an_object", "resolution_not_integer", "bound_not_number",
-            "point_not_complex"])
+            "point_not_complex", "point_not_finite", "json_nan_point",
+            "bound_nan", "bound_infinite"])
     def test_sweep_rejects_malformed_spec(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
@@ -283,6 +310,11 @@ class TestCli:
         spec_path.write_text("{}")
         assert cli.main(["polylog", "--sweep", str(spec_path),
                          "--z", "0.2"]) == 4
+
+    @pytest.mark.parametrize("z", ["nan+0.2i", "inf+0i", "0.3+nani"])
+    def test_single_point_non_finite_is_usage(self, z, capsys):
+        assert cli.main(["polylog", "--z", z, "--N", "2"]) == 4
+        assert "finite" in capsys.readouterr().err
 
     def test_single_point_numerical_exit_code(self):
         assert cli.main(["polylog", "--z", "0", "--N", "2",

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeheights import deligne
+from hodgeheights.linalg import nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair, tate,
                               twist, validate)
+
+from oracles import graded_purity_violations
+from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
 def filtration_dims(h):
@@ -150,7 +156,7 @@ def test_graded_dims_match_bigrading():
 
 
 def test_induced_hodge_numbers_match_bigrading_dims():
-    from hodgeheights.mhs import induced_hodge_numbers
+    from oracles import induced_hodge_numbers
     structures = [random_hodge_tate([1, 2, 1], seed=5)]
     structures.append(MixedHodgeStructure(
         2, {1: [[1, 0], [0, 1]]},
@@ -188,3 +194,58 @@ def test_zero_dimensional_structure_is_tolerated():
     assert validate(h).ok
     data = deligne.delta_splitting(h)
     assert data.delta.shape == (0, 0)
+
+
+def assert_certificate_matches_sweep(h):
+    """validate's verdict and violation kinds are those of the purity sweep."""
+    kinds = {v.kind for v in validate(h).violations}
+    if kinds - {"purity"}:
+        # the filtrations themselves are rejected before any piece is counted
+        assert "purity" not in kinds
+        return
+    assert kinds == {v.kind for v in graded_purity_violations(h)}
+
+
+# small Gaussian integers, zero-heavy so that F often meets W non-generically
+GAUSSIAN = st.sampled_from([0, 0, 0, 1, -1, 2, 1j, -1j, 1 + 1j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16), real=st.booleans(), data=st.data())
+def test_certificate_matches_sweep_on_hodge_tate(dims, seed, real, data):
+    split, lam, h = random_hodge_tate_pair(dims, seed, real=real)
+    assert_certificate_matches_sweep(h)
+    # F perturbed by I + M before the twist: e^lambda preserves W, so F
+    # meets W exactly as the Gaussian-integer flag of I + M does
+    n = h.dimension
+    m = np.array(data.draw(st.lists(GAUSSIAN, min_size=n * n, max_size=n * n)),
+                 dtype=complex).reshape(n, n)
+    g = nilpotent_exp(lam) @ (np.eye(n) + m)
+    assert_certificate_matches_sweep(MixedHodgeStructure(
+        n, h.weight_filtration,
+        {p: (g @ arr.T).T for p, arr in split.hodge_filtration.items()}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus=st.integers(1, 2), real=st.booleans(), data=st.data())
+def test_certificate_matches_sweep_on_weight_one(genus, real, data):
+    # F^1 = rows of [I | X + iY]: pure of weight 1 exactly when det Y != 0
+    entries = st.lists(st.integers(-2, 2), min_size=genus ** 2, max_size=genus ** 2)
+    x = np.array(data.draw(entries), dtype=float).reshape(genus, genus)
+    y = 0 * x if real else np.array(data.draw(entries), dtype=float).reshape(genus, genus)
+    n = 2 * genus
+    h = MixedHodgeStructure(
+        n, {1: np.eye(n, dtype=int).tolist()},
+        {0: np.eye(n, dtype=complex), 1: np.hstack([np.eye(genus), x + 1j * y])})
+    assert_certificate_matches_sweep(h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=GAUSSIAN, d=GAUSSIAN, re_tau=st.integers(-2, 2), im_tau=st.integers(-1, 1))
+def test_certificate_matches_sweep_on_weight_gap_fixtures(c, d, re_tau, im_tau):
+    # both fixtures are MHS exactly when Im tau != 0
+    tau = complex(re_tau, im_tau)
+    for h in (curve_weight_gap_structure(c, d, tau), odd_weight_gap_structure(c, d, tau)):
+        assert_certificate_matches_sweep(h)
+        assert validate(h).ok == (im_tau != 0)

@@ -97,6 +97,15 @@ class TestLi:
         with pytest.raises(PathThroughSingularity):
             PolylogContext(2.0 + 1.0j, N=1, path=(1.5 + 1.0j, 2.0 + 1.0j))
 
+    @pytest.mark.parametrize("z, path", [
+        (complex("nan+0.2j"), ()), (complex("inf"), ()),
+        (0.8 + 0.2j, (0.3, complex("nan+0.5j"), 0.8 + 0.2j))],
+        ids=["nan_z", "inf_z", "nan_waypoint"])
+    def test_non_finite_point_rejected(self, z, path):
+        with pytest.raises(ValueError, match="finite") as err:
+            PolylogContext(z, N=2, path=path)
+        assert not isinstance(err.value, PathThroughSingularity)
+
     def test_series_cutoff_raises(self):
         with pytest.raises(NonConvergent):
             li(1, PolylogContext(0.499, N=1, series_terms=10))
