@@ -3,7 +3,7 @@
 The package computes, for a mixed Hodge structure given by explicit
 weight and Hodge filtrations in Betti coordinates:
 
-* the Deligne bigrading I^{p,q}, grading operator Y and projectors,
+* the Deligne bigrading I^{p,q}, grading operator Y and Hodge components,
 * the canonical real splitting delta (conj(Y) = e^{-2i delta} Y e^{2i delta}),
 * the two height functionals of an (a, b)-framed structure,
 
@@ -17,10 +17,9 @@ from .linalg import (DimensionMismatch, NotNilpotent, NotUnipotent, Subspace,
 from .mhs import (InvalidMHS, MixedHodgeStructure, ValidationReport, conjugate,
                   dual, random_hodge_tate, random_hodge_tate_pair, tate, twist,
                   validate)
-from .deligne import (Bigrading, NumericalDegeneracy, Projectors,
-                      ResidualTooLarge, SplittingData, bigrading,
-                      delta_splitting, grading_operator, hodge_components,
-                      projectors)
+from .deligne import (Bigrading, NumericalDegeneracy, ResidualTooLarge,
+                      SplittingData, bigrading, delta_splitting,
+                      grading_operator, hodge_components)
 from .framed import (FramedMHS, FrameElements, FramingTypeError,
                      MorphismReport, RealityViolation, biextension_defect,
                      conjugate_framed, delta_pairing, dual_framed,
@@ -39,8 +38,8 @@ __all__ = [
     "MixedHodgeStructure", "ValidationReport", "InvalidMHS",
     "validate", "dual", "twist", "conjugate", "tate",
     "random_hodge_tate", "random_hodge_tate_pair",
-    "Bigrading", "SplittingData", "Projectors",
-    "bigrading", "grading_operator", "hodge_components", "projectors",
+    "Bigrading", "SplittingData",
+    "bigrading", "grading_operator", "hodge_components",
     "delta_splitting", "NumericalDegeneracy", "ResidualTooLarge",
     "FramedMHS", "FrameElements", "FramingTypeError", "RealityViolation",
     "MorphismReport", "frame_elements", "height1", "height1_via_delta",

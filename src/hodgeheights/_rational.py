@@ -2,7 +2,7 @@
 
 The Betti side of a mixed Hodge structure carries exact rational data
 (weight bases, framing vectors).  Operations that must stay rational --
-annihilators of weight subspaces, graded complements, exact membership --
+echelon forms and annihilators of weight subspaces, exact membership --
 are done here with ``fractions.Fraction`` arithmetic so no float noise
 leaks into the rational structure.
 """
@@ -79,23 +79,3 @@ def remainder(vector: Sequence[Fraction], echelon: Echelon) -> list[Fraction]:
             f = v[c]
             v = [x - f * y for x, y in zip(v, row)]
     return v
-
-
-def complement_indices(inner_rows: Sequence[Sequence[Fraction]],
-                       outer_rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of outer rows extending a basis of span(inner) to span(inner + outer).
-
-    Used to pick rational representatives of a graded piece W_k / W_{k-1}.
-    """
-    acc = [list(r) for r in inner_rows]
-    current = len(rref(acc)[0])
-    chosen = []
-    for i, row in enumerate(outer_rows):
-        acc.append(list(row))
-        new = len(rref(acc)[0])
-        if new > current:
-            chosen.append(i)
-            current = new
-        else:
-            acc.pop()
-    return chosen

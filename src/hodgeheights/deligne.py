@@ -1,4 +1,4 @@
-"""Deligne bigrading, grading operator, projectors and the delta-splitting.
+"""Deligne bigrading, grading operator, Hodge components and the delta-splitting.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -14,9 +14,13 @@ material of the second height functional.
 
 The formula is evaluated with U by its recursion, each F^r cap W_s and
 U^r_s once, for any (W, F) whose filtrations are nested, and the pieces
-are memoized on the structure.  Validation decides on them whether
-(W, F) is an MHS at all; the bigrading of a valid structure is the same
-pieces, once their basis is checked to be well conditioned.
+are memoized on the structure.  The splitting is functorial, so the
+dual, Tate twists and conjugate of a valid structure are born with
+pieces carried over from their parent's (`mhs.dual`, `twist`,
+`conjugate`) and never evaluate the formula.  Validation decides on the
+pieces, computed or carried over, whether (W, F) is an MHS at all; the
+bigrading of a valid structure is the same pieces, once their basis is
+checked to be well conditioned.
 
 The splitting solver works degree by degree in the Y-weight drop: the
 drop-m part of delta is read off from the residual of the defining
@@ -32,10 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DTYPE, Subspace, nilpotent_exp
-from .mhs import MixedHodgeStructure, require_valid
+from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
-#: Tolerance for subspace residuals in the bigrading axioms.
-SUBSPACE_TOL = 1e-8
 #: Tolerance for the defining-equation residual of the splitting.
 SPLITTING_TOL = 1e-9
 #: Tolerance for the reality residual of delta.
@@ -87,8 +89,9 @@ class Bigrading:
 
 
 def _pieces(h: MixedHodgeStructure) -> Bigrading:
-    """Deligne's formula for any nested (W, F), unchecked and memoized on h:
-    validate decides validity on it, and it is the bigrading if h is valid."""
+    """Deligne's formula for any nested (W, F), unchecked and memoized on h
+    (or carried over from the parent of a derived h): validate decides
+    validity on it, and it is the bigrading if h is valid."""
     return h.memo("pieces", lambda: _compute_pieces(h))
 
 
@@ -118,6 +121,8 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
         pjumps = h.hodge_jumps
         for k in h.weights_present():
             for p in range(pjumps[0], pjumps[-1] + 1):
+                if fw(p, k).dim == 0:
+                    continue
                 q = k - p
                 # W_k is real, so conj(F^q) cap W_k = conj(F^q cap W_k); both
                 # summands lie in W_k, so the sum needs no second cut by W_k.
@@ -125,13 +130,18 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
                 piece = fw(p, k).intersect(right)
                 if piece.dim > 0:
                     pieces[(p, q)] = piece
+    return _assemble(h, pieces)
 
+
+def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace]) -> Bigrading:
+    """The pieces of h as a Bigrading: blocks ordered by decreasing weight,
+    then decreasing p, and each column labelled by its piece."""
     order = sorted(pieces, key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
     blocks, labels = [], []
     for pq in order:
         blocks.append(pieces[pq].basis)
         labels.extend([pq] * pieces[pq].dim)
-    basis = np.hstack(blocks) if blocks else np.zeros((n, 0), dtype=DTYPE)
+    basis = np.hstack(blocks) if blocks else np.zeros((h.dimension, 0), dtype=DTYPE)
     return Bigrading(h, pieces, basis, tuple(labels))
 
 
@@ -166,59 +176,6 @@ def hodge_components(x: np.ndarray, b: Bigrading) -> dict[tuple[int, int], np.nd
     keys = dict.fromkeys(map(tuple, shift[t != 0].tolist()))
     return {key: b.basis @ np.where((shift == key).all(axis=2), t, 0) @ b.inverse_basis
             for key in keys}
-
-
-@dataclass(frozen=True, eq=False)
-class Projectors:
-    """Projectors attached to a bigrading.
-
-    by_type[(p, q)]  : identity on I^{p,q}, zero on the other pieces.
-    by_weight[k]     : sum of by_type over p+q = k.
-    to_graded[k]     : pi_k, V_C -> Gr^W_k in the rational graded frame.
-    from_graded[k]   : iota_k, the section of pi_k landing in the weight-k
-                       part of the bigrading; by_weight[k] = from o to.
-    """
-
-    by_type: dict[tuple[int, int], np.ndarray]
-    by_weight: dict[int, np.ndarray]
-    to_graded: dict[int, np.ndarray]
-    from_graded: dict[int, np.ndarray]
-
-
-def projectors(b: Bigrading) -> Projectors:
-    h = b.mhs
-    n = b.dimension
-    sinv = b.inverse_basis
-    labels = b.labels
-
-    by_type: dict[tuple[int, int], np.ndarray] = {}
-    for pq in b.pieces:
-        sel = np.array([1.0 if lab == pq else 0.0 for lab in labels])
-        by_type[pq] = (b.basis * sel) @ sinv
-
-    weights = sorted({p + q for p, q in b.pieces})
-    by_weight = {}
-    for k in weights:
-        acc = np.zeros((n, n), dtype=DTYPE)
-        for (p, q), mat in by_type.items():
-            if p + q == k:
-                acc = acc + mat
-        by_weight[k] = acc
-
-    to_graded, from_graded = {}, {}
-    for k in weights:
-        frame = np.array([[float(x) for x in row]
-                          for row in h.graded_rational_basis(k)], dtype=DTYPE).T
-        m = frame.shape[1]
-        lower = h.weight_subspace(k - 1).basis
-        # coordinates in the rational frame, modulo W_{k-1}
-        solver = np.linalg.pinv(np.hstack([frame, lower]))[:m]
-        pi_k = solver @ by_weight[k]
-        cols = [i for i, lab in enumerate(labels) if lab[0] + lab[1] == k]
-        u = b.basis[:, cols]
-        from_graded[k] = u @ np.linalg.inv(solver @ u)
-        to_graded[k] = pi_k
-    return Projectors(by_type, by_weight, to_graded, from_graded)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,9 @@ Filtrations are stored sparsely by jump index:
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading (see `validate`); exact weight data is one echelon form per
-jump of W.
+jump of W.  The dual, Tate twists and conjugate of a valid structure are
+born with pieces (and, for twists and conjugates, weight echelon forms)
+carried over from their parent, and are validated on them.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -35,6 +37,10 @@ import numpy as np
 from . import _rational
 from ._rational import RationalMatrix
 from .linalg import DEFAULT_RANK_TOL, DTYPE, Subspace, nilpotent_exp
+
+#: Tolerance for subspace residuals: F's nesting and the pieces' containment
+#: in validation, and the bigrading's smallest singular value.
+SUBSPACE_TOL = 1e-8
 
 
 class InvalidMHS(ValueError):
@@ -178,13 +184,6 @@ class MixedHodgeStructure:
     def graded_dimension(self, k: int) -> int:
         return self.weight_rank(k) - self.weight_rank(k - 1)
 
-    def graded_rational_basis(self, k: int) -> RationalMatrix:
-        """Rational vectors in W_k whose classes form a basis of Gr^W_k."""
-        inner = self.weight_rows(k - 1)
-        outer = self.weight_rows(k)
-        chosen = _rational.complement_indices(inner, outer)
-        return tuple(outer[i] for i in chosen)
-
     def weights_present(self) -> list[int]:
         return [k for k in self.weight_jumps if self.graded_dimension(k) > 0]
 
@@ -198,14 +197,18 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     After the data and the filtrations' containments and fullness (W
     exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
-    on h for its bigrading.  (W, F) is an MHS exactly when (i) the pieces
-    form a direct sum of C^n, (ii) dim F^p is the total dim of the pieces
+    on h for its bigrading: computed by Deligne's formula, or carried
+    over from the parent of a derived structure.  Each piece I^{p,q} must
+    lie in h's own F^p and W_{p+q}, which formula pieces do by
+    construction.  Then (W, F) is an MHS exactly when (i) the pieces form
+    a direct sum of C^n, (ii) dim F^p is the total dim of the pieces
     I^{p',q} with p' >= p, (iii) the pieces of weight k have total dim
     Gr^W_k and (iv) dim I^{p,q} = dim I^{q,p}: each piece of weight k lies
     in F^p and, modulo W_{k-1}, in conj F^q, so (i)-(iv) give Gr^W_k =
     F^p (+) conj F^{k-p+1}; conversely the formula returns the Deligne
-    splitting of every MHS.  A failure is a purity violation at its
-    weight k, or at None for (i) and (ii).
+    splitting of every MHS, and a derived structure's is its parent's,
+    carried over.  A failure is a purity violation at its weight k (p+q
+    for containment), or at None for (i) and (ii).
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -243,7 +246,7 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     # F decreasing (numeric), bottom = full space
     pjumps = h.hodge_jumps
     for lo, hi in zip(pjumps, pjumps[1:]):
-        if not h.hodge_subspace(lo).contains_subspace(h.hodge_subspace(hi), 1e-8):
+        if not h.hodge_subspace(lo).contains_subspace(h.hodge_subspace(hi), SUBSPACE_TOL):
             bad.append(Violation("hodge", hi, f"F^{hi} not contained in F^{lo}"))
     if h.hodge_subspace(pjumps[0]).dim != n:
         bad.append(Violation("hodge", pjumps[0], "bottom Hodge subspace is not full"))
@@ -253,6 +256,11 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     from . import deligne
     pieces = deligne._pieces(h)
+    for (p, q), piece in sorted(pieces.pieces.items()):
+        if not (h.hodge_subspace(p).contains_subspace(piece, SUBSPACE_TOL)
+                and h.weight_subspace(p + q).contains_subspace(piece, SUBSPACE_TOL)):
+            bad.append(Violation("purity", p + q, f"I^({p},{q}) does not lie in "
+                                 f"F^{p} and W_{p + q}"))
     dims = pieces.piece_dims()
     for k in h.weights_present():
         total = sum(d for (p, q), d in dims.items() if p + q == k)
@@ -283,6 +291,19 @@ def require_valid(h: MixedHodgeStructure) -> None:
 
 
 # -- constructions ------------------------------------------------------
+
+
+def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, carry) -> MixedHodgeStructure:
+    """child, derived from the valid h, with its pieces seeded by carry(h's).
+
+    The Deligne splitting is unique and functorial, so the pieces of a
+    dual, twist or conjugate are fixed by its parent's; validate(child)
+    still checks them against child's own filtrations.
+    """
+    from . import deligne
+    pieces = carry(deligne._pieces(h))
+    child.memo("pieces", lambda: deligne._assemble(child, pieces))
+    return child
 
 
 def tate(a: int) -> MixedHodgeStructure:
@@ -317,19 +338,27 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
         ann = h.hodge_subspace(pjumps[i]).annihilator()
         dual_f[top_key] = ann.basis.T.copy()
 
-    return MixedHodgeStructure(n, dual_w, dual_f, None, h.rank_tolerance)
+    # Row i of the inverse bigrading basis pairs to 1 with column i and to
+    # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
+    return _inherit(h, MixedHodgeStructure(n, dual_w, dual_f, None, h.rank_tolerance),
+                    lambda b: {(-p, -q): Subspace.from_vectors(
+                        b.inverse_basis[[lab == (p, q) for lab in b.labels]],
+                        ambient_dim=n, tol=h.rank_tolerance) for p, q in b.pieces})
 
 
 def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
     """Tate twist H(p): W_k -> W_{k+2p}, F^q -> F^{q+p}, Betti basis unchanged."""
     require_valid(h)
-    return MixedHodgeStructure(
+    child = MixedHodgeStructure(
         h.dimension,
         {k - 2 * p: rows for k, rows in h.weight_filtration.items()},
         {q - p: arr for q, arr in h.hodge_filtration.items()},
         None,
         h.rank_tolerance,
     )
+    child._memo.update({("rref", k - 2 * p): h.weight_echelon(k) for k in h.weight_jumps})
+    return _inherit(h, child, lambda b: {(i - p, j - p): piece
+                                         for (i, j), piece in b.pieces.items()})
 
 
 def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -338,13 +367,17 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
     comparison = None
     if h.comparison_matrix is not None:
         comparison = h.comparison_matrix.conj()
-    return MixedHodgeStructure(
+    child = MixedHodgeStructure(
         h.dimension,
         h.weight_filtration,
         {p: arr.conj() for p, arr in h.hodge_filtration.items()},
         comparison,
         h.rank_tolerance,
     )
+    child._memo.update({("rref", k): h.weight_echelon(k) for k in h.weight_jumps})
+    # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p))
+    return _inherit(h, child, lambda b: {pq: piece.conjugate()
+                                         for pq, piece in b.pieces.items()})
 
 
 # -- randomized Hodge--Tate structures ----------------------------------

@@ -10,13 +10,17 @@
   complementary, with the Hodge numbers read off the induced filtration.
 * A fixed-point solver for delta, cross-checking the degree-by-degree
   elimination of `hodgeheights.deligne`.
+* Projectors attached to a bigrading, by type, by weight and to and from
+  rational graded frames, for checks of the bigrading's functoriality.
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from hodgeheights._rational import rref
 from hodgeheights.linalg import DTYPE, Subspace, nilpotent_exp
 from hodgeheights.mhs import Violation
 from hodgeheights.polylog import build_matrices, log_z, tau
@@ -219,3 +223,78 @@ def closed_form_betti_conjugator(ctx):
     unlower = np.eye(n, dtype=DTYPE)
     unlower[1:, 0] = -m.ell.conj()
     return lower @ nilpotent_exp(lzz * m.e0) @ tau(-1.0, n) @ unlower
+
+
+def complement_indices(inner_rows, outer_rows):
+    """Indices of outer rows extending a basis of span(inner) to span(inner + outer)."""
+    acc = [list(r) for r in inner_rows]
+    current = len(rref(acc)[0])
+    chosen = []
+    for i, row in enumerate(outer_rows):
+        acc.append(list(row))
+        new = len(rref(acc)[0])
+        if new > current:
+            chosen.append(i)
+            current = new
+        else:
+            acc.pop()
+    return chosen
+
+
+def graded_rational_basis(h, k):
+    """Rational vectors in W_k whose classes form a basis of Gr^W_k."""
+    outer = h.weight_rows(k)
+    return tuple(outer[i] for i in complement_indices(h.weight_rows(k - 1), outer))
+
+
+@dataclass(frozen=True, eq=False)
+class Projectors:
+    """Projectors attached to a bigrading.
+
+    by_type[(p, q)]  : identity on I^{p,q}, zero on the other pieces.
+    by_weight[k]     : sum of by_type over p+q = k.
+    to_graded[k]     : pi_k, V_C -> Gr^W_k in the rational graded frame.
+    from_graded[k]   : iota_k, the section of pi_k landing in the weight-k
+                       part of the bigrading; by_weight[k] = from o to.
+    """
+
+    by_type: dict
+    by_weight: dict
+    to_graded: dict
+    from_graded: dict
+
+
+def projectors(b):
+    h = b.mhs
+    n = b.dimension
+    sinv = b.inverse_basis
+    labels = b.labels
+
+    by_type = {}
+    for pq in b.pieces:
+        sel = np.array([1.0 if lab == pq else 0.0 for lab in labels])
+        by_type[pq] = (b.basis * sel) @ sinv
+
+    weights = sorted({p + q for p, q in b.pieces})
+    by_weight = {}
+    for k in weights:
+        acc = np.zeros((n, n), dtype=DTYPE)
+        for (p, q), mat in by_type.items():
+            if p + q == k:
+                acc = acc + mat
+        by_weight[k] = acc
+
+    to_graded, from_graded = {}, {}
+    for k in weights:
+        frame = np.array([[float(x) for x in row]
+                          for row in graded_rational_basis(h, k)], dtype=DTYPE).T
+        m = frame.shape[1]
+        lower = h.weight_subspace(k - 1).basis
+        # coordinates in the rational frame, modulo W_{k-1}
+        solver = np.linalg.pinv(np.hstack([frame, lower]))[:m]
+        pi_k = solver @ by_weight[k]
+        cols = [i for i, lab in enumerate(labels) if lab[0] + lab[1] == k]
+        u = b.basis[:, cols]
+        from_graded[k] = u @ np.linalg.inv(solver @ u)
+        to_graded[k] = pi_k
+    return Projectors(by_type, by_weight, to_graded, from_graded)

@@ -4,14 +4,14 @@ import pytest
 from hodgeheights import deligne
 from hodgeheights.deligne import (NumericalDegeneracy, bigrading,
                                   delta_splitting, grading_operator,
-                                  hodge_components, projectors)
+                                  hodge_components)
 from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair, tate,
                               twist)
 
 from conftest import random_framing
-from oracles import delta_fixed_point
+from oracles import delta_fixed_point, projectors
 
 
 def weight_one_curve_like(tau=0.3 + 1.1j):
@@ -60,10 +60,12 @@ class TestBigrading:
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
         # Validation solves Deligne's pieces once (U by its recursion, each
-        # F^r cap W_s once) and the bigrading assembles the same pieces, so
-        # validating and bigrading H(z) costs about 6 (N+1)^2 SVDs.  A
-        # second solve (a graded-purity sweep) or rebuilding U for every
-        # piece breaks the bound.
+        # F^r cap W_s once, the conjugate side only where F^p cap W_k is not
+        # zero) and the bigrading assembles the same pieces, so validating
+        # and bigrading H(z) costs under 6 (N+1)^2 SVDs (139/281/715 at
+        # N = 4/6/10).  A second solve (a graded-purity sweep), rebuilding U
+        # for every piece or forming the conjugate side of every empty piece
+        # breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs.__wrapped__(PolylogContext(0.3 + 0.2j, n))  # fresh, uncached
@@ -76,7 +78,7 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= min(7 * (n + 1) ** 2, 800)
+        assert len(calls) <= min(7 * (n + 1) ** 2, 720)
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
@@ -92,11 +94,14 @@ class TestBigrading:
             assert piece.equals(b1.pieces[(p - 2, q - 2)])
 
     def test_conjugate_pieces_are_conjugated(self):
-        h = random_hodge_tate([1, 1, 1], seed=9)
-        bh = bigrading(h)
-        bc = bigrading(conjugate(h))
-        for pq, piece in bh.pieces.items():
-            assert bc.pieces[pq].equals(piece.conjugate())
+        # I^{p,q}(conj H) = conj I^{p,q}(H) with the same label; relabelling
+        # it (q, p) agrees with that on Hodge--Tate structures only
+        for h in (random_hodge_tate([1, 1, 1], seed=9), curve_weight_gap_structure()):
+            bh = bigrading(h)
+            bc = bigrading(conjugate(h))
+            assert bc.piece_dims() == bh.piece_dims()
+            for pq, piece in bh.pieces.items():
+                assert bc.pieces[pq].equals(piece.conjugate())
 
 
 def check_bigrading_axioms(h, tol=1e-8):
@@ -381,3 +386,63 @@ class TestMixedTypeStructures:
                               + data.delta) < 1e-10
         assert np.linalg.norm(delta_splitting(dual(h)).delta
                               + data.delta.T) < 1e-10
+
+
+class TestDerivedStructures:
+    """dual, twist and conjugate inherit their parent's pieces.  Each must
+    match the same structure rebuilt from its raw filtrations with an empty
+    memo and solved independently, so that the height laws compare two
+    solves rather than the relabelling algebra with itself."""
+
+    @staticmethod
+    def assert_matches_fresh(child, framing=None):
+        from hodgeheights.framed import FramedMHS, height1, height2
+        fresh = MixedHodgeStructure(child.dimension, child.weight_filtration,
+                                    child.hodge_filtration, child.comparison_matrix,
+                                    child.rank_tolerance)
+        b, bf = bigrading(child), bigrading(fresh)
+        assert b.labels == bf.labels
+        assert b.piece_dims() == bf.piece_dims()
+        for pq, piece in b.pieces.items():
+            assert piece.equals(bf.pieces[pq], deligne.SUBSPACE_TOL)
+        assert np.linalg.norm(delta_splitting(child).delta
+                              - delta_splitting(fresh).delta) < 1e-9
+        if framing is not None:
+            fc = FramedMHS(child, *framing)
+            ff = FramedMHS(fresh, *framing)
+            assert abs(height1(fc) - height1(ff)) < 1e-9
+            assert abs(height2(fc) - height2(ff)) < 1e-9
+
+    @classmethod
+    def assert_children_match_fresh(cls, fh, s):
+        from hodgeheights.framed import (conjugate_framed, dual_framed,
+                                         twist_framed)
+        for child in (dual_framed(fh), twist_framed(fh, s), conjugate_framed(fh)):
+            cls.assert_matches_fresh(child.mhs, (child.a, child.b, child.phi_class,
+                                                 child.psi_class))
+
+    def test_random_hodge_tate(self):
+        rng = np.random.default_rng(40)
+        for seed in range(40):
+            dims = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(2, 5)))]
+            h = random_hodge_tate(dims, seed=seed, scale=0.9)
+            fh = random_framing(h, rng, b_level=int(rng.integers(1, len(dims))))
+            self.assert_children_match_fresh(fh, int(rng.integers(-2, 3)))
+
+    def test_non_hodge_tate(self):
+        from fractions import Fraction
+
+        from hodgeheights.framed import FramedMHS
+        unit = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(4))
+        self.assert_children_match_fresh(
+            FramedMHS(curve_weight_gap_structure(), 0, -2, unit(0), unit(3)), 1)
+        # no rational class of type (a, a) to frame: pieces and delta only
+        for h in (odd_weight_gap_structure(), weight_one_curve_like()):
+            for child in (dual(h), twist(h, -1), conjugate(h)):
+                self.assert_matches_fresh(child)
+
+    def test_polylog(self, polylog_ctx_factory):
+        from hodgeheights.polylog import polylog_framed
+        ctx = polylog_ctx_factory(0.37 - 0.41j, 6)
+        for a, b in ((0, 1), (1, 4), (0, 6)):
+            self.assert_children_match_fresh(polylog_framed(ctx, a, b), 2)

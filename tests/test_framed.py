@@ -117,6 +117,20 @@ class TestEachFactOnce:
         self.all_heights(random_framing(h, np.random.default_rng(31)))
         assert calls == {"validate": [h], "pieces": [h], "bigrading": [h]}
 
+    def test_derived_structures_inherit_pieces(self, calls):
+        # dual, twist and conjugate take their pieces from the validated
+        # parent: each child is validated and bigraded once, on its own
+        # filtrations, and never evaluates Deligne's formula
+        h = random_hodge_tate([1, 2, 1, 2], seed=31)
+        fh = random_framing(h, np.random.default_rng(31))
+        self.all_heights(fh)
+        children = [dual_framed(fh), twist_framed(fh, 2), conjugate_framed(fh)]
+        for child in children:
+            self.all_heights(child)
+        derived = [child.mhs for child in children]
+        assert calls == {"validate": [h] + derived, "pieces": [h],
+                         "bigrading": [h] + derived}
+
     def test_polylog(self, calls, polylog_ctx_factory):
         from hodgeheights.polylog import polylog_framed
         fh = polylog_framed(polylog_ctx_factory(0.37 - 0.41j, 6), 1, 4)

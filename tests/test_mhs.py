@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights import deligne
+from hodgeheights import deligne, mhs as mhs_mod
 from hodgeheights.linalg import nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair, tate,
                               twist, validate)
 
-from oracles import graded_purity_violations
+from oracles import graded_purity_violations, graded_rational_basis
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
@@ -147,6 +147,23 @@ def test_generator_moves_bigrading_by_exp_lambda():
         assert piece.apply(g).equals(bt.pieces[pq], 1e-8)
 
 
+def test_pieces_outside_the_filtrations_are_rejected():
+    # A derived structure is validated on the pieces it inherits: each must
+    # lie in the child's own F^p and W_{p+q}.  Seeded with its parent's
+    # pieces unchanged, a twist fails the dimension counts as well; a
+    # conjugate passes them, so the containment condition alone rejects it
+    # (at every weight but the lowest, whose piece W_{-4} is real).
+    h = random_hodge_tate([1, 2, 1], seed=4)
+    parent = deligne.bigrading(h).pieces
+    for child, weights in ((twist(h, 1), {0, -2, -4}), (conjugate(h), {0, -2})):
+        child._memo["pieces"] = deligne._assemble(child, parent)
+        outside = {v.index for v in validate(child).violations
+                   if v.kind == "purity" and "does not lie in" in v.message}
+        assert outside == weights
+        with pytest.raises(InvalidMHS):
+            mhs_mod.require_valid(child)
+
+
 def test_graded_dims_match_bigrading():
     h = random_hodge_tate([1, 2, 2, 1], seed=77)
     b = deligne.bigrading(h)
@@ -172,7 +189,7 @@ def test_induced_hodge_numbers_match_bigrading_dims():
 
 def test_graded_rational_basis_is_exact_complement():
     h = random_hodge_tate([2, 2], seed=2)
-    rows = h.graded_rational_basis(0)
+    rows = graded_rational_basis(h, 0)
     assert len(rows) == 2
     for row in rows:
         assert all(isinstance(x, Fraction) for x in row)
