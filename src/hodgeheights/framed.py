@@ -27,7 +27,7 @@ import numpy as np
 from . import _rational, mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
 from .linalg import DTYPE, nilpotent_exp
-from .mhs import MixedHodgeStructure, require_valid
+from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 
 class FramingTypeError(ValueError):
@@ -93,7 +93,7 @@ def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
     for i, (pi, qi) in enumerate(labels):
         if (pi, qi) == (p, q):
             lift[i] = coords[i]
-        elif pi + qi == p + q and abs(coords[i]) > 1e-8 * scale:
+        elif pi + qi == p + q and abs(coords[i]) > SUBSPACE_TOL * scale:
             raise FramingTypeError(
                 f"{what}: graded class has a component of type ({pi},{qi}), "
                 f"expected pure ({p},{q})")
@@ -102,16 +102,22 @@ def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
 
 def frame_elements(fh: FramedMHS) -> FrameElements:
     """The lifts e_H in I^{a,a}(H) and e_Hdual in I^{-b,-b}(dual H), both
-    in the frame of H's bigrading (e_Hdual in its dual basis)."""
-    fh.check()
+    in the frame of H's bigrading (e_Hdual in its dual basis).  Checked and
+    lifted once per framing and kept on H; a failed check keeps nothing.
+    """
     h, a, b = fh.mhs, fh.a, fh.b
-    phi = np.array([float(x) for x in fh.phi_class], dtype=DTYPE)
-    psi = np.array([float(x) for x in fh.psi_class], dtype=DTYPE)
-    bg = bigrading(h)
-    e_h = _typed_lift(bg.basis, bg.inverse_basis @ phi, bg.labels, a, a, "phi_class")
-    e_hd = _typed_lift(bg.inverse_basis.T, bg.basis.T @ psi,
-                       [(-p, -q) for p, q in bg.labels], -b, -b, "psi_class")
-    return FrameElements(e_h, e_hd)
+
+    def compute():
+        fh.check()
+        phi = np.array([float(x) for x in fh.phi_class], dtype=DTYPE)
+        psi = np.array([float(x) for x in fh.psi_class], dtype=DTYPE)
+        bg = bigrading(h)
+        e_h = _typed_lift(bg.basis, bg.inverse_basis @ phi, bg.labels, a, a, "phi_class")
+        e_hd = _typed_lift(bg.inverse_basis.T, bg.basis.T @ psi,
+                           [(-p, -q) for p, q in bg.labels], -b, -b, "psi_class")
+        return FrameElements(e_h, e_hd)
+
+    return h.memo(("frame", a, b, fh.phi_class, fh.psi_class), compute)
 
 
 def _pair(covector: np.ndarray, vector: np.ndarray) -> complex:
@@ -224,8 +230,7 @@ class MorphismReport:
 
 
 def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
-                          m1: int = 1, m2: int = 1,
-                          tol: float = 1e-8) -> MorphismReport:
+                          m1: int = 1, m2: int = 1) -> MorphismReport:
     """Verify f: source -> target is a framed morphism (up to scales m1, m2).
 
     A morphism of the underlying structures must respect the rational
@@ -233,8 +238,10 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     not move the bigradings functorially), W and F.  Frame compatibility
     means phi'-class = m1 * f(phi) and psi = m2 * psi' o f on the graded
     level.  For a genuine (scaled) framed morphism
-    m1 * Ht_i(source) = m2 * Ht_i(target).
+    m1 * Ht_i(source) = m2 * Ht_i(target).  Residuals are judged at
+    ``mhs.SUBSPACE_TOL``.
     """
+    tol = SUBSPACE_TOL
     f = np.asarray(f, dtype=DTYPE)
     hs, ht = source.mhs, target.mhs
     require_valid(hs)

@@ -112,9 +112,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
     def contains(self, vector: Sequence[complex]) -> bool:
         """Membership: residual of the orthogonal projection below tolerance."""
         v = np.asarray(vector, dtype=DTYPE)
@@ -183,8 +180,9 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _nilpotency_order(mat: np.ndarray, tol: float) -> int:
-    """Smallest k with mat^k = 0 at tolerance, or raise if there is none."""
+def _nilpotency_order(mat: np.ndarray) -> int:
+    """Smallest k with mat^k = 0 at DEFAULT_RANK_TOL, or raise if there is none."""
+    tol = DEFAULT_RANK_TOL
     n = mat.shape[0]
     scale = max(np.linalg.norm(mat), 1.0)
     power = np.eye(n, dtype=DTYPE)
@@ -195,13 +193,13 @@ def _nilpotency_order(mat: np.ndarray, tol: float) -> int:
     raise NotNilpotent(f"matrix is not nilpotent at tolerance {tol}")
 
 
-def nilpotent_exp(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nilpotent_exp(mat: np.ndarray) -> np.ndarray:
     """exp of a nilpotent matrix by its (finite) exponential series."""
     mat = np.asarray(mat, dtype=DTYPE)
     n = mat.shape[0]
     if n == 0:
         return mat.copy()
-    _nilpotency_order(mat, tol)
+    _nilpotency_order(mat)
     out = np.eye(n, dtype=DTYPE)
     term = np.eye(n, dtype=DTYPE)
     for k in range(1, n):
@@ -210,7 +208,7 @@ def nilpotent_exp(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return out
 
 
-def nilpotent_log(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nilpotent_log(mat: np.ndarray) -> np.ndarray:
     """log of a unipotent matrix U by the finite series in N = U - Id.
 
     Raises NotUnipotent when (U - Id)^n is not zero at tolerance.  The
@@ -223,7 +221,7 @@ def nilpotent_log(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return mat.copy()
     nil = mat - np.eye(n, dtype=DTYPE)
     try:
-        _nilpotency_order(nil, tol)
+        _nilpotency_order(nil)
     except NotNilpotent as exc:
         raise NotUnipotent(str(exc)) from exc
     out = np.zeros_like(nil)

@@ -12,10 +12,10 @@ Continuation integrates d Li_k = Li_{k-1} dt/t panel by panel along the
 polyline.  Within a panel the functions are analytic, so each Li_k is the
 primitive of the Chebyshev interpolant of its predecessor's integrand at
 the Chebyshev--Lobatto nodes, applied as one cached integration matrix
-per order (32, then 48); panels are kept short relative to their
-distance to the singularities {0, 1} and the whole transport is repeated
-at a finer resolution until two runs agree, so endpoint values are
-accurate to ~1e-11 for |z| <= 4.
+per order (32, then 48); panels are at most QUADRATURE_STEP long and
+short relative to their distance to the singularities {0, 1}, and the
+whole transport is repeated at a finer resolution until two runs agree
+to REFINE_TOL, so endpoint values are accurate to ~1e-11 for |z| <= 4.
 
 The polylogarithm mixed Hodge structure H(z) of rank N+1 is assembled in
 Betti coordinates from the period matrix A(z) = L(z) tau(2 pi i): the
@@ -24,13 +24,17 @@ weight filtration is the standard flag spanned by e_k..e_N in weight
 of A(z)^{-1} (the de Rham flag pulled back through the comparison map).
 Its splitting and both heights admit closed forms used as end-to-end
 oracles for the generic pipeline.
+
+H(z) and the branch data (log z, Li_1..Li_N) are memoized on the
+context that defines them, so they are computed once per context and
+released with it; no module cache holds them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,6 +46,13 @@ from .linalg import DTYPE, nilpotent_log
 from .mhs import MixedHodgeStructure
 
 TWO_PI_I = 2j * np.pi
+
+#: Terms of the basepoint series; Li_k there must settle within them.
+SERIES_TERMS = 400
+#: Longest panel of the continuation quadrature (its first resolution).
+QUADRATURE_STEP = 0.25
+#: Agreement required between two transport resolutions.
+REFINE_TOL = 1e-11
 
 
 class PathThroughSingularity(ValueError):
@@ -58,16 +69,15 @@ class PolylogContext:
 
     path: optional waypoints (p0, ..., z); p0 must lie in |t| <= 1/2 off
     the cuts and the last point must be z.  Empty path means principal
-    branches.  series_terms bounds the basepoint series; quadrature_step
-    caps the panel length of the continuation quadrature.
+    branches.  Facts derived from the context (H(z) and its branch data)
+    are memoized on the instance and die with it; equality and hashing
+    see only z, N and path.
     """
 
     z: complex
     N: int = 6
     path: tuple[complex, ...] = ()
-    series_terms: int = 400
-    quadrature_step: float = 0.25
-    refine_tol: float = 1e-11
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
@@ -87,6 +97,12 @@ class PolylogContext:
             if abs(p0) > 0.5 or _on_cut(p0):
                 raise PathThroughSingularity(
                     "path basepoint must lie in |t| <= 1/2 off the cuts")
+
+    def memo(self, key, compute):
+        """compute(), evaluated once and kept for the lifetime of this context."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def _on_cut(z: complex) -> bool:
@@ -186,21 +202,17 @@ def _transport_once(points: tuple[complex, ...], li: list[complex],
     return log_t, [complex(v) for v in li]
 
 
-@lru_cache(maxsize=256)
-def _transport(points: tuple[complex, ...], count: int, terms: int,
-               step: float, refine_tol: float) -> tuple[complex, tuple[complex, ...]]:
+def _transport(points: tuple[complex, ...], count: int) -> tuple[complex, list[complex]]:
     """Transport with one refinement pass; fails loudly if runs disagree."""
-    li0 = _series_values(points[0], count, terms)
-    log1, li1 = _transport_once(points, li0, step, order=32)
-    log2, li2 = _transport_once(points, li0, step / 2, order=48)
-    worst = max([abs(log1 - log2)] + [abs(u - v) for u, v in zip(li1, li2)])
-    if worst > refine_tol:
-        log1, li1 = log2, li2
-        log2, li2 = _transport_once(points, li0, step / 4, order=48)
+    li0 = _series_values(points[0], count, SERIES_TERMS)
+    log1, li1 = _transport_once(points, li0, QUADRATURE_STEP, order=32)
+    for step in (QUADRATURE_STEP / 2, QUADRATURE_STEP / 4):
+        log2, li2 = _transport_once(points, li0, step, order=48)
         worst = max([abs(log1 - log2)] + [abs(u - v) for u, v in zip(li1, li2)])
-        if worst > refine_tol:
-            raise NonConvergent(f"quadrature refinement stalled at {worst:.2e}")
-    return log2, tuple(li2)
+        if worst <= REFINE_TOL:
+            return log2, li2
+        log1, li1 = log2, li2
+    raise NonConvergent(f"quadrature refinement stalled at {worst:.2e}")
 
 
 def _polyline(ctx: PolylogContext) -> tuple[complex, ...] | None:
@@ -232,15 +244,21 @@ def branch_data(ctx: PolylogContext, count: int) -> tuple[complex, list[complex]
     On the default path with |z| <= 1/2 the series applies even on the
     negative real axis (only [1, inf) is a cut for the Li_k themselves);
     the returned log is -inf at z = 0 and callers needing it must guard.
+    The values are computed once per context, for Li_1..Li_max(count, N),
+    and every call returns a fresh list of the first count of them.
     """
     count = max(count, 1)
-    pts = _polyline(ctx)
-    if pts is None:
-        lg = complex("-inf") if abs(ctx.z) < 1e-300 else complex(np.log(ctx.z))
-        return lg, _series_values(ctx.z, count, ctx.series_terms)
-    log_end, vals = _transport(pts, count, ctx.series_terms,
-                               ctx.quadrature_step, ctx.refine_tol)
-    return log_end, list(vals)
+    total = max(count, ctx.N)
+
+    def compute():
+        pts = _polyline(ctx)
+        if pts is None:
+            lg = complex("-inf") if abs(ctx.z) < 1e-300 else complex(np.log(ctx.z))
+            return lg, _series_values(ctx.z, total, SERIES_TERMS)
+        return _transport(pts, total)
+
+    lg, vals = ctx.memo(("branch", total), compute)
+    return lg, vals[:count]
 
 
 def li(k: int, ctx: PolylogContext) -> complex:
@@ -342,24 +360,26 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
     return PolylogMatrices(L, A, B, shift_matrix(n), ell)
 
 
-@lru_cache(maxsize=256)
 def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
-    """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates.
+    """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates, built
+    once per context.
 
     W_{-2k} is spanned by the standard vectors e_k..e_N; F^{-k} by the
     first k+1 columns of A(z)^{-1}, which is the de Rham flag C^{[0,k]}
     pulled back through the comparison map alpha = A(z).  The bigrading
     piece I^{-k,-k} is then spanned by column k of A(z)^{-1}.
     """
-    n = ctx.N + 1
-    mats = build_matrices(ctx)
-    a_inv = np.linalg.inv(mats.A)
-    weight = {}
-    for k in range(ctx.N + 1):
-        weight[-2 * k] = [[Fraction(1 if c == r else 0) for c in range(n)]
-                          for r in range(k, n)]
-    hodge = {-k: a_inv[:, : k + 1].T.copy() for k in range(ctx.N + 1)}
-    return MixedHodgeStructure(n, weight, hodge, comparison_matrix=mats.A)
+    def compute():
+        n = ctx.N + 1
+        mats = build_matrices(ctx)
+        a_inv = np.linalg.inv(mats.A)
+        weight = {}
+        for k in range(ctx.N + 1):
+            weight[-2 * k] = [[Fraction(1 if c == r else 0) for c in range(n)]
+                              for r in range(k, n)]
+        hodge = {-k: a_inv[:, : k + 1].T.copy() for k in range(ctx.N + 1)}
+        return MixedHodgeStructure(n, weight, hodge, comparison_matrix=mats.A)
+    return ctx.memo("mhs", compute)
 
 
 def polylog_framed(ctx: PolylogContext, a: int, b: int) -> FramedMHS:

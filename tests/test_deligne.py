@@ -68,7 +68,7 @@ class TestBigrading:
         # breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
-        h = polylog_mhs.__wrapped__(PolylogContext(0.3 + 0.2j, n))  # fresh, uncached
+        h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
         real_svd, calls = np.linalg.svd, []
 
         def counting_svd(*args, **kwargs):

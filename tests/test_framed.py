@@ -67,6 +67,8 @@ class TestFrameElements:
         bad = FramedMHS(h, -1, -1, unit(0, 2), unit(1, 2))  # e_0 not in W_{-2}
         with pytest.raises(FramingTypeError):
             frame_elements(bad)
+        with pytest.raises(FramingTypeError):  # a failed lift is not kept
+            frame_elements(bad)
 
     def test_off_type_functional_rejected(self):
         # Q(0) + V with V pure of weight -2 and types (0,-2), (-2,0): phi = e0
@@ -93,14 +95,16 @@ def _recording(seen, fn):
 
 class TestEachFactOnce:
     """Frame elements and heights validate and bigrade their structure once,
-    and build no other structure (in particular no dual)."""
+    check and lift each framing once, and build no other structure (in
+    particular no dual)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"validate": [], "pieces": [], "bigrading": []}
+        seen = {"validate": [], "pieces": [], "bigrading": [], "check": []}
         for name, module, attr in (("validate", mhs_mod, "validate"),
                                    ("pieces", deligne, "_compute_pieces"),
-                                   ("bigrading", deligne, "_compute_bigrading")):
+                                   ("bigrading", deligne, "_compute_bigrading"),
+                                   ("check", FramedMHS, "check")):
             monkeypatch.setattr(module, attr, _recording(seen[name], getattr(module, attr)))
         return seen
 
@@ -114,8 +118,10 @@ class TestEachFactOnce:
 
     def test_random_hodge_tate(self, calls):
         h = random_hodge_tate([1, 2, 1, 2], seed=31)
-        self.all_heights(random_framing(h, np.random.default_rng(31)))
-        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h]}
+        fh = random_framing(h, np.random.default_rng(31))
+        self.all_heights(fh)
+        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h],
+                         "check": [fh]}
 
     def test_derived_structures_inherit_pieces(self, calls):
         # dual, twist and conjugate take their pieces from the validated
@@ -129,17 +135,15 @@ class TestEachFactOnce:
             self.all_heights(child)
         derived = [child.mhs for child in children]
         assert calls == {"validate": [h] + derived, "pieces": [h],
-                         "bigrading": [h] + derived}
+                         "bigrading": [h] + derived, "check": [fh] + children}
 
     def test_polylog(self, calls, polylog_ctx_factory):
         from hodgeheights.polylog import polylog_framed
         fh = polylog_framed(polylog_ctx_factory(0.37 - 0.41j, 6), 1, 4)
-        # a fresh copy: polylog_mhs is cached by value across tests
-        g = fh.mhs
-        h = MixedHodgeStructure(g.dimension, g.weight_filtration,
-                                g.hodge_filtration, g.comparison_matrix)
-        self.all_heights(FramedMHS(h, fh.a, fh.b, fh.phi_class, fh.psi_class))
-        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h]}
+        self.all_heights(fh)
+        h = fh.mhs
+        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h],
+                         "check": [fh]}
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_rref_once_per_weight_jump(self, n, monkeypatch):
@@ -148,12 +152,9 @@ class TestEachFactOnce:
         from hodgeheights import _rational
         from hodgeheights.polylog import PolylogContext, polylog_framed
         ctx = PolylogContext(0.3 + 0.2j, n)
-        g = polylog_framed(ctx, 0, 1).mhs
-        h = MixedHodgeStructure(g.dimension, g.weight_filtration,
-                                g.hodge_filtration, g.comparison_matrix)
-        framings = [FramedMHS(h, fh.a, fh.b, fh.phi_class, fh.psi_class)
-                    for fh in (polylog_framed(ctx, a, b) for a in range(n + 1)
-                               for b in range(a + 1, n + 1))]
+        framings = [polylog_framed(ctx, a, b) for a in range(n + 1)
+                    for b in range(a + 1, n + 1)]
+        h = framings[0].mhs
         calls = []
         monkeypatch.setattr(_rational, "rref", _recording(calls, _rational.rref))
         mhs_mod.require_valid(h)
@@ -173,6 +174,18 @@ class TestEachFactOnce:
         self.all_heights(fh)
         ref = weakref.ref(h)
         del h, fh
+        gc.collect()
+        assert ref() is None
+
+    def test_polylog_structure_dies_with_its_context(self):
+        # H(z) lives on its context, not in a module cache: once the
+        # context and its framings are gone, so is H(z) with its memos
+        from hodgeheights.polylog import PolylogContext, polylog_framed
+        ctx = PolylogContext(0.37 - 0.41j, 4)
+        fh = polylog_framed(ctx, 1, 3)
+        self.all_heights(fh)
+        ref = weakref.ref(fh.mhs)
+        del ctx, fh
         gc.collect()
         assert ref() is None
 

@@ -108,7 +108,7 @@ class TestLi:
 
     def test_series_cutoff_raises(self):
         with pytest.raises(NonConvergent):
-            li(1, PolylogContext(0.499, N=1, series_terms=10))
+            polylog._series_values(0.499, 1, terms=10)
 
 
 class TestSingleValued:
@@ -226,10 +226,35 @@ class TestTransport:
 
         monkeypatch.setattr(polylog, "_transport_once", counted_once)
         monkeypatch.setattr(polylog, "_panel_points", counted_split)
-        polylog._transport.cache_clear()
         li(10, PolylogContext(z, N=10, path=path))
         assert passes == [32, 48]
         assert seen == panels
+
+    def test_one_transport_per_context(self, monkeypatch):
+        # the branch data is transported once, at Li_1..Li_N, and every
+        # quantity of the context reads it; H(z) is built once
+        calls = []
+        transport = polylog._transport
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return transport(*args, **kwargs)
+
+        monkeypatch.setattr(polylog, "_transport", counted)
+        n = 6
+        ctx = PolylogContext(2.5 - 1.0j, N=n)
+        log_z(ctx)
+        for b in range(1, n + 1):
+            li(b, ctx)
+            sv_brown(b, ctx)
+            sv_bd(b, ctx)
+            assert len(branch_data(ctx, b)[1]) == b
+        build_matrices(ctx)
+        assert polylog_mhs(ctx) is polylog_mhs(ctx)
+        assert len(calls) == 1
+        # the memo is invisible to equality and hashing
+        fresh = PolylogContext(2.5 - 1.0j, N=n)
+        assert ctx == fresh and hash(ctx) == hash(fresh)
 
 
 class TestMatrices:
