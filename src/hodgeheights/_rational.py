@@ -19,15 +19,28 @@ Echelon = tuple[list[list[Fraction]], list[int]]
 
 
 def as_fraction_vector(entries: Sequence) -> RationalVector:
-    return tuple(Fraction(x) for x in entries)
+    # Fractions are immutable: entries that already are one are kept as is
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
 
 
 def as_fraction_matrix(rows: Sequence[Sequence]) -> RationalMatrix:
     return tuple(as_fraction_vector(r) for r in rows)
 
 
+def _eliminate(row: list, f: Fraction, pivot_row: Sequence[Fraction],
+               support: Sequence[int]) -> None:
+    """row -= f * pivot_row in place, touching only the pivot row's support."""
+    for j in support:
+        row[j] -= f * pivot_row[j]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
+
+    Each elimination step touches only the nonzero entries of the pivot
+    row, and a pivot of 1 is not divided by; the arithmetic is exact, so
+    the result is the dense elimination's.
+    """
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -44,11 +57,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        if pv != 1:
+            mat[r] = [x / pv for x in mat[r]]
+        support = [j for j, y in enumerate(mat[r]) if y != 0]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                _eliminate(mat[i], mat[i][c], mat[r], support)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -76,6 +90,5 @@ def remainder(vector: Sequence[Fraction], echelon: Echelon) -> list[Fraction]:
     v = list(vector)
     for row, c in zip(*echelon):
         if v[c] != 0:
-            f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
+            _eliminate(v, v[c], row, [j for j, y in enumerate(row) if y != 0])
     return v

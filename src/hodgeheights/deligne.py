@@ -194,22 +194,23 @@ class SplittingData:
 def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
     """Degree-by-degree elimination for delta.
 
-    For m = 2, 3, ...: the drop-m part of e^{-2i delta_<m} Y e^{2i delta_<m}
-    - conj(Y), divided by 2im, is the drop-m part of delta.  Terminates
-    after the weight span since delta is nilpotent.
+    For each drop m >= 2 between two weights present, in increasing
+    order: the drop-m part of e^{-2i delta_<m} Y e^{2i delta_<m} - conj(Y),
+    divided by 2im, is the drop-m part of delta.  A drop that no pair of
+    weights makes has no block to correct (on Hodge--Tate structures every
+    odd one), so it is skipped.  Terminates after the weight span since
+    delta is nilpotent.
     """
     w = b.column_weights
     drops = w[None, :] - w[:, None]      # drop of the (row i, col j) block
-    masks = {int(m): (drops == m) for m in np.unique(drops)}
     ybar = y.conj()
     s, sinv = b.basis, b.inverse_basis
     delta = np.zeros_like(y)
-    span = max(masks) if masks else 0
-    for m in range(2, span + 1):
+    for m in (int(m) for m in np.unique(drops) if m >= 2):
         g = nilpotent_exp(-2j * delta)
         ginv = nilpotent_exp(2j * delta)
         resid = sinv @ (g @ y @ ginv - ybar) @ s
-        delta = delta + s @ np.where(masks.get(m, False), resid, 0) @ sinv / (2j * m)
+        delta = delta + s @ np.where(drops == m, resid, 0) @ sinv / (2j * m)
     return delta
 
 

@@ -23,6 +23,9 @@ DTYPE = np.complex128
 
 #: Default relative rank tolerance (against the largest singular value).
 DEFAULT_RANK_TOL = 1e-9
+#: Smallest relative residual `Subspace.contains` resolves, whatever the
+#: subspace's own rank tolerance.
+MEMBERSHIP_TOL_FLOOR = 1e-12
 
 
 class LinalgError(ValueError):
@@ -119,7 +122,8 @@ class Subspace:
         if nv == 0.0:
             return True
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(np.linalg.norm(resid) < max(self.rank_tolerance, 1e-12) * nv)
+        floor = max(self.rank_tolerance, MEMBERSHIP_TOL_FLOOR)
+        return bool(np.linalg.norm(resid) < floor * nv)
 
     def containment_residual(self, other: "Subspace") -> float:
         """How far self is from being contained in `other` (0 when contained)."""
@@ -137,22 +141,49 @@ class Subspace:
                 and self.contains_subspace(other, tol)
                 and other.contains_subspace(self, tol))
 
+    def _with_tol(self, tol: float) -> "Subspace":
+        if tol == self.rank_tolerance:
+            return self
+        return Subspace(self.ambient_dim, self.basis, tol)
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection: solve A u = B w via the nullspace of [A | -B]."""
+        """Intersection: solve A u = B w via the nullspace of [A | -B].
+
+        When one side is the full space the result is the other side, with
+        no SVD: A has orthonormal columns and a full B is unitary, so
+        [A | -B][A | -B]^* = A A^* + I, every singular value of [A | -B] is
+        sqrt(2) or 1, and the nullspace has exactly dim A columns -- the
+        dimension the SVD would return.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         tol = max(self.rank_tolerance, other.rank_tolerance)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim, tol)
+        if other.dim == other.ambient_dim:
+            return self._with_tol(tol)
+        if self.dim == self.ambient_dim:
+            return other._with_tol(tol)
         stacked = np.hstack([self.basis, -other.basis])
         null = nullspace_columns(stacked, tol)
         vectors = self.basis @ null[: self.dim, :]
         return Subspace(self.ambient_dim, orthonormal_columns(vectors, tol), tol)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """Span of both sides.
+
+        When one side is zero the result is the other side, with no SVD:
+        its basis has orthonormal columns, so every singular value is 1 and
+        the rank at any tolerance is its dim -- the dimension the SVD would
+        return.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         tol = max(self.rank_tolerance, other.rank_tolerance)
+        if other.dim == 0:
+            return self._with_tol(tol)
+        if self.dim == 0:
+            return other._with_tol(tol)
         joined = np.hstack([self.basis, other.basis])
         return Subspace(self.ambient_dim, orthonormal_columns(joined, tol), tol)
 

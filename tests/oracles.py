@@ -8,8 +8,13 @@
   dimension counts on Deligne's pieces that `hodgeheights.mhs.validate`
   now makes: on each Gr^W_k the induced F^p and conj F^{k-p+1} must be
   complementary, with the Hodge numbers read off the induced filtration.
+* Dense echelon forms over Fraction (every entry of every row updated at
+  every step), cross-checking the sparse `rref` and `remainder` of
+  `hodgeheights._rational` exactly.
 * A fixed-point solver for delta, cross-checking the degree-by-degree
-  elimination of `hodgeheights.deligne`.
+  elimination of `hodgeheights.deligne`, and that elimination run densely
+  over every drop m up to the weight span, cross-checking its skip of the
+  drops no pair of weights makes.
 * Projectors attached to a bigrading, by type, by weight and to and from
   rational graded frames, for checks of the bigrading's functoriality.
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
@@ -207,6 +212,55 @@ def delta_fixed_point(y, b, max_iter=64, tol=1e-13):
         if np.linalg.norm(new - delta) < tol * max(1.0, np.linalg.norm(y)):
             return new
         delta = new
+    return delta
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by textbook dense elimination over Fraction:
+    (reduced nonzero rows, pivot columns), the contract of `_rational.rref`."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def dense_remainder(vector, echelon):
+    """`vector` reduced against a reduced echelon form, every entry updated."""
+    v = [Fraction(x) for x in vector]
+    for row, c in zip(*echelon):
+        f = v[c]
+        v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def dense_solve_delta(y, b):
+    """The degree-by-degree elimination for delta, run over every drop
+    m = 2 .. weight span, including drops no pair of weights makes (whose
+    correction is zero)."""
+    w = np.array([p + q for p, q in b.labels])
+    drops = w[None, :] - w[:, None]
+    ybar = y.conj()
+    s, sinv = b.basis, b.inverse_basis
+    delta = np.zeros_like(y)
+    span = int(drops.max()) if drops.size else 0
+    for m in range(2, span + 1):
+        g = nilpotent_exp(-2j * delta)
+        ginv = nilpotent_exp(2j * delta)
+        resid = sinv @ (g @ y @ ginv - ybar) @ s
+        delta = delta + s @ np.where(drops == m, resid, 0) @ sinv / (2j * m)
     return delta
 
 

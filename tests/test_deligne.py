@@ -11,7 +11,7 @@ from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               twist)
 
 from conftest import random_framing
-from oracles import delta_fixed_point, projectors
+from oracles import delta_fixed_point, dense_solve_delta, projectors
 
 
 def weight_one_curve_like(tau=0.3 + 1.1j):
@@ -61,11 +61,12 @@ class TestBigrading:
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
         # Validation solves Deligne's pieces once (U by its recursion, each
         # F^r cap W_s once, the conjugate side only where F^p cap W_k is not
-        # zero) and the bigrading assembles the same pieces, so validating
-        # and bigrading H(z) costs under 6 (N+1)^2 SVDs (139/281/715 at
-        # N = 4/6/10).  A second solve (a graded-purity sweep), rebuilding U
-        # for every piece or forming the conjugate side of every empty piece
-        # breaks the bound.
+        # zero) and the bigrading assembles the same pieces; intersecting
+        # with a full F^r or W_s and adding a zero U cost no SVD.  So
+        # validating and bigrading H(z) costs under 4 (N+1)^2 SVDs (80/165/425
+        # at N = 4/6/10).  A second solve (a graded-purity sweep), rebuilding
+        # U for every piece, forming the conjugate side of every empty piece
+        # or an SVD for a trivial operand (715 at N = 10) breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
@@ -78,7 +79,7 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= min(7 * (n + 1) ** 2, 720)
+        assert len(calls) <= min(4 * (n + 1) ** 2, 430)
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
@@ -247,6 +248,36 @@ class TestDeltaSplitting:
             y = grading_operator(data.bigrading)
             alt = delta_fixed_point(y, data.bigrading)
             assert np.linalg.norm(data.delta - alt) < 1e-9
+
+    def test_solver_matches_dense_loop_over_every_drop(self, polylog_ctx_factory):
+        # _solve_delta visits only the drops some pair of weights makes; the
+        # dense loop over every m up to the span adds zero at the others
+        from hodgeheights.polylog import polylog_mhs
+        cases = [random_hodge_tate([1 + seed % 2, 1, 2 - seed % 2, 1][: 2 + seed % 3],
+                                   seed=seed) for seed in range(20)]
+        cases += [curve_weight_gap_structure(), odd_weight_gap_structure(),
+                  polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 6))]
+        for h in cases:
+            b = bigrading(h)
+            y = grading_operator(b)
+            assert np.linalg.norm(deligne._solve_delta(y, b)
+                                  - dense_solve_delta(y, b)) <= 1e-14
+
+    def test_solver_makes_one_pass_per_drop_present(self, polylog_ctx_factory, monkeypatch):
+        # H(z) at N = 6 has weights 0, -2, ..., -12: drops 2, 4, ..., 12 make
+        # six passes of two exponentials each (the odd drops are skipped)
+        from hodgeheights.polylog import polylog_mhs
+        b = bigrading(polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 6)))
+        y = grading_operator(b)
+        calls = []
+
+        def counting_exp(mat):
+            calls.append(1)
+            return nilpotent_exp(mat)
+
+        monkeypatch.setattr(deligne, "nilpotent_exp", counting_exp)
+        deligne._solve_delta(y, b)
+        assert len(calls) == 2 * 6
 
     def test_polylog_closed_form(self, polylog_ctx_factory):
         from hodgeheights.polylog import delta_closed_form, polylog_mhs

@@ -173,3 +173,54 @@ class TestNilpotentExpLog:
     def test_not_unipotent_raises(self):
         with pytest.raises(NotUnipotent):
             nilpotent_log(2.0 * np.eye(3))
+
+
+def random_subspace(rng, n, d, tol):
+    vecs = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    return Subspace.from_vectors(vecs, ambient_dim=n, tol=tol)
+
+
+TOLERANCES = st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**32 - 1),
+       TOLERANCES, TOLERANCES, TOLERANCES, st.booleans())
+def test_trivial_operands_return_the_other_side(n, d, seed, ta, tf, tz, identity):
+    # A cap C^n = C^n cap A = A + 0 = 0 + A = A, including A zero or full,
+    # each with the larger of the two tolerances and an orthonormal basis;
+    # C^n is held by the identity or by a random unitary basis
+    rng = np.random.default_rng(seed)
+    a = random_subspace(rng, n, min(d, n), ta)
+    full = Subspace.full(n, tf) if identity else random_subspace(rng, n, n, tf)
+    zero = Subspace.zero(n, tz)
+    cases = [(a.intersect(full), tf), (full.intersect(a), tf),
+             (a.sum(zero), tz), (zero.sum(a), tz)]
+    for got, t in cases:
+        assert got.ambient_dim == n
+        assert got.dim == a.dim
+        assert got.contains_subspace(a) and a.contains_subspace(got)
+        assert np.allclose(got.basis.conj().T @ got.basis, np.eye(got.dim), atol=1e-12)
+        assert got.rank_tolerance == max(ta, t)
+
+
+def test_trivial_operands_skip_the_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = random_subspace(rng, 5, 2, 1e-9)
+    b, c = random_subspace(rng, 5, 4, 1e-9), random_subspace(rng, 5, 1, 1e-9)
+    full, zero = Subspace.full(5, 1e-8), Subspace.zero(5)
+    real_svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for left, right in ((a, full), (full, a), (full, full)):
+        left.intersect(right)
+    for left, right in ((a, zero), (zero, a), (zero, zero), (full, zero)):
+        left.sum(right)
+    assert calls == []
+    a.intersect(b)
+    a.sum(c)
+    assert len(calls) == 3      # nullspace and span for the intersection, span for the sum
