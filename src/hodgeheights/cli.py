@@ -7,8 +7,7 @@
                 [--csv out.csv] [--emit-json]
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical degeneracy, 4 usage,
-5 I/O.  The environment variable MHS_TOLERANCE overrides the default
-rank tolerance.
+5 I/O.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -44,16 +42,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _tolerance() -> float | None:
-    raw = os.environ.get("MHS_TOLERANCE")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"MHS_TOLERANCE={raw!r} is not a number")
-
-
 def _read_document(path: str, require_valid: bool = True):
     """(structure, framing or None) from a document; invalid ones exit 2
     unless require_valid is off (validate reports them itself)."""
@@ -63,8 +51,7 @@ def _read_document(path: str, require_valid: bool = True):
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
     try:
-        return jsonio.parse_mhs_document(text, require_valid=require_valid,
-                                         rank_tolerance=_tolerance())
+        return jsonio.parse_mhs_document(text, require_valid=require_valid)
     except ParseError as exc:
         raise CliError(EXIT_VALIDATION, f"parse error: {exc}")
     except DocumentValidationError as exc:
@@ -148,6 +135,10 @@ def cmd_height(args) -> int:
 
 
 def _sweep_grid(spec: dict) -> list[complex]:
+    policy = spec.get("path_policy", "principal")
+    if policy != "principal":
+        raise CliError(EXIT_VALIDATION,
+                       f"path_policy must be \"principal\", got {policy!r}")
     grid = spec.get("grid")
     if isinstance(grid, list):
         try:
@@ -175,9 +166,9 @@ def _sweep_grid(spec: dict) -> list[complex]:
     for z in points:
         if not cmath.isfinite(z):
             raise CliError(EXIT_VALIDATION, f"grid point {z} is not finite")
-        if abs(z) < 1e-12 or abs(z - 1) < 1e-12:
+        if abs(z) < pl.SINGULAR_RADIUS or abs(z - 1) < pl.SINGULAR_RADIUS:
             raise CliError(EXIT_VALIDATION, f"grid point {z} is singular")
-        if spec.get("path_policy", "principal") == "principal" and pl._on_cut(z):
+        if pl._on_cut(z):
             raise CliError(EXIT_VALIDATION,
                            f"grid point {z} lies on a cut under principal policy")
     return points

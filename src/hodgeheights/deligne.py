@@ -110,7 +110,7 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
         def u(r: int, s: int) -> Subspace:
             # Filled upward from the lowest weight by a loop: a self-recursive
             # closure would be a reference cycle keeping h and the caches alive.
-            acc = Subspace.zero(n, h.rank_tolerance)
+            acc = Subspace.zero(n)
             for j in range(s - low, -1, -1):
                 key = (r - j, s - j)
                 if key not in u_cache:

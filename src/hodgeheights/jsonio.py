@@ -82,17 +82,28 @@ def parse_complex(text: Any, path: str = "") -> complex:
         raise ParseError(path, f"malformed complex literal {text!r}") from exc
 
 
-def _rational_vector(entries: Any, path: str, n: int | None = None) -> list[Fraction]:
-    if not isinstance(entries, list):
+def _integer(value: Any, path: str) -> int:
+    # bool is a subclass of int, but JSON true is not an integer
+    if type(value) is not int:
+        raise ParseError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
         raise ParseError(path, "expected a list")
+    return value
+
+
+def _rational_vector(entries: Any, path: str, n: int | None = None) -> list[Fraction]:
+    _list(entries, path)
     if n is not None and len(entries) != n:
         raise ParseError(path, f"expected {n} entries, got {len(entries)}")
     return [parse_fraction(x, f"{path}[{i}]") for i, x in enumerate(entries)]
 
 
 def _complex_vector(entries: Any, path: str, n: int | None = None) -> list[complex]:
-    if not isinstance(entries, list):
-        raise ParseError(path, "expected a list")
+    _list(entries, path)
     if n is not None and len(entries) != n:
         raise ParseError(path, f"expected {n} entries, got {len(entries)}")
     return [parse_complex(x, f"{path}[{i}]") for i, x in enumerate(entries)]
@@ -126,7 +137,6 @@ def mhs_to_document(h: MixedHodgeStructure,
 
 def parse_mhs_document(doc: dict | str | bytes,
                        require_valid: bool = True,
-                       rank_tolerance: float | None = None,
                        ) -> tuple[MixedHodgeStructure, FramedMHS | None]:
     """Parse an MHS document; returns (structure, framed structure or None)."""
     if isinstance(doc, (str, bytes)):
@@ -137,44 +147,36 @@ def parse_mhs_document(doc: dict | str | bytes,
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
 
-    try:
-        n = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("$.dimension", "missing or non-integer") from exc
+    if "dimension" not in doc:
+        raise ParseError("$.dimension", "missing")
+    n = _integer(doc["dimension"], "$.dimension")
 
     weight = {}
-    for i, item in enumerate(doc.get("weight_filtration", [])):
+    for i, item in enumerate(_list(doc.get("weight_filtration", []), "$.weight_filtration")):
         path = f"$.weight_filtration[{i}]"
         if not isinstance(item, dict) or "weight" not in item or "basis" not in item:
             raise ParseError(path, "expected {weight, basis}")
-        k = item["weight"]
-        if not isinstance(k, int):
-            raise ParseError(f"{path}.weight", "expected an integer")
+        k = _integer(item["weight"], f"{path}.weight")
         weight[k] = [_rational_vector(row, f"{path}.basis[{j}]", n)
-                     for j, row in enumerate(item["basis"])]
+                     for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
 
     hodge = {}
-    for i, item in enumerate(doc.get("hodge_filtration", [])):
+    for i, item in enumerate(_list(doc.get("hodge_filtration", []), "$.hodge_filtration")):
         path = f"$.hodge_filtration[{i}]"
         if not isinstance(item, dict) or "p" not in item or "basis" not in item:
             raise ParseError(path, "expected {p, basis}")
-        p = item["p"]
-        if not isinstance(p, int):
-            raise ParseError(f"{path}.p", "expected an integer")
+        p = _integer(item["p"], f"{path}.p")
         rows = [_complex_vector(row, f"{path}.basis[{j}]", n)
-                for j, row in enumerate(item["basis"])]
+                for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
         hodge[p] = np.array(rows, dtype=complex).reshape(len(rows), n)
 
     comparison = None
     if "comparison_matrix" in doc:
-        rows = [_complex_vector(row, f"$.comparison_matrix[{j}]", n)
-                for j, row in enumerate(doc["comparison_matrix"])]
+        rows = [_complex_vector(row, f"$.comparison_matrix[{j}]", n) for j, row
+                in enumerate(_list(doc["comparison_matrix"], "$.comparison_matrix"))]
         comparison = np.array(rows, dtype=complex)
 
-    kwargs = {}
-    if rank_tolerance is not None:
-        kwargs["rank_tolerance"] = rank_tolerance
-    h = MixedHodgeStructure(n, weight, hodge, comparison, **kwargs)
+    h = MixedHodgeStructure(n, weight, hodge, comparison)
 
     if require_valid:
         try:
@@ -191,9 +193,8 @@ def parse_mhs_document(doc: dict | str | bytes,
         for key in ("a", "b", "phi", "psi"):
             if key not in fr:
                 raise ParseError(f"{path}.{key}", "missing")
-        if not isinstance(fr["a"], int) or not isinstance(fr["b"], int):
-            raise ParseError(f"{path}.a", "framing integers must be integers")
-        framed = FramedMHS(h, fr["a"], fr["b"],
+        framed = FramedMHS(h, _integer(fr["a"], f"{path}.a"),
+                           _integer(fr["b"], f"{path}.b"),
                            _rational_vector(fr["phi"], f"{path}.phi", n),
                            _rational_vector(fr["psi"], f"{path}.psi", n))
     return h, framed

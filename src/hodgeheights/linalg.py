@@ -1,9 +1,9 @@
 """Tolerance-aware complex linear algebra.
 
 Subspaces of C^n are held as orthonormal spanning sets produced by a
-rank-revealing SVD; every dimension decision goes through a relative
-tolerance against the largest singular value.  Equality of subspaces is
-mutual containment, never comparison of generators.
+rank-revealing SVD; every dimension decision is `numerical_rank`, one
+relative tolerance against the largest singular value.  Equality of
+subspaces is mutual containment, never comparison of generators.
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -21,11 +21,9 @@ import numpy as np
 
 DTYPE = np.complex128
 
-#: Default relative rank tolerance (against the largest singular value).
-DEFAULT_RANK_TOL = 1e-9
-#: Smallest relative residual `Subspace.contains` resolves, whatever the
-#: subspace's own rank tolerance.
-MEMBERSHIP_TOL_FLOOR = 1e-12
+#: Relative rank tolerance: a singular value counts when it exceeds
+#: RANK_TOL times the largest one (see `numerical_rank`).
+RANK_TOL = 1e-9
 
 
 class LinalgError(ValueError):
@@ -50,30 +48,32 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def orthonormal_columns(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span of `mat` at relative tolerance `tol`."""
+def numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values above RANK_TOL times the largest.
+
+    `s` is sorted in decreasing order, as numpy's SVD returns it; an empty
+    or all-zero spectrum has rank 0.
+    """
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
+
+
+def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of `mat` at numerical rank."""
     if mat.shape[1] == 0:
         return mat
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return mat[:, :0]
-    r = int(np.sum(s > tol * s[0]))
-    return u[:, :r]
+    return u[:, :numerical_rank(s)]
 
 
-def nullspace_columns(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of {x : mat @ x = 0} at relative tolerance `tol`."""
+def nullspace_columns(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {x : mat @ x = 0} at numerical rank."""
     m, n = mat.shape
     if n == 0:
         return np.zeros((0, 0), dtype=DTYPE)
     if m == 0:
         return np.eye(n, dtype=DTYPE)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol * s[0]))
-    return vh[r:, :].conj().T
+    return vh[numerical_rank(s):, :].conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,47 +83,47 @@ class Subspace:
     `basis` has shape (ambient_dim, dim) with orthonormal columns.
     """
 
-    ambient_dim: int
     basis: np.ndarray
-    rank_tolerance: float = DEFAULT_RANK_TOL
 
     @staticmethod
     def from_vectors(vectors: Iterable[Sequence[complex]] | np.ndarray,
-                     ambient_dim: int | None = None,
-                     tol: float = DEFAULT_RANK_TOL) -> "Subspace":
+                     ambient_dim: int | None = None) -> "Subspace":
         """Build the span of the given vectors (each of length ambient_dim)."""
         rows = np.array(list(vectors), dtype=DTYPE)
         if rows.size == 0:
             if ambient_dim is None:
                 raise DimensionMismatch("empty spanning set needs ambient_dim")
-            return Subspace.zero(ambient_dim, tol)
+            return Subspace.zero(ambient_dim)
         _check_finite(rows)
         n = rows.shape[1]
         if ambient_dim is not None and n != ambient_dim:
             raise DimensionMismatch(f"vectors of length {n}, ambient {ambient_dim}")
-        return Subspace(n, orthonormal_columns(rows.T, tol), tol)
+        return Subspace(orthonormal_columns(rows.T))
 
     @staticmethod
-    def zero(ambient_dim: int, tol: float = DEFAULT_RANK_TOL) -> "Subspace":
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=DTYPE), tol)
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(np.zeros((ambient_dim, 0), dtype=DTYPE))
 
     @staticmethod
-    def full(ambient_dim: int, tol: float = DEFAULT_RANK_TOL) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=DTYPE), tol)
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(np.eye(ambient_dim, dtype=DTYPE))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     def contains(self, vector: Sequence[complex]) -> bool:
-        """Membership: residual of the orthogonal projection below tolerance."""
+        """Membership: residual of the orthogonal projection below RANK_TOL |v|."""
         v = np.asarray(vector, dtype=DTYPE)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        floor = max(self.rank_tolerance, MEMBERSHIP_TOL_FLOOR)
-        return bool(np.linalg.norm(resid) < floor * nv)
+        return bool(np.linalg.norm(resid) < RANK_TOL * nv)
 
     def containment_residual(self, other: "Subspace") -> float:
         """How far self is from being contained in `other` (0 when contained)."""
@@ -132,60 +132,47 @@ class Subspace:
         resid = self.basis - other.basis @ (other.basis.conj().T @ self.basis)
         return float(np.linalg.norm(resid))
 
-    def contains_subspace(self, other: "Subspace", tol: float | None = None) -> bool:
-        t = self.rank_tolerance if tol is None else tol
-        return other.containment_residual(self) < t * max(1, self.ambient_dim)
+    def contains_subspace(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
+        return other.containment_residual(self) < tol * max(1, self.ambient_dim)
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
+    def equals(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
         return (self.dim == other.dim
                 and self.contains_subspace(other, tol)
                 and other.contains_subspace(self, tol))
 
-    def _with_tol(self, tol: float) -> "Subspace":
-        if tol == self.rank_tolerance:
-            return self
-        return Subspace(self.ambient_dim, self.basis, tol)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection: solve A u = B w via the nullspace of [A | -B].
 
-        When one side is the full space the result is the other side, with
-        no SVD: A has orthonormal columns and a full B is unitary, so
-        [A | -B][A | -B]^* = A A^* + I, every singular value of [A | -B] is
-        sqrt(2) or 1, and the nullspace has exactly dim A columns -- the
-        dimension the SVD would return.
+        When one side is zero the result is that side, and when one side is
+        the full space the result is the other side, with no SVD: A has
+        orthonormal columns and a full B is unitary, so [A | -B][A | -B]^* = A A^* + I, every singular value of
+        [A | -B] is sqrt(2) or 1, and the nullspace has exactly dim A
+        columns -- the dimension the SVD would return.
         """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        tol = max(self.rank_tolerance, other.rank_tolerance)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, tol)
-        if other.dim == other.ambient_dim:
-            return self._with_tol(tol)
-        if self.dim == self.ambient_dim:
-            return other._with_tol(tol)
+        if self.dim == 0 or other.dim == other.ambient_dim:
+            return self
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return other
         stacked = np.hstack([self.basis, -other.basis])
-        null = nullspace_columns(stacked, tol)
-        vectors = self.basis @ null[: self.dim, :]
-        return Subspace(self.ambient_dim, orthonormal_columns(vectors, tol), tol)
+        null = nullspace_columns(stacked)
+        return Subspace(orthonormal_columns(self.basis @ null[: self.dim, :]))
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of both sides.
 
         When one side is zero the result is the other side, with no SVD:
         its basis has orthonormal columns, so every singular value is 1 and
-        the rank at any tolerance is its dim -- the dimension the SVD would
-        return.
+        its numerical rank is its dim -- the dimension the SVD would return.
         """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        tol = max(self.rank_tolerance, other.rank_tolerance)
         if other.dim == 0:
-            return self._with_tol(tol)
+            return self
         if self.dim == 0:
-            return other._with_tol(tol)
-        joined = np.hstack([self.basis, other.basis])
-        return Subspace(self.ambient_dim, orthonormal_columns(joined, tol), tol)
+            return other
+        return Subspace(orthonormal_columns(np.hstack([self.basis, other.basis])))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on self, as vectors in dual coordinates.
@@ -193,27 +180,23 @@ class Subspace:
         Complex-linear: f is in the result iff sum_i f_i v_i = 0 for all v
         in self (no conjugation).
         """
-        null = nullspace_columns(self.basis.T, self.rank_tolerance)
-        return Subspace(self.ambient_dim, null, self.rank_tolerance)
+        return Subspace(nullspace_columns(self.basis.T))
 
     def conjugate(self) -> "Subspace":
-        return Subspace(self.ambient_dim, self.basis.conj(), self.rank_tolerance)
+        return Subspace(self.basis.conj())
 
     def apply(self, operator: np.ndarray) -> "Subspace":
         """Image of self under the given matrix (must be injective on self to
-        preserve dimension; rank is re-decided at tolerance)."""
-        img = operator @ self.basis
-        return Subspace(operator.shape[0],
-                        orthonormal_columns(img, self.rank_tolerance),
-                        self.rank_tolerance)
+        preserve dimension; rank is re-decided at RANK_TOL)."""
+        return Subspace(orthonormal_columns(operator @ self.basis))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
 def _nilpotency_order(mat: np.ndarray) -> int:
-    """Smallest k with mat^k = 0 at DEFAULT_RANK_TOL, or raise if there is none."""
-    tol = DEFAULT_RANK_TOL
+    """Smallest k with mat^k = 0 at RANK_TOL, or raise if there is none."""
+    tol = RANK_TOL
     n = mat.shape[0]
     scale = max(np.linalg.norm(mat), 1.0)
     power = np.eye(n, dtype=DTYPE)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _rational
 from ._rational import RationalMatrix
-from .linalg import DEFAULT_RANK_TOL, DTYPE, Subspace, nilpotent_exp
+from .linalg import DTYPE, Subspace, nilpotent_exp, numerical_rank
 
 #: Tolerance for subspace residuals: F's nesting and the pieces' containment
 #: in validation, and the bigrading's smallest singular value.
@@ -102,10 +102,9 @@ class MixedHodgeStructure:
     weight_filtration: dict[int, RationalMatrix]
     hodge_filtration: dict[int, np.ndarray]
     comparison_matrix: np.ndarray | None = None
-    rank_tolerance: float = DEFAULT_RANK_TOL
 
     def __init__(self, dimension, weight_filtration, hodge_filtration,
-                 comparison_matrix=None, rank_tolerance=DEFAULT_RANK_TOL):
+                 comparison_matrix=None):
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "weight_filtration", _freeze_weight(weight_filtration))
         object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration))
@@ -113,7 +112,6 @@ class MixedHodgeStructure:
             comparison_matrix = np.array(comparison_matrix, dtype=DTYPE)
             comparison_matrix.setflags(write=False)
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
-        object.__setattr__(self, "rank_tolerance", float(rank_tolerance))
         object.__setattr__(self, "_memo", {})
 
     # -- sparse filtration queries -------------------------------------
@@ -153,12 +151,12 @@ class MixedHodgeStructure:
             rows = [[float(x) for x in row] for row in self.weight_rows(k)]
             return Subspace.from_vectors(
                 np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),
-                ambient_dim=self.dimension, tol=self.rank_tolerance)
+                ambient_dim=self.dimension)
         return self.memo(("W", k), compute)
 
     def hodge_subspace(self, p: int) -> Subspace:
         return self.memo(("F", p), lambda: Subspace.from_vectors(
-            self.hodge_rows(p), ambient_dim=self.dimension, tol=self.rank_tolerance))
+            self.hodge_rows(p), ambient_dim=self.dimension))
 
     # -- exact weight-graded data --------------------------------------
 
@@ -276,10 +274,8 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
         if total != h.hodge_subspace(p).dim:
             bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
                                  f"pieces I^(p',q) with p' >= {p} have dim {total}"))
-    if not bad:
-        sv = pieces.singular_values
-        if np.sum(sv > h.rank_tolerance * sv[0]) < n:
-            bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
+    if not bad and numerical_rank(pieces.singular_values) < n:
+        bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
     return ValidationReport(tuple(bad))
 
 
@@ -340,10 +336,10 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
 
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
-    return _inherit(h, MixedHodgeStructure(n, dual_w, dual_f, None, h.rank_tolerance),
+    return _inherit(h, MixedHodgeStructure(n, dual_w, dual_f),
                     lambda b: {(-p, -q): Subspace.from_vectors(
                         b.inverse_basis[[lab == (p, q) for lab in b.labels]],
-                        ambient_dim=n, tol=h.rank_tolerance) for p, q in b.pieces})
+                        ambient_dim=n) for p, q in b.pieces})
 
 
 def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
@@ -353,8 +349,6 @@ def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
         h.dimension,
         {k - 2 * p: rows for k, rows in h.weight_filtration.items()},
         {q - p: arr for q, arr in h.hodge_filtration.items()},
-        None,
-        h.rank_tolerance,
     )
     child._memo.update({("rref", k - 2 * p): h.weight_echelon(k) for k in h.weight_jumps})
     return _inherit(h, child, lambda b: {(i - p, j - p): piece
@@ -372,7 +366,6 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
         h.weight_filtration,
         {p: arr.conj() for p, arr in h.hodge_filtration.items()},
         comparison,
-        h.rank_tolerance,
     )
     child._memo.update({("rref", k): h.weight_echelon(k) for k in h.weight_jumps})
     # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p))

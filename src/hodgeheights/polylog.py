@@ -53,6 +53,8 @@ SERIES_TERMS = 400
 QUADRATURE_STEP = 0.25
 #: Agreement required between two transport resolutions.
 REFINE_TOL = 1e-11
+#: Distance from the singular points 0 and 1 below which a point is one.
+SINGULAR_RADIUS = 1e-12
 
 
 class PathThroughSingularity(ValueError):
@@ -88,7 +90,7 @@ class PolylogContext:
             raise ValueError("N must be >= 1")
         # z = 0 is allowed for bare Li evaluation (all Li_k(0) = 0); log z
         # and the matrices reject it separately.
-        if abs(self.z - 1.0) < 1e-12:
+        if abs(self.z - 1.0) < SINGULAR_RADIUS:
             raise PathThroughSingularity("z = 1 is singular")
         if self.path:
             if abs(self.path[-1] - self.z) > 1e-12:
@@ -231,7 +233,7 @@ def _polyline(ctx: PolylogContext) -> tuple[complex, ...] | None:
 def _require_log_branch(ctx: PolylogContext) -> None:
     """Quantities involving log z need z away from 0 and off the log cut
     (unless an explicit path fixes the branch)."""
-    if abs(ctx.z) < 1e-12:
+    if abs(ctx.z) < SINGULAR_RADIUS:
         raise PathThroughSingularity("log z undefined at z = 0")
     if not ctx.path and _on_cut(ctx.z):
         raise PathThroughSingularity(

@@ -137,8 +137,7 @@ def _graded_model(h, k):
 def _induced_on_graded(h, sub, k, model):
     """Image of (sub cap W_k) in the graded model of Gr^W_k."""
     coords = model.T @ sub.intersect(h.weight_subspace(k)).basis
-    return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1],
-                                 tol=h.rank_tolerance)
+    return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1])
 
 
 def graded_purity_violations(h):

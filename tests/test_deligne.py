@@ -429,8 +429,7 @@ class TestDerivedStructures:
     def assert_matches_fresh(child, framing=None):
         from hodgeheights.framed import FramedMHS, height1, height2
         fresh = MixedHodgeStructure(child.dimension, child.weight_filtration,
-                                    child.hodge_filtration, child.comparison_matrix,
-                                    child.rank_tolerance)
+                                    child.hodge_filtration, child.comparison_matrix)
         b, bf = bigrading(child), bigrading(fresh)
         assert b.labels == bf.labels
         assert b.piece_dims() == bf.piece_dims()

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,8 +325,74 @@ class TestCli:
         assert cli.main(["polylog", "--z", "0.3", "--N", "2",
                          "--a", "1", "--b", "1"]) == 4
 
-    def test_tolerance_env_override(self, tate_file, monkeypatch):
-        monkeypatch.setenv("MHS_TOLERANCE", "1e-7")
-        assert cli.main(["validate", tate_file]) == 0
-        monkeypatch.setenv("MHS_TOLERANCE", "not-a-number")
-        assert cli.main(["validate", tate_file]) == 4
+
+EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
+
+
+def _replaced(doc, keys, value):
+    """doc with the entry at the key path `keys` set to value."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
+
+
+class TestInputRejections:
+    """Malformed documents are parse errors at their JSON path and malformed
+    sweep specs are rejected, both with exit 2: never a traceback or a
+    silently coerced or ignored value."""
+
+    @staticmethod
+    def assert_parse_error(tmp_path, capsys, doc, json_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: parse error: {json_path}: ")
+
+    @pytest.mark.parametrize("keys, json_path", [
+        (("weight_filtration",), "$.weight_filtration"),
+        (("hodge_filtration",), "$.hodge_filtration"),
+        (("weight_filtration", 0, "basis"), "$.weight_filtration[0].basis"),
+        (("hodge_filtration", 0, "basis"), "$.hodge_filtration[0].basis"),
+        (("comparison_matrix",), "$.comparison_matrix"),
+    ], ids=["weight_filtration", "hodge_filtration", "weight_basis", "hodge_basis",
+            "comparison_matrix"])
+    @pytest.mark.parametrize("value", [5, "1", {"0": ["1"]}],
+                             ids=["number", "string", "object"])
+    def test_container_that_is_not_a_list(self, tmp_path, capsys, keys, json_path, value):
+        doc = _replaced(mhs_to_document(tate(0)), keys, value)
+        self.assert_parse_error(tmp_path, capsys, doc, json_path)
+
+    @pytest.mark.parametrize("keys, value, json_path", [
+        (("dimension",), "1", "$.dimension"),
+        (("dimension",), True, "$.dimension"),
+        (("dimension",), 1.7, "$.dimension"),
+        (("weight_filtration", 0, "weight"), True, "$.weight_filtration[0].weight"),
+        (("weight_filtration", 0, "weight"), False, "$.weight_filtration[0].weight"),
+        (("hodge_filtration", 0, "p"), False, "$.hodge_filtration[0].p"),
+        (("framing", "a"), False, "$.framing.a"),
+        (("framing", "b"), -2.0, "$.framing.b"),
+    ], ids=["dimension_string", "dimension_bool", "dimension_float", "weight_true",
+            "weight_false", "p_bool", "framing_a_bool", "framing_b_float"])
+    def test_integer_field_that_is_not_an_integer(self, tmp_path, capsys,
+                                                  keys, value, json_path):
+        base = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+        self.assert_parse_error(tmp_path, capsys, _replaced(base, keys, value), json_path)
+
+    @pytest.mark.parametrize("policy", ["foo", "", None, 1, ["principal"]],
+                             ids=["unknown", "empty", "null", "number", "list"])
+    def test_sweep_path_policy_other_than_principal(self, tmp_path, capsys,
+                                                    monkeypatch, policy):
+        def no_evaluation(ctx):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(cli, "_delta_residual", no_evaluation)
+        # 2 lies on the cut [1, inf): no policy may skip the cut check
+        spec = {"grid": ["2"], "N": 2, "framings": [[0, 1]],
+                "path_policy": policy}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
+        assert "path_policy" in capsys.readouterr().err

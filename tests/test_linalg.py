@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights.linalg import (DimensionMismatch, NotUnipotent, Subspace,
-                                 nilpotent_exp, nilpotent_log)
+from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotUnipotent, Subspace,
+                                 nilpotent_exp, nilpotent_log, numerical_rank)
 
 from oracles import (oracle_annihilator_dim, oracle_intersection_dim,
                      oracle_member, oracle_rank, oracle_sum_dim)
@@ -175,40 +175,33 @@ class TestNilpotentExpLog:
             nilpotent_log(2.0 * np.eye(3))
 
 
-def random_subspace(rng, n, d, tol):
+def random_subspace(rng, n, d):
     vecs = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    return Subspace.from_vectors(vecs, ambient_dim=n, tol=tol)
-
-
-TOLERANCES = st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-6])
+    return Subspace.from_vectors(vecs, ambient_dim=n)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**32 - 1),
-       TOLERANCES, TOLERANCES, TOLERANCES, st.booleans())
-def test_trivial_operands_return_the_other_side(n, d, seed, ta, tf, tz, identity):
+@given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**32 - 1), st.booleans())
+def test_trivial_operands_return_the_other_side(n, d, seed, identity):
     # A cap C^n = C^n cap A = A + 0 = 0 + A = A, including A zero or full,
-    # each with the larger of the two tolerances and an orthonormal basis;
-    # C^n is held by the identity or by a random unitary basis
+    # each with an orthonormal basis; C^n is held by the identity or by a
+    # random unitary basis
     rng = np.random.default_rng(seed)
-    a = random_subspace(rng, n, min(d, n), ta)
-    full = Subspace.full(n, tf) if identity else random_subspace(rng, n, n, tf)
-    zero = Subspace.zero(n, tz)
-    cases = [(a.intersect(full), tf), (full.intersect(a), tf),
-             (a.sum(zero), tz), (zero.sum(a), tz)]
-    for got, t in cases:
+    a = random_subspace(rng, n, min(d, n))
+    full = Subspace.full(n) if identity else random_subspace(rng, n, n)
+    zero = Subspace.zero(n)
+    for got in (a.intersect(full), full.intersect(a), a.sum(zero), zero.sum(a)):
         assert got.ambient_dim == n
         assert got.dim == a.dim
         assert got.contains_subspace(a) and a.contains_subspace(got)
         assert np.allclose(got.basis.conj().T @ got.basis, np.eye(got.dim), atol=1e-12)
-        assert got.rank_tolerance == max(ta, t)
 
 
 def test_trivial_operands_skip_the_svd(monkeypatch):
     rng = np.random.default_rng(3)
-    a = random_subspace(rng, 5, 2, 1e-9)
-    b, c = random_subspace(rng, 5, 4, 1e-9), random_subspace(rng, 5, 1, 1e-9)
-    full, zero = Subspace.full(5, 1e-8), Subspace.zero(5)
+    a = random_subspace(rng, 5, 2)
+    b, c = random_subspace(rng, 5, 4), random_subspace(rng, 5, 1)
+    full, zero = Subspace.full(5), Subspace.zero(5)
     real_svd, calls = np.linalg.svd, []
 
     def counting_svd(*args, **kwargs):
@@ -224,3 +217,16 @@ def test_trivial_operands_skip_the_svd(monkeypatch):
     a.intersect(b)
     a.sum(c)
     assert len(calls) == 3      # nullspace and span for the intersection, span for the sum
+
+
+class TestNumericalRank:
+    def test_threshold_is_relative_to_the_largest_value(self):
+        cut = RANK_TOL * 4.0
+        above, below = np.nextafter(cut, np.inf), np.nextafter(cut, 0.0)
+        assert numerical_rank(np.array([4.0, 1.0, above])) == 3
+        assert numerical_rank(np.array([4.0, 1.0, below])) == 2
+        assert numerical_rank(np.array([4.0, cut])) == 1
+
+    def test_empty_and_all_zero_spectra_have_rank_zero(self):
+        assert numerical_rank(np.array([])) == 0
+        assert numerical_rank(np.zeros(3)) == 0
