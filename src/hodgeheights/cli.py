@@ -197,6 +197,12 @@ def _csv_row(ctx: PolylogContext, point: dict) -> list:
 def _sweep_rows(spec: dict):
     if not isinstance(spec, dict):
         raise CliError(EXIT_VALIDATION, "sweep spec must be a JSON object")
+    try:
+        jsonio.expect_object(spec, "$", ("grid", "N", "framings", "path_policy"))
+        if isinstance(spec.get("grid"), dict):
+            jsonio.expect_object(spec["grid"], "$.grid", ("re", "im", "resolution"))
+    except ParseError as exc:
+        raise CliError(EXIT_VALIDATION, str(exc))
     points = _sweep_grid(spec)
     n_trunc = spec.get("N", 6)
     framings = spec.get("framings", [])

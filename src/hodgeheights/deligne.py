@@ -14,18 +14,23 @@ material of the second height functional.
 
 The formula is evaluated with U by its recursion, each F^r cap W_s and
 U^r_s once, for any (W, F) whose filtrations are nested, and the pieces
-are memoized on the structure.  The splitting is functorial, so the
-dual, Tate twists and conjugate of a valid structure are born with
-pieces carried over from their parent's (`mhs.dual`, `twist`,
-`conjugate`) and never evaluate the formula.  Validation decides on the
-pieces, computed or carried over, whether (W, F) is an MHS at all; the
-bigrading of a valid structure is the same pieces, once their basis is
-checked to be well conditioned.
+are memoized on the structure.  The splitting is functorial
+(Cattani--Kaplan--Schmid), so the dual, Tate twists and conjugate of a
+valid structure are born with pieces carried over from their parent's
+(`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula.
+Validation decides on the pieces, computed or carried over, whether
+(W, F) is an MHS at all; the bigrading of a valid structure is the same
+pieces, once their basis is checked to be well conditioned.
 
 The splitting solver works degree by degree in the Y-weight drop: the
 drop-m part of delta is read off from the residual of the defining
-equation at level m and divided by 2im.  An independent fixed-point
-solver of the same equation is a test oracle (tests/oracles.py).
+equation at level m and divided by 2im.  It runs once per root
+structure: a dual, twist or conjugate takes -delta^T, delta or -delta
+from its parent's splitting, and a chain of them from its root's.  Every
+structure still computes Y from its own bigrading and checks the
+defining, reality and lambda residuals of its delta, so a wrong carry
+raises ResidualTooLarge.  An independent fixed-point solver of the same
+equation is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -228,7 +233,8 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     if h.dimension == 0:
         return SplittingData(b, y, y.copy(), {}, 0.0, 0.0, 0.0)
 
-    delta = _solve_delta(y, b)
+    # a derived structure's delta is carried over from its parent (mhs._inherit)
+    delta = h.memo("delta", lambda: _solve_delta(y, b))
     scale = max(1.0, float(np.linalg.norm(y)))
     g = nilpotent_exp(-2j * delta)
     ginv = nilpotent_exp(2j * delta)

@@ -19,6 +19,11 @@ from .framed import FramedMHS
 from .mhs import InvalidMHS, MixedHodgeStructure, ValidationReport
 
 
+#: The keys an MHS document may have (docs/schemas/mhs-document.schema.json).
+DOCUMENT_KEYS = ("dimension", "weight_filtration", "hodge_filtration",
+                 "comparison_matrix", "framing")
+
+
 class ParseError(ValueError):
     """Malformed document; `path` points at the offending JSON location."""
 
@@ -89,9 +94,29 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _jump(value: Any, path: str, seen: dict) -> int:
+    """A filtration jump index, given at most once per filtration."""
+    index = _integer(value, path)
+    if index in seen:
+        raise ParseError(path, f"repeated jump {index}")
+    return index
+
+
 def _list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ParseError(path, "expected a list")
+    return value
+
+
+def expect_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+    """value as a JSON object with no key outside `keys`, as the schemas'
+    `additionalProperties: false` requires; an unknown key is a parse error
+    at its own path."""
+    if not isinstance(value, dict):
+        raise ParseError(path, "expected an object")
+    for key in value:
+        if key not in keys:
+            raise ParseError(f"{path}.{key}", "unknown key")
     return value
 
 
@@ -146,17 +171,21 @@ def parse_mhs_document(doc: dict | str | bytes,
             raise ParseError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
+    expect_object(doc, "$", DOCUMENT_KEYS)
 
     if "dimension" not in doc:
         raise ParseError("$.dimension", "missing")
     n = _integer(doc["dimension"], "$.dimension")
+    if n < 1:
+        raise ParseError("$.dimension", f"expected at least 1, got {n}")
 
     weight = {}
     for i, item in enumerate(_list(doc.get("weight_filtration", []), "$.weight_filtration")):
         path = f"$.weight_filtration[{i}]"
         if not isinstance(item, dict) or "weight" not in item or "basis" not in item:
             raise ParseError(path, "expected {weight, basis}")
-        k = _integer(item["weight"], f"{path}.weight")
+        expect_object(item, path, ("weight", "basis"))
+        k = _jump(item["weight"], f"{path}.weight", weight)
         weight[k] = [_rational_vector(row, f"{path}.basis[{j}]", n)
                      for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
 
@@ -165,7 +194,8 @@ def parse_mhs_document(doc: dict | str | bytes,
         path = f"$.hodge_filtration[{i}]"
         if not isinstance(item, dict) or "p" not in item or "basis" not in item:
             raise ParseError(path, "expected {p, basis}")
-        p = _integer(item["p"], f"{path}.p")
+        expect_object(item, path, ("p", "basis"))
+        p = _jump(item["p"], f"{path}.p", hodge)
         rows = [_complex_vector(row, f"{path}.basis[{j}]", n)
                 for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
         hodge[p] = np.array(rows, dtype=complex).reshape(len(rows), n)
@@ -174,6 +204,8 @@ def parse_mhs_document(doc: dict | str | bytes,
     if "comparison_matrix" in doc:
         rows = [_complex_vector(row, f"$.comparison_matrix[{j}]", n) for j, row
                 in enumerate(_list(doc["comparison_matrix"], "$.comparison_matrix"))]
+        if len(rows) != n:
+            raise ParseError("$.comparison_matrix", f"expected {n} x {n}, got {len(rows)} rows")
         comparison = np.array(rows, dtype=complex)
 
     h = MixedHodgeStructure(n, weight, hodge, comparison)
@@ -186,10 +218,8 @@ def parse_mhs_document(doc: dict | str | bytes,
 
     framed = None
     if "framing" in doc:
-        fr = doc["framing"]
         path = "$.framing"
-        if not isinstance(fr, dict):
-            raise ParseError(path, "expected an object")
+        fr = expect_object(doc["framing"], path, ("a", "b", "phi", "psi"))
         for key in ("a", "b", "phi", "psi"):
             if key not in fr:
                 raise ParseError(f"{path}.{key}", "missing")

@@ -194,39 +194,47 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _nilpotency_order(mat: np.ndarray) -> int:
-    """Smallest k with mat^k = 0 at RANK_TOL, or raise if there is none."""
-    tol = RANK_TOL
+def _nilpotent_terms(mat: np.ndarray, divisor) -> list[np.ndarray]:
+    """The terms t_k = t_{k-1} @ mat / divisor(k), t_0 = Id, for k = 1 .. n-1.
+
+    The same products decide that mat is nilpotent: some k <= n has
+    ||mat^k|| <= RANK_TOL scale^k, scale = max(||mat||, 1), where mat^k is
+    t_k times divisor(1) ... divisor(k).  Every term is kept, also past
+    that k, and t_n is formed only when no earlier term decided.
+    """
     n = mat.shape[0]
     scale = max(np.linalg.norm(mat), 1.0)
-    power = np.eye(n, dtype=DTYPE)
+    terms, term, product, nilpotent = [], np.eye(n, dtype=DTYPE), 1, False
     for k in range(1, n + 1):
-        power = power @ mat
-        if np.linalg.norm(power) <= tol * scale**k:
-            return k
-    raise NotNilpotent(f"matrix is not nilpotent at tolerance {tol}")
+        if k == n and nilpotent:
+            break
+        term = term @ mat / divisor(k)
+        product *= divisor(k)
+        nilpotent = nilpotent or bool(np.linalg.norm(term) * product <= RANK_TOL * scale**k)
+        if k < n:
+            terms.append(term)
+    if not nilpotent:
+        raise NotNilpotent(f"matrix is not nilpotent at tolerance {RANK_TOL}")
+    return terms
 
 
 def nilpotent_exp(mat: np.ndarray) -> np.ndarray:
-    """exp of a nilpotent matrix by its (finite) exponential series."""
+    """exp of a nilpotent matrix by its (finite) exponential series.
+
+    Raises NotNilpotent when no power mat^k, k <= n, is zero at tolerance.
+    """
     mat = np.asarray(mat, dtype=DTYPE)
     n = mat.shape[0]
     if n == 0:
         return mat.copy()
-    _nilpotency_order(mat)
-    out = np.eye(n, dtype=DTYPE)
-    term = np.eye(n, dtype=DTYPE)
-    for k in range(1, n):
-        term = term @ mat / k
-        out = out + term
-    return out
+    return sum(_nilpotent_terms(mat, lambda k: k), np.eye(n, dtype=DTYPE))
 
 
 def nilpotent_log(mat: np.ndarray) -> np.ndarray:
     """log of a unipotent matrix U by the finite series in N = U - Id.
 
-    Raises NotUnipotent when (U - Id)^n is not zero at tolerance.  The
-    result is strictly lower-triangular whenever U is unipotent
+    Raises NotUnipotent when no power N^k, k <= n, is zero at tolerance.
+    The result is strictly lower-triangular whenever U is unipotent
     lower-triangular, since every power of N then is.
     """
     mat = np.asarray(mat, dtype=DTYPE)
@@ -235,12 +243,8 @@ def nilpotent_log(mat: np.ndarray) -> np.ndarray:
         return mat.copy()
     nil = mat - np.eye(n, dtype=DTYPE)
     try:
-        _nilpotency_order(nil)
+        powers = _nilpotent_terms(nil, lambda k: 1)
     except NotNilpotent as exc:
         raise NotUnipotent(str(exc)) from exc
-    out = np.zeros_like(nil)
-    power = np.eye(n, dtype=DTYPE)
-    for k in range(1, n):
-        power = power @ nil
-        out = out + ((-1) ** (k + 1)) * power / k
-    return out
+    return sum((((-1) ** (k + 1)) * power / k for k, power in enumerate(powers, 1)),
+               np.zeros_like(nil))

@@ -16,9 +16,26 @@ Filtrations are stored sparsely by jump index:
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading (see `validate`); exact weight data is one echelon form per
-jump of W.  The dual, Tate twists and conjugate of a valid structure are
-born with pieces (and, for twists and conjugates, weight echelon forms)
-carried over from their parent, and are validated on them.
+jump of W, and W_k and F^p are one Subspace per jump.
+
+The dual, Tate twists and conjugate of a valid structure are born with
+every fact their parent holds about the same data, carried over:
+
+* the pieces I^{p,q} (relabelled, conjugated or read off the parent's
+  inverse bigrading basis);
+* the F^p subspaces (the parent's, shifted or conjugated; for the dual,
+  the annihilators its filtration is built from);
+* for twists and conjugates, whose weight rows are the parent's, the W_k
+  subspaces, the echelon forms and the verdict that W is nested with a
+  full top;
+* delta, taken on first use from the parent's splitting (see
+  `deligne.delta_splitting`).
+
+What is still checked on the child: `validate` runs every containment,
+dimension and independence check on the child's own filtrations and
+pieces, and `deligne.delta_splitting` computes Y from the child's own
+bigrading and checks delta's defining, reality and lambda residuals
+against it.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -113,6 +130,7 @@ class MixedHodgeStructure:
             comparison_matrix.setflags(write=False)
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_seeds", {})
 
     # -- sparse filtration queries -------------------------------------
 
@@ -129,33 +147,52 @@ class MixedHodgeStructure:
         jumps = [j for j in self.weight_jumps if j <= k]
         return jumps[-1] if jumps else None
 
+    def _hodge_jump(self, p: int) -> int | None:
+        """The jump whose value is F^p (None above the highest jump)."""
+        jumps = [j for j in self.hodge_jumps if j >= p]
+        return jumps[0] if jumps else None
+
     def weight_rows(self, k: int) -> RationalMatrix:
         """Exact rational spanning rows of W_k (empty below the lowest jump)."""
         jump = self._weight_jump(k)
         return () if jump is None else self.weight_filtration[jump]
 
     def hodge_rows(self, p: int) -> np.ndarray:
-        jumps = [j for j in self.hodge_jumps if j >= p]
-        if not jumps:
+        jump = self._hodge_jump(p)
+        if jump is None:
             return np.zeros((0, self.dimension), dtype=DTYPE)
-        return self.hodge_filtration[jumps[0]]
+        return self.hodge_filtration[jump]
 
     def memo(self, key, compute):
-        """compute(), evaluated once and kept for the lifetime of this structure."""
+        """compute(), evaluated once and kept for the lifetime of this structure.
+
+        A value seeded under key (see `seed`) is evaluated instead of compute.
+        """
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._memo[key] = self._seeds.get(key, compute)()
+            self._seeds.pop(key, None)
         return self._memo[key]
 
+    def seed(self, key, compute) -> None:
+        """Have memo(key, ...) evaluate compute() instead of its own computation.
+
+        A derived structure's carry from its parent, evaluated on first use;
+        a seed that raises stays in place and raises again.
+        """
+        self._seeds[key] = compute
+
     def weight_subspace(self, k: int) -> Subspace:
+        """W_k as a Subspace, memoized under the jump whose rows it spans."""
         def compute():
             rows = [[float(x) for x in row] for row in self.weight_rows(k)]
             return Subspace.from_vectors(
                 np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),
                 ambient_dim=self.dimension)
-        return self.memo(("W", k), compute)
+        return self.memo(("W", self._weight_jump(k)), compute)
 
     def hodge_subspace(self, p: int) -> Subspace:
-        return self.memo(("F", p), lambda: Subspace.from_vectors(
+        """F^p as a Subspace, memoized under the jump whose rows it spans."""
+        return self.memo(("F", self._hodge_jump(p)), lambda: Subspace.from_vectors(
             self.hodge_rows(p), ambient_dim=self.dimension))
 
     # -- exact weight-graded data --------------------------------------
@@ -233,13 +270,7 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
             bad.append(Violation("data", None, "non-finite Hodge entries"))
             return ValidationReport(tuple(bad))
 
-    # W increasing (exact), top = full space
-    jumps = h.weight_jumps
-    for lo, hi in zip(jumps, jumps[1:]):
-        if not all(h.weight_contains(hi, row) for row in h.weight_echelon(lo)[0]):
-            bad.append(Violation("weight", hi, f"W_{lo} not contained in W_{hi}"))
-    if h.weight_rank(jumps[-1]) != n:
-        bad.append(Violation("weight", jumps[-1], "top weight subspace is not full"))
+    bad.extend(h.memo("W nesting", lambda: _weight_nesting(h)))
 
     # F decreasing (numeric), bottom = full space
     pjumps = h.hodge_jumps
@@ -279,6 +310,18 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def _weight_nesting(h: MixedHodgeStructure) -> tuple[Violation, ...]:
+    """W increasing with a full top, decided exactly on the echelon rows."""
+    bad = []
+    jumps = h.weight_jumps
+    for lo, hi in zip(jumps, jumps[1:]):
+        if not all(h.weight_contains(hi, row) for row in h.weight_echelon(lo)[0]):
+            bad.append(Violation("weight", hi, f"W_{lo} not contained in W_{hi}"))
+    if h.weight_rank(jumps[-1]) != h.dimension:
+        bad.append(Violation("weight", jumps[-1], "top weight subspace is not full"))
+    return tuple(bad)
+
+
 def require_valid(h: MixedHodgeStructure) -> None:
     """Raise InvalidMHS unless h is valid; the report is kept on h."""
     report = h.memo("report", lambda: validate(h))
@@ -289,17 +332,33 @@ def require_valid(h: MixedHodgeStructure) -> None:
 # -- constructions ------------------------------------------------------
 
 
-def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, carry) -> MixedHodgeStructure:
-    """child, derived from the valid h, with its pieces seeded by carry(h's).
+def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
+             carry_pieces, carry_delta) -> MixedHodgeStructure:
+    """child, derived from the valid h, seeded with h's Deligne splitting.
 
-    The Deligne splitting is unique and functorial, so the pieces of a
-    dual, twist or conjugate are fixed by its parent's; validate(child)
-    still checks them against child's own filtrations.
+    The splitting is unique and functorial, so the pieces and delta of a
+    dual, twist or conjugate are fixed by its parent's: the pieces are
+    carry_pieces(h's) at once, delta is carry_delta(h's delta) on first
+    use, so delta is solved once per root structure.  validate(child)
+    still checks the pieces against child's own filtrations, and
+    delta_splitting(child) checks delta's residuals on child's own Y.
     """
     from . import deligne
-    pieces = carry(deligne._pieces(h))
+    pieces = carry_pieces(deligne._pieces(h))
     child.memo("pieces", lambda: deligne._assemble(child, pieces))
+    child.seed("delta", lambda: carry_delta(deligne.delta_splitting(h).delta))
     return child
+
+
+def _carry_weights(h: MixedHodgeStructure, child: MixedHodgeStructure,
+                   shift: int) -> None:
+    """Seed child, whose W_{k+shift} has the rows of h's W_k, with h's exact
+    weight facts: echelon forms, subspaces and the nesting verdict, which is
+    "nested with a full top" since h is valid."""
+    for k in h.weight_jumps:
+        child._memo[("rref", k + shift)] = h.weight_echelon(k)
+        child._memo[("W", k + shift)] = h.weight_subspace(k)
+    child._memo["W nesting"] = ()
 
 
 def tate(a: int) -> MixedHodgeStructure:
@@ -326,20 +385,20 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
               for k in h.weight_jumps}
 
     pjumps = h.hodge_jumps                     # p_1 < ... < p_r, value T_i at p_i
-    dual_f: dict[int, np.ndarray] = {}
     # segment of value Ann(T_{i+1}) tops out at q = -p_i; top segment is full
-    dual_f[-pjumps[-1]] = np.eye(n, dtype=DTYPE)
-    for i in range(1, len(pjumps)):
-        top_key = -pjumps[i - 1]
-        ann = h.hodge_subspace(pjumps[i]).annihilator()
-        dual_f[top_key] = ann.basis.T.copy()
+    dual_f = {-pjumps[-1]: Subspace.full(n)}
+    for lo, hi in zip(pjumps, pjumps[1:]):
+        dual_f[-lo] = h.hodge_subspace(hi).annihilator()
 
+    child = MixedHodgeStructure(n, dual_w, {q: s.basis.T.copy() for q, s in dual_f.items()})
+    child._memo.update({("F", q): s for q, s in dual_f.items()})
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
-    return _inherit(h, MixedHodgeStructure(n, dual_w, dual_f),
+    return _inherit(h, child,
                     lambda b: {(-p, -q): Subspace.from_vectors(
                         b.inverse_basis[[lab == (p, q) for lab in b.labels]],
-                        ambient_dim=n) for p, q in b.pieces})
+                        ambient_dim=n) for p, q in b.pieces},
+                    lambda delta: -delta.T)
 
 
 def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
@@ -350,9 +409,11 @@ def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
         {k - 2 * p: rows for k, rows in h.weight_filtration.items()},
         {q - p: arr for q, arr in h.hodge_filtration.items()},
     )
-    child._memo.update({("rref", k - 2 * p): h.weight_echelon(k) for k in h.weight_jumps})
-    return _inherit(h, child, lambda b: {(i - p, j - p): piece
-                                         for (i, j), piece in b.pieces.items()})
+    _carry_weights(h, child, -2 * p)
+    child._memo.update({("F", q - p): h.hodge_subspace(q) for q in h.hodge_jumps})
+    return _inherit(h, child,
+                    lambda b: {(i - p, j - p): piece for (i, j), piece in b.pieces.items()},
+                    lambda delta: delta)
 
 
 def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -367,10 +428,13 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
         {p: arr.conj() for p, arr in h.hodge_filtration.items()},
         comparison,
     )
-    child._memo.update({("rref", k): h.weight_echelon(k) for k in h.weight_jumps})
-    # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p))
-    return _inherit(h, child, lambda b: {pq: piece.conjugate()
-                                         for pq, piece in b.pieces.items()})
+    _carry_weights(h, child, 0)
+    child._memo.update({("F", q): h.hodge_subspace(q).conjugate() for q in h.hodge_jumps})
+    # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p));
+    # conj delta(H) = delta(H) is real, and conj H has -delta(H)
+    return _inherit(h, child,
+                    lambda b: {pq: piece.conjugate() for pq, piece in b.pieces.items()},
+                    lambda delta: -delta)
 
 
 # -- randomized Hodge--Tate structures ----------------------------------

@@ -55,6 +55,18 @@ QUADRATURE_STEP = 0.25
 REFINE_TOL = 1e-11
 #: Distance from the singular points 0 and 1 below which a point is one.
 SINGULAR_RADIUS = 1e-12
+#: Distance from the real axis below which a point of a cut lies on it.
+CUT_RADIUS = 1e-14
+#: Largest distance between the last point of a path and z.
+PATH_END_TOL = 1e-12
+#: Smallest distance a path segment may keep from 0 and 1.
+SEGMENT_CLEARANCE = 1e-8
+#: How far past |z| = 1/2 the basepoint series still accepts z.
+SERIES_DISK_SLACK = 1e-13
+#: The basepoint series stops once |z|^n falls below this (past n = 4).
+SERIES_STOP = 1e-18
+#: The basepoint series has not settled if its last |z|^n exceeds this.
+SERIES_SETTLED = 1e-17
 
 
 class PathThroughSingularity(ValueError):
@@ -93,7 +105,7 @@ class PolylogContext:
         if abs(self.z - 1.0) < SINGULAR_RADIUS:
             raise PathThroughSingularity("z = 1 is singular")
         if self.path:
-            if abs(self.path[-1] - self.z) > 1e-12:
+            if abs(self.path[-1] - self.z) > PATH_END_TOL:
                 raise PathThroughSingularity("path must end at z")
             p0 = self.path[0]
             if abs(p0) > 0.5 or _on_cut(p0):
@@ -108,7 +120,7 @@ class PolylogContext:
 
 
 def _on_cut(z: complex) -> bool:
-    return abs(z.imag) < 1e-14 and (z.real <= 0.0 or z.real >= 1.0)
+    return abs(z.imag) < CUT_RADIUS and (z.real <= 0.0 or z.real >= 1.0)
 
 
 def _segment_distance(a: complex, b: complex, point: complex) -> float:
@@ -122,24 +134,24 @@ def _segment_distance(a: complex, b: complex, point: complex) -> float:
 
 def _check_segment(a: complex, b: complex) -> None:
     for special in (0.0, 1.0):
-        if _segment_distance(a, b, special) < 1e-8:
+        if _segment_distance(a, b, special) < SEGMENT_CLEARANCE:
             raise PathThroughSingularity(
                 f"segment {a} -> {b} passes through {special}")
 
 
 def _series_values(z: complex, count: int, terms: int) -> list[complex]:
     """Li_1..Li_count at |z| <= 1/2 by the defining series (principal branch)."""
-    if abs(z) > 0.5 + 1e-13:
+    if abs(z) > 0.5 + SERIES_DISK_SLACK:
         raise ValueError("series evaluation outside |z| <= 1/2")
     vals = [0j] * count
     power = 1.0 + 0j
     for n in range(1, terms + 1):
         power *= z
-        if abs(power) < 1e-18 and n > 4:
+        if abs(power) < SERIES_STOP and n > 4:
             return vals
         for k in range(count):
             vals[k] += power / n ** (k + 1)
-    if abs(z) > 1e-15 and abs(power) > 1e-17:
+    if abs(z) > 1e-15 and abs(power) > SERIES_SETTLED:
         raise NonConvergent(f"series cutoff {terms} too small at |z|={abs(z):.3f}")
     return vals
 

@@ -18,6 +18,9 @@
 * Projectors attached to a bigrading, by type, by weight and to and from
   rational graded frames, for checks of the bigrading's functoriality.
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
+* The two-pass nilpotent exponential and logarithm (the nilpotency order
+  found by one chain of powers, the series formed by a second),
+  cross-checking the single pass of `hodgeheights.linalg`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from hodgeheights._rational import rref
-from hodgeheights.linalg import DTYPE, Subspace, nilpotent_exp
+from hodgeheights.linalg import (DTYPE, RANK_TOL, NotNilpotent, NotUnipotent, Subspace,
+                                 nilpotent_exp)
 from hodgeheights.mhs import Violation
 from hodgeheights.polylog import build_matrices, log_z, tau
 
@@ -351,3 +355,49 @@ def projectors(b):
         from_graded[k] = u @ np.linalg.inv(solver @ u)
         to_graded[k] = pi_k
     return Projectors(by_type, by_weight, to_graded, from_graded)
+
+
+def _nilpotency_order(mat):
+    """Smallest k with mat^k = 0 at RANK_TOL, or raise if there is none."""
+    n = mat.shape[0]
+    scale = max(np.linalg.norm(mat), 1.0)
+    power = np.eye(n, dtype=DTYPE)
+    for k in range(1, n + 1):
+        power = power @ mat
+        if np.linalg.norm(power) <= RANK_TOL * scale**k:
+            return k
+    raise NotNilpotent(f"matrix is not nilpotent at tolerance {RANK_TOL}")
+
+
+def two_pass_exp(mat):
+    """exp of a nilpotent matrix: the order first, then the n - 1 term series."""
+    mat = np.asarray(mat, dtype=DTYPE)
+    n = mat.shape[0]
+    if n == 0:
+        return mat.copy()
+    _nilpotency_order(mat)
+    out = np.eye(n, dtype=DTYPE)
+    term = np.eye(n, dtype=DTYPE)
+    for k in range(1, n):
+        term = term @ mat / k
+        out = out + term
+    return out
+
+
+def two_pass_log(mat):
+    """log of a unipotent matrix: the order of U - Id first, then the series."""
+    mat = np.asarray(mat, dtype=DTYPE)
+    n = mat.shape[0]
+    if n == 0:
+        return mat.copy()
+    nil = mat - np.eye(n, dtype=DTYPE)
+    try:
+        _nilpotency_order(nil)
+    except NotNilpotent as exc:
+        raise NotUnipotent(str(exc)) from exc
+    out = np.zeros_like(nil)
+    power = np.eye(n, dtype=DTYPE)
+    for k in range(1, n):
+        power = power @ nil
+        out = out + ((-1) ** (k + 1)) * power / k
+    return out

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeheights import deligne
-from hodgeheights.deligne import (NumericalDegeneracy, bigrading,
+from hodgeheights.deligne import (NumericalDegeneracy, ResidualTooLarge, bigrading,
                                   delta_splitting, grading_operator,
                                   hodge_components)
 from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
-                              random_hodge_tate, random_hodge_tate_pair, tate,
-                              twist)
+                              random_hodge_tate, random_hodge_tate_pair,
+                              require_valid, tate, twist)
 
 from conftest import random_framing
 from oracles import delta_fixed_point, dense_solve_delta, projectors
@@ -62,11 +64,13 @@ class TestBigrading:
         # Validation solves Deligne's pieces once (U by its recursion, each
         # F^r cap W_s once, the conjugate side only where F^p cap W_k is not
         # zero) and the bigrading assembles the same pieces; intersecting
-        # with a full F^r or W_s and adding a zero U cost no SVD.  So
-        # validating and bigrading H(z) costs under 4 (N+1)^2 SVDs (80/165/425
-        # at N = 4/6/10).  A second solve (a graded-purity sweep), rebuilding
-        # U for every piece, forming the conjugate side of every empty piece
-        # or an SVD for a trivial operand (715 at N = 10) breaks the bound.
+        # with a full F^r or W_s and adding a zero U cost no SVD, and W_s at
+        # an odd s is the subspace of the jump below.  So validating and
+        # bigrading H(z) costs 74/155/407 SVDs at N = 4/6/10.  A second solve
+        # (a graded-purity sweep), rebuilding U for every piece, forming the
+        # conjugate side of every empty piece, an SVD for a trivial operand
+        # (715 at N = 10) or a subspace per index instead of per jump
+        # (80/165/425) breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
@@ -79,7 +83,7 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= min(4 * (n + 1) ** 2, 430)
+        assert len(calls) <= {4: 74, 6: 155, 10: 407}[n]
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
@@ -476,3 +480,79 @@ class TestDerivedStructures:
         ctx = polylog_ctx_factory(0.37 - 0.41j, 6)
         for a, b in ((0, 1), (1, 4), (0, 6)):
             self.assert_children_match_fresh(polylog_framed(ctx, a, b), 2)
+
+
+class TestInheritedDelta:
+    """A dual, twist or conjugate takes delta from its parent's (-delta^T,
+    delta and -delta), solved once per root structure, and still checks
+    it on its own grading operator."""
+
+    @staticmethod
+    def assert_inherited_delta_matches_fresh_solve(h, s):
+        for child in (dual(h), twist(h, s), conjugate(h), dual(twist(h, s)),
+                      conjugate(dual(h))):
+            fresh = MixedHodgeStructure(child.dimension, child.weight_filtration,
+                                        child.hodge_filtration)
+            b = bigrading(fresh)
+            solved = deligne._solve_delta(grading_operator(b), b)
+            assert np.linalg.norm(delta_splitting(child).delta - solved) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(1, 2), min_size=2, max_size=4),
+           seed=st.integers(0, 2**16), s=st.integers(-2, 2))
+    def test_random_hodge_tate(self, dims, seed, s):
+        self.assert_inherited_delta_matches_fresh_solve(
+            random_hodge_tate(dims, seed=seed, scale=0.9), s)
+
+    def test_polylog(self, polylog_ctx_factory):
+        from hodgeheights.polylog import polylog_mhs
+        self.assert_inherited_delta_matches_fresh_solve(
+            polylog_mhs(polylog_ctx_factory(0.37 - 0.41j, 6)), 2)
+
+    @pytest.mark.parametrize("derive, wrong", [
+        (conjugate, lambda d: d),
+        (lambda h: twist(h, 1), lambda d: -d),
+        (dual, lambda d: d.T),
+    ], ids=["conjugate_without_sign", "twist_with_sign", "dual_without_sign"])
+    def test_wrong_carry_is_caught(self, derive, wrong):
+        h = random_hodge_tate([1, 1, 1], seed=31)
+        d = delta_splitting(h).delta
+        child = derive(h)
+        child.seed("delta", lambda: wrong(d))
+        with pytest.raises(ResidualTooLarge):
+            delta_splitting(child)
+
+    def test_children_never_solve(self, monkeypatch):
+        h = random_hodge_tate([1, 2, 1], seed=3)
+        solve, calls = deligne._solve_delta, []
+
+        def counting_solve(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(deligne, "_solve_delta", counting_solve)
+        # the first child asks for delta before its root has solved
+        for child in (dual(twist(h, 1)), twist(h, -2), conjugate(h), dual(h),
+                      conjugate(dual(h)), twist(conjugate(h), 1)):
+            delta_splitting(child)
+        delta_splitting(h)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("derive", [lambda h: twist(h, 2), conjugate],
+                             ids=["twist", "conjugate"])
+    def test_twist_and_conjugate_cost_one_svd(self, derive, monkeypatch):
+        # the subspaces, pieces and delta are the parent's; the one SVD left
+        # is the child's check that its pieces are independent
+        h = random_hodge_tate([1, 2, 1], seed=3)
+        delta_splitting(h)
+        real_svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        child = derive(h)
+        require_valid(child)
+        delta_splitting(child)
+        assert len(calls) <= 1

@@ -396,3 +396,58 @@ class TestInputRejections:
         spec_path.write_text(json.dumps(spec))
         assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
         assert "path_policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bases", [([["1"]], []), ([], [["1"]])],
+                             ids=["full_first", "empty_first"])
+    def test_repeated_weight_jump(self, tmp_path, capsys, bases):
+        # whichever entry came last used to win, so one order was valid
+        doc = mhs_to_document(tate(0))
+        doc["weight_filtration"] = [{"weight": 0, "basis": basis} for basis in bases]
+        self.assert_parse_error(tmp_path, capsys, doc, "$.weight_filtration[1].weight")
+
+    def test_repeated_hodge_jump(self, tmp_path, capsys):
+        doc = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+        doc["hodge_filtration"].append(dict(doc["hodge_filtration"][1]))
+        n = len(doc["hodge_filtration"])
+        self.assert_parse_error(tmp_path, capsys, doc, f"$.hodge_filtration[{n - 1}].p")
+
+    @pytest.mark.parametrize("keys, json_path", [
+        ((), "$.comment"),
+        (("weight_filtration", 0), "$.weight_filtration[0].comment"),
+        (("hodge_filtration", 1), "$.hodge_filtration[1].comment"),
+        (("framing",), "$.framing.comment"),
+    ], ids=["document", "weight_entry", "hodge_entry", "framing"])
+    def test_unknown_document_key(self, tmp_path, capsys, keys, json_path):
+        doc = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+        target = doc
+        for key in keys:
+            target = target[key]
+        target["comment"] = "x"
+        self.assert_parse_error(tmp_path, capsys, doc, json_path)
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one(self, tmp_path, capsys, dimension):
+        doc = {"dimension": dimension, "weight_filtration": [], "hodge_filtration": []}
+        self.assert_parse_error(tmp_path, capsys, doc, "$.dimension")
+
+    @pytest.mark.parametrize("rows", [[["1"], ["2"], ["3"]], []], ids=["3x1", "0x1"])
+    def test_comparison_matrix_not_square(self, tmp_path, capsys, rows):
+        doc = _replaced(mhs_to_document(tate(0)), ("comparison_matrix",), rows)
+        self.assert_parse_error(tmp_path, capsys, doc, "$.comparison_matrix")
+
+    @pytest.mark.parametrize("spec, json_path", [
+        ({"grid": ["0.3+0.2i"], "N": 2, "framings": [[0, 1]], "path_polcy": "x"},
+         "$.path_polcy"),
+        ({"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3], "resolution": [1, 1],
+                   "resolutoin": 3}, "N": 2, "framings": [[0, 1]]},
+         "$.grid.resolutoin"),
+    ], ids=["spec", "grid"])
+    def test_unknown_sweep_key(self, tmp_path, capsys, monkeypatch, spec, json_path):
+        def no_evaluation(ctx):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(cli, "_delta_residual", no_evaluation)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {json_path}: ")

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotUnipotent, Subspace,
-                                 nilpotent_exp, nilpotent_log, numerical_rank)
+from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotUnipotent,
+                                 Subspace, nilpotent_exp, nilpotent_log, numerical_rank)
 
 from oracles import (oracle_annihilator_dim, oracle_intersection_dim,
-                     oracle_member, oracle_rank, oracle_sum_dim)
+                     oracle_member, oracle_rank, oracle_sum_dim, two_pass_exp,
+                     two_pass_log)
 
 
 def span(*vectors, n=None):
@@ -173,6 +174,60 @@ class TestNilpotentExpLog:
     def test_not_unipotent_raises(self):
         with pytest.raises(NotUnipotent):
             nilpotent_log(2.0 * np.eye(3))
+
+
+def _outcome(fn, mat):
+    """fn(mat), or the type of the LinalgError it raises."""
+    try:
+        return fn(mat)
+    except (NotNilpotent, NotUnipotent) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    # the single pass does the two-pass series' arithmetic in its order, so
+    # the values are equal, not only close
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type)
+        assert np.array_equal(got, want)
+
+
+class TestSinglePassSeries:
+    """nilpotent_exp and nilpotent_log decide nilpotency on the products that
+    form their series; they agree with the two-pass versions (order first,
+    then the series) in value and in what they reject."""
+
+    def test_matches_two_pass_series(self):
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            nil = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+            nil *= 10.0 ** float(rng.uniform(-3, 0.5))
+            if trial % 2:
+                # nilpotent, but not triangular in this basis
+                g = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                nil = g @ nil @ np.linalg.inv(g)
+            assert_same_outcome(nilpotent_exp(nil), two_pass_exp(nil))
+            assert_same_outcome(nilpotent_log(np.eye(n) + nil), two_pass_log(np.eye(n) + nil))
+
+    def test_rejects_the_same_inputs(self):
+        # a nilpotent matrix plus a perturbation of every size from far below
+        # the rank tolerance to order one: both sides accept the small ones
+        # and reject the large ones alike
+        rng = np.random.default_rng(22)
+        rejected = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            nil = np.tril(rng.standard_normal((n, n)), -1)
+            mat = nil + 10.0 ** float(rng.uniform(-16, 0)) * rng.standard_normal((n, n))
+            got, want = _outcome(nilpotent_exp, mat), _outcome(two_pass_exp, mat)
+            assert_same_outcome(got, want)
+            assert_same_outcome(_outcome(nilpotent_log, np.eye(n) + mat),
+                                _outcome(two_pass_log, np.eye(n) + mat))
+            rejected += want is NotNilpotent
+        assert 50 < rejected < 250
 
 
 def random_subspace(rng, n, d):

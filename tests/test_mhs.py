@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights import deligne, mhs as mhs_mod
-from hodgeheights.linalg import nilpotent_exp
+from hodgeheights import _rational, deligne, mhs as mhs_mod
+from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair, tate,
                               twist, validate)
@@ -117,6 +117,74 @@ def test_dual_and_conjugate_of_valid_are_valid():
         assert validate(dual(h)).ok
         assert validate(conjugate(h)).ok
         assert validate(twist(h, 2)).ok
+
+
+def count_calls(monkeypatch, module, name):
+    """The list that grows by one at each call of module.name."""
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_subspaces_are_memoized_by_jump(polylog_ctx_factory):
+    # W jumps at -8, -6, ..., 0 and F at -4, ..., 0: every index between, below
+    # or above the jumps reads the subspace of the jump whose rows it spans
+    from hodgeheights.polylog import polylog_mhs
+    h = polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 4))
+    for k in (-7, -5, -3, -1, 1, 5):
+        assert h.weight_subspace(k) is h.weight_subspace(h._weight_jump(k))
+    assert h.weight_subspace(-9) is h.weight_subspace(-12)
+    assert h.weight_subspace(-9).dim == 0
+    for p in (-9, -5):
+        assert h.hodge_subspace(p) is h.hodge_subspace(-4)
+    assert h.hodge_subspace(1) is h.hodge_subspace(3)
+    assert h.hodge_subspace(1).dim == 0
+
+
+@pytest.mark.parametrize("derive", [dual, lambda h: twist(h, 2), lambda h: twist(h, -1),
+                                    conjugate], ids=["dual", "twist2", "twist-1", "conjugate"])
+def test_seeded_subspaces_span_the_childs_own_rows(derive):
+    for h in (random_hodge_tate([1, 2, 1], seed=12), curve_weight_gap_structure(),
+              odd_weight_gap_structure()):
+        child = derive(h)
+        for q in child.hodge_jumps:
+            own = Subspace.from_vectors(child.hodge_rows(q), ambient_dim=child.dimension)
+            assert child.hodge_subspace(q).equals(own)
+        for k in child.weight_jumps:
+            rows = [[float(x) for x in row] for row in child.weight_rows(k)]
+            own = Subspace.from_vectors(rows, ambient_dim=child.dimension)
+            assert child.weight_subspace(k).equals(own)
+            assert child.weight_echelon(k) == _rational.rref(child.weight_filtration[k])
+
+
+@pytest.mark.parametrize("derive", [lambda h: twist(h, 2), conjugate],
+                         ids=["twist", "conjugate"])
+def test_twist_and_conjugate_inherit_the_weight_verdict(derive, monkeypatch):
+    # their echelon rows are the parent's, so the exact nesting check is not
+    # repeated
+    h = random_hodge_tate([1, 2, 1, 1], seed=6)
+    mhs_mod.require_valid(h)
+    child = derive(h)
+    remainders = count_calls(monkeypatch, _rational, "remainder")
+    assert validate(child).ok
+    assert remainders == []
+
+
+def test_dual_keeps_its_annihilators(monkeypatch):
+    # F^q of the dual is the annihilator dual() forms, or the full space:
+    # no second orthonormalisation of the same rows
+    h = random_hodge_tate([2, 1, 2], seed=8)
+    mhs_mod.require_valid(h)
+    d = dual(h)
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    spaces = [d.hodge_subspace(q) for q in d.hodge_jumps]
+    assert svds == []
+    assert spaces[0].dim == d.dimension
 
 
 def test_random_hodge_tate_deterministic_and_graded():
