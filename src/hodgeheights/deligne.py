@@ -12,12 +12,20 @@ strictly lower both indices, with  conj(Y) = e^{-2i delta} Y e^{2i delta}.
 delta vanishes exactly when the structure splits over R; it is the raw
 material of the second height functional.
 
-The formula is evaluated with U by its recursion, each F^r cap W_s and
-U^r_s once, for any (W, F) whose filtrations are nested, and the pieces
-are memoized on the structure.  The splitting is functorial
+The formula is evaluated on the lattice of filtration jumps, for any
+(W, F) whose filtrations are nested, and the pieces are memoized on the
+structure.  F^r and W_s only change at their jumps, so F^r cap W_s is
+kept per (jump of F at r, jump of W at s).  For each jump r of F, the
+intersections with every jump s of W come from one stacked SVD against
+the complements of the W_s (`Subspace.intersect_each`, which decides
+their dimensions by the rule of `Subspace.intersect`).  U^r_s is built
+by its recursion and kept per chain of jump pairs of its nonzero terms,
+and each piece is one `intersect`.  The splitting is functorial
 (Cattani--Kaplan--Schmid), so the dual, Tate twists and conjugate of a
 valid structure are born with pieces carried over from their parent's
-(`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula.
+(`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula; a
+twist or conjugate, whose bigrading basis is its parent's or the
+parent's conjugate, also takes its singular values and inverse.
 Validation decides on the pieces, computed or carried over, whether
 (W, F) is an MHS at all; the bigrading of a valid structure is the same
 pieces, once their basis is checked to be well conditioned.
@@ -70,6 +78,11 @@ class Bigrading:
     pieces: dict[tuple[int, int], Subspace]
     basis: np.ndarray
     labels: tuple[tuple[int, int], ...]
+    #: For a twist or conjugate: the parent's bigrading, whose basis this
+    #: one's is (conjugated when `conjugated`), so its singular values and
+    #: inverse are carried over instead of computed again.
+    parent: "Bigrading | None" = None
+    conjugated: bool = False
 
     @property
     def dimension(self) -> int:
@@ -81,10 +94,15 @@ class Bigrading:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
+        if self.parent is not None:
+            return self.parent.singular_values
         return np.linalg.svd(self.basis, compute_uv=False)
 
     @cached_property
     def inverse_basis(self) -> np.ndarray:
+        if self.parent is not None:
+            inverse = self.parent.inverse_basis
+            return inverse.conj() if self.conjugated else inverse
         if not self.basis.size:
             return self.basis.copy()
         return np.linalg.inv(self.basis)
@@ -104,50 +122,66 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:
-        low = h.weight_jumps[0]
-        fw_cache, u_cache = {}, {}      # F^r cap W_s and U^r_s, keyed (r, s)
+        wjumps = h.weight_jumps
+        low = wjumps[0]
+        w_spaces = [h.weight_subspace(s) for s in wjumps]
+        w_perps = [h.weight_complement(s) for s in wjumps]
+        fw_cache: dict[tuple, Subspace] = {}   # F^r cap W_s, keyed by jumps
+        u_cache: dict[tuple, Subspace] = {}    # U^r_s, keyed by its chain
 
-        def fw(r: int, s: int) -> Subspace:
-            if (r, s) not in fw_cache:
-                fw_cache[(r, s)] = h.hodge_subspace(r).intersect(h.weight_subspace(s))
-            return fw_cache[(r, s)]
+        def fw(r: int, s: int) -> tuple[tuple, Subspace]:
+            key = (h._hodge_jump(r), h._weight_jump(s))
+            if key[0] is None or key[1] is None:
+                return key, Subspace.zero(n)
+            if key not in fw_cache:
+                # F^r cap W_s for every jump s at once, from one stacked SVD
+                row = h.hodge_subspace(r).intersect_each(w_spaces, w_perps)
+                fw_cache.update(((key[0], s), sub) for s, sub in zip(wjumps, row))
+            return key, fw_cache[key]
 
         def u(r: int, s: int) -> Subspace:
             # Filled upward from the lowest weight by a loop: a self-recursive
             # closure would be a reference cycle keeping h and the caches alive.
-            acc = Subspace.zero(n)
+            # A zero term adds nothing, so U is keyed by the jumps of its
+            # nonzero terms.
+            acc, chain = Subspace.zero(n), ()
             for j in range(s - low, -1, -1):
-                key = (r - j, s - j)
-                if key not in u_cache:
-                    u_cache[key] = fw(*key).sum(acc)
-                acc = u_cache[key]
+                key, term = fw(r - j, s - j)
+                if term.dim > 0:
+                    chain += (key,)
+                    if chain not in u_cache:
+                        u_cache[chain] = term.sum(acc)
+                    acc = u_cache[chain]
             return acc
 
         pjumps = h.hodge_jumps
         for k in h.weights_present():
             for p in range(pjumps[0], pjumps[-1] + 1):
-                if fw(p, k).dim == 0:
+                left = fw(p, k)[1]
+                if left.dim == 0:
                     continue
                 q = k - p
                 # W_k is real, so conj(F^q) cap W_k = conj(F^q cap W_k); both
                 # summands lie in W_k, so the sum needs no second cut by W_k.
-                right = fw(q, k).sum(u(q - 1, k - 2)).conjugate()
-                piece = fw(p, k).intersect(right)
+                right = fw(q, k)[1].sum(u(q - 1, k - 2)).conjugate()
+                piece = left.intersect(right)
                 if piece.dim > 0:
                     pieces[(p, q)] = piece
     return _assemble(h, pieces)
 
 
-def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace]) -> Bigrading:
+def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace],
+              parent: Bigrading | None = None, conjugated: bool = False) -> Bigrading:
     """The pieces of h as a Bigrading: blocks ordered by decreasing weight,
-    then decreasing p, and each column labelled by its piece."""
+    then decreasing p, and each column labelled by its piece.  `parent` is
+    the bigrading whose basis this one's is (see `Bigrading.parent`)."""
     order = sorted(pieces, key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
     blocks, labels = [], []
     for pq in order:
         blocks.append(pieces[pq].basis)
         labels.extend([pq] * pieces[pq].dim)
     basis = np.hstack(blocks) if blocks else np.zeros((h.dimension, 0), dtype=DTYPE)
-    return Bigrading(h, pieces, basis, tuple(labels))
+    return Bigrading(h, pieces, basis, tuple(labels), parent, conjugated)
 
 
 def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:

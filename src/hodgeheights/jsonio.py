@@ -179,8 +179,12 @@ def parse_mhs_document(doc: dict | str | bytes,
     if n < 1:
         raise ParseError("$.dimension", f"expected at least 1, got {n}")
 
+    for key in ("weight_filtration", "hodge_filtration"):
+        if key not in doc:
+            raise ParseError(f"$.{key}", "missing")
+
     weight = {}
-    for i, item in enumerate(_list(doc.get("weight_filtration", []), "$.weight_filtration")):
+    for i, item in enumerate(_list(doc["weight_filtration"], "$.weight_filtration")):
         path = f"$.weight_filtration[{i}]"
         if not isinstance(item, dict) or "weight" not in item or "basis" not in item:
             raise ParseError(path, "expected {weight, basis}")
@@ -190,7 +194,7 @@ def parse_mhs_document(doc: dict | str | bytes,
                      for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
 
     hodge = {}
-    for i, item in enumerate(_list(doc.get("hodge_filtration", []), "$.hodge_filtration")):
+    for i, item in enumerate(_list(doc["hodge_filtration"], "$.hodge_filtration")):
         path = f"$.hodge_filtration[{i}]"
         if not isinstance(item, dict) or "p" not in item or "basis" not in item:
             raise ParseError(path, "expected {p, basis}")

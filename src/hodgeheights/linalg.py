@@ -2,7 +2,8 @@
 
 Subspaces of C^n are held as orthonormal spanning sets produced by a
 rank-revealing SVD; every dimension decision is `numerical_rank`, one
-relative tolerance against the largest singular value.  Equality of
+relative tolerance against the largest singular value (applied in closed
+form by `Subspace.intersect_each`).  Equality of
 subspaces is mutual containment, never comparison of generators.
 
 All values are immutable and all operations are pure, so everything here
@@ -158,6 +159,59 @@ class Subspace:
         stacked = np.hstack([self.basis, -other.basis])
         null = nullspace_columns(stacked)
         return Subspace(orthonormal_columns(self.basis @ null[: self.dim, :]))
+
+    def intersect_each(self, others: Sequence["Subspace"],
+                       complements: Sequence["Subspace"]) -> list["Subspace"]:
+        """[self.intersect(b) for b in others] from one stacked SVD, where
+        complements[i] is the orthogonal complement of others[i].
+
+        Trivial operands are decided as in `intersect`, with no SVD.  For
+        the rest, with Q = self.basis and C_i = complements[i].basis, the
+        blocks C_i^* Q, zero-padded to n rows, go through one batched SVD.
+        Its singular values are the sines of the principal angles between
+        self and others[i], and its right singular vectors the principal
+        vectors.  `intersect`'s matrix [Q | -B_i] has singular values
+        sqrt(1 +- cos theta) and 1, so the largest is sqrt(1 + cos
+        theta_min) and the small ones are sin theta / sqrt(1 + cos theta);
+        the intersection is spanned by Q times the right singular vectors
+        of the sines whose such value `numerical_rank` would not count.
+        That basis is orthonormal already.
+        """
+        n, d = self.basis.shape
+        out: list[Subspace | None] = []
+        stacked = []
+        for other, perp in zip(others, complements, strict=True):
+            if other.ambient_dim != n or perp.ambient_dim != n:
+                raise DimensionMismatch("ambient dimensions differ")
+            if d == 0 or other.dim == n:
+                out.append(self)
+            elif other.dim == 0 or d == n:
+                out.append(other)
+            else:
+                stacked.append((len(out), perp.basis))
+                out.append(None)
+        if stacked:
+            blocks = np.zeros((len(stacked), n, d), dtype=DTYPE)
+            for block, (_, perp) in zip(blocks, stacked):
+                block[:perp.shape[1]] = perp.conj().T @ self.basis
+            _, sines, vh = np.linalg.svd(blocks, full_matrices=False)
+            cosines = np.sqrt(np.clip(1.0 - sines**2, 0.0, 1.0))
+            small = sines / np.sqrt(1.0 + cosines)
+            largest = np.sqrt(1.0 + cosines.max(axis=1, keepdims=True))
+            nullity = np.sum(small <= RANK_TOL * largest, axis=1)
+            for (i, _), v, k in zip(stacked, vh, nullity):
+                out[i] = Subspace(self.basis @ v[d - k:].conj().T)
+        return out
+
+    def complement(self) -> "Subspace":
+        """Orthogonal complement {x : b^* x = 0 for all b in self}; no SVD
+        when self is zero or full."""
+        n = self.ambient_dim
+        if self.dim == 0:
+            return Subspace.full(n)
+        if self.dim == n:
+            return Subspace.zero(n)
+        return Subspace(nullspace_columns(self.basis.conj().T))
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of both sides.

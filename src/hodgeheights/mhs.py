@@ -16,7 +16,8 @@ Filtrations are stored sparsely by jump index:
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading (see `validate`); exact weight data is one echelon form per
-jump of W, and W_k and F^p are one Subspace per jump.
+jump of W, and W_k, its orthogonal complement and F^p are one Subspace
+per jump.
 
 The dual, Tate twists and conjugate of a valid structure are born with
 every fact their parent holds about the same data, carried over:
@@ -26,8 +27,12 @@ every fact their parent holds about the same data, carried over:
 * the F^p subspaces (the parent's, shifted or conjugated; for the dual,
   the annihilators its filtration is built from);
 * for twists and conjugates, whose weight rows are the parent's, the W_k
-  subspaces, the echelon forms and the verdict that W is nested with a
-  full top;
+  subspaces and their orthogonal complements, the echelon forms and the
+  verdict that W is nested with a full top; for the dual, whose W_{-k} is
+  Ann(W_{k-1}) and so, W being real, the complement of W_{k-1}, the W
+  subspaces and complements swapped;
+* for twists and conjugates, the singular values and inverse of the
+  bigrading basis (conjugated for the conjugate);
 * delta, taken on first use from the parent's splitting (see
   `deligne.delta_splitting`).
 
@@ -45,6 +50,7 @@ splitting) are memoized on the instance and die with it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -131,26 +137,29 @@ class MixedHodgeStructure:
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_seeds", {})
+        # the frozen filtrations are sorted by jump
+        object.__setattr__(self, "_wjumps", tuple(self.weight_filtration))
+        object.__setattr__(self, "_fjumps", tuple(self.hodge_filtration))
 
     # -- sparse filtration queries -------------------------------------
 
     @property
     def weight_jumps(self) -> list[int]:
-        return sorted(self.weight_filtration)
+        return list(self._wjumps)
 
     @property
     def hodge_jumps(self) -> list[int]:
-        return sorted(self.hodge_filtration)
+        return list(self._fjumps)
 
     def _weight_jump(self, k: int) -> int | None:
         """The jump whose value is W_k (None below the lowest jump)."""
-        jumps = [j for j in self.weight_jumps if j <= k]
-        return jumps[-1] if jumps else None
+        i = bisect_right(self._wjumps, k)
+        return self._wjumps[i - 1] if i else None
 
     def _hodge_jump(self, p: int) -> int | None:
         """The jump whose value is F^p (None above the highest jump)."""
-        jumps = [j for j in self.hodge_jumps if j >= p]
-        return jumps[0] if jumps else None
+        i = bisect_left(self._fjumps, p)
+        return self._fjumps[i] if i < len(self._fjumps) else None
 
     def weight_rows(self, k: int) -> RationalMatrix:
         """Exact rational spanning rows of W_k (empty below the lowest jump)."""
@@ -189,6 +198,12 @@ class MixedHodgeStructure:
                 np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),
                 ambient_dim=self.dimension)
         return self.memo(("W", self._weight_jump(k)), compute)
+
+    def weight_complement(self, k: int) -> Subspace:
+        """The orthogonal complement of W_k, memoized under the jump whose
+        rows W_k spans."""
+        return self.memo(("W perp", self._weight_jump(k)),
+                         lambda: self.weight_subspace(k).complement())
 
     def hodge_subspace(self, p: int) -> Subspace:
         """F^p as a Subspace, memoized under the jump whose rows it spans."""
@@ -333,19 +348,25 @@ def require_valid(h: MixedHodgeStructure) -> None:
 
 
 def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
-             carry_pieces, carry_delta) -> MixedHodgeStructure:
+             carry_pieces, carry_delta, shares_basis: bool = False,
+             conjugated: bool = False) -> MixedHodgeStructure:
     """child, derived from the valid h, seeded with h's Deligne splitting.
 
     The splitting is unique and functorial, so the pieces and delta of a
     dual, twist or conjugate are fixed by its parent's: the pieces are
     carry_pieces(h's) at once, delta is carry_delta(h's delta) on first
-    use, so delta is solved once per root structure.  validate(child)
-    still checks the pieces against child's own filtrations, and
-    delta_splitting(child) checks delta's residuals on child's own Y.
+    use, so delta is solved once per root structure.  When the carried
+    pieces assemble to h's bigrading basis (shares_basis), or to its
+    conjugate (conjugated too), the child's bigrading takes h's singular
+    values and inverse basis.  validate(child) still checks the pieces
+    against child's own filtrations, and delta_splitting(child) checks
+    delta's residuals on child's own Y.
     """
     from . import deligne
-    pieces = carry_pieces(deligne._pieces(h))
-    child.memo("pieces", lambda: deligne._assemble(child, pieces))
+    carried = deligne._pieces(h)
+    pieces = carry_pieces(carried)
+    parent = carried if shares_basis else None
+    child.memo("pieces", lambda: deligne._assemble(child, pieces, parent, conjugated))
     child.seed("delta", lambda: carry_delta(deligne.delta_splitting(h).delta))
     return child
 
@@ -353,11 +374,12 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
 def _carry_weights(h: MixedHodgeStructure, child: MixedHodgeStructure,
                    shift: int) -> None:
     """Seed child, whose W_{k+shift} has the rows of h's W_k, with h's exact
-    weight facts: echelon forms, subspaces and the nesting verdict, which is
-    "nested with a full top" since h is valid."""
+    weight facts: echelon forms, subspaces and their complements, and the
+    nesting verdict, which is "nested with a full top" since h is valid."""
     for k in h.weight_jumps:
         child._memo[("rref", k + shift)] = h.weight_echelon(k)
         child._memo[("W", k + shift)] = h.weight_subspace(k)
+        child._memo[("W perp", k + shift)] = h.weight_complement(k)
     child._memo["W nesting"] = ()
 
 
@@ -392,6 +414,11 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
 
     child = MixedHodgeStructure(n, dual_w, {q: s.basis.T.copy() for q, s in dual_f.items()})
     child._memo.update({("F", q): s for q, s in dual_f.items()})
+    # W is real, so Ann(W_{k-1}) is W_{k-1}'s orthogonal complement, and
+    # the complement of that is W_{k-1} again
+    for k in h.weight_jumps:
+        child._memo[("W", -k)] = h.weight_complement(k - 1)
+        child._memo[("W perp", -k)] = h.weight_subspace(k - 1)
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     return _inherit(h, child,
@@ -413,7 +440,7 @@ def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
     child._memo.update({("F", q - p): h.hodge_subspace(q) for q in h.hodge_jumps})
     return _inherit(h, child,
                     lambda b: {(i - p, j - p): piece for (i, j), piece in b.pieces.items()},
-                    lambda delta: delta)
+                    lambda delta: delta, shares_basis=True)
 
 
 def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
@@ -434,7 +461,7 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
     # conj delta(H) = delta(H) is real, and conj H has -delta(H)
     return _inherit(h, child,
                     lambda b: {pq: piece.conjugate() for pq, piece in b.pieces.items()},
-                    lambda delta: -delta)
+                    lambda delta: -delta, shares_basis=True, conjugated=True)
 
 
 # -- randomized Hodge--Tate structures ----------------------------------

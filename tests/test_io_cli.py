@@ -425,6 +425,13 @@ class TestInputRejections:
         target["comment"] = "x"
         self.assert_parse_error(tmp_path, capsys, doc, json_path)
 
+    @pytest.mark.parametrize("key", ["weight_filtration", "hodge_filtration"])
+    def test_missing_filtration(self, tmp_path, capsys, key):
+        # the schema requires both; an absent one is not an empty filtration
+        doc = mhs_to_document(tate(0))
+        del doc[key]
+        self.assert_parse_error(tmp_path, capsys, doc, f"$.{key}")
+
     @pytest.mark.parametrize("dimension", [0, -1])
     def test_dimension_below_one(self, tmp_path, capsys, dimension):
         doc = {"dimension": dimension, "weight_filtration": [], "hodge_filtration": []}

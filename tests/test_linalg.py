@@ -127,6 +127,109 @@ def test_membership_closed_under_combos(v1, v2, c1, c2):
     assert s.dim == oracle_rank(rows)
 
 
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def random_subspace(rng, n, d):
+    if d == 0:
+        return Subspace.zero(n)
+    return Subspace.from_vectors(rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
+
+
+#: The principal angle at which `intersect` stops counting a direction:
+#: [A | -B] has singular values sqrt(1 +- cos theta), and sqrt(1 - cos theta)
+#: <= RANK_TOL sqrt(1 + cos theta) holds up to theta ~ 2 RANK_TOL.
+THRESHOLD_ANGLE = 2 * RANK_TOL
+
+
+class TestIntersectEach:
+    """One stacked SVD decides every intersection as `intersect` does."""
+
+    @staticmethod
+    def assert_matches_intersect(a, others, tol=RANK_TOL):
+        got = a.intersect_each(others, [b.complement() for b in others])
+        assert len(got) == len(others)
+        for g, b in zip(got, others):
+            want = a.intersect(b)
+            assert g.dim == want.dim
+            assert g.equals(want, tol)
+            assert np.allclose(g.basis.conj().T @ g.basis, np.eye(g.dim), atol=1e-12)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_subspaces(self, n, seed, data):
+        # general position, including zero and full operands on either side
+        rng = np.random.default_rng(seed)
+        d = data.draw(st.integers(0, n))
+        dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=5))
+        got = self.assert_matches_intersect(
+            random_subspace(rng, n, d), [random_subspace(rng, n, w) for w in dims])
+        assert [g.dim for g in got] == [max(0, d + w - n) for w in dims]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_planted_principal_angles(self, n, seed, data):
+        # each b shares `shared` directions with a exactly, has `outside`
+        # ones orthogonal to a, and one at a planted angle to a: that one is
+        # in the intersection at half the threshold angle and not at twice
+        # it.  Both methods separate the shared directions from the planted
+        # one across a gap of about 1e-9 only, so each fixes the span to
+        # about 1e-16 / 1e-9 and the spans are compared at 1e-6.
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, n)
+        d = data.draw(st.integers(1, n - 1))
+        a = Subspace(u[:, :d])
+        others, expected = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            shared = data.draw(st.integers(0, d - 1))
+            outside = data.draw(st.integers(0, n - d - 1))
+            factor = data.draw(st.sampled_from([0.5, 2.0]))
+            theta = factor * THRESHOLD_ANGLE
+            tilted = np.cos(theta) * u[:, 0] + np.sin(theta) * u[:, d]
+            others.append(Subspace.from_vectors(
+                [tilted, *u[:, 1:1 + shared].T, *u[:, d + 1:d + 1 + outside].T]))
+            expected.append(Subspace(u[:, 0 if factor < 1 else 1:1 + shared]))
+        got = self.assert_matches_intersect(a, others, tol=1e-6)
+        for g, want in zip(got, expected):
+            assert g.dim == want.dim
+            assert g.equals(want, 1e-6)
+
+    def test_trivial_operands_make_no_svd(self, monkeypatch):
+        # as in `intersect`: a zero side or a full other gives self, a full
+        # self or a zero other gives that other, as the same object
+        real_svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        line, zero, full = span(e(0, 3)), Subspace.zero(3), Subspace.full(3)
+        pairs = [(line, zero), (line, full), (zero, line), (full, line), (zero, full),
+                 (full, zero)]
+        complements = [b.complement() for _, b in pairs]
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for (a, b), perp in zip(pairs, complements):
+            got, = a.intersect_each([b], [perp])
+            assert got is a.intersect(b)
+        assert calls == []
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            span(e(0, 3)).intersect_each([span(e(0, 4))], [span(e(1, 4))])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_complement(self, n, seed, data):
+        b = random_subspace(np.random.default_rng(seed), n, data.draw(st.integers(0, n)))
+        c = b.complement()
+        assert c.dim == n - b.dim
+        assert np.linalg.norm(b.basis.conj().T @ c.basis) < 1e-12
+        assert b.sum(c).dim == n
+
+
 class TestNilpotentExpLog:
     def test_log_identity_is_zero(self):
         assert np.linalg.norm(nilpotent_log(np.eye(4))) == 0.0
