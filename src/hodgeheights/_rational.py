@@ -50,7 +50,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(mat)):
-            if mat[i][c] != 0:
+            if mat[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -59,9 +59,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
         pv = mat[r][c]
         if pv != 1:
             mat[r] = [x / pv for x in mat[r]]
-        support = [j for j, y in enumerate(mat[r]) if y != 0]
+        support = [j for j, y in enumerate(mat[r]) if y]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
+            if i != r and mat[i][c]:
                 _eliminate(mat[i], mat[i][c], mat[r], support)
         pivots.append(c)
         r += 1
@@ -89,6 +89,6 @@ def remainder(vector: Sequence[Fraction], echelon: Echelon) -> list[Fraction]:
     when `vector` lies in the row span."""
     v = list(vector)
     for row, c in zip(*echelon):
-        if v[c] != 0:
-            _eliminate(v, v[c], row, [j for j, y in enumerate(row) if y != 0])
+        if v[c]:
+            _eliminate(v, v[c], row, [j for j, y in enumerate(row) if y])
     return v

@@ -15,24 +15,27 @@ material of the second height functional.
 The formula is evaluated on the lattice of filtration jumps, for any
 (W, F) whose filtrations are nested, and the pieces are memoized on the
 structure.  F^r and W_s only change at their jumps, so F^r cap W_s is
-kept per (jump of F at r, jump of W at s).  For each jump r of F, the
-intersections with every jump s of W come from one stacked SVD against
-the complements of the W_s (`Subspace.intersect_each`, which decides
-their dimensions by the rule of `Subspace.intersect`).  U^r_s is built
-by its recursion and kept per chain of jump pairs of its nonzero terms,
-and each piece is one `intersect`.  The splitting is functorial
+kept per (jump of F at r, jump of W at s).  Every intersection is
+decided from principal sines by `Subspace.intersect_pairs`, one batched
+SVD per call: for each jump r of F, F^r cap W_s for every jump s of W is
+one call, and all the pieces together are one more.  U^r_s is built by
+its recursion and kept per lattice point (r, s), so a call walks down
+only to the nearest point already filled; each sum is kept per chain of
+jump pairs of its nonzero terms.  The splitting is functorial
 (Cattani--Kaplan--Schmid), so the dual, Tate twists and conjugate of a
 valid structure are born with pieces carried over from their parent's
 (`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula; a
 twist or conjugate, whose bigrading basis is its parent's or the
-parent's conjugate, also takes its singular values and inverse.
+parent's conjugate, also takes that basis's singular values and inverse
+(as arrays, so the parent is not kept alive).
 Validation decides on the pieces, computed or carried over, whether
 (W, F) is an MHS at all; the bigrading of a valid structure is the same
 pieces, once their basis is checked to be well conditioned.
 
 The splitting solver works degree by degree in the Y-weight drop: the
 drop-m part of delta is read off from the residual of the defining
-equation at level m and divided by 2im.  It runs once per root
+equation at level m and divided by 2im; e^{-2i delta} and e^{2i delta}
+come from one series (`linalg.nilpotent_exp_pair`).  It runs once per root
 structure: a dual, twist or conjugate takes -delta^T, delta or -delta
 from its parent's splitting, and a chain of them from its root's.  Every
 structure still computes Y from its own bigrading and checks the
@@ -48,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, Subspace, nilpotent_exp
+from .linalg import DTYPE, Subspace, nilpotent_exp_pair
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 #: Tolerance for the defining-equation residual of the splitting.
@@ -78,11 +81,11 @@ class Bigrading:
     pieces: dict[tuple[int, int], Subspace]
     basis: np.ndarray
     labels: tuple[tuple[int, int], ...]
-    #: For a twist or conjugate: the parent's bigrading, whose basis this
-    #: one's is (conjugated when `conjugated`), so its singular values and
-    #: inverse are carried over instead of computed again.
-    parent: "Bigrading | None" = None
-    conjugated: bool = False
+    #: For a twist or conjugate, whose basis is its parent's or the
+    #: parent's conjugate: the parent basis's singular values and inverse
+    #: (conjugated for a conjugate), carried over instead of computed
+    #: again.  Only the arrays are kept, so the parent structure can die.
+    carried: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dimension(self) -> int:
@@ -94,15 +97,14 @@ class Bigrading:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        if self.parent is not None:
-            return self.parent.singular_values
+        if self.carried is not None:
+            return self.carried[0]
         return np.linalg.svd(self.basis, compute_uv=False)
 
     @cached_property
     def inverse_basis(self) -> np.ndarray:
-        if self.parent is not None:
-            inverse = self.parent.inverse_basis
-            return inverse.conj() if self.conjugated else inverse
+        if self.carried is not None:
+            return self.carried[1]
         if not self.basis.size:
             return self.basis.copy()
         return np.linalg.inv(self.basis)
@@ -125,36 +127,44 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
         wjumps = h.weight_jumps
         low = wjumps[0]
         w_spaces = [h.weight_subspace(s) for s in wjumps]
-        w_perps = [h.weight_complement(s) for s in wjumps]
         fw_cache: dict[tuple, Subspace] = {}   # F^r cap W_s, keyed by jumps
         u_cache: dict[tuple, Subspace] = {}    # U^r_s, keyed by its chain
+        u_points: dict[tuple, tuple] = {}      # (chain, U^r_s), keyed by (r, s)
 
         def fw(r: int, s: int) -> tuple[tuple, Subspace]:
             key = (h._hodge_jump(r), h._weight_jump(s))
             if key[0] is None or key[1] is None:
                 return key, Subspace.zero(n)
             if key not in fw_cache:
-                # F^r cap W_s for every jump s at once, from one stacked SVD
-                row = h.hodge_subspace(r).intersect_each(w_spaces, w_perps)
+                # F^r cap W_s for every jump s at once, in one batch
+                f = h.hodge_subspace(r)
+                row = Subspace.intersect_pairs([(f, w) for w in w_spaces])
                 fw_cache.update(((key[0], s), sub) for s, sub in zip(wjumps, row))
             return key, fw_cache[key]
 
         def u(r: int, s: int) -> Subspace:
-            # Filled upward from the lowest weight by a loop: a self-recursive
-            # closure would be a reference cycle keeping h and the caches alive.
-            # A zero term adds nothing, so U is keyed by the jumps of its
-            # nonzero terms.
-            acc, chain = Subspace.zero(n), ()
-            for j in range(s - low, -1, -1):
-                key, term = fw(r - j, s - j)
+            # Walk down to the nearest lattice point already filled (or below
+            # the lowest weight), then fill upward by a loop: a self-recursive
+            # closure would be a reference cycle keeping h and the caches
+            # alive.  A zero term adds nothing, so each sum is keyed by the
+            # jumps of its nonzero terms.
+            path = []
+            while s >= low and (r, s) not in u_points:
+                path.append((r, s))
+                r, s = r - 1, s - 1
+            chain, acc = u_points.get((r, s), ((), Subspace.zero(n)))
+            for point in reversed(path):
+                key, term = fw(*point)
                 if term.dim > 0:
                     chain += (key,)
                     if chain not in u_cache:
                         u_cache[chain] = term.sum(acc)
                     acc = u_cache[chain]
+                u_points[point] = (chain, acc)
             return acc
 
         pjumps = h.hodge_jumps
+        labels, pairs = [], []
         for k in h.weights_present():
             for p in range(pjumps[0], pjumps[-1] + 1):
                 left = fw(p, k)[1]
@@ -164,24 +174,27 @@ def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
                 # W_k is real, so conj(F^q) cap W_k = conj(F^q cap W_k); both
                 # summands lie in W_k, so the sum needs no second cut by W_k.
                 right = fw(q, k)[1].sum(u(q - 1, k - 2)).conjugate()
-                piece = left.intersect(right)
-                if piece.dim > 0:
-                    pieces[(p, q)] = piece
+                labels.append((p, q))
+                pairs.append((left, right))
+        for pq, piece in zip(labels, Subspace.intersect_pairs(pairs)):
+            if piece.dim > 0:
+                pieces[pq] = piece
     return _assemble(h, pieces)
 
 
 def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace],
-              parent: Bigrading | None = None, conjugated: bool = False) -> Bigrading:
+              carried: tuple[np.ndarray, np.ndarray] | None = None) -> Bigrading:
     """The pieces of h as a Bigrading: blocks ordered by decreasing weight,
-    then decreasing p, and each column labelled by its piece.  `parent` is
-    the bigrading whose basis this one's is (see `Bigrading.parent`)."""
+    then decreasing p, and each column labelled by its piece.  `carried`
+    is the singular values and inverse of its basis, when known (see
+    `Bigrading.carried`)."""
     order = sorted(pieces, key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
     blocks, labels = [], []
     for pq in order:
         blocks.append(pieces[pq].basis)
         labels.extend([pq] * pieces[pq].dim)
     basis = np.hstack(blocks) if blocks else np.zeros((h.dimension, 0), dtype=DTYPE)
-    return Bigrading(h, pieces, basis, tuple(labels), parent, conjugated)
+    return Bigrading(h, pieces, basis, tuple(labels), carried)
 
 
 def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
@@ -235,7 +248,8 @@ def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
 
     For each drop m >= 2 between two weights present, in increasing
     order: the drop-m part of e^{-2i delta_<m} Y e^{2i delta_<m} - conj(Y),
-    divided by 2im, is the drop-m part of delta.  A drop that no pair of
+    divided by 2im, is the drop-m part of delta.  Both exponentials come
+    from one series per drop.  A drop that no pair of
     weights makes has no block to correct (on Hodge--Tate structures every
     odd one), so it is skipped.  Terminates after the weight span since
     delta is nilpotent.
@@ -246,8 +260,7 @@ def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
     s, sinv = b.basis, b.inverse_basis
     delta = np.zeros_like(y)
     for m in (int(m) for m in np.unique(drops) if m >= 2):
-        g = nilpotent_exp(-2j * delta)
-        ginv = nilpotent_exp(2j * delta)
+        g, ginv = nilpotent_exp_pair(-2j * delta)
         resid = sinv @ (g @ y @ ginv - ybar) @ s
         delta = delta + s @ np.where(drops == m, resid, 0) @ sinv / (2j * m)
     return delta
@@ -270,8 +283,7 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     # a derived structure's delta is carried over from its parent (mhs._inherit)
     delta = h.memo("delta", lambda: _solve_delta(y, b))
     scale = max(1.0, float(np.linalg.norm(y)))
-    g = nilpotent_exp(-2j * delta)
-    ginv = nilpotent_exp(2j * delta)
+    g, ginv = nilpotent_exp_pair(-2j * delta)
     defining = float(np.linalg.norm(g @ y @ ginv - y.conj())) / scale
     if defining > SPLITTING_TOL:
         raise ResidualTooLarge(

@@ -3,8 +3,11 @@
 Subspaces of C^n are held as orthonormal spanning sets produced by a
 rank-revealing SVD; every dimension decision is `numerical_rank`, one
 relative tolerance against the largest singular value (applied in closed
-form by `Subspace.intersect_each`).  Equality of
-subspaces is mutual containment, never comparison of generators.
+form to principal sines by `Subspace.intersect_pairs`, which intersects
+a batch of pairs in one SVD).  Equality of subspaces is mutual
+containment, never comparison of generators.  The nilpotent exponential
+of a matrix and of its negative come from one series
+(`nilpotent_exp_pair`).
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -142,76 +145,72 @@ class Subspace:
                 and other.contains_subspace(self, tol))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection: solve A u = B w via the nullspace of [A | -B].
+        """Intersection with `other`: the one-pair case of `intersect_pairs`."""
+        return Subspace.intersect_pairs([(self, other)])[0]
+
+    @staticmethod
+    def intersect_pairs(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> list["Subspace"]:
+        """[a cap b for a, b in pairs], decided from principal sines in one
+        batched SVD.
 
         When one side is zero the result is that side, and when one side is
         the full space the result is the other side, with no SVD: A has
-        orthonormal columns and a full B is unitary, so [A | -B][A | -B]^* = A A^* + I, every singular value of
-        [A | -B] is sqrt(2) or 1, and the nullspace has exactly dim A
-        columns -- the dimension the SVD would return.
-        """
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        if self.dim == 0 or other.dim == other.ambient_dim:
-            return self
-        if other.dim == 0 or self.dim == self.ambient_dim:
-            return other
-        stacked = np.hstack([self.basis, -other.basis])
-        null = nullspace_columns(stacked)
-        return Subspace(orthonormal_columns(self.basis @ null[: self.dim, :]))
+        orthonormal columns and a full B is unitary, so every principal
+        angle is zero and the intersection is A.
 
-    def intersect_each(self, others: Sequence["Subspace"],
-                       complements: Sequence["Subspace"]) -> list["Subspace"]:
-        """[self.intersect(b) for b in others] from one stacked SVD, where
-        complements[i] is the orthogonal complement of others[i].
-
-        Trivial operands are decided as in `intersect`, with no SVD.  For
-        the rest, with Q = self.basis and C_i = complements[i].basis, the
-        blocks C_i^* Q, zero-padded to n rows, go through one batched SVD.
-        Its singular values are the sines of the principal angles between
-        self and others[i], and its right singular vectors the principal
-        vectors.  `intersect`'s matrix [Q | -B_i] has singular values
-        sqrt(1 +- cos theta) and 1, so the largest is sqrt(1 + cos
-        theta_min) and the small ones are sin theta / sqrt(1 + cos theta);
-        the intersection is spanned by Q times the right singular vectors
-        of the sines whose such value `numerical_rank` would not count.
-        That basis is orthonormal already.
+        For the rest, with X the side of smaller dimension and Y the other
+        (orthonormal bases), the residual X - Y (Y^* X) has the sines of
+        the principal angles as singular values and the principal vectors
+        in X as right singular vectors.  The rank rule is `numerical_rank`'s
+        on the nullspace of [X | -Y], in closed form: that matrix has
+        singular values sqrt(1 +- cos theta) and 1, so its largest is
+        sqrt(1 + cos theta_min) and the small ones are sin theta /
+        sqrt(1 + cos theta).  The intersection is spanned by X times the
+        right singular vectors of the sines that rule counts as zero, a
+        basis that is orthonormal already.  Every X and Y is zero-padded to
+        one shape, which changes no residual, and under each padded column
+        of X a unit entry in a row of its own gives that column sine 1, so
+        it never enters a nullspace.
         """
-        n, d = self.basis.shape
         out: list[Subspace | None] = []
-        stacked = []
-        for other, perp in zip(others, complements, strict=True):
-            if other.ambient_dim != n or perp.ambient_dim != n:
+        todo = []
+        for a, b in pairs:
+            if a.ambient_dim != b.ambient_dim:
                 raise DimensionMismatch("ambient dimensions differ")
-            if d == 0 or other.dim == n:
-                out.append(self)
-            elif other.dim == 0 or d == n:
-                out.append(other)
+            if a.dim == 0 or b.dim == b.ambient_dim:
+                out.append(a)
+            elif b.dim == 0 or a.dim == a.ambient_dim:
+                out.append(b)
             else:
-                stacked.append((len(out), perp.basis))
+                todo.append((len(out), *((a.basis, b.basis) if a.dim <= b.dim
+                                         else (b.basis, a.basis))))
                 out.append(None)
-        if stacked:
-            blocks = np.zeros((len(stacked), n, d), dtype=DTYPE)
-            for block, (_, perp) in zip(blocks, stacked):
-                block[:perp.shape[1]] = perp.conj().T @ self.basis
-            _, sines, vh = np.linalg.svd(blocks, full_matrices=False)
-            cosines = np.sqrt(np.clip(1.0 - sines**2, 0.0, 1.0))
-            small = sines / np.sqrt(1.0 + cosines)
-            largest = np.sqrt(1.0 + cosines.max(axis=1, keepdims=True))
-            nullity = np.sum(small <= RANK_TOL * largest, axis=1)
-            for (i, _), v, k in zip(stacked, vh, nullity):
-                out[i] = Subspace(self.basis @ v[d - k:].conj().T)
+        if not todo:
+            return out
+        n = max(x.shape[0] for _, x, _ in todo)
+        cols = np.array([x.shape[1] for _, x, _ in todo])
+        d = int(cols.max())
+        xs = np.zeros((len(todo), n, d), dtype=DTYPE)
+        ys = np.zeros((len(todo), n, max(y.shape[1] for _, _, y in todo)), dtype=DTYPE)
+        for xb, yb, (_, x, y) in zip(xs, ys, todo):
+            xb[:x.shape[0], :x.shape[1]] = x
+            yb[:y.shape[0], :y.shape[1]] = y
+        resid = xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs)
+        padded = np.arange(d) >= cols[:, None]
+        if padded.any():
+            which, col = np.nonzero(padded)
+            units = np.zeros((len(todo), d, d), dtype=DTYPE)
+            units[which, col, col] = 1.0
+            resid = np.concatenate([resid, units], axis=1)
+        _, sines, vh = np.linalg.svd(resid, full_matrices=False)
+        cosines = np.sqrt(np.clip(1.0 - sines**2, 0.0, 1.0))
+        small = sines / np.sqrt(1.0 + cosines)
+        largest = np.sqrt(1.0 + cosines.max(axis=1, keepdims=True))
+        nullity = np.sum(small <= RANK_TOL * largest, axis=1)
+        bases = xs @ vh.conj().transpose(0, 2, 1)
+        for (i, x, _), basis, k in zip(todo, bases, nullity):
+            out[i] = Subspace(basis[:x.shape[0], d - k:].copy())
         return out
-
-    def complement(self) -> "Subspace":
-        """Orthogonal complement {x : b^* x = 0 for all b in self}; no SVD
-        when self is zero or full."""
-        n = self.ambient_dim
-        if self.dim == 0:
-            return Subspace.full(n)
-        if self.dim == n:
-            return Subspace.zero(n)
-        return Subspace(nullspace_columns(self.basis.conj().T))
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Span of both sides.
@@ -282,6 +281,22 @@ def nilpotent_exp(mat: np.ndarray) -> np.ndarray:
     if n == 0:
         return mat.copy()
     return sum(_nilpotent_terms(mat, lambda k: k), np.eye(n, dtype=DTYPE))
+
+
+def nilpotent_exp_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(mat), exp(-mat)) from one series pass.
+
+    The terms of -mat are those of mat with alternating signs, and negation
+    is exact, so both values and the NotNilpotent decision are those of
+    nilpotent_exp(mat) and nilpotent_exp(-mat).
+    """
+    mat = np.asarray(mat, dtype=DTYPE)
+    n = mat.shape[0]
+    if n == 0:
+        return mat.copy(), mat.copy()
+    terms = _nilpotent_terms(mat, lambda k: k)
+    return (sum(terms, np.eye(n, dtype=DTYPE)),
+            sum((-t if k % 2 else t for k, t in enumerate(terms, 1)), np.eye(n, dtype=DTYPE)))
 
 
 def nilpotent_log(mat: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ Filtrations are stored sparsely by jump index:
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading (see `validate`); exact weight data is one echelon form per
-jump of W, and W_k, its orthogonal complement and F^p are one Subspace
-per jump.
+jump of W, and W_k and F^p are one Subspace per jump.
 
 The dual, Tate twists and conjugate of a valid structure are born with
 every fact their parent holds about the same data, carried over:
@@ -27,12 +26,11 @@ every fact their parent holds about the same data, carried over:
 * the F^p subspaces (the parent's, shifted or conjugated; for the dual,
   the annihilators its filtration is built from);
 * for twists and conjugates, whose weight rows are the parent's, the W_k
-  subspaces and their orthogonal complements, the echelon forms and the
-  verdict that W is nested with a full top; for the dual, whose W_{-k} is
-  Ann(W_{k-1}) and so, W being real, the complement of W_{k-1}, the W
-  subspaces and complements swapped;
+  subspaces, the echelon forms and the verdict that W is nested with a
+  full top;
 * for twists and conjugates, the singular values and inverse of the
-  bigrading basis (conjugated for the conjugate);
+  bigrading basis (conjugated for the conjugate), as arrays: the child's
+  bigrading does not keep its parent alive;
 * delta, taken on first use from the parent's splitting (see
   `deligne.delta_splitting`).
 
@@ -199,12 +197,6 @@ class MixedHodgeStructure:
                 ambient_dim=self.dimension)
         return self.memo(("W", self._weight_jump(k)), compute)
 
-    def weight_complement(self, k: int) -> Subspace:
-        """The orthogonal complement of W_k, memoized under the jump whose
-        rows W_k spans."""
-        return self.memo(("W perp", self._weight_jump(k)),
-                         lambda: self.weight_subspace(k).complement())
-
     def hodge_subspace(self, p: int) -> Subspace:
         """F^p as a Subspace, memoized under the jump whose rows it spans."""
         return self.memo(("F", self._hodge_jump(p)), lambda: Subspace.from_vectors(
@@ -357,16 +349,20 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
     carry_pieces(h's) at once, delta is carry_delta(h's delta) on first
     use, so delta is solved once per root structure.  When the carried
     pieces assemble to h's bigrading basis (shares_basis), or to its
-    conjugate (conjugated too), the child's bigrading takes h's singular
-    values and inverse basis.  validate(child) still checks the pieces
-    against child's own filtrations, and delta_splitting(child) checks
-    delta's residuals on child's own Y.
+    conjugate (conjugated too), the child's bigrading takes the singular
+    values and inverse (conjugated too) of h's basis, as arrays.
+    validate(child) still checks the pieces against child's own
+    filtrations, and delta_splitting(child) checks delta's residuals on
+    child's own Y.
     """
     from . import deligne
-    carried = deligne._pieces(h)
-    pieces = carry_pieces(carried)
-    parent = carried if shares_basis else None
-    child.memo("pieces", lambda: deligne._assemble(child, pieces, parent, conjugated))
+    b = deligne._pieces(h)
+    pieces = carry_pieces(b)
+    carried = None
+    if shares_basis:
+        inverse = b.inverse_basis.conj() if conjugated else b.inverse_basis
+        carried = (b.singular_values, inverse)
+    child.memo("pieces", lambda: deligne._assemble(child, pieces, carried))
     child.seed("delta", lambda: carry_delta(deligne.delta_splitting(h).delta))
     return child
 
@@ -374,12 +370,11 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
 def _carry_weights(h: MixedHodgeStructure, child: MixedHodgeStructure,
                    shift: int) -> None:
     """Seed child, whose W_{k+shift} has the rows of h's W_k, with h's exact
-    weight facts: echelon forms, subspaces and their complements, and the
-    nesting verdict, which is "nested with a full top" since h is valid."""
+    weight facts: echelon forms, subspaces and the nesting verdict, which
+    is "nested with a full top" since h is valid."""
     for k in h.weight_jumps:
         child._memo[("rref", k + shift)] = h.weight_echelon(k)
         child._memo[("W", k + shift)] = h.weight_subspace(k)
-        child._memo[("W perp", k + shift)] = h.weight_complement(k)
     child._memo["W nesting"] = ()
 
 
@@ -414,11 +409,6 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
 
     child = MixedHodgeStructure(n, dual_w, {q: s.basis.T.copy() for q, s in dual_f.items()})
     child._memo.update({("F", q): s for q, s in dual_f.items()})
-    # W is real, so Ann(W_{k-1}) is W_{k-1}'s orthogonal complement, and
-    # the complement of that is W_{k-1} again
-    for k in h.weight_jumps:
-        child._memo[("W", -k)] = h.weight_complement(k - 1)
-        child._memo[("W perp", -k)] = h.weight_subspace(k - 1)
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     return _inherit(h, child,

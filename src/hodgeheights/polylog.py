@@ -387,10 +387,9 @@ def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
         n = ctx.N + 1
         mats = build_matrices(ctx)
         a_inv = np.linalg.inv(mats.A)
-        weight = {}
-        for k in range(ctx.N + 1):
-            weight[-2 * k] = [[Fraction(1 if c == r else 0) for c in range(n)]
-                              for r in range(k, n)]
+        one, zero = Fraction(1), Fraction(0)
+        units = [tuple(one if c == r else zero for c in range(n)) for r in range(n)]
+        weight = {-2 * k: units[k:] for k in range(n)}
         hodge = {-k: a_inv[:, : k + 1].T.copy() for k in range(ctx.N + 1)}
         return MixedHodgeStructure(n, weight, hodge, comparison_matrix=mats.A)
     return ctx.memo("mhs", compute)

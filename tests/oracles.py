@@ -21,6 +21,9 @@
 * The two-pass nilpotent exponential and logarithm (the nilpotency order
   found by one chain of powers, the series formed by a second),
   cross-checking the single pass of `hodgeheights.linalg`.
+* The intersection of two subspaces from the nullspace of [A | -B],
+  re-orthonormalised, cross-checking the principal-sine rule of
+  `hodgeheights.linalg.Subspace.intersect_pairs`.
 """
 
 from dataclasses import dataclass
@@ -29,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from hodgeheights._rational import rref
-from hodgeheights.linalg import (DTYPE, RANK_TOL, NotNilpotent, NotUnipotent, Subspace,
-                                 nilpotent_exp)
+from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpotent,
+                                 NotUnipotent, Subspace, nilpotent_exp, nullspace_columns,
+                                 orthonormal_columns)
 from hodgeheights.mhs import Violation
 from hodgeheights.polylog import build_matrices, log_z, tau
 
@@ -401,3 +405,17 @@ def two_pass_log(mat):
         power = power @ nil
         out = out + ((-1) ** (k + 1)) * power / k
     return out
+
+
+def stacked_intersection(a, b):
+    """a cap b from the nullspace of [A | -B] at numerical rank, mapped
+    through A and re-orthonormalised; a zero or full operand decides the
+    result with no SVD, as the same object."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    if a.dim == 0 or b.dim == b.ambient_dim:
+        return a
+    if b.dim == 0 or a.dim == a.ambient_dim:
+        return b
+    null = nullspace_columns(np.hstack([a.basis, -b.basis]))
+    return Subspace(orthonormal_columns(a.basis @ null[: a.dim, :]))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hodgeheights import deligne
 from hodgeheights.deligne import (NumericalDegeneracy, ResidualTooLarge, bigrading,
                                   delta_splitting, grading_operator,
                                   hodge_components)
-from hodgeheights.linalg import Subspace, nilpotent_exp
+from hodgeheights.linalg import Subspace, nilpotent_exp, nilpotent_exp_pair
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair,
                               require_valid, tate, twist)
@@ -62,17 +65,18 @@ class TestBigrading:
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
         # Validation solves Deligne's pieces once and the bigrading
-        # assembles the same pieces.  F^r cap W_s for every W jump s is one
-        # stacked SVD per Hodge jump r, which counts as one call, against a
-        # complement of W_s computed once per jump; U is built by its
-        # recursion, once per chain of nonzero terms; the conjugate side is
-        # formed only where F^p cap W_k is not zero; intersecting with a full
-        # F^r or W_s and adding a zero U cost no SVD.  So validating and
-        # bigrading H(z) costs 46/80/172 SVDs at N = 4/6/10.  One stack per
-        # (F^r, W_s) pair (74/155/407), a second solve (a graded-purity
-        # sweep), rebuilding U for every piece, forming the conjugate side
-        # of every empty piece or an SVD for a trivial operand breaks the
-        # bound.
+        # assembles the same pieces.  Every intersection is decided from
+        # principal sines, with no complement of W_s: F^r cap W_s for every
+        # W jump s is one batched SVD per Hodge jump r, and all the pieces
+        # together are one more; U is built by its recursion, once per
+        # chain of nonzero terms; the conjugate side is formed only where
+        # F^p cap W_k is not zero; intersecting with a full F^r or W_s and
+        # adding a zero U cost no SVD.  So validating and bigrading H(z)
+        # costs 29/48/98 SVDs at N = 4/6/10.  Complements of the W_s
+        # (46/80/172), an SVD per piece, one stack per (F^r, W_s) pair
+        # (74/155/407), a second solve (a graded-purity sweep), rebuilding U
+        # for every piece, forming the conjugate side of every empty piece
+        # or an SVD for a trivial operand breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
@@ -85,7 +89,7 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= {4: 46, 6: 80, 10: 172}[n]
+        assert len(calls) <= {4: 29, 6: 48, 10: 98}[n]
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
@@ -271,19 +275,20 @@ class TestDeltaSplitting:
 
     def test_solver_makes_one_pass_per_drop_present(self, polylog_ctx_factory, monkeypatch):
         # H(z) at N = 6 has weights 0, -2, ..., -12: drops 2, 4, ..., 12 make
-        # six passes of two exponentials each (the odd drops are skipped)
+        # six passes (the odd drops are skipped), each forming e^{-2i delta}
+        # and e^{2i delta} from one series
         from hodgeheights.polylog import polylog_mhs
         b = bigrading(polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 6)))
         y = grading_operator(b)
         calls = []
 
-        def counting_exp(mat):
+        def counting_exp_pair(mat):
             calls.append(1)
-            return nilpotent_exp(mat)
+            return nilpotent_exp_pair(mat)
 
-        monkeypatch.setattr(deligne, "nilpotent_exp", counting_exp)
+        monkeypatch.setattr(deligne, "nilpotent_exp_pair", counting_exp_pair)
         deligne._solve_delta(y, b)
-        assert len(calls) == 2 * 6
+        assert len(calls) == 6
 
     def test_polylog_closed_form(self, polylog_ctx_factory):
         from hodgeheights.polylog import delta_closed_form, polylog_mhs
@@ -553,6 +558,25 @@ class TestInheritedDelta:
                               if conj else parent.inverse_basis)
         assert np.allclose(child.inverse_basis @ child.basis, np.eye(h.dimension),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("derive", [lambda h: twist(h, 2), conjugate],
+                             ids=["twist", "conjugate"])
+    def test_child_does_not_keep_its_parent_alive(self, derive):
+        # the child's bigrading holds its parent's singular values and
+        # inverse, not the parent; the delta seed holds the parent until
+        # the child's splitting takes delta from it
+        h = random_hodge_tate([1, 2, 1], seed=3)
+        child = derive(h)
+        b = bigrading(child)
+        parent = weakref.ref(h)
+        del h
+        data = delta_splitting(child)
+        gc.collect()
+        assert parent() is None
+        assert data.bigrading is b
+        assert data.defining_residual <= deligne.SPLITTING_TOL
+        assert data.reality_residual <= deligne.REALITY_TOL * max(1.0, np.linalg.norm(data.Y))
+        assert data.lambda_residual <= 1e-9
 
     @pytest.mark.parametrize("derive", [lambda h: twist(h, 2), conjugate],
                              ids=["twist", "conjugate"])

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotUnipotent,
-                                 Subspace, nilpotent_exp, nilpotent_log, numerical_rank)
+                                 Subspace, nilpotent_exp, nilpotent_exp_pair, nilpotent_log,
+                                 numerical_rank)
 
 from oracles import (oracle_annihilator_dim, oracle_intersection_dim,
-                     oracle_member, oracle_rank, oracle_sum_dim, two_pass_exp,
-                     two_pass_log)
+                     oracle_member, oracle_rank, oracle_sum_dim, stacked_intersection,
+                     two_pass_exp, two_pass_log)
 
 
 def span(*vectors, n=None):
@@ -144,17 +145,31 @@ def random_subspace(rng, n, d):
 THRESHOLD_ANGLE = 2 * RANK_TOL
 
 
+def count_svds(monkeypatch):
+    real_svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 class TestIntersectEach:
-    """One stacked SVD decides every intersection as `intersect` does."""
+    """`Subspace.intersect_pairs` intersects each pair of a batch, from
+    principal sines in one SVD, as the nullspace of [A | -B] does
+    (`oracles.stacked_intersection`)."""
 
     @staticmethod
-    def assert_matches_intersect(a, others, tol=RANK_TOL):
-        got = a.intersect_each(others, [b.complement() for b in others])
-        assert len(got) == len(others)
-        for g, b in zip(got, others):
-            want = a.intersect(b)
+    def assert_matches_oracle(pairs, tol=RANK_TOL):
+        got = Subspace.intersect_pairs(pairs)
+        assert len(got) == len(pairs)
+        for g, (a, b) in zip(got, pairs):
+            want = stacked_intersection(a, b)
             assert g.dim == want.dim
             assert g.equals(want, tol)
+            assert a.intersect(b).dim == want.dim
             assert np.allclose(g.basis.conj().T @ g.basis, np.eye(g.dim), atol=1e-12)
         return got
 
@@ -163,11 +178,36 @@ class TestIntersectEach:
     def test_random_subspaces(self, n, seed, data):
         # general position, including zero and full operands on either side
         rng = np.random.default_rng(seed)
-        d = data.draw(st.integers(0, n))
-        dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=5))
-        got = self.assert_matches_intersect(
-            random_subspace(rng, n, d), [random_subspace(rng, n, w) for w in dims])
-        assert [g.dim for g in got] == [max(0, d + w - n) for w in dims]
+        dims = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                  min_size=1, max_size=5))
+        got = self.assert_matches_oracle(
+            [(random_subspace(rng, n, da), random_subspace(rng, n, db)) for da, db in dims])
+        assert [g.dim for g in got] == [max(0, da + db - n) for da, db in dims]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_mixed_column_counts(self, seed, data):
+        # one batch whose smaller sides have different dimensions (and
+        # ambient dimensions), so the narrower blocks are padded: each pair
+        # shares `shared` directions exactly and has `outside` ones
+        # orthogonal to the other side
+        rng = np.random.default_rng(seed)
+        pairs, expected = [], []
+        for _ in range(data.draw(st.integers(2, 5))):
+            n = data.draw(st.integers(2, 8))
+            u = random_unitary(rng, n)
+            d = data.draw(st.integers(1, n - 1))
+            shared = data.draw(st.integers(0, d))
+            outside = data.draw(st.integers(0, n - d))
+            a = Subspace(u[:, :d])
+            b = Subspace.from_vectors([*u[:, :shared].T, *u[:, d:d + outside].T],
+                                      ambient_dim=n)
+            pairs.append((a, b) if data.draw(st.booleans()) else (b, a))
+            expected.append(Subspace(u[:, :shared]))
+        got = self.assert_matches_oracle(pairs, tol=1e-8)
+        for g, want in zip(got, expected):
+            assert g.dim == want.dim
+            assert g.equals(want, 1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -182,52 +222,48 @@ class TestIntersectEach:
         u = random_unitary(rng, n)
         d = data.draw(st.integers(1, n - 1))
         a = Subspace(u[:, :d])
-        others, expected = [], []
+        pairs, expected = [], []
         for _ in range(data.draw(st.integers(1, 4))):
             shared = data.draw(st.integers(0, d - 1))
             outside = data.draw(st.integers(0, n - d - 1))
             factor = data.draw(st.sampled_from([0.5, 2.0]))
             theta = factor * THRESHOLD_ANGLE
             tilted = np.cos(theta) * u[:, 0] + np.sin(theta) * u[:, d]
-            others.append(Subspace.from_vectors(
-                [tilted, *u[:, 1:1 + shared].T, *u[:, d + 1:d + 1 + outside].T]))
+            b = Subspace.from_vectors(
+                [tilted, *u[:, 1:1 + shared].T, *u[:, d + 1:d + 1 + outside].T])
+            pairs.append((a, b) if data.draw(st.booleans()) else (b, a))
             expected.append(Subspace(u[:, 0 if factor < 1 else 1:1 + shared]))
-        got = self.assert_matches_intersect(a, others, tol=1e-6)
+        got = self.assert_matches_oracle(pairs, tol=1e-6)
         for g, want in zip(got, expected):
             assert g.dim == want.dim
             assert g.equals(want, 1e-6)
 
     def test_trivial_operands_make_no_svd(self, monkeypatch):
-        # as in `intersect`: a zero side or a full other gives self, a full
-        # self or a zero other gives that other, as the same object
-        real_svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real_svd(*args, **kwargs)
-
+        # a zero side or a full other gives self, a full self or a zero
+        # other gives that other, as the same object
         line, zero, full = span(e(0, 3)), Subspace.zero(3), Subspace.full(3)
         pairs = [(line, zero), (line, full), (zero, line), (full, line), (zero, full),
                  (full, zero)]
-        complements = [b.complement() for _, b in pairs]
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        for (a, b), perp in zip(pairs, complements):
-            got, = a.intersect_each([b], [perp])
-            assert got is a.intersect(b)
+        calls = count_svds(monkeypatch)
+        got = Subspace.intersect_pairs(pairs)
+        assert [g is stacked_intersection(a, b) for g, (a, b) in zip(got, pairs)] == [True] * 6
+        assert [line.intersect(b) for b in (zero, full)] == [zero, line]
         assert calls == []
+
+    def test_one_svd_per_batch(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pairs = [(random_subspace(rng, 6, da), random_subspace(rng, 6, db))
+                 for da, db in ((2, 5), (3, 4), (1, 1), (4, 2), (0, 3), (6, 2))]
+        calls = count_svds(monkeypatch)
+        Subspace.intersect_pairs(pairs)
+        assert len(calls) == 1
+        assert Subspace.intersect_pairs([]) == []
+        assert len(calls) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            span(e(0, 3)).intersect_each([span(e(0, 4))], [span(e(1, 4))])
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_complement(self, n, seed, data):
-        b = random_subspace(np.random.default_rng(seed), n, data.draw(st.integers(0, n)))
-        c = b.complement()
-        assert c.dim == n - b.dim
-        assert np.linalg.norm(b.basis.conj().T @ c.basis) < 1e-12
-        assert b.sum(c).dim == n
+            Subspace.intersect_pairs([(span(e(0, 4)), span(e(1, 4))),
+                                      (span(e(0, 3)), span(e(0, 4)))])
 
 
 class TestNilpotentExpLog:
@@ -333,9 +369,41 @@ class TestSinglePassSeries:
         assert 50 < rejected < 250
 
 
-def random_subspace(rng, n, d):
-    vecs = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    return Subspace.from_vectors(vecs, ambient_dim=n)
+class TestExpPair:
+    """nilpotent_exp_pair(mat) is (nilpotent_exp(mat), nilpotent_exp(-mat))
+    from one series: the same values, bit for bit, and the same rejections."""
+
+    def test_matches_two_exponentials(self):
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            nil = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+            nil *= 10.0 ** float(rng.uniform(-3, 0.5))
+            if trial % 2:
+                g = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                nil = g @ nil @ np.linalg.inv(g)
+            got = nilpotent_exp_pair(nil)
+            assert np.array_equal(got[0], nilpotent_exp(nil))
+            assert np.array_equal(got[1], nilpotent_exp(-nil))
+        assert [m.shape for m in nilpotent_exp_pair(np.zeros((0, 0)))] == [(0, 0)] * 2
+
+    def test_rejects_the_same_inputs(self):
+        rng = np.random.default_rng(32)
+        rejected = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            nil = np.tril(rng.standard_normal((n, n)), -1)
+            mat = nil + 10.0 ** float(rng.uniform(-16, 0)) * rng.standard_normal((n, n))
+            want = _outcome(nilpotent_exp, mat)
+            got = _outcome(nilpotent_exp_pair, mat)
+            if isinstance(want, type):
+                assert got is want
+                assert _outcome(nilpotent_exp, -mat) is want
+                rejected += 1
+            else:
+                assert np.array_equal(got[0], want)
+                assert np.array_equal(got[1], nilpotent_exp(-mat))
+        assert 50 < rejected < 250
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,7 +442,7 @@ def test_trivial_operands_skip_the_svd(monkeypatch):
     assert calls == []
     a.intersect(b)
     a.sum(c)
-    assert len(calls) == 3      # nullspace and span for the intersection, span for the sum
+    assert len(calls) == 2      # principal sines for the intersection, span for the sum
 
 
 class TestNumericalRank:

@@ -159,7 +159,6 @@ def test_seeded_subspaces_span_the_childs_own_rows(derive):
             rows = [[float(x) for x in row] for row in child.weight_rows(k)]
             own = Subspace.from_vectors(rows, ambient_dim=child.dimension)
             assert child.weight_subspace(k).equals(own)
-            assert child.weight_complement(k).equals(own.complement())
             assert child.weight_echelon(k) == _rational.rref(child.weight_filtration[k])
 
 
@@ -186,28 +185,6 @@ def test_dual_keeps_its_annihilators(monkeypatch):
     spaces = [d.hodge_subspace(q) for q in d.hodge_jumps]
     assert svds == []
     assert spaces[0].dim == d.dimension
-
-
-def test_dual_takes_its_weight_subspaces_from_the_parent(monkeypatch):
-    # W is real, so W_k(dual) = Ann(W_{-k-1}) is the orthogonal complement
-    # of W_{-k-1} that the parent formed for Deligne's formula, and its
-    # complement is W_{-k-1}: the dual orthonormalises none of its W rows
-    h = random_hodge_tate([1, 2, 1, 1], seed=6)
-    deligne.delta_splitting(h)
-    seeded, unseeded = dual(h), dual(h)
-    for key in [key for key in unseeded._memo if isinstance(key, tuple)
-                and key[0] in ("W", "W perp")]:
-        del unseeded._memo[key]
-    svds = count_calls(monkeypatch, np.linalg, "svd")
-    counts = []
-    for d in (seeded, unseeded):
-        svds.clear()
-        deligne.delta_splitting(d)
-        counts.append(len(svds))
-    assert counts[1] - counts[0] == len(seeded.weight_jumps) == 4
-    for k in seeded.weight_jumps:
-        assert seeded.weight_subspace(k).equals(unseeded.weight_subspace(k))
-        assert seeded.weight_complement(k).equals(unseeded.weight_complement(k))
 
 
 def test_random_hodge_tate_deterministic_and_graded():
