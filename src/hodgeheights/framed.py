@@ -61,6 +61,11 @@ class FramedMHS:
         object.__setattr__(self, "b", int(b))
         object.__setattr__(self, "phi_class", _rational.as_fraction_vector(phi_class))
         object.__setattr__(self, "psi_class", _rational.as_fraction_vector(psi_class))
+        # the memo key of the frame elements: equal framings share it, and
+        # int pairs hash far faster than Fractions on every lookup
+        object.__setattr__(self, "_frame_key", ("frame", self.a, self.b) + tuple(
+            tuple((x.numerator, x.denominator) for x in v)
+            for v in (self.phi_class, self.psi_class)))
 
     def check(self) -> None:
         """Exact rational sanity of the frame data (type checks happen on lift)."""
@@ -117,7 +122,7 @@ def frame_elements(fh: FramedMHS) -> FrameElements:
                            [(-p, -q) for p, q in bg.labels], -b, -b, "psi_class")
         return FrameElements(e_h, e_hd)
 
-    return h.memo(("frame", a, b, fh.phi_class, fh.psi_class), compute)
+    return h.memo(fh._frame_key, compute)
 
 
 def _pair(covector: np.ndarray, vector: np.ndarray) -> complex:

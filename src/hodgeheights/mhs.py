@@ -189,8 +189,13 @@ class MixedHodgeStructure:
         self._seeds[key] = compute
 
     def weight_subspace(self, k: int) -> Subspace:
-        """W_k as a Subspace, memoized under the jump whose rows it spans."""
+        """W_k as a Subspace, memoized under the jump whose rows it spans.
+
+        W_k whose exact echelon form has full rank is the whole space.
+        """
         def compute():
+            if self.weight_rank(k) == self.dimension:
+                return Subspace.full(self.dimension)
             rows = [[float(x) for x in row] for row in self.weight_rows(k)]
             return Subspace.from_vectors(
                 np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),

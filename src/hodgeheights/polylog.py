@@ -8,14 +8,18 @@ branch is the one obtained by continuing log and every Li_k along the
 polyline from its basepoint (which must sit in the series disk
 |z| <= 1/2, where all branches agree with the principal one).
 
-Continuation integrates d Li_k = Li_{k-1} dt/t panel by panel along the
-polyline.  Within a panel the functions are analytic, so each Li_k is the
-primitive of the Chebyshev interpolant of its predecessor's integrand at
-the Chebyshev--Lobatto nodes, applied as one cached integration matrix
-per order (32, then 48); panels are at most QUADRATURE_STEP long and
-short relative to their distance to the singularities {0, 1}, and the
-whole transport is repeated at a finer resolution until two runs agree
-to REFINE_TOL, so endpoint values are accurate to ~1e-11 for |z| <= 4.
+Continuation integrates d Li_k = Li_{k-1} dt/t along the polyline, cut
+into panels at most QUADRATURE_STEP long and short relative to their
+distance to the singularities {0, 1}.  Each panel is integrated from
+zero: g_1 = -log((1-t)/(1-lo)) at its Chebyshev--Lobatto nodes, and each
+g_k the primitive of the Chebyshev interpolant of g_{k-1} dt/t, applied
+as one cached real integration matrix per order (32, then 48) to every
+panel at once.  The panels are then chained in closed form: across a
+panel with log ratio lam the rest of (Li_1..Li_N) moves by exp(lam E),
+E the shift Li_j -> Li_{j+1}, so the powers of log t are exact rather
+than integrated.  The whole transport is repeated at a finer resolution
+until two runs agree to REFINE_TOL, so endpoint values are accurate to
+~1e-11 for |z| <= 4.
 
 The polylogarithm mixed Hodge structure H(z) of rank N+1 is assembled in
 Betti coordinates from the period matrix A(z) = L(z) tau(2 pi i): the
@@ -143,17 +147,18 @@ def _series_values(z: complex, count: int, terms: int) -> list[complex]:
     """Li_1..Li_count at |z| <= 1/2 by the defining series (principal branch)."""
     if abs(z) > 0.5 + SERIES_DISK_SLACK:
         raise ValueError("series evaluation outside |z| <= 1/2")
-    vals = [0j] * count
-    power = 1.0 + 0j
-    for n in range(1, terms + 1):
-        power *= z
-        if abs(power) < SERIES_STOP and n > 4:
-            return vals
-        for k in range(count):
-            vals[k] += power / n ** (k + 1)
-    if abs(z) > 1e-15 and abs(power) > SERIES_SETTLED:
-        raise NonConvergent(f"series cutoff {terms} too small at |z|={abs(z):.3f}")
-    return vals
+    powers = np.cumprod(np.full(terms, z, dtype=DTYPE))    # z^1 .. z^terms
+    # stop before the first power past n = 4 below SERIES_STOP
+    small = np.flatnonzero(np.abs(powers[4:]) < SERIES_STOP)
+    if small.size:
+        stop = 4 + int(small[0])
+    else:
+        stop = terms
+        if abs(z) > 1e-15 and abs(powers[-1]) > SERIES_SETTLED:
+            raise NonConvergent(f"series cutoff {terms} too small at |z|={abs(z):.3f}")
+    n = np.arange(1.0, stop + 1.0)
+    weights = n ** -np.arange(1.0, count + 1.0)[:, None]  # row k: 1 / n^(k+1)
+    return [complex(v) for v in weights @ powers[:stop]]
 
 
 def _panel_points(a: complex, b: complex, step: float) -> list[complex]:
@@ -180,40 +185,69 @@ def _cheb_nodes(order: int):
     """Lobatto nodes x (ascending, x[0] = -1) and the integration matrix Q.
 
     Q @ f is the primitive of f's Chebyshev interpolant at the nodes,
-    measured from x[0]; its entries are real, stored complex so that
-    Q @ f takes no per-call cast.
+    measured from x[0].  Q is real and stored real: applied to the
+    float64 view of a complex array it integrates the real and imaginary
+    parts in one real product.
     """
     x = -np.cos(np.pi * np.arange(order + 1) / order)
     Q = (cheb.chebvander(x, order + 1) @ cheb.chebint(np.eye(order + 1), axis=0)
          @ np.linalg.inv(cheb.chebvander(x, order)))
-    return x, (Q - Q[0]).astype(DTYPE)
+    return x, Q - Q[0]
 
 
 def _transport_once(points: tuple[complex, ...], li: list[complex],
                     step: float, order: int) -> tuple[complex, list[complex]]:
     """Continue (log t, Li_1..Li_count) from their values li at points[0]
-    along the polyline; returns end values."""
+    along the polyline; returns end values.
+
+    One batched pass over the panels of every segment.  Each panel is
+    integrated from zero: g_1 = -log((1-t)/(1-lo)) and g_k = Q @ (g_{k-1}
+    dt/t), one real product per order for all panels at once.  Across a
+    panel with log ratio lam = log(hi/lo) the rest of (Li_1..Li_count)
+    moves by exp(lam E), with E the shift Li_j -> Li_{j+1}.  These
+    commute, so the end values are exact in the log ratios:
+    exp(Lambda E) li + sum_p exp(R_p E) g_p(hi_p), where Lambda is the sum
+    of all ratios and R_p the sum of those after panel p.
+    """
     x, Q = _cheb_nodes(order)
-    log_t = complex(np.log(points[0]))
+    count = len(li)
+    los, his = [], []
     for a, b in zip(points, points[1:]):
         if abs(b - a) < 1e-15:
             continue
         _check_segment(a, b)
         panels = _panel_points(a, b, step)
-        for lo, hi in zip(panels, panels[1:]):
-            half = (hi - lo) / 2
-            t = (lo + hi) / 2 + half * x
-            w = half / t                     # dt / t = w dx on the panel
-            # short panels keep the ratios in the right half plane, so the
-            # principal log of the ratio continues the running branch
-            log_t = complex(log_t + np.log(t[-1] / lo))
-            prev = li[0] - np.log((1.0 - t) / (1.0 - lo))
-            ends = [prev[-1]]
-            for k in range(1, len(li)):
-                prev = li[k] + Q @ (prev * w)
-                ends.append(prev[-1])
-            li = ends
-    return log_t, [complex(v) for v in li]
+        los += panels[:-1]
+        his += panels[1:]
+    lo, hi = np.array(los, dtype=DTYPE), np.array(his, dtype=DTYPE)
+    half = (hi - lo) / 2
+    t = (lo + hi) / 2 + half * x[:, None]    # column p holds panel p's nodes
+    w = half / t                             # dt / t = w dx on each panel
+    ratio = (1.0 - t) / (1.0 - lo)
+    # -log(ratio) from its modulus and angle: numpy's complex log is
+    # several times slower, and no more accurate in absolute terms
+    g = -(np.log(np.abs(ratio)) + 1j * np.angle(ratio))
+    ends = np.empty((count, 1 + lo.size), dtype=DTYPE)
+    ends[:, 0] = li                          # the start values lead, as a panel
+    ends[0, 1:] = g[-1]
+    for k in range(1, count):
+        # Q is real: one real product on the float64 view of all panels
+        g = (Q @ (g * w).view(np.float64)).view(DTYPE)
+        ends[k, 1:] = g[-1]
+    # short panels keep the ratios in the right half plane, so the
+    # principal log of each ratio continues the running branch; after[p]
+    # sums the log ratios after column p of ends, so after[0] = Lambda
+    after = np.append(np.cumsum(np.log(hi / lo)[::-1])[::-1], 0.0)
+    factors = np.empty((count, after.size), dtype=DTYPE)
+    factors[0] = 1.0
+    factors[1:] = after / np.arange(1.0, count)[:, None]
+    powers = np.cumprod(factors, axis=0)     # row m: after^m / m!
+    terms = powers @ ends.T
+    # the end value at index k sums terms[m, j] over m + j = k
+    lag = np.add.outer(np.arange(count), np.arange(count)).ravel()
+    out = (np.bincount(lag, terms.real.ravel())
+           + 1j * np.bincount(lag, terms.imag.ravel()))[:count]
+    return complex(np.log(points[0]) + after[0]), [complex(v) for v in out]
 
 
 def _transport(points: tuple[complex, ...], count: int) -> tuple[complex, list[complex]]:

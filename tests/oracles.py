@@ -24,6 +24,11 @@
 * The intersection of two subspaces from the nullspace of [A | -B],
   re-orthonormalised, cross-checking the principal-sine rule of
   `hodgeheights.linalg.Subspace.intersect_pairs`.
+* The sequential transport: (log t, Li_1..Li_count) continued panel by
+  panel, each Li_k the running value plus the Chebyshev primitive of its
+  predecessor's integrand (the log powers integrated too), cross-checking
+  the batched pass of `hodgeheights.polylog._transport_once` on the
+  same panels and integration matrices.
 """
 
 from dataclasses import dataclass
@@ -36,7 +41,8 @@ from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpoten
                                  NotUnipotent, Subspace, nilpotent_exp, nullspace_columns,
                                  orthonormal_columns)
 from hodgeheights.mhs import Violation
-from hodgeheights.polylog import build_matrices, log_z, tau
+from hodgeheights.polylog import (_check_segment, _cheb_nodes, _panel_points,
+                                  build_matrices, log_z, tau)
 
 
 class QI:
@@ -419,3 +425,27 @@ def stacked_intersection(a, b):
         return b
     null = nullspace_columns(np.hstack([a.basis, -b.basis]))
     return Subspace(orthonormal_columns(a.basis @ null[: a.dim, :]))
+
+
+def sequential_transport_once(points, li, step, order):
+    """Continue (log t, Li_1..Li_count) from their values li at points[0]
+    along the polyline, one panel and one order at a time."""
+    x, Q = _cheb_nodes(order)
+    log_t = complex(np.log(points[0]))
+    for a, b in zip(points, points[1:]):
+        if abs(b - a) < 1e-15:
+            continue
+        _check_segment(a, b)
+        panels = _panel_points(a, b, step)
+        for lo, hi in zip(panels, panels[1:]):
+            half = (hi - lo) / 2
+            t = (lo + hi) / 2 + half * x
+            w = half / t                     # dt / t = w dx on the panel
+            log_t = complex(log_t + np.log(t[-1] / lo))
+            prev = li[0] - np.log((1.0 - t) / (1.0 - lo))
+            ends = [prev[-1]]
+            for k in range(1, len(li)):
+                prev = li[k] + Q @ (prev * w)
+                ends.append(prev[-1])
+            li = ends
+    return log_t, [complex(v) for v in li]

@@ -232,6 +232,47 @@ def test_pieces_outside_the_filtrations_are_rejected():
             mhs_mod.require_valid(child)
 
 
+def _spanned_weight_subspace(h, k):
+    """W_k as the span of its float rows, even where it is the whole space."""
+    rows = [[float(x) for x in row] for row in h.weight_rows(k)]
+    return Subspace.from_vectors(np.array(rows, dtype=complex).reshape(len(rows), h.dimension),
+                                 ambient_dim=h.dimension)
+
+
+def _parent_pieces_twist():
+    # invalid: a twist seeded with its parent's pieces unchanged
+    h = random_hodge_tate([1, 2, 1], seed=4)
+    child = twist(h, 1)
+    child._memo["pieces"] = deligne._assemble(child, deligne.bigrading(h).pieces)
+    return child
+
+
+def _polylog_structure(n):
+    from hodgeheights.polylog import PolylogContext, polylog_mhs
+    return lambda: polylog_mhs(PolylogContext(0.3 + 0.2j, N=n))
+
+
+@pytest.mark.parametrize("make", [
+    *(_polylog_structure(n) for n in (4, 6, 10, 11, 12)),
+    *(lambda seed=seed, dims=dims: dual(random_hodge_tate(dims, seed=seed))
+      for seed, dims in ((1, [1, 2, 1]), (9, [2, 1, 3]), (23, [1, 1, 1, 1]))),
+    _parent_pieces_twist,
+], ids=["N4", "N6", "N10", "N11", "N12", "dual121", "dual213", "dual1111",
+        "bad-twist"])
+def test_full_weight_subspace_changes_no_verdict(make, monkeypatch):
+    # a W_k of full exact rank is the whole space, taken without an SVD;
+    # spanning its rows instead gives the same report and piece dimensions
+    h = make()
+    top = h.weight_jumps[-1]
+    report, dims = validate(h).describe(), deligne._pieces(h).piece_dims()
+    assert np.array_equal(h.weight_subspace(top).basis, np.eye(h.dimension))
+    monkeypatch.setattr(MixedHodgeStructure, "weight_subspace", lambda self, k: self.memo(
+        ("W", self._weight_jump(k)), lambda: _spanned_weight_subspace(self, k)))
+    spanned = make()
+    assert validate(spanned).describe() == report
+    assert deligne._pieces(spanned).piece_dims() == dims
+
+
 def test_graded_dims_match_bigrading():
     h = random_hodge_tate([1, 2, 2, 1], seed=77)
     b = deligne.bigrading(h)

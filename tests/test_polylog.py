@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
                                   polylog_framed, polylog_mhs, sv_bd, sv_brown,
                                   tau)
 
-from oracles import closed_form_betti_conjugator
+from oracles import closed_form_betti_conjugator, sequential_transport_once
 
 # frozen oracle values (defining series summed in 35-digit arithmetic)
 LI2_HALF = 0.5822405264650125059026563201596801
@@ -229,6 +230,51 @@ class TestTransport:
         li(10, PolylogContext(z, N=10, path=path))
         assert passes == [32, 48]
         assert seen == panels
+
+    @pytest.mark.parametrize("path", [
+        polylog._polyline(PolylogContext(2.5 + 1.0j)),
+        polylog._polyline(PolylogContext(1.2 + 0.1j)),
+        LOOP_AROUND_ONE + (0.45 + 0.35j,),
+        *(polylog._polyline(PolylogContext(r * cmath.exp(1j * angle)))
+          for r in (0.6, 1.5, 2.5, 4.0) for angle in (0.7, -2.9)),
+        (0.3, 0.3, 0.3 - 0.9j, 0.3 - 0.9j, 2.3 - 0.9j),     # zero-length segments
+    ], ids=["principal", "near_one", "loop", "r0.6", "r0.6-", "r1.5", "r1.5-",
+            "r2.5", "r2.5-", "r4", "r4-", "zero_length"])
+    @pytest.mark.parametrize("step, order", [(polylog.QUADRATURE_STEP, 32),
+                                             (polylog.QUADRATURE_STEP / 2, 48)])
+    def test_batched_pass_matches_the_sequential_one(self, path, step, order):
+        start = polylog._series_values(path[0], 10, polylog.SERIES_TERMS)
+        lg, vals = polylog._transport_once(path, start, step, order)
+        ref_lg, ref_vals = sequential_transport_once(path, start, step, order)
+        assert abs(lg - ref_lg) <= 1e-13 * max(1.0, abs(ref_lg))
+        for got, want in zip(vals, ref_vals, strict=True):
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_single_point_path_keeps_the_basepoint_values(self):
+        p0 = 0.3 - 0.2j
+        start = polylog._series_values(p0, 6, polylog.SERIES_TERMS)
+        lg, vals = polylog._transport_once((p0,), start, polylog.QUADRATURE_STEP, 32)
+        assert lg == complex(np.log(p0))
+        assert vals == start
+        ctx = PolylogContext(p0, N=6, path=(p0,))
+        assert branch_data(ctx, 6) == (lg, start)
+
+    @pytest.mark.parametrize("j", range(1, 11))
+    def test_combine_is_exact_in_the_log_ratios(self, j):
+        # the pass is affine in its start values, and their part is
+        # exp(Lambda E): a unit Li_j reaches Li_k as Lambda^(k-j)/(k-j)!,
+        # with Lambda = log z - log p0 on the continued branch (once around
+        # 0 counterclockwise adds 2 pi i), free of quadrature error
+        p0, z = 0.4, 2.0 + 0.5j
+        path = (p0, 0.5j, -0.5, -0.5j, 0.6, z)
+        unit = [1.0 if k == j else 0.0 for k in range(1, 11)]
+        lg, vals = polylog._transport_once(path, unit, polylog.QUADRATURE_STEP, 32)
+        _, base = polylog._transport_once(path, [0.0] * 10, polylog.QUADRATURE_STEP, 32)
+        lam = cmath.log(z) + polylog.TWO_PI_I - cmath.log(p0)
+        assert abs(lg - (cmath.log(z) + polylog.TWO_PI_I)) < 1e-13
+        for k, (got, rest) in enumerate(zip(vals, base), start=1):
+            want = lam ** (k - j) / math.factorial(k - j) if k >= j else 0.0
+            assert abs(got - rest - want) <= 1e-13 * max(1.0, abs(want)), k
 
     def test_one_transport_per_context(self, monkeypatch):
         # the branch data is transported once, at Li_1..Li_N, and every
