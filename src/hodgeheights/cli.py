@@ -7,17 +7,16 @@
                 [--csv out.csv] [--emit-json]
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical degeneracy, 4 usage,
-5 I/O.
+5 I/O.  Commands raise typed exceptions; `main` alone turns them into exit
+codes, through EXIT_CODES.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 from . import deligne, framed as framed_mod, jsonio, polylog as pl
 from .deligne import NumericalDegeneracy, ResidualTooLarge
 from .framed import FramingTypeError, RealityViolation
-from .jsonio import DocumentValidationError, ParseError
-from .mhs import InvalidMHS, validate
+from .jsonio import ParseError
+from .mhs import InvalidMHS, require_valid, validate
 from .polylog import NonConvergent, PathThroughSingularity, PolylogContext
 
 EXIT_OK = 0
@@ -42,20 +41,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_document(path: str, require_valid: bool = True):
-    """(structure, framing or None) from a document; invalid ones exit 2
-    unless require_valid is off (validate reports them itself)."""
+#: Exit code and stderr prefix of each typed failure a command may raise;
+#: a CliError carries its own code.
+EXIT_CODES = {
+    ParseError: (EXIT_VALIDATION, "parse error: "),
+    InvalidMHS: (EXIT_VALIDATION, ""),
+    FramingTypeError: (EXIT_VALIDATION, "framing error: "),
+    NumericalDegeneracy: (EXIT_NUMERICAL, ""),
+    ResidualTooLarge: (EXIT_NUMERICAL, ""),
+    RealityViolation: (EXIT_NUMERICAL, ""),
+    NonConvergent: (EXIT_NUMERICAL, ""),
+    PathThroughSingularity: (EXIT_NUMERICAL, ""),
+}
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}")
-    try:
-        return jsonio.parse_mhs_document(text, require_valid=require_valid)
-    except ParseError as exc:
-        raise CliError(EXIT_VALIDATION, f"parse error: {exc}")
-    except DocumentValidationError as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid mixed Hodge structure:\n{exc}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -74,7 +79,7 @@ def _matrix_json(mat: np.ndarray) -> list:
 
 
 def cmd_validate(args) -> int:
-    h, _ = _read_document(args.file, require_valid=False)
+    h, _ = jsonio.parse_mhs_document(_read_text(args.file))
     report = validate(h)
     if report.ok:
         print("valid")
@@ -84,11 +89,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    h, _ = _read_document(args.file)
-    try:
-        data = deligne.delta_splitting(h)
-    except (NumericalDegeneracy, ResidualTooLarge) as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
+    h, _ = jsonio.parse_mhs_document(_read_text(args.file))
+    require_valid(h)
+    data = deligne.delta_splitting(h)
     doc = {
         "dimension": h.dimension,
         "pieces": [
@@ -113,65 +116,20 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_height(args) -> int:
-    h, fh = _read_document(args.file)
+    h, fh = jsonio.parse_mhs_document(_read_text(args.file))
+    require_valid(h)
     if fh is None:
         raise CliError(EXIT_USAGE, "document has no framing block")
     out: dict = {"a": fh.a, "b": fh.b, "diagnostics": {}}
-    try:
-        if args.which in ("1", "both"):
-            out["ht1"] = framed_mod.height1(fh)
-            out["diagnostics"]["ht1_via_delta"] = framed_mod.height1_via_delta(fh)
-        if args.which in ("2", "both"):
-            out["ht2"] = framed_mod.height2(fh)
-        if args.which == "both":
-            out["diagnostics"]["biextension_defect"] = (
-                out["ht2"] + 0.5 * out["ht1"])
-    except FramingTypeError as exc:
-        raise CliError(EXIT_VALIDATION, f"framing error: {exc}")
-    except (RealityViolation, NumericalDegeneracy, ResidualTooLarge) as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
+    if args.which in ("1", "both"):
+        out["ht1"] = framed_mod.height1(fh)
+        out["diagnostics"]["ht1_via_delta"] = framed_mod.height1_via_delta(fh)
+    if args.which in ("2", "both"):
+        out["ht2"] = framed_mod.height2(fh)
+    if args.which == "both":
+        out["diagnostics"]["biextension_defect"] = framed_mod.biextension_defect(fh)
     _write_output(json.dumps(out, indent=2), None)
     return EXIT_OK
-
-
-def _sweep_grid(spec: dict) -> list[complex]:
-    policy = spec.get("path_policy", "principal")
-    if policy != "principal":
-        raise CliError(EXIT_VALIDATION,
-                       f"path_policy must be \"principal\", got {policy!r}")
-    grid = spec.get("grid")
-    if isinstance(grid, list):
-        try:
-            points = [jsonio.parse_complex(g, f"$.grid[{i}]") for i, g in enumerate(grid)]
-        except ParseError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc))
-    elif isinstance(grid, dict):
-        try:
-            re_lo, re_hi = grid["re"]
-            im_lo, im_hi = grid["im"]
-            n_re, n_im = grid["resolution"]
-        except (KeyError, TypeError, ValueError):
-            raise CliError(EXIT_VALIDATION,
-                           "grid rectangle needs re, im, resolution")
-        if not (all(type(v) in (int, float) for v in (re_lo, re_hi, im_lo, im_hi, n_re, n_im))
-                and all(math.isfinite(v) for v in (re_lo, re_hi, im_lo, im_hi))
-                and all(float(n).is_integer() and n >= 1 for n in (n_re, n_im))):
-            raise CliError(EXIT_VALIDATION, "grid rectangle needs finite numeric "
-                           "re/im bounds and integer resolutions >= 1")
-        points = [complex(x, y)
-                  for y in np.linspace(im_lo, im_hi, int(n_im))
-                  for x in np.linspace(re_lo, re_hi, int(n_re))]
-    else:
-        raise CliError(EXIT_VALIDATION, "sweep spec has no grid")
-    for z in points:
-        if not cmath.isfinite(z):
-            raise CliError(EXIT_VALIDATION, f"grid point {z} is not finite")
-        if abs(z) < pl.SINGULAR_RADIUS or abs(z - 1) < pl.SINGULAR_RADIUS:
-            raise CliError(EXIT_VALIDATION, f"grid point {z} is singular")
-        if pl._on_cut(z):
-            raise CliError(EXIT_VALIDATION,
-                           f"grid point {z} lies on a cut under principal policy")
-    return points
 
 
 def _delta_residual(ctx: PolylogContext) -> float:
@@ -194,28 +152,7 @@ def _csv_row(ctx: PolylogContext, point: dict) -> list:
         ("ht1", "ht1_closed", "ht2", "ht2_closed", "delta_residual")]
 
 
-def _sweep_rows(spec: dict):
-    if not isinstance(spec, dict):
-        raise CliError(EXIT_VALIDATION, "sweep spec must be a JSON object")
-    try:
-        jsonio.expect_object(spec, "$", ("grid", "N", "framings", "path_policy"))
-        if isinstance(spec.get("grid"), dict):
-            jsonio.expect_object(spec["grid"], "$.grid", ("re", "im", "resolution"))
-    except ParseError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-    points = _sweep_grid(spec)
-    n_trunc = spec.get("N", 6)
-    framings = spec.get("framings", [])
-    if not isinstance(framings, list) or not framings:
-        raise CliError(EXIT_VALIDATION, "sweep spec has no framings")
-    if type(n_trunc) is not int or n_trunc < 1:
-        raise CliError(EXIT_VALIDATION,
-                       f"sweep N must be an integer >= 1, got {n_trunc!r}")
-    for f in framings:
-        if not (isinstance(f, list) and len(f) == 2
-                and all(type(x) is int for x in f) and 0 <= f[0] < f[1] <= n_trunc):
-            raise CliError(EXIT_VALIDATION, f"framing {f!r} is not a pair of "
-                           f"integers 0 <= a < b <= N = {n_trunc}")
+def _sweep_rows(points: list[complex], n_trunc: int, framings: list):
     for z in points:
         ctx = PolylogContext(z, N=n_trunc)
         resid = _delta_residual(ctx)
@@ -228,63 +165,58 @@ CSV_COLUMNS = ["re_z", "im_z", "N", "a", "b", "ht1_pipeline", "ht1_closed",
                "ht2_pipeline", "ht2_closed", "delta_residual"]
 
 
-def cmd_polylog(args) -> int:
-    if args.sweep:
-        if args.z is not None or args.a is not None or args.b is not None:
-            raise CliError(EXIT_USAGE, "--sweep excludes --z/--a/--b")
-        try:
-            with open(args.sweep, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot read {args.sweep}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_VALIDATION, f"sweep spec is not JSON: {exc}")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        try:
-            for row in _sweep_rows(spec):
-                writer.writerow(row)
-        except (PathThroughSingularity, NonConvergent,
-                NumericalDegeneracy, ResidualTooLarge) as exc:
-            raise CliError(EXIT_NUMERICAL, str(exc))
-        _write_output(buf.getvalue(), args.csv)
-        return EXIT_OK
+def _write_csv(rows, out: str | None) -> None:
+    """The CSV_COLUMNS header and rows, written to out (stdout if None)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    _write_output(buf.getvalue(), out)
 
+
+def cmd_polylog(args) -> int:
+    # H(z) is built here, not read from input: its rejection is numerical
+    try:
+        return _polylog_sweep(args) if args.sweep else _polylog_point(args)
+    except InvalidMHS as exc:
+        raise CliError(EXIT_NUMERICAL, str(exc))
+
+
+def _polylog_sweep(args) -> int:
+    if args.z is not None or args.a is not None or args.b is not None:
+        raise CliError(EXIT_USAGE, "--sweep excludes --z/--a/--b")
+    # the whole spec is checked before any point is evaluated
+    spec = jsonio.parse_sweep_spec(_read_text(args.sweep))
+    _write_csv(_sweep_rows(*spec), args.csv)
+    return EXIT_OK
+
+
+def _polylog_point(args) -> int:
     if args.z is None:
         raise CliError(EXIT_USAGE, "need --z or --sweep")
+    # a value of --z, --N, --a or --b that is rejected is a usage error,
+    # but a z at a singularity stays a numerical one
     try:
         z = jsonio.parse_complex(args.z, "--z")
-    except ParseError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
-    if (args.a is None) != (args.b is None):
-        raise CliError(EXIT_USAGE, "--a and --b go together")
-    try:
+        if (args.a is None) != (args.b is None):
+            raise CliError(EXIT_USAGE, "--a and --b go together")
         ctx = PolylogContext(z, N=args.N)
         h = pl.polylog_mhs(ctx)
-        fh = None
-        out: dict = {"z": jsonio.format_complex(z), "N": args.N}
-        if args.a is not None:
-            fh = pl.polylog_framed(ctx, args.a, args.b)
-            out.update(_framed_heights(ctx, fh, args.a, args.b))
-        out["delta_residual"] = _delta_residual(ctx)
-    except (PathThroughSingularity, InvalidMHS, NumericalDegeneracy,
-            ResidualTooLarge, NonConvergent, RealityViolation) as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
+        fh = None if args.a is None else pl.polylog_framed(ctx, args.a, args.b)
+    except PathThroughSingularity:
+        raise
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
+    out: dict = {"z": jsonio.format_complex(z), "N": args.N}
+    if fh is not None:
+        out.update(_framed_heights(ctx, fh, args.a, args.b))
+    out["delta_residual"] = _delta_residual(ctx)
     if args.emit_json:
         _write_output(json.dumps(jsonio.mhs_to_document(h, fh), indent=2), None)
-        return EXIT_OK
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        if fh is not None:
-            writer.writerow(_csv_row(ctx, out))
-        _write_output(buf.getvalue(), args.csv)
-        return EXIT_OK
-    _write_output(json.dumps(out, indent=2), None)
+    elif args.csv:
+        _write_csv([_csv_row(ctx, out)] if fh is not None else [], args.csv)
+    else:
+        _write_output(json.dumps(out, indent=2), None)
     return EXIT_OK
 
 
@@ -328,12 +260,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InvalidMHS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (CliError, *EXIT_CODES) as exc:
+        code, prefix = (exc.code, "") if isinstance(exc, CliError) else next(
+            EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

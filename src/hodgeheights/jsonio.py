@@ -8,15 +8,17 @@ exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from . import mhs
+from . import polylog as pl
 from .framed import FramedMHS
-from .mhs import InvalidMHS, MixedHodgeStructure, ValidationReport
+from .mhs import MixedHodgeStructure
 
 
 #: The keys an MHS document may have (docs/schemas/mhs-document.schema.json).
@@ -30,14 +32,6 @@ class ParseError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class DocumentValidationError(ValueError):
-    """Parsed fine but is not a valid MHS; carries the report."""
-
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.describe())
-        self.report = report
 
 
 def format_fraction(x: Fraction) -> str:
@@ -87,11 +81,20 @@ def parse_complex(text: Any, path: str = "") -> complex:
         raise ParseError(path, f"malformed complex literal {text!r}") from exc
 
 
-def _integer(value: Any, path: str) -> int:
+def _integer(value: Any, path: str, minimum: int | None = None) -> int:
     # bool is a subclass of int, but JSON true is not an integer
     if type(value) is not int:
         raise ParseError(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ParseError(path, f"expected at least {minimum}, got {value}")
     return value
+
+
+def _finite_number(value: Any, path: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ParseError(path, f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _jump(value: Any, path: str, seen: dict) -> int:
@@ -108,16 +111,27 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
-def expect_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+def expect_object(value: Any, path: str, keys: tuple[str, ...],
+                  required: tuple[str, ...] = ()) -> dict:
     """value as a JSON object with no key outside `keys`, as the schemas'
-    `additionalProperties: false` requires; an unknown key is a parse error
-    at its own path."""
+    `additionalProperties: false` requires, and every key in `required`;
+    an unknown or missing key is a parse error at its own path."""
     if not isinstance(value, dict):
         raise ParseError(path, "expected an object")
     for key in value:
         if key not in keys:
             raise ParseError(f"{path}.{key}", "unknown key")
+    for key in required:
+        if key not in value:
+            raise ParseError(f"{path}.{key}", "missing")
     return value
+
+
+def _two(value: Any, path: str, entry) -> list:
+    """A JSON list of two entries, each read by entry(item, its path)."""
+    if len(_list(value, path)) != 2:
+        raise ParseError(path, f"expected 2 entries, got {len(value)}")
+    return [entry(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 def _rational_vector(entries: Any, path: str, n: int | None = None) -> list[Fraction]:
@@ -160,24 +174,30 @@ def mhs_to_document(h: MixedHodgeStructure,
     return doc
 
 
-def parse_mhs_document(doc: dict | str | bytes,
-                       require_valid: bool = True,
-                       ) -> tuple[MixedHodgeStructure, FramedMHS | None]:
-    """Parse an MHS document; returns (structure, framed structure or None)."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError("$", f"not valid JSON: {exc}") from exc
+def _json(doc: Any) -> Any:
+    """doc, decoded first if it is JSON text."""
+    if not isinstance(doc, (str, bytes)):
+        return doc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise ParseError("$", f"not valid JSON: {exc}") from exc
+
+
+def parse_mhs_document(doc: dict | str | bytes) -> tuple[MixedHodgeStructure, FramedMHS | None]:
+    """Parse an MHS document; returns (structure, framed structure or None).
+
+    Only the document's form is checked: whether the structure is a valid
+    MHS is mhs.require_valid's decision.
+    """
+    doc = _json(doc)
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
     expect_object(doc, "$", DOCUMENT_KEYS)
 
     if "dimension" not in doc:
         raise ParseError("$.dimension", "missing")
-    n = _integer(doc["dimension"], "$.dimension")
-    if n < 1:
-        raise ParseError("$.dimension", f"expected at least 1, got {n}")
+    n = _integer(doc["dimension"], "$.dimension", minimum=1)
 
     for key in ("weight_filtration", "hodge_filtration"):
         if key not in doc:
@@ -213,22 +233,61 @@ def parse_mhs_document(doc: dict | str | bytes,
         comparison = np.array(rows, dtype=complex)
 
     h = MixedHodgeStructure(n, weight, hodge, comparison)
-
-    if require_valid:
-        try:
-            mhs.require_valid(h)
-        except InvalidMHS as exc:
-            raise DocumentValidationError(exc.report) from exc
-
     framed = None
     if "framing" in doc:
         path = "$.framing"
-        fr = expect_object(doc["framing"], path, ("a", "b", "phi", "psi"))
-        for key in ("a", "b", "phi", "psi"):
-            if key not in fr:
-                raise ParseError(f"{path}.{key}", "missing")
+        fr = expect_object(doc["framing"], path, ("a", "b", "phi", "psi"),
+                           required=("a", "b", "phi", "psi"))
         framed = FramedMHS(h, _integer(fr["a"], f"{path}.a"),
                            _integer(fr["b"], f"{path}.b"),
                            _rational_vector(fr["phi"], f"{path}.phi", n),
                            _rational_vector(fr["psi"], f"{path}.psi", n))
     return h, framed
+
+
+def _grid_points(grid: Any) -> list[tuple[str, complex]]:
+    """(JSON path, point) for each point of a sweep grid: a list of complex
+    literals, or a rectangle sampled on an n_re x n_im lattice, row by row."""
+    if isinstance(grid, list):
+        return [(f"$.grid[{i}]", parse_complex(g, f"$.grid[{i}]"))
+                for i, g in enumerate(grid)]
+    keys = ("re", "im", "resolution")
+    expect_object(grid, "$.grid", keys, required=keys)
+    re_lo, re_hi = _two(grid["re"], "$.grid.re", _finite_number)
+    im_lo, im_hi = _two(grid["im"], "$.grid.im", _finite_number)
+    n_re, n_im = _two(grid["resolution"], "$.grid.resolution",
+                      lambda v, path: _integer(v, path, minimum=1))
+    return [("$.grid", complex(x, y)) for y in np.linspace(im_lo, im_hi, n_im)
+            for x in np.linspace(re_lo, re_hi, n_re)]
+
+
+def parse_sweep_spec(doc: dict | str | bytes) -> tuple[list[complex], int, list[tuple[int, int]]]:
+    """Parse a sweep spec; returns (grid points, N, framings (a, b)).
+
+    Every point is checked against 0, 1 and, under the principal policy
+    (the only one), the cuts, so a spec that parses can be evaluated.
+    """
+    spec = expect_object(_json(doc), "$", ("grid", "N", "framings", "path_policy"),
+                         required=("grid", "framings"))
+    policy = spec.get("path_policy", "principal")
+    if policy != "principal":
+        raise ParseError("$.path_policy", f"must be \"principal\", got {policy!r}")
+    points = _grid_points(spec["grid"])
+    for path, z in points:
+        if not cmath.isfinite(z):
+            raise ParseError(path, f"grid point {z} is not finite")
+        if abs(z) < pl.SINGULAR_RADIUS or abs(z - 1) < pl.SINGULAR_RADIUS:
+            raise ParseError(path, f"grid point {z} is singular")
+        if pl._on_cut(z):
+            raise ParseError(path, f"grid point {z} lies on a cut under principal policy")
+    n = _integer(spec.get("N", 6), "$.N", minimum=1)
+    if not _list(spec["framings"], "$.framings"):
+        raise ParseError("$.framings", "expected at least one framing")
+    framings = []
+    for i, f in enumerate(spec["framings"]):
+        a, b = _two(f, f"$.framings[{i}]", _integer)
+        if not 0 <= a < b <= n:
+            raise ParseError(f"$.framings[{i}]", f"expected integers "
+                             f"0 <= a < b <= N = {n}, got {f!r}")
+        framings.append((a, b))
+    return [z for _, z in points], n, framings

@@ -84,6 +84,21 @@ class TestFrameElements:
         with pytest.raises(FramingTypeError, match="psi_class"):
             frame_elements(fh)
 
+    @pytest.mark.parametrize("phi, psi, message", [
+        (unit(0, 3), unit(2, 4), "frame vectors of wrong length"),
+        (unit(3, 4), unit(2, 4), "phi_class vanishes in Gr\\^W_0"),
+        (unit(0, 4), unit(3, 4), "psi_class does not vanish on W_-5"),
+    ], ids=["wrong_length", "phi_vanishes", "psi_not_vanishing"])
+    def test_check_rejects_frame_data(self, polylog_ctx_factory, phi, psi, message):
+        # H(z) at N = 3 has W_{-2k} spanned by e_k..e_3
+        from hodgeheights.polylog import polylog_mhs
+        h = polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 3))
+        fh = FramedMHS(h, 0, -2, phi, psi)
+        with pytest.raises(FramingTypeError, match=message):
+            fh.check()
+        with pytest.raises(FramingTypeError, match=message):
+            height1(fh)
+
 
 def _recording(seen, fn):
     """fn, appending its first argument to `seen` on every call."""

@@ -8,12 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hodgeheights import cli, framed, jsonio
-from hodgeheights.jsonio import (DocumentValidationError, ParseError,
-                                 format_complex, format_fraction,
+from hodgeheights.deligne import NumericalDegeneracy, ResidualTooLarge
+from hodgeheights.framed import FramingTypeError, RealityViolation
+from hodgeheights.jsonio import (ParseError, format_complex, format_fraction,
                                  mhs_to_document, parse_complex,
-                                 parse_fraction, parse_mhs_document)
-from hodgeheights.mhs import random_hodge_tate_pair, tate
-from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
+                                 parse_fraction, parse_mhs_document,
+                                 parse_sweep_spec)
+from hodgeheights.mhs import (InvalidMHS, ValidationReport, Violation,
+                              random_hodge_tate_pair, require_valid, tate)
+from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
+                                  PolylogContext, polylog_framed, polylog_mhs)
 
 from conftest import random_framing
 
@@ -85,8 +89,9 @@ class TestDocuments:
             "hodge_filtration": [{"p": 0, "basis": [["1", "0"], ["0", "1"]]},
                                  {"p": 1, "basis": [["1", "1i"]]}],
         }
-        with pytest.raises(DocumentValidationError) as err:
-            parse_mhs_document(doc)
+        h, _ = parse_mhs_document(doc)  # parsing does not validate
+        with pytest.raises(InvalidMHS) as err:
+            require_valid(h)
         assert "purity" in str(err.value)
 
 
@@ -457,4 +462,159 @@ class TestInputRejections:
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
         assert cli.main(["polylog", "--sweep", str(spec_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {json_path}: ")
+        assert capsys.readouterr().err.startswith(f"error: parse error: {json_path}: ")
+
+
+def _run_sweep(tmp_path, spec):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    return cli.main(["polylog", "--sweep", str(spec_path)])
+
+
+class TestSweepSpec:
+    def test_parsed_spec(self):
+        points, n, framings = parse_sweep_spec(json.dumps(
+            {"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3], "resolution": [2, 3]},
+             "framings": [[0, 1], [1, 3]]}))
+        assert n == 6  # the schema's default
+        assert framings == [(0, 1), (1, 3)]
+        # row by row: real part fastest
+        assert points == [complex(x, y) for y in (0.1, 0.2, 0.3) for x in (0.1, 0.5)]
+
+    @pytest.mark.parametrize("spec, json_path", [
+        ("{oops", "$"),
+        ([1, 2], "$"),
+        ({"N": 2, "framings": [[0, 1]]}, "$.grid"),
+        ({"grid": ["0.3"], "N": 2}, "$.framings"),
+        ({"grid": ["0.3"], "N": 2, "framings": []}, "$.framings"),
+        ({"grid": ["0.3"], "N": 2.0, "framings": [[0, 1]]}, "$.N"),
+        ({"grid": ["0.3"], "N": 0, "framings": [[0, 1]]}, "$.N"),
+        ({"grid": ["0.3"], "N": 2, "framings": [[0, 1], [1, 1]]}, "$.framings[1]"),
+        ({"grid": ["0.3"], "N": 2, "framings": [[0, 1], [1]]}, "$.framings[1]"),
+        ({"grid": ["0.3"], "N": 2, "framings": [[0, True]]}, "$.framings[0][1]"),
+        ({"grid": "0.3", "N": 2, "framings": [[0, 1]]}, "$.grid"),
+        ({"grid": ["0.3", "x"], "N": 2, "framings": [[0, 1]]}, "$.grid[1]"),
+        ({"grid": ["0.3", "nan+0.2i"], "N": 2, "framings": [[0, 1]]}, "$.grid[1]"),
+        ({"grid": ["1"], "N": 2, "framings": [[0, 1]]}, "$.grid[0]"),
+        ({"grid": ["-0.5"], "N": 2, "framings": [[0, 1]]}, "$.grid[0]"),
+        ({"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3]}, "N": 2, "framings": [[0, 1]]},
+         "$.grid.resolution"),
+        ({"grid": {"re": [0.1], "im": [0.1, 0.3], "resolution": [2, 2]}, "N": 2,
+          "framings": [[0, 1]]}, "$.grid.re"),
+        ({"grid": {"re": [0.1, True], "im": [0.1, 0.3], "resolution": [2, 2]},
+          "N": 2, "framings": [[0, 1]]}, "$.grid.re[1]"),
+        ({"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3], "resolution": [2.0, 2]},
+          "N": 2, "framings": [[0, 1]]}, "$.grid.resolution[0]"),
+        ({"grid": {"re": [0.1, 0.5], "im": [0.1, 0.3], "resolution": [2, 0]},
+          "N": 2, "framings": [[0, 1]]}, "$.grid.resolution[1]"),
+        ({"grid": {"re": [-1.0, -0.5], "im": [0.0, 0.0], "resolution": [2, 1]},
+          "N": 2, "framings": [[0, 1]]}, "$.grid"),
+    ], ids=["not_json", "not_an_object", "no_grid", "no_framings", "empty_framings",
+            "N_float", "N_zero", "framing_a_not_below_b", "framing_not_a_pair",
+            "framing_bool", "grid_string", "point_not_complex", "point_not_finite",
+            "point_singular", "point_on_cut", "rectangle_missing_key",
+            "bounds_not_a_pair", "bound_bool", "resolution_float", "resolution_zero",
+            "rectangle_point_on_cut"])
+    def test_rejection_names_its_json_path(self, tmp_path, capsys, monkeypatch,
+                                           spec, json_path):
+        def no_evaluation(ctx):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(cli, "_delta_residual", no_evaluation)
+        assert _run_sweep(tmp_path, spec) == 2
+        assert capsys.readouterr().err.startswith(f"error: parse error: {json_path}: ")
+
+
+class TestExitCodes:
+    """Every typed failure a command raises leaves main with one documented
+    exit code and stderr prefix."""
+
+    @pytest.mark.parametrize("exc, code, message", [
+        (ParseError("$.x", "bad"), 2, "error: parse error: $.x: bad"),
+        (InvalidMHS(ValidationReport((Violation("weight", 1, "W_0 not in W_1"),))), 2,
+         "error: invalid mixed Hodge structure:\n[weight@1] W_0 not in W_1"),
+        (FramingTypeError("bad"), 2, "error: framing error: bad"),
+        (NumericalDegeneracy("bad"), 3, "error: bad"),
+        (ResidualTooLarge("bad"), 3, "error: bad"),
+        (RealityViolation("bad"), 3, "error: bad"),
+        (NonConvergent("bad"), 3, "error: bad"),
+        (PathThroughSingularity("bad"), 3, "error: bad"),
+        (cli.CliError(5, "bad"), 5, "error: bad"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_table(self, monkeypatch, capsys, exc, code, message):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_height", failing)
+        assert cli.main(["height", "doc.json"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_polylog_failures_keep_the_table(self, monkeypatch, capsys):
+        def failing(ctx):
+            raise NonConvergent("bad")
+
+        monkeypatch.setattr(cli, "_delta_residual", failing)
+        assert cli.main(["polylog", "--z", "0.3+0.2i", "--N", "2"]) == 3
+        assert capsys.readouterr().err == "error: bad\n"
+
+    def test_rejected_polylog_structure_is_numerical(self, tmp_path, capsys):
+        # H(z) is built by the program, so failing validation is a numerical
+        # failure (exit 3) in both modes; at N = 12 the Hodge flag of H(0.3+0.2i)
+        # is numerically degenerate
+        assert cli.main(["polylog", "--z", "0.3+0.2i", "--N", "12"]) == 3
+        single = capsys.readouterr().err
+        assert _run_sweep(tmp_path, {"grid": ["0.3+0.2i"], "N": 12,
+                                     "framings": [[0, 1]]}) == 3
+        sweep = capsys.readouterr().err
+        assert single == sweep
+        assert single.startswith("error: invalid mixed Hodge structure:\n")
+        assert "F^-11 not contained in F^-12" in single
+
+
+def _framed_example(**framing):
+    doc = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+    doc["framing"].update(framing)
+    return doc
+
+
+class TestDocumentChecks:
+    """Validity and framing type are checked after parsing, with exit 2."""
+
+    def test_weight_filtration_not_nested(self, tmp_path, capsys):
+        doc = {"dimension": 2,
+               "weight_filtration": [{"weight": 0, "basis": [["1", "0"]]},
+                                     {"weight": 1, "basis": [["0", "1"]]},
+                                     {"weight": 2, "basis": [["1", "0"], ["0", "1"]]}],
+               "hodge_filtration": [{"p": 0, "basis": [["1", "0"], ["0", "1"]]}]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == "[weight@1] W_0 not contained in W_1\n"
+
+    def test_invalid_document_without_framing_is_invalid(self, purity_violating_file,
+                                                         capsys):
+        # validity is decided before the missing framing block (exit 4)
+        assert cli.main(["height", purity_violating_file]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid mixed Hodge structure:\n")
+
+    @pytest.mark.parametrize("framing, message", [
+        ({"phi": ["0", "0", "0", "1"]}, "phi_class vanishes in Gr^W_0"),
+        ({"psi": ["0", "0", "0", "1"]}, "psi_class does not vanish on W_-5"),
+    ], ids=["phi_vanishes", "psi_not_vanishing"])
+    def test_framing_type_error(self, tmp_path, capsys, framing, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_framed_example(**framing)))
+        assert cli.main(["height", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: framing error: {message}\n"
+
+    def test_frame_vector_of_wrong_length(self, tmp_path, capsys):
+        # FramedMHS.check rejects a short frame vector, but a document cannot
+        # carry one: the parser reports it at its path first
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_framed_example(phi=["1", "0", "0"])))
+        assert cli.main(["height", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: parse error: $.framing.phi: expected 4 entries, got 3")

@@ -66,6 +66,13 @@ def test_validation_never_throws_on_bad_data():
     assert any(v.kind == "weight" for v in report.violations)
 
 
+def test_weight_filtration_not_nested_is_reported():
+    # W_0 and W_1 have the same dimension but are different lines
+    h = MixedHodgeStructure(2, {0: [[1, 0]], 1: [[0, 1]], 2: [[1, 0], [0, 1]]},
+                            {0: np.eye(2, dtype=complex)})
+    assert validate(h).describe() == "[weight@1] W_0 not contained in W_1"
+
+
 def test_operations_require_validity():
     broken = MixedHodgeStructure(2, {0: [[1, 0]]}, {0: np.eye(2, dtype=complex)})
     for op in (dual, conjugate, lambda s: twist(s, 1)):
