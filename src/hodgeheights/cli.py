@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -121,13 +122,17 @@ def cmd_height(args) -> int:
     if fh is None:
         raise CliError(EXIT_USAGE, "document has no framing block")
     out: dict = {"a": fh.a, "b": fh.b, "diagnostics": {}}
-    if args.which in ("1", "both"):
-        out["ht1"] = framed_mod.height1(fh)
-        out["diagnostics"]["ht1_via_delta"] = framed_mod.height1_via_delta(fh)
-    if args.which in ("2", "both"):
-        out["ht2"] = framed_mod.height2(fh)
-    if args.which == "both":
-        out["diagnostics"]["biextension_defect"] = framed_mod.biextension_defect(fh)
+    # every height function warns on an (a, a) framing; print each message once
+    with warnings.catch_warnings(record=True) as caught:
+        if args.which in ("1", "both"):
+            out["ht1"] = framed_mod.height1(fh)
+            out["diagnostics"]["ht1_via_delta"] = framed_mod.height1_via_delta(fh)
+        if args.which in ("2", "both"):
+            out["ht2"] = framed_mod.height2(fh)
+        if args.which == "both":
+            out["diagnostics"]["biextension_defect"] = framed_mod.biextension_defect(fh)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     _write_output(json.dumps(out, indent=2), None)
     return EXIT_OK
 

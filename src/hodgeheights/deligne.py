@@ -12,6 +12,21 @@ strictly lower both indices, with  conj(Y) = e^{-2i delta} Y e^{2i delta}.
 delta vanishes exactly when the structure splits over R; it is the raw
 material of the second height functional.
 
+A Hodge--Tate structure, every piece of type (p, p), takes its pieces
+from the standard splitting of a mixed Tate structure by its Hodge
+filtration (Deligne 1989): P_k = F^{k/2} cap W_k for every weight k, all
+even, in one batched intersection.  They are kept only if (iii) each P_k
+has dim Gr^W_k, (ii) dim F^p is the total dim of the P_k with k >= 2p,
+for every p from the lowest Hodge jump to the highest, and (i) they are
+a direct sum (`numerical_rank` of the assembled basis's singular values,
+which the Bigrading keeps for validation).  Then the sum of the P_j,
+j <= k, is direct, lies in W_k and has its dimension, so it is W_k; so
+P_k maps onto Gr^W_k and F^p is the sum of the P_k with k >= 2p.
+Together these give F^{k/2} Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k = 0,
+so (W, F) is a Hodge--Tate MHS, and by uniqueness the P_k are its
+Deligne pieces.  Any other (W, F), and any that fails (i)-(iii), takes
+the general formula, which decides validity and writes the report.
+
 The formula is evaluated on the lattice of filtration jumps, for any
 (W, F) whose filtrations are nested, and the pieces are memoized on the
 structure.  F^r and W_s only change at their jumps, so F^r cap W_s is
@@ -51,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, Subspace, nilpotent_exp_pair
+from .linalg import DTYPE, Subspace, nilpotent_exp_pair, numerical_rank
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 #: Tolerance for the defining-equation residual of the splitting.
@@ -114,13 +129,44 @@ class Bigrading:
 
 
 def _pieces(h: MixedHodgeStructure) -> Bigrading:
-    """Deligne's formula for any nested (W, F), unchecked and memoized on h
+    """Deligne's pieces of any nested (W, F), unchecked and memoized on h
     (or carried over from the parent of a derived h): validate decides
-    validity on it, and it is the bigrading if h is valid."""
+    validity on them, and they are the bigrading if h is valid."""
     return h.memo("pieces", lambda: _compute_pieces(h))
 
 
 def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
+    return _hodge_tate_pieces(h) or _deligne_formula_pieces(h)
+
+
+def _hodge_tate_pieces(h: MixedHodgeStructure) -> Bigrading | None:
+    """The pieces I^{k/2,k/2} = F^{k/2} cap W_k of a Hodge--Tate h, or None.
+
+    Every weight present must be even, and the intersections (one batch)
+    are kept only if (iii) each has dim Gr^W_k, (ii) dim F^p is the total
+    dim of those of weight >= 2p and (i) they are a direct sum; then they
+    are Deligne's pieces (module docstring).  Otherwise None, and the
+    formula decides, and reports on, h.
+    """
+    n = h.dimension
+    weights = h.weights_present()
+    if n == 0 or any(k % 2 for k in weights):
+        return None
+    cuts = Subspace.intersect_pairs(
+        [(h.hodge_subspace(k // 2), h.weight_subspace(k)) for k in weights])
+    if any(c.dim != h.graded_dimension(k) for k, c in zip(weights, cuts)):
+        return None
+    pjumps = h.hodge_jumps
+    for p in range(pjumps[0], pjumps[-1] + 1):
+        if h.hodge_subspace(p).dim != sum(c.dim for k, c in zip(weights, cuts)
+                                          if k >= 2 * p):
+            return None
+    b = _assemble(h, {(k // 2, k // 2): c for k, c in zip(weights, cuts)})
+    return b if numerical_rank(b.singular_values) == n else None
+
+
+def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
+    """Deligne's formula on the jump lattice, for any nested (W, F)."""
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:

@@ -138,6 +138,10 @@ def _warn_degenerate(fh: FramedMHS) -> None:
 def height1(fh: FramedMHS) -> float:
     """First height: Im < e_Hdual, conj(e_H) >."""
     _warn_degenerate(fh)
+    return _height1(fh)
+
+
+def _height1(fh: FramedMHS) -> float:
     el = frame_elements(fh)
     return float(_pair(el.e_h_dual, el.e_h.conj()).imag)
 
@@ -168,6 +172,10 @@ def delta_pairing(fh: FramedMHS, power: int = 1) -> complex:
 def height2(fh: FramedMHS) -> float:
     """Second height: < e_Hdual, delta(e_H) >, asserted real."""
     _warn_degenerate(fh)
+    return _height2(fh)
+
+
+def _height2(fh: FramedMHS) -> float:
     value = delta_pairing(fh, 1)
     scale = max(1.0, abs(value))
     if abs(value.imag) > REALITY_TOL * scale:
@@ -206,7 +214,8 @@ def biextension_defect(fh: FramedMHS) -> float:
     here follows from expanding e^{-2i delta} term by term (the odd-order
     pairings are real, so ht1 = -2<d> + (4/3)<d^3> - (4/15)<d^5> + ...).
     """
-    return height2(fh) + 0.5 * height1(fh)
+    _warn_degenerate(fh)
+    return _height2(fh) + 0.5 * _height1(fh)
 
 
 @dataclass(frozen=True)

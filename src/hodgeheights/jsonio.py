@@ -57,9 +57,18 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+def _float(value: int | float, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is a
+    parse error, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(path, "integer too large for a float") from exc
+
+
 def parse_complex(text: Any, path: str = "") -> complex:
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return complex(text)
+        return complex(_float(text, path))
     if not isinstance(text, str):
         raise ParseError(path, f"expected a complex string, got {text!r}")
     s = text.strip().replace(" ", "")
@@ -92,7 +101,7 @@ def _integer(value: Any, path: str, minimum: int | None = None) -> int:
 
 def _finite_number(value: Any, path: str) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not math.isfinite(_float(value, path))):
         raise ParseError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -180,7 +189,7 @@ def _json(doc: Any) -> Any:
         return doc
     try:
         return json.loads(doc)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past Python's digit limit
         raise ParseError("$", f"not valid JSON: {exc}") from exc
 
 

@@ -244,10 +244,14 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     After the data and the filtrations' containments and fullness (W
     exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
-    on h for its bigrading: computed by Deligne's formula, or carried
-    over from the parent of a derived structure.  Each piece I^{p,q} must
-    lie in h's own F^p and W_{p+q}, which formula pieces do by
-    construction.  Then (W, F) is an MHS exactly when (i) the pieces form
+    on h for its bigrading: computed as F^{k/2} cap W_k when h is
+    Hodge--Tate, by Deligne's formula otherwise, or carried over from the
+    parent of a derived structure.  The Hodge--Tate pieces are kept only
+    where they pass (i)-(iii) below, which makes them the Deligne pieces
+    of a valid structure (see `deligne`); everything else, every invalid
+    structure included, is decided on the formula's pieces.  Each piece
+    I^{p,q} must lie in h's own F^p and W_{p+q}, which computed pieces do
+    by construction.  Then (W, F) is an MHS exactly when (i) the pieces form
     a direct sum of C^n, (ii) dim F^p is the total dim of the pieces
     I^{p',q} with p' >= p, (iii) the pieces of weight k have total dim
     Gr^W_k and (iv) dim I^{p,q} = dim I^{q,p}: each piece of weight k lies

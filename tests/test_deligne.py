@@ -13,7 +13,7 @@ from hodgeheights.deligne import (NumericalDegeneracy, ResidualTooLarge, bigradi
 from hodgeheights.linalg import Subspace, nilpotent_exp, nilpotent_exp_pair
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair,
-                              require_valid, tate, twist)
+                              require_valid, tate, twist, validate)
 
 from conftest import random_framing
 from oracles import delta_fixed_point, dense_solve_delta, projectors
@@ -64,19 +64,14 @@ class TestBigrading:
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
-        # Validation solves Deligne's pieces once and the bigrading
-        # assembles the same pieces.  Every intersection is decided from
-        # principal sines, with no complement of W_s: F^r cap W_s for every
-        # W jump s is one batched SVD per Hodge jump r, and all the pieces
-        # together are one more; U is built by its recursion, once per
-        # chain of nonzero terms; the conjugate side is formed only where
-        # F^p cap W_k is not zero; intersecting with a full F^r or W_s and
-        # adding a zero U cost no SVD, nor does forming a W_s of full exact
-        # rank.  So validating and bigrading H(z) costs 28/47/97 SVDs at
-        # N = 4/6/10.  Complements of the W_s
-        # (46/80/172), an SVD per piece, one stack per (F^r, W_s) pair
-        # (74/155/407), a second solve (a graded-purity sweep), rebuilding U
-        # for every piece, forming the conjugate side of every empty piece
+        # Validation computes the pieces once and the bigrading assembles
+        # the same pieces.  H(z) is Hodge--Tate, so its pieces are
+        # F^{k/2} cap W_k for every weight k, one batched SVD, and the
+        # direct-sum check is one SVD of the assembled basis, which the
+        # bigrading reuses; F^p and W_k cost one SVD each per jump (none
+        # for a full one).  So validating and bigrading H(z) costs
+        # 11/15/23 SVDs at N = 4/6/10.  Deligne's formula (28/47/97), a
+        # second singular-value pass for the bigrading, an SVD per piece
         # or an SVD for a trivial operand breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
@@ -90,7 +85,7 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= {4: 28, 6: 47, 10: 97}[n]
+        assert len(calls) <= {4: 11, 6: 15, 10: 23}[n]
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
@@ -371,6 +366,61 @@ def odd_weight_gap_structure(c1=0.8 - 0.3j, c2=0.1 + 0.6j, tau=1.0j):
          -1: np.array([[1, c1, c2], [0, 1, tau]], dtype=complex),
          0: np.array([[1, c1, c2]], dtype=complex)},
     )
+
+
+def _fresh(h):
+    """h's data in a new structure, with nothing memoized."""
+    return MixedHodgeStructure(h.dimension, h.weight_filtration, h.hodge_filtration)
+
+
+def _hodge_tate_cases():
+    rng = np.random.default_rng(16)
+    for seed in range(40):
+        dims = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(2, 5)))]
+        yield random_hodge_tate(dims, seed=seed, scale=float(rng.uniform(0.2, 3.0)))
+    from hodgeheights.polylog import PolylogContext, polylog_mhs
+    # N = 12 is rejected at every z here (F^-11 not contained in F^-12)
+    for n in range(2, 13):
+        for z in (0.3 + 0.2j, -0.6 + 0.5j, 1.5 - 2.0j, -2.6 - 3.0j):
+            yield polylog_mhs(PolylogContext(z, n))
+
+
+class TestHodgeTatePath:
+    def test_matches_deligne_formula(self):
+        # I^{p,p} = F^p cap W_2p on every valid Hodge--Tate structure, with
+        # the report the formula gives; rejected structures take the formula
+        taken = rejected = 0
+        for h in _hodge_tate_cases():
+            formula = _fresh(h)
+            formula.memo("pieces", lambda: deligne._deligne_formula_pieces(formula))
+            report = validate(_fresh(h))
+            assert report == validate(formula)
+            shortcut = deligne._hodge_tate_pieces(_fresh(h))
+            assert (shortcut is None) == (not report.ok)
+            if shortcut is None:
+                rejected += 1
+                continue
+            taken += 1
+            b = deligne._deligne_formula_pieces(_fresh(h))
+            assert shortcut.labels == b.labels
+            for pq, piece in b.pieces.items():
+                mine = shortcut.pieces[pq]
+                assert np.linalg.norm(mine.basis @ mine.basis.conj().T
+                                      - piece.basis @ piece.basis.conj().T) < 1e-12
+        assert (taken, rejected) == (40 + 40, 4)
+
+    def test_other_structures_take_the_formula(self):
+        # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; and the
+        # rank-2 pure structure F^1 of which no weight-0 MHS allows
+        purity = MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]},
+                                     {0: np.eye(2, dtype=complex),
+                                      1: np.array([[1.0, 1j]])})
+        for h in (curve_weight_gap_structure(), odd_weight_gap_structure(), purity):
+            assert deligne._hodge_tate_pieces(h) is None
+            b = deligne._pieces(h)
+            formula = deligne._deligne_formula_pieces(_fresh(h))
+            assert b.labels == formula.labels
+            assert np.array_equal(b.basis, formula.basis)
 
 
 class TestMixedTypeStructures:

@@ -304,6 +304,17 @@ class TestHeights:
         with pytest.warns(UserWarning):
             height1(fh)
 
+    def test_biextension_defect_warns_once(self):
+        # it takes both heights, but warns and checks reality once
+        h = random_hodge_tate([2, 1], seed=2)
+        fh = FramedMHS(h, 0, 0, unit(0, 3), unit(1, 3))
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            defect = biextension_defect(fh)
+        assert len(record) == 1
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            assert defect == height2(fh) + 0.5 * height1(fh)
+        assert len(record) == 2
+
 
 class TestBiextensionRelation:
     def test_defect_vanishes_on_short_structures(self):

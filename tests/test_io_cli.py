@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +245,27 @@ class TestCli:
         # base framing of the shipped document satisfies ht2 = -ht1/2
         assert abs(out["ht2"] + 0.5 * out["ht1"]) < 1e-9
 
+    def test_formula_example_is_not_hodge_tate(self, capsys):
+        # the shipped document that keeps Deligne's general formula in use
+        from test_deligne import curve_weight_gap_structure
+
+        from hodgeheights import deligne
+        h, _ = parse_mhs_document((EXAMPLES / "curve-weight-gap.json").read_text())
+        assert mhs_to_document(h) == mhs_to_document(curve_weight_gap_structure())
+        assert deligne._hodge_tate_pieces(h) is None
+        assert cli.main(["validate", str(EXAMPLES / "curve-weight-gap.json")]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_degenerate_framing_warns_once(self, tmp_path, capsys):
+        # four height functions warn on an (a, a) framing; the CLI says it once
+        path = tmp_path / "aa.json"
+        path.write_text(json.dumps(_framed_example(a=0, b=0, psi=["1", "0", "0", "0"])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert cli.main(["height", str(path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: height of an (a,a)-framed structure is degenerate\n")
+
     @pytest.mark.parametrize("command", ["height", "splitting"])
     def test_document_is_validated_once(self, command, monkeypatch, capsys):
         from pathlib import Path
@@ -437,6 +459,25 @@ class TestInputRejections:
         del doc[key]
         self.assert_parse_error(tmp_path, capsys, doc, f"$.{key}")
 
+    @pytest.mark.parametrize("keys, json_path", [
+        (("hodge_filtration", 0, "basis", 0), "$.hodge_filtration[0].basis[0][0]"),
+        (("comparison_matrix", 0), "$.comparison_matrix[0][0]"),
+    ], ids=["hodge_basis", "comparison_matrix"])
+    def test_complex_entry_too_large_for_a_float(self, tmp_path, capsys, keys, json_path):
+        doc = _replaced(mhs_to_document(tate(0)), keys, [-10**400])
+        self.assert_parse_error(tmp_path, capsys, doc, json_path)
+        with pytest.raises(ParseError, match="too large for a float"):
+            parse_complex(10**400)
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # Python's int digit limit makes such JSON unreadable, where it applies
+        doc = _replaced(mhs_to_document(tate(0)), ("hodge_filtration", 0, "basis", 0),
+                        ["1" * 5000])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"' + "1" * 5000 + '"', "1" * 5000))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: parse error: $")
+
     @pytest.mark.parametrize("dimension", [0, -1])
     def test_dimension_below_one(self, tmp_path, capsys, dimension):
         doc = {"dimension": dimension, "weight_filtration": [], "hodge_filtration": []}
@@ -509,12 +550,15 @@ class TestSweepSpec:
           "N": 2, "framings": [[0, 1]]}, "$.grid.resolution[1]"),
         ({"grid": {"re": [-1.0, -0.5], "im": [0.0, 0.0], "resolution": [2, 1]},
           "N": 2, "framings": [[0, 1]]}, "$.grid"),
+        ({"grid": {"re": [0.1, 10**400], "im": [0.1, 0.3], "resolution": [2, 2]},
+          "N": 2, "framings": [[0, 1]]}, "$.grid.re[1]"),
+        ({"grid": [0.3, -10**400], "N": 2, "framings": [[0, 1]]}, "$.grid[1]"),
     ], ids=["not_json", "not_an_object", "no_grid", "no_framings", "empty_framings",
             "N_float", "N_zero", "framing_a_not_below_b", "framing_not_a_pair",
             "framing_bool", "grid_string", "point_not_complex", "point_not_finite",
             "point_singular", "point_on_cut", "rectangle_missing_key",
             "bounds_not_a_pair", "bound_bool", "resolution_float", "resolution_zero",
-            "rectangle_point_on_cut"])
+            "rectangle_point_on_cut", "bound_too_large", "point_too_large"])
     def test_rejection_names_its_json_path(self, tmp_path, capsys, monkeypatch,
                                            spec, json_path):
         def no_evaluation(ctx):
