@@ -4,7 +4,7 @@ Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
 
     I^{p,q} = F^p cap W_{p+q} cap (conj(F^q) cap W_{p+q} + conj(U^{q-1}_{p+q-2})),
-    U^r_s   = F^r cap W_s + U^{r-1}_{s-1}     (zero below the lowest weight),
+    U^r_s   = sum_{j >= 0} F^{r-j} cap W_{s-j}     (W zero below the lowest weight),
 
 refining both filtrations.  The grading operator Y acts by p+q on I^{p,q},
 and there is a unique real operator delta, all of whose Hodge components
@@ -12,40 +12,42 @@ strictly lower both indices, with  conj(Y) = e^{-2i delta} Y e^{2i delta}.
 delta vanishes exactly when the structure splits over R; it is the raw
 material of the second height functional.
 
-A Hodge--Tate structure, every piece of type (p, p), takes its pieces
-from the standard splitting of a mixed Tate structure by its Hodge
-filtration (Deligne 1989): P_k = F^{k/2} cap W_k for every weight k, all
-even, in one batched intersection.  They are kept only if (iii) each P_k
-has dim Gr^W_k, (ii) dim F^p is the total dim of the P_k with k >= 2p,
-for every p from the lowest Hodge jump to the highest, and (i) they are
-a direct sum (`numerical_rank` of the assembled basis's singular values,
-which the Bigrading keeps for validation).  Then the sum of the P_j,
-j <= k, is direct, lies in W_k and has its dimension, so it is W_k; so
-P_k maps onto Gr^W_k and F^p is the sum of the P_k with k >= 2p.
-Together these give F^{k/2} Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k = 0,
-so (W, F) is a Hodge--Tate MHS, and by uniqueness the P_k are its
-Deligne pieces.  Any other (W, F), and any that fails (i)-(iii), takes
-the general formula, which decides validity and writes the report.
+The formula is evaluated as written, for any (W, F) whose filtrations
+are nested (`_deligne_formula_pieces`).  W_k is real and every term lies
+in W_k, so the right-hand side is one conjugated span,
 
-The formula is evaluated on the lattice of filtration jumps, for any
-(W, F) whose filtrations are nested, and the pieces are memoized on the
-structure.  F^r and W_s only change at their jumps, so F^r cap W_s is
-kept per (jump of F at r, jump of W at s).  Every intersection is
-decided from principal sines by `Subspace.intersect_pairs`, one batched
-SVD per call: for each jump r of F, F^r cap W_s for every jump s of W is
-one call, and all the pieces together are one more.  U^r_s is built by
-its recursion and kept per lattice point (r, s), so a call walks down
-only to the nearest point already filled; each sum is kept per chain of
-jump pairs of its nonzero terms.  The splitting is functorial
+    conj(F^q cap W_k + sum_{j >= 0} F^{q-1-j} cap W_{k-2-j}),   k = p+q.
+
+F^r and W_s only change at their jumps, so F^r cap W_s for every pair of
+jumps is one batched `Subspace.intersect_pairs`, each right-hand side is
+one `Subspace.sum` of its nonzero terms (one SVD), and all the pieces
+together are one more batch.
+
+A Hodge--Tate structure, every piece of type (p, p), has as its pieces
+the standard splitting of a mixed Tate structure by its Hodge filtration
+(Deligne 1989): P_k = F^{k/2} cap W_k for every weight k, all even.
+`_hodge_tate_candidates` computes them in one batched intersection and
+checks nothing.  `mhs.validate`, the one place the MHS criteria are
+written, certifies them; only if they fail do the formula's pieces
+decide validity and write the report.  Certified candidates are
+Deligne's pieces: (iii) each P_k has dim Gr^W_k, (ii) dim F^p is the
+total dim of the P_k with k >= 2p, for every p, and (i) they are a
+direct sum.  Then the sum of the P_j, j <= k, is direct, lies in W_k and
+has its dimension, so it is W_k; so P_k maps onto Gr^W_k and F^p is the
+sum of the P_k with k >= 2p.  Together these give F^{k/2} Gr^W_k =
+Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and by
+uniqueness the P_k are its Deligne pieces.
+
+The pieces are memoized on the structure.  The splitting is functorial
 (Cattani--Kaplan--Schmid), so the dual, Tate twists and conjugate of a
 valid structure are born with pieces carried over from their parent's
 (`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula; a
 twist or conjugate, whose bigrading basis is its parent's or the
 parent's conjugate, also takes that basis's singular values and inverse
 (as arrays, so the parent is not kept alive).
-Validation decides on the pieces, computed or carried over, whether
-(W, F) is an MHS at all; the bigrading of a valid structure is the same
-pieces, once their basis is checked to be well conditioned.
+Validation decides on the pieces, certified, computed or carried over,
+whether (W, F) is an MHS at all; the bigrading of a valid structure is
+the same pieces, once their basis is checked to be well conditioned.
 
 The splitting solver works degree by degree in the Y-weight drop: the
 drop-m part of delta is read off from the residual of the defining
@@ -66,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, Subspace, nilpotent_exp_pair, numerical_rank
+from .linalg import DTYPE, Subspace, nilpotent_exp_pair
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 #: Tolerance for the defining-equation residual of the splitting.
@@ -129,99 +131,53 @@ class Bigrading:
 
 
 def _pieces(h: MixedHodgeStructure) -> Bigrading:
-    """Deligne's pieces of any nested (W, F), unchecked and memoized on h
-    (or carried over from the parent of a derived h): validate decides
+    """Deligne's pieces of any nested (W, F), memoized on h: the Hodge--Tate
+    candidates once `mhs.validate` has certified them, a derived h's carried
+    over from its parent, and otherwise the formula's.  Validate decides
     validity on them, and they are the bigrading if h is valid."""
-    return h.memo("pieces", lambda: _compute_pieces(h))
+    return h.memo("pieces", lambda: _deligne_formula_pieces(h))
 
 
-def _compute_pieces(h: MixedHodgeStructure) -> Bigrading:
-    return _hodge_tate_pieces(h) or _deligne_formula_pieces(h)
-
-
-def _hodge_tate_pieces(h: MixedHodgeStructure) -> Bigrading | None:
-    """The pieces I^{k/2,k/2} = F^{k/2} cap W_k of a Hodge--Tate h, or None.
-
-    Every weight present must be even, and the intersections (one batch)
-    are kept only if (iii) each has dim Gr^W_k, (ii) dim F^p is the total
-    dim of those of weight >= 2p and (i) they are a direct sum; then they
-    are Deligne's pieces (module docstring).  Otherwise None, and the
-    formula decides, and reports on, h.
+def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
+    """F^{k/2} cap W_k for every weight k present, in one batch, when every
+    such k is even; otherwise None.  Nothing is checked here: they are
+    Deligne's pieces once `mhs.validate` certifies them (module docstring).
     """
-    n = h.dimension
     weights = h.weights_present()
-    if n == 0 or any(k % 2 for k in weights):
+    if any(k % 2 for k in weights):
         return None
     cuts = Subspace.intersect_pairs(
         [(h.hodge_subspace(k // 2), h.weight_subspace(k)) for k in weights])
-    if any(c.dim != h.graded_dimension(k) for k, c in zip(weights, cuts)):
-        return None
-    pjumps = h.hodge_jumps
-    for p in range(pjumps[0], pjumps[-1] + 1):
-        if h.hodge_subspace(p).dim != sum(c.dim for k, c in zip(weights, cuts)
-                                          if k >= 2 * p):
-            return None
-    b = _assemble(h, {(k // 2, k // 2): c for k, c in zip(weights, cuts)})
-    return b if numerical_rank(b.singular_values) == n else None
+    return _assemble(h, {(k // 2, k // 2): c for k, c in zip(weights, cuts)})
 
 
 def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
-    """Deligne's formula on the jump lattice, for any nested (W, F)."""
+    """Deligne's formula as written (module docstring), for any nested (W, F)."""
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:
-        wjumps = h.weight_jumps
-        low = wjumps[0]
-        w_spaces = [h.weight_subspace(s) for s in wjumps]
-        fw_cache: dict[tuple, Subspace] = {}   # F^r cap W_s, keyed by jumps
-        u_cache: dict[tuple, Subspace] = {}    # U^r_s, keyed by its chain
-        u_points: dict[tuple, tuple] = {}      # (chain, U^r_s), keyed by (r, s)
+        fjumps, wjumps = h.hodge_jumps, h.weight_jumps
+        jumps = [(r, s) for r in fjumps for s in wjumps]
+        fw = dict(zip(jumps, Subspace.intersect_pairs(
+            [(h.hodge_subspace(r), h.weight_subspace(s)) for r, s in jumps])))
+        zero = Subspace.zero(n)
 
-        def fw(r: int, s: int) -> tuple[tuple, Subspace]:
-            key = (h._hodge_jump(r), h._weight_jump(s))
-            if key[0] is None or key[1] is None:
-                return key, Subspace.zero(n)
-            if key not in fw_cache:
-                # F^r cap W_s for every jump s at once, in one batch
-                f = h.hodge_subspace(r)
-                row = Subspace.intersect_pairs([(f, w) for w in w_spaces])
-                fw_cache.update(((key[0], s), sub) for s, sub in zip(wjumps, row))
-            return key, fw_cache[key]
+        def cut(r: int, s: int) -> Subspace:
+            # F^r cap W_s is zero above the highest jump of F or below the lowest of W
+            return fw.get((h._hodge_jump(r), h._weight_jump(s)), zero)
 
-        def u(r: int, s: int) -> Subspace:
-            # Walk down to the nearest lattice point already filled (or below
-            # the lowest weight), then fill upward by a loop: a self-recursive
-            # closure would be a reference cycle keeping h and the caches
-            # alive.  A zero term adds nothing, so each sum is keyed by the
-            # jumps of its nonzero terms.
-            path = []
-            while s >= low and (r, s) not in u_points:
-                path.append((r, s))
-                r, s = r - 1, s - 1
-            chain, acc = u_points.get((r, s), ((), Subspace.zero(n)))
-            for point in reversed(path):
-                key, term = fw(*point)
-                if term.dim > 0:
-                    chain += (key,)
-                    if chain not in u_cache:
-                        u_cache[chain] = term.sum(acc)
-                    acc = u_cache[chain]
-                u_points[point] = (chain, acc)
-            return acc
-
-        pjumps = h.hodge_jumps
         labels, pairs = [], []
         for k in h.weights_present():
-            for p in range(pjumps[0], pjumps[-1] + 1):
-                left = fw(p, k)[1]
+            for p in range(fjumps[0], fjumps[-1] + 1):
+                left = cut(p, k)
                 if left.dim == 0:
                     continue
                 q = k - p
-                # W_k is real, so conj(F^q) cap W_k = conj(F^q cap W_k); both
-                # summands lie in W_k, so the sum needs no second cut by W_k.
-                right = fw(q, k)[1].sum(u(q - 1, k - 2)).conjugate()
+                # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest weight
+                right = cut(q, k).sum(*(cut(q - 1 - j, k - 2 - j)
+                                        for j in range(k - 1 - wjumps[0])))
                 labels.append((p, q))
-                pairs.append((left, right))
+                pairs.append((left, right.conjugate()))
         for pq, piece in zip(labels, Subspace.intersect_pairs(pairs)):
             if piece.dim > 0:
                 pieces[pq] = piece

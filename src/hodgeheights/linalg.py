@@ -4,8 +4,9 @@ Subspaces of C^n are held as orthonormal spanning sets produced by a
 rank-revealing SVD; every dimension decision is `numerical_rank`, one
 relative tolerance against the largest singular value (applied in closed
 form to principal sines by `Subspace.intersect_pairs`, which intersects
-a batch of pairs in one SVD).  Equality of subspaces is mutual
-containment, never comparison of generators.  The nilpotent exponential
+a batch of pairs in one SVD; `Subspace.sum` spans any number of sides
+in one).  Equality of subspaces is mutual containment, never comparison
+of generators.  The nilpotent exponential
 of a matrix and of its negative come from one series
 (`nilpotent_exp_pair`).
 
@@ -212,20 +213,20 @@ class Subspace:
             out[i] = Subspace(basis[:x.shape[0], d - k:].copy())
         return out
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        """Span of both sides.
+    def sum(self, *others: "Subspace") -> "Subspace":
+        """Span of self and every other side, from one SVD.
 
-        When one side is zero the result is the other side, with no SVD:
-        its basis has orthonormal columns, so every singular value is 1 and
-        its numerical rank is its dim -- the dimension the SVD would return.
+        Zero sides are dropped.  When one side is left the result is that
+        side, with no SVD: its basis has orthonormal columns, so every
+        singular value is 1 and its numerical rank is its dim -- the
+        dimension the SVD would return.
         """
-        if self.ambient_dim != other.ambient_dim:
+        if any(other.ambient_dim != self.ambient_dim for other in others):
             raise DimensionMismatch("ambient dimensions differ")
-        if other.dim == 0:
-            return self
-        if self.dim == 0:
-            return other
-        return Subspace(orthonormal_columns(np.hstack([self.basis, other.basis])))
+        sides = [side for side in (self, *others) if side.dim > 0]
+        if len(sides) <= 1:
+            return sides[0] if sides else self
+        return Subspace(orthonormal_columns(np.hstack([side.basis for side in sides])))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on self, as vectors in dual coordinates.

@@ -15,8 +15,9 @@ Filtrations are stored sparsely by jump index:
   largest jump; the value at the smallest jump must be the full space.
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
-bigrading (see `validate`); exact weight data is one echelon form per
-jump of W, and W_k and F^p are one Subspace per jump.
+bigrading; `validate` is the one place the MHS criteria are written and
+run.  Exact weight data is one echelon form per jump of W, and W_k and
+F^p are one Subspace per jump; W_k's dimension is its exact rank.
 
 The dual, Tate twists and conjugate of a valid structure are born with
 every fact their parent holds about the same data, carried over:
@@ -191,15 +192,21 @@ class MixedHodgeStructure:
     def weight_subspace(self, k: int) -> Subspace:
         """W_k as a Subspace, memoized under the jump whose rows it spans.
 
-        W_k whose exact echelon form has full rank is the whole space.
+        Its basis is the left singular vectors of W_k's reduced echelon
+        rows, each scaled to unit norm, all weight_rank(k) of them: the
+        exact rank decides the dimension, so no scaling of the rational
+        rows moves it.  W_k of full rank is the whole space.
         """
         def compute():
-            if self.weight_rank(k) == self.dimension:
+            rank = self.weight_rank(k)
+            if rank == self.dimension:
                 return Subspace.full(self.dimension)
-            rows = [[float(x) for x in row] for row in self.weight_rows(k)]
-            return Subspace.from_vectors(
-                np.array(rows, dtype=DTYPE).reshape(len(rows), self.dimension),
-                ambient_dim=self.dimension)
+            if rank == 0:
+                return Subspace.zero(self.dimension)
+            cols = np.array([[float(x) for x in row] for row in self.weight_echelon(k)[0]],
+                            dtype=DTYPE).T
+            cols /= np.linalg.norm(cols, axis=0)
+            return Subspace(np.linalg.svd(cols, full_matrices=False)[0])
         return self.memo(("W", self._weight_jump(k)), compute)
 
     def hodge_subspace(self, p: int) -> Subspace:
@@ -244,22 +251,13 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     After the data and the filtrations' containments and fullness (W
     exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
-    on h for its bigrading: computed as F^{k/2} cap W_k when h is
-    Hodge--Tate, by Deligne's formula otherwise, or carried over from the
-    parent of a derived structure.  The Hodge--Tate pieces are kept only
-    where they pass (i)-(iii) below, which makes them the Deligne pieces
-    of a valid structure (see `deligne`); everything else, every invalid
-    structure included, is decided on the formula's pieces.  Each piece
-    I^{p,q} must lie in h's own F^p and W_{p+q}, which computed pieces do
-    by construction.  Then (W, F) is an MHS exactly when (i) the pieces form
-    a direct sum of C^n, (ii) dim F^p is the total dim of the pieces
-    I^{p',q} with p' >= p, (iii) the pieces of weight k have total dim
-    Gr^W_k and (iv) dim I^{p,q} = dim I^{q,p}: each piece of weight k lies
-    in F^p and, modulo W_{k-1}, in conj F^q, so (i)-(iv) give Gr^W_k =
-    F^p (+) conj F^{k-p+1}; conversely the formula returns the Deligne
-    splitting of every MHS, and a derived structure's is its parent's,
-    carried over.  A failure is a purity violation at its weight k (p+q
-    for containment), or at None for (i) and (ii).
+    on h for its bigrading.  This is the one place the MHS criteria are
+    written (`_purity_violations`).  A derived structure's pieces are
+    carried over from its parent, and they decide.  Otherwise a
+    Hodge--Tate h's candidates F^{k/2} cap W_k come first: passing the
+    criteria certifies them as the Deligne pieces of a valid structure
+    (see `deligne`).  If there are no candidates, or they fail, the
+    pieces of Deligne's formula decide and write the report.
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -300,7 +298,30 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
         return ValidationReport(tuple(bad))
 
     from . import deligne
-    pieces = deligne._pieces(h)
+    if "pieces" not in h._memo:
+        candidates = deligne._hodge_tate_candidates(h)
+        if candidates is not None and not _purity_violations(h, candidates):
+            h.memo("pieces", lambda: candidates)
+            return ValidationReport(())
+    return ValidationReport(tuple(_purity_violations(h, deligne._pieces(h))))
+
+
+def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
+    """The MHS criteria on candidate pieces I^{p,q} of h, whose filtrations
+    are nested with full bottom and top.
+
+    Each piece I^{p,q} must lie in h's own F^p and W_{p+q}.  Then (W, F)
+    is an MHS exactly when (i) the pieces form a direct sum of C^n, (ii)
+    dim F^p is the total dim of the pieces I^{p',q} with p' >= p, (iii)
+    the pieces of weight k have total dim Gr^W_k and (iv) dim I^{p,q} =
+    dim I^{q,p}: each piece of weight k lies in F^p and, modulo W_{k-1},
+    in conj F^q, so (i)-(iv) give Gr^W_k = F^p (+) conj F^{k-p+1};
+    conversely the formula returns the Deligne splitting of every MHS,
+    and a derived structure's is its parent's, carried over.  A failure
+    is a purity violation at its weight k (p+q for containment), or at
+    None for (i) and (ii); (i) is decided only when all else holds.
+    """
+    bad = []
     for (p, q), piece in sorted(pieces.pieces.items()):
         if not (h.hodge_subspace(p).contains_subspace(piece, SUBSPACE_TOL)
                 and h.weight_subspace(p + q).contains_subspace(piece, SUBSPACE_TOL)):
@@ -316,14 +337,15 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
             if p + q == k and d > dims.get((q, p), 0):
                 bad.append(Violation("purity", k, f"dim I^({p},{q}) = {d} exceeds "
                                      f"dim I^({q},{p}) = {dims.get((q, p), 0)}"))
+    pjumps = h.hodge_jumps
     for p in range(pjumps[0], pjumps[-1] + 1):
         total = sum(d for (pp, q), d in dims.items() if pp >= p)
         if total != h.hodge_subspace(p).dim:
             bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
                                  f"pieces I^(p',q) with p' >= {p} have dim {total}"))
-    if not bad and numerical_rank(pieces.singular_values) < n:
+    if not bad and numerical_rank(pieces.singular_values) < h.dimension:
         bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
-    return ValidationReport(tuple(bad))
+    return bad
 
 
 def _weight_nesting(h: MixedHodgeStructure) -> tuple[Violation, ...]:

@@ -116,8 +116,8 @@ def oracle_rank(rows) -> int:
     return rank
 
 
-def oracle_sum_dim(rows_a, rows_b) -> int:
-    return oracle_rank(list(rows_a) + list(rows_b))
+def oracle_sum_dim(*sides) -> int:
+    return oracle_rank([row for rows in sides for row in rows])
 
 
 def oracle_intersection_dim(rows_a, rows_b) -> int:

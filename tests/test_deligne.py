@@ -87,6 +87,32 @@ class TestBigrading:
         deligne.bigrading(h)
         assert len(calls) <= {4: 11, 6: 15, 10: 23}[n]
 
+    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 13),
+                                             (lambda: odd_weight_gap_structure(), 8)],
+                             ids=["curve", "odd"])
+    def test_formula_svd_count(self, make, bound, monkeypatch):
+        # Neither structure is Hodge--Tate, so Deligne's formula gives the
+        # pieces: F^p and W_k cost one SVD each per jump (none for a full
+        # W_k); F^r cap W_s for every pair of jumps is one batched SVD, each
+        # right-hand side with two or more nonzero terms one more, and all
+        # the pieces one batch; the direct-sum check is one SVD of the
+        # assembled basis, which the bigrading reuses.  The curve's weights
+        # are even, so its Hodge--Tate candidates cost one batch before
+        # they fail.  So validating and bigrading cost 13 and 8 SVDs; the
+        # formula's recursion, with a batch per jump of F and a sum per
+        # pair of terms, made 16 and 10.
+        h = make()
+        real_svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        require_valid(h)
+        deligne.bigrading(h)
+        assert len(calls) <= bound
+
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},
                                      {0: np.eye(2, dtype=complex)})
@@ -387,36 +413,43 @@ def _hodge_tate_cases():
 
 class TestHodgeTatePath:
     def test_matches_deligne_formula(self):
-        # I^{p,p} = F^p cap W_2p on every valid Hodge--Tate structure, with
-        # the report the formula gives; rejected structures take the formula
+        # validate certifies the candidates I^{p,p} = F^p cap W_2p on every
+        # valid Hodge--Tate structure, with the report the formula gives,
+        # and they are the formula's pieces; N = 12 is rejected before any
+        # pieces are computed
         taken = rejected = 0
         for h in _hodge_tate_cases():
             formula = _fresh(h)
             formula.memo("pieces", lambda: deligne._deligne_formula_pieces(formula))
-            report = validate(_fresh(h))
+            mine = _fresh(h)
+            report = validate(mine)
             assert report == validate(formula)
-            shortcut = deligne._hodge_tate_pieces(_fresh(h))
-            assert (shortcut is None) == (not report.ok)
-            if shortcut is None:
+            if not report.ok:
                 rejected += 1
                 continue
             taken += 1
-            b = deligne._deligne_formula_pieces(_fresh(h))
-            assert shortcut.labels == b.labels
-            for pq, piece in b.pieces.items():
-                mine = shortcut.pieces[pq]
-                assert np.linalg.norm(mine.basis @ mine.basis.conj().T
+            b, candidates = deligne._pieces(mine), deligne._hodge_tate_candidates(_fresh(h))
+            assert b.labels == candidates.labels
+            assert np.array_equal(b.basis, candidates.basis)
+            f = deligne._pieces(formula)
+            assert b.labels == f.labels
+            for pq, piece in f.pieces.items():
+                cut = b.pieces[pq]
+                assert np.linalg.norm(cut.basis @ cut.basis.conj().T
                                       - piece.basis @ piece.basis.conj().T) < 1e-12
         assert (taken, rejected) == (40 + 40, 4)
 
     def test_other_structures_take_the_formula(self):
-        # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; and the
-        # rank-2 pure structure F^1 of which no weight-0 MHS allows
+        # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; odd weights;
+        # and the rank-2 pure structure F^1 of which no weight-0 MHS allows
+        from hodgeheights.mhs import _purity_violations
         purity = MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]},
                                      {0: np.eye(2, dtype=complex),
                                       1: np.array([[1.0, 1j]])})
         for h in (curve_weight_gap_structure(), odd_weight_gap_structure(), purity):
-            assert deligne._hodge_tate_pieces(h) is None
+            candidates = deligne._hodge_tate_candidates(_fresh(h))
+            assert candidates is None or _purity_violations(h, candidates)
+            validate(h)
             b = deligne._pieces(h)
             formula = deligne._deligne_formula_pieces(_fresh(h))
             assert b.labels == formula.labels

@@ -115,9 +115,11 @@ class TestEachFactOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"validate": [], "pieces": [], "bigrading": [], "check": []}
+        seen = {"validate": [], "candidates": [], "formula": [], "bigrading": [],
+                "check": []}
         for name, module, attr in (("validate", mhs_mod, "validate"),
-                                   ("pieces", deligne, "_compute_pieces"),
+                                   ("candidates", deligne, "_hodge_tate_candidates"),
+                                   ("formula", deligne, "_deligne_formula_pieces"),
                                    ("bigrading", deligne, "_compute_bigrading"),
                                    ("check", FramedMHS, "check")):
             monkeypatch.setattr(module, attr, _recording(seen[name], getattr(module, attr)))
@@ -135,13 +137,13 @@ class TestEachFactOnce:
         h = random_hodge_tate([1, 2, 1, 2], seed=31)
         fh = random_framing(h, np.random.default_rng(31))
         self.all_heights(fh)
-        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h],
-                         "check": [fh]}
+        assert calls == {"validate": [h], "candidates": [h], "formula": [],
+                         "bigrading": [h], "check": [fh]}
 
     def test_derived_structures_inherit_pieces(self, calls):
         # dual, twist and conjugate take their pieces from the validated
         # parent: each child is validated and bigraded once, on its own
-        # filtrations, and never evaluates Deligne's formula
+        # filtrations, and computes neither candidates nor Deligne's formula
         h = random_hodge_tate([1, 2, 1, 2], seed=31)
         fh = random_framing(h, np.random.default_rng(31))
         self.all_heights(fh)
@@ -149,7 +151,7 @@ class TestEachFactOnce:
         for child in children:
             self.all_heights(child)
         derived = [child.mhs for child in children]
-        assert calls == {"validate": [h] + derived, "pieces": [h],
+        assert calls == {"validate": [h] + derived, "candidates": [h], "formula": [],
                          "bigrading": [h] + derived, "check": [fh] + children}
 
     def test_polylog(self, calls, polylog_ctx_factory):
@@ -157,8 +159,18 @@ class TestEachFactOnce:
         fh = polylog_framed(polylog_ctx_factory(0.37 - 0.41j, 6), 1, 4)
         self.all_heights(fh)
         h = fh.mhs
-        assert calls == {"validate": [h], "pieces": [h], "bigrading": [h],
-                         "check": [fh]}
+        assert calls == {"validate": [h], "candidates": [h], "formula": [],
+                         "bigrading": [h], "check": [fh]}
+
+    def test_formula_structure(self, calls):
+        # not Hodge--Tate: its candidates fail the criteria, so Deligne's
+        # formula gives the pieces; each is computed once
+        from test_deligne import curve_weight_gap_structure
+        h = curve_weight_gap_structure()
+        fh = FramedMHS(h, 0, -2, unit(0, 4), unit(3, 4))
+        self.all_heights(fh)
+        assert calls == {"validate": [h], "candidates": [h], "formula": [h],
+                         "bigrading": [h], "check": [fh]}
 
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_rref_once_per_weight_jump(self, n, monkeypatch):

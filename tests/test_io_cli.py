@@ -249,10 +249,11 @@ class TestCli:
         # the shipped document that keeps Deligne's general formula in use
         from test_deligne import curve_weight_gap_structure
 
-        from hodgeheights import deligne
+        from hodgeheights import deligne, mhs
         h, _ = parse_mhs_document((EXAMPLES / "curve-weight-gap.json").read_text())
         assert mhs_to_document(h) == mhs_to_document(curve_weight_gap_structure())
-        assert deligne._hodge_tate_pieces(h) is None
+        # its weights are even, but F^{k/2} cap W_k fail the MHS criteria
+        assert mhs._purity_violations(h, deligne._hodge_tate_candidates(h))
         assert cli.main(["validate", str(EXAMPLES / "curve-weight-gap.json")]) == 0
         assert capsys.readouterr().out == "valid\n"
 

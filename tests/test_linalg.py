@@ -445,6 +445,43 @@ def test_trivial_operands_skip_the_svd(monkeypatch):
     assert len(calls) == 2      # principal sines for the intersection, span for the sum
 
 
+
+def test_sum_of_several_sides_matches_the_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        rows = [random_rational_rows(rng, int(rng.integers(0, n + 1)), n)
+                for _ in range(int(rng.integers(2, 5)))]
+        sides = [span(*r, n=n) for r in rows]
+        assert sides[0].sum(*sides[1:]).dim == oracle_sum_dim(*rows)
+
+
+def test_sum_of_several_sides_drops_zero_ones(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b = random_subspace(rng, 5, 2), random_subspace(rng, 5, 1)
+    zero = Subspace.zero(5)
+    real_svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert zero.sum(a, zero) is a
+    assert a.sum(zero, zero) is a
+    assert zero.sum(zero, zero).dim == 0
+    assert calls == []
+    s = zero.sum(a, zero, b)
+    assert len(calls) == 1      # one span of the two nonzero sides
+    assert s.dim == 3 and s.contains_subspace(a) and s.contains_subspace(b)
+
+
+def test_sum_of_several_sides_checks_every_ambient_dimension():
+    with pytest.raises(DimensionMismatch):
+        span(e(0, 3)).sum(span(e(1, 3)), Subspace.zero(4))
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(3).sum(Subspace.zero(3), span(e(0, 4)))
+
 class TestNumericalRank:
     def test_threshold_is_relative_to_the_largest_value(self):
         cut = RANK_TOL * 4.0

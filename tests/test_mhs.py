@@ -280,6 +280,29 @@ def test_full_weight_subspace_changes_no_verdict(make, monkeypatch):
     assert deligne._pieces(spanned).piece_dims() == dims
 
 
+
+@pytest.mark.parametrize("dims", [[1, 2, 1], [1, 1, 1], [2, 1, 1]])
+@pytest.mark.parametrize("e", [3, 6, 9, 12, 15])
+def test_scaling_the_weight_rows_changes_nothing(dims, e):
+    # row i of every W jump divided by 10^(e i) spans the same W_k, so the
+    # structure is the same; a float rank of the raw rows rejected it from
+    # 10^6 (dims [1, 2, 1]) or 10^9 on, the exact rank does not
+    h = random_hodge_tate(dims, seed=3)
+    scaled = MixedHodgeStructure(
+        h.dimension,
+        {k: [[x / Fraction(10) ** (e * i) for x in row] for i, row in enumerate(rows)]
+         for k, rows in h.weight_filtration.items()},
+        h.hodge_filtration)
+    assert validate(scaled).ok
+    for k in scaled.weight_jumps:
+        assert scaled.weight_subspace(k).dim == scaled.weight_rank(k)
+    b, ref = deligne.bigrading(scaled), deligne.bigrading(h)
+    assert b.labels == ref.labels
+    for pq, piece in ref.pieces.items():
+        mine = b.pieces[pq]
+        assert np.linalg.norm(mine.basis @ mine.basis.conj().T
+                              - piece.basis @ piece.basis.conj().T) < 1e-12
+
 def test_graded_dims_match_bigrading():
     h = random_hodge_tate([1, 2, 2, 1], seed=77)
     b = deligne.bigrading(h)
