@@ -49,16 +49,24 @@ Validation decides on the pieces, certified, computed or carried over,
 whether (W, F) is an MHS at all; the bigrading of a valid structure is
 the same pieces, once their basis is checked to be well conditioned.
 
-The splitting solver works degree by degree in the Y-weight drop: the
-drop-m part of delta is read off from the residual of the defining
-equation at level m and divided by 2im; e^{-2i delta} and e^{2i delta}
-come from one series (`linalg.nilpotent_exp_pair`).  It runs once per root
+delta is solved in closed form: e^{-2i delta} is the unique map that is
+the identity on Gr^W and takes Y to conj(Y) (Cattani--Kaplan--Schmid).
+In the bigrading frame S, where Y is diagonal, C = S^{-1} conj(S) is
+block lower triangular by weight, since W is real.  With Cd its blocks
+of equal weight and L its weight-lowering ones, g = C Cd^{-1} is that
+map in the frame S: it is the identity on Gr^W, and Cd commutes with Y,
+so g Y g^{-1} = C Y C^{-1}.  The Cayley transform i (g - 1)(g + 1)^{-1}
+= i L (2 Cd + L)^{-1} is tan(delta) and lowers the weight, so
+
+    delta = S arctan(i L (2 Cd + L)^{-1}) S^{-1}
+
+is one linear solve and a finite odd series.  It runs once per root
 structure: a dual, twist or conjugate takes -delta^T, delta or -delta
 from its parent's splitting, and a chain of them from its root's.  Every
 structure still computes Y from its own bigrading and checks the
 defining, reality and lambda residuals of its delta, so a wrong carry
-raises ResidualTooLarge.  An independent fixed-point solver of the same
-equation is a test oracle (tests/oracles.py).
+raises ResidualTooLarge.  Degree-by-degree and fixed-point solvers of
+the defining equation are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -245,27 +253,17 @@ class SplittingData:
     lambda_residual: float
 
 
-def _solve_delta(y: np.ndarray, b: Bigrading) -> np.ndarray:
-    """Degree-by-degree elimination for delta.
-
-    For each drop m >= 2 between two weights present, in increasing
-    order: the drop-m part of e^{-2i delta_<m} Y e^{2i delta_<m} - conj(Y),
-    divided by 2im, is the drop-m part of delta.  Both exponentials come
-    from one series per drop.  A drop that no pair of
-    weights makes has no block to correct (on Hodge--Tate structures every
-    odd one), so it is skipped.  Terminates after the weight span since
-    delta is nilpotent.
-    """
+def _solve_delta(b: Bigrading) -> np.ndarray:
+    """delta = S arctan(i L (2 Cd + L)^{-1}) S^{-1} (module docstring)."""
     w = b.column_weights
-    drops = w[None, :] - w[:, None]      # drop of the (row i, col j) block
-    ybar = y.conj()
-    s, sinv = b.basis, b.inverse_basis
-    delta = np.zeros_like(y)
-    for m in (int(m) for m in np.unique(drops) if m >= 2):
-        g, ginv = nilpotent_exp_pair(-2j * delta)
-        resid = sinv @ (g @ y @ ginv - ybar) @ s
-        delta = delta + s @ np.where(drops == m, resid, 0) @ sinv / (2j * m)
-    return delta
+    lowering = w[:, None] < w[None, :]      # the (row i, col j) block lowers the weight
+    c = b.inverse_basis @ b.basis.conj()
+    cd, lower = np.where(w[:, None] == w[None, :], c, 0), np.where(lowering, c, 0)
+    x = np.where(lowering, np.linalg.solve((2 * cd + lower).T, 1j * lower.T).T, 0)
+    # x^k = 0 once k reaches the number of weights
+    arctan = sum(((-1) ** (k // 2) * np.linalg.matrix_power(x, k) / k
+                  for k in range(3, len(np.unique(w)), 2)), x)
+    return b.basis @ arctan @ b.inverse_basis
 
 
 def delta_splitting(h: MixedHodgeStructure) -> SplittingData:
@@ -283,7 +281,7 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
         return SplittingData(b, y, y.copy(), {}, 0.0, 0.0, 0.0)
 
     # a derived structure's delta is carried over from its parent (mhs._inherit)
-    delta = h.memo("delta", lambda: _solve_delta(y, b))
+    delta = h.memo("delta", lambda: _solve_delta(b))
     scale = max(1.0, float(np.linalg.norm(y)))
     g, ginv = nilpotent_exp_pair(-2j * delta)
     defining = float(np.linalg.norm(g @ y @ ginv - y.conj())) / scale

@@ -73,6 +73,10 @@ class FramedMHS:
         require_valid(h)
         if len(self.phi_class) != h.dimension or len(self.psi_class) != h.dimension:
             raise FramingTypeError("frame vectors of wrong length")
+        try:
+            list(map(float, self.phi_class + self.psi_class))
+        except OverflowError:
+            raise FramingTypeError("frame class entry beyond float range") from None
         if not h.weight_contains(2 * a, self.phi_class):
             raise FramingTypeError(f"phi_class is not in W_{2 * a}")
         if h.weight_contains(2 * a - 1, self.phi_class):

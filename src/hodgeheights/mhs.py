@@ -110,6 +110,15 @@ def _freeze_hodge(filtration: Mapping[int, Sequence[Sequence[complex]]]) -> dict
     return dict(sorted(out.items()))
 
 
+def _float_row(row: Sequence[Fraction]) -> list[float]:
+    """The row as floats; one beyond float range is first divided exactly by
+    its largest |entry|, which keeps its span."""
+    try:
+        return [float(x) for x in row]
+    except OverflowError:
+        return _float_row([x / max(map(abs, row)) for x in row])
+
+
 @dataclass(frozen=True, eq=False)
 class MixedHodgeStructure:
     """An MHS on Q^n in Betti coordinates.
@@ -193,9 +202,9 @@ class MixedHodgeStructure:
         """W_k as a Subspace, memoized under the jump whose rows it spans.
 
         Its basis is the left singular vectors of W_k's reduced echelon
-        rows, each scaled to unit norm, all weight_rank(k) of them: the
-        exact rank decides the dimension, so no scaling of the rational
-        rows moves it.  W_k of full rank is the whole space.
+        rows (`_float_row`), each scaled to unit norm, all weight_rank(k) of
+        them: the exact rank decides the dimension, so no scaling of the
+        rational rows moves it.  W_k of full rank is the whole space.
         """
         def compute():
             rank = self.weight_rank(k)
@@ -203,7 +212,7 @@ class MixedHodgeStructure:
                 return Subspace.full(self.dimension)
             if rank == 0:
                 return Subspace.zero(self.dimension)
-            cols = np.array([[float(x) for x in row] for row in self.weight_echelon(k)[0]],
+            cols = np.array([_float_row(row) for row in self.weight_echelon(k)[0]],
                             dtype=DTYPE).T
             cols /= np.linalg.norm(cols, axis=0)
             return Subspace(np.linalg.svd(cols, full_matrices=False)[0])

@@ -11,13 +11,16 @@
 * Dense echelon forms over Fraction (every entry of every row updated at
   every step), cross-checking the sparse `rref` and `remainder` of
   `hodgeheights._rational` exactly.
-* A fixed-point solver for delta, cross-checking the degree-by-degree
-  elimination of `hodgeheights.deligne`, and that elimination run densely
-  over every drop m up to the weight span, cross-checking its skip of the
-  drops no pair of weights makes.
+* Two solvers of the defining equation of delta, cross-checking the
+  closed form of `hodgeheights.deligne._solve_delta`: the degree-by-degree
+  elimination run densely over every drop m up to the weight span, and an
+  independent fixed-point iteration.
 * Projectors attached to a bigrading, by type, by weight and to and from
   rational graded frames, for checks of the bigrading's functoriality.
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
+* delta and ht2 of H(z) from the paper's closed forms in 60-digit
+  mpmath, with no code shared with `hodgeheights.polylog`: the reference
+  where the float64 `delta_closed_form` loses digits (N >= 10).
 * The two-pass nilpotent exponential and logarithm (the nilpotency order
   found by one chain of powers, the series formed by a second),
   cross-checking the single pass of `hodgeheights.linalg`.
@@ -261,8 +264,8 @@ def dense_remainder(vector, echelon):
 
 def dense_solve_delta(y, b):
     """The degree-by-degree elimination for delta, run over every drop
-    m = 2 .. weight span, including drops no pair of weights makes (whose
-    correction is zero)."""
+    m = 2 .. weight span: the drop-m part of delta is the drop-m part of
+    e^{-2i delta_<m} Y e^{2i delta_<m} - conj(Y), divided by 2im."""
     w = np.array([p + q for p, q in b.labels])
     drops = w[None, :] - w[:, None]
     ybar = y.conj()
@@ -449,3 +452,59 @@ def sequential_transport_once(points, li, step, order):
                 ends.append(prev[-1])
             li = ends
     return log_t, [complex(v) for v in li]
+
+
+def _mp_branch(z, N):
+    """(log z, [Li_1(z) .. Li_N(z)]) on the principal branches, in mpmath
+    at the current working precision."""
+    import mpmath as mp
+
+    zm = mp.mpc(z)
+    return mp.log(zm), [mp.polylog(k, zm) for k in range(1, N + 1)]
+
+
+def mp_polylog_delta(z, N, dps=60):
+    """delta of H(z) from the paper's closed form A^{-1} (i/2) log B(z) A,
+    evaluated in mpmath at `dps` digits with L, A and B built from
+    `mpmath.polylog` on the principal branches (no code shared with
+    `hodgeheights.polylog`).  log B is the finite series in B - Id."""
+    import mpmath as mp
+
+    n = N + 1
+    with mp.workdps(dps):
+        lg, vals = _mp_branch(z, N)
+        L = mp.eye(n)
+        for i in range(1, n):
+            L[i, 0] = -vals[i - 1]
+            for j in range(1, i + 1):
+                L[i, j] = lg ** (i - j) / mp.factorial(i - j)
+        A = L * mp.diag([(2j * mp.pi) ** k for k in range(n)])
+        Abar = mp.matrix([[mp.conj(A[i, j]) for j in range(n)] for i in range(n)])
+        B = A * Abar ** -1 * mp.diag([(-1) ** k for k in range(n)])
+        nil, power, log_b = B - mp.eye(n), mp.eye(n), mp.zeros(n)
+        for k in range(1, n):
+            power = power * nil
+            log_b += (-1) ** (k + 1) * power / k
+        delta = A ** -1 * (mp.mpc(0, 0.5) * log_b) * A
+        return np.array([[complex(delta[i, j]) for j in range(n)] for i in range(n)])
+
+
+def mp_polylog_ht2(z, N, dps=60):
+    """ht2 of the (0, -b)-framed H(z) for b = 1 .. N, D_b(z)/(i (2 pi i)^b)
+    with D_b the Bernoulli-weighted single-valued polylog, in mpmath at
+    `dps` digits."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(dps):
+        lg, vals = _mp_branch(z, N)
+        lzz = 2 * mp.re(lg)
+        for b in range(1, N + 1):
+            acc = mp.mpf(0)
+            for k in range(b):
+                part = vals[b - k - 1]
+                acc += (mp.bernoulli(k) * lzz ** k / mp.factorial(k)
+                        * (mp.re(part) if b % 2 else mp.im(part)))
+            d_b = acc if b % 2 else mp.mpc(0, 1) * acc
+            out.append(float(mp.re(d_b / (mp.mpc(0, 1) * (2j * mp.pi) ** b))))
+    return out

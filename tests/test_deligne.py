@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights import deligne
+from hodgeheights import deligne, linalg
 from hodgeheights.deligne import (NumericalDegeneracy, ResidualTooLarge, bigrading,
                                   delta_splitting, grading_operator,
                                   hodge_components)
-from hodgeheights.linalg import Subspace, nilpotent_exp, nilpotent_exp_pair
+from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair,
                               require_valid, tate, twist, validate)
@@ -272,6 +272,13 @@ class TestDeltaSplitting:
             assert data.defining_residual < 1e-9
             assert data.reality_residual < 1e-9
             assert data.lambda_residual < 1e-9
+        # larger lowering: the closed form keeps the residuals far below tolerance
+        for dims in ([1, 2, 1], [2, 2, 2], [1, 1, 1, 1], [3, 1, 3], [2, 1, 2, 1, 2],
+                     [1, 3, 3, 1]):
+            for seed in range(10):
+                data = delta_splitting(random_hodge_tate(dims, seed=seed, scale=2.0))
+                assert data.defining_residual <= 1e-12, (dims, seed)
+                assert data.reality_residual <= 1e-11, (dims, seed)
 
     def test_two_solvers_agree(self):
         for seed in (0, 5, 12):
@@ -282,8 +289,8 @@ class TestDeltaSplitting:
             assert np.linalg.norm(data.delta - alt) < 1e-9
 
     def test_solver_matches_dense_loop_over_every_drop(self, polylog_ctx_factory):
-        # _solve_delta visits only the drops some pair of weights makes; the
-        # dense loop over every m up to the span adds zero at the others
+        # the closed form against the degree-by-degree elimination, run over
+        # every drop m up to the weight span
         from hodgeheights.polylog import polylog_mhs
         cases = [random_hodge_tate([1 + seed % 2, 1, 2 - seed % 2, 1][: 2 + seed % 3],
                                    seed=seed) for seed in range(20)]
@@ -292,25 +299,24 @@ class TestDeltaSplitting:
         for h in cases:
             b = bigrading(h)
             y = grading_operator(b)
-            assert np.linalg.norm(deligne._solve_delta(y, b)
+            assert np.linalg.norm(deligne._solve_delta(b)
                                   - dense_solve_delta(y, b)) <= 1e-14
 
-    def test_solver_makes_one_pass_per_drop_present(self, polylog_ctx_factory, monkeypatch):
-        # H(z) at N = 6 has weights 0, -2, ..., -12: drops 2, 4, ..., 12 make
-        # six passes (the odd drops are skipped), each forming e^{-2i delta}
-        # and e^{2i delta} from one series
+    def test_solver_forms_no_exponential(self, polylog_ctx_factory, monkeypatch):
+        # one linear solve and a short odd series: no exponential, no drop loop
         from hodgeheights.polylog import polylog_mhs
-        b = bigrading(polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 6)))
-        y = grading_operator(b)
-        calls = []
+        cases = [polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 6)), curve_weight_gap_structure()]
+        bigradings = [bigrading(h) for h in cases]
+        want = [dense_solve_delta(grading_operator(b), b) for b in bigradings]
 
-        def counting_exp_pair(mat):
-            calls.append(1)
-            return nilpotent_exp_pair(mat)
+        def forbidden(*args):
+            raise AssertionError("_solve_delta formed an exponential")
 
-        monkeypatch.setattr(deligne, "nilpotent_exp_pair", counting_exp_pair)
-        deligne._solve_delta(y, b)
-        assert len(calls) == 6
+        for name in ("nilpotent_exp", "nilpotent_exp_pair", "_nilpotent_terms"):
+            monkeypatch.setattr(deligne, name, forbidden, raising=False)
+            monkeypatch.setattr(linalg, name, forbidden)
+        for b, dense in zip(bigradings, want):
+            assert np.linalg.norm(deligne._solve_delta(b) - dense) <= 1e-14
 
     def test_polylog_closed_form(self, polylog_ctx_factory):
         from hodgeheights.polylog import delta_closed_form, polylog_mhs
@@ -585,7 +591,7 @@ class TestInheritedDelta:
             fresh = MixedHodgeStructure(child.dimension, child.weight_filtration,
                                         child.hodge_filtration)
             b = bigrading(fresh)
-            solved = deligne._solve_delta(grading_operator(b), b)
+            solved = deligne._solve_delta(b)
             assert np.linalg.norm(delta_splitting(child).delta - solved) <= 1e-12
 
     @settings(max_examples=30, deadline=None)

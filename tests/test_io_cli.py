@@ -655,6 +655,32 @@ class TestDocumentChecks:
         assert cli.main(["height", str(path)]) == 2
         assert capsys.readouterr().err == f"error: framing error: {message}\n"
 
+    @staticmethod
+    def _beyond_float_range(w_low, framing=None):
+        # an entry of 1e400 is exact rational data that no float can hold
+        doc = {"dimension": 2,
+               "weight_filtration": [{"weight": -2, "basis": [w_low]},
+                                     {"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+               "hodge_filtration": [{"p": -1, "basis": [["1", "0"], ["0", "1"]]},
+                                    {"p": 0, "basis": [["1", "0.5+0.25i"]]}]}
+        if framing is not None:
+            doc["framing"] = framing
+        return doc
+
+    def test_weight_row_beyond_float_range_keeps_its_span(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self._beyond_float_range(["1", "1e400"])))
+        assert cli.main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_frame_class_beyond_float_range(self, tmp_path, capsys):
+        # the heights are bilinear in the frame classes: no rescaling helps
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self._beyond_float_range(
+            ["0", "1"], {"a": 0, "b": -1, "phi": ["1e400", "0"], "psi": ["0", "1"]})))
+        assert cli.main(["height", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: framing error: ")
+
     def test_frame_vector_of_wrong_length(self, tmp_path, capsys):
         # FramedMHS.check rejects a short frame vector, but a document cannot
         # carry one: the parser reports it at its path first

@@ -15,7 +15,8 @@ from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
                                   polylog_framed, polylog_mhs, sv_bd, sv_brown,
                                   tau)
 
-from oracles import closed_form_betti_conjugator, sequential_transport_once
+from oracles import (closed_form_betti_conjugator, mp_polylog_delta, mp_polylog_ht2,
+                     sequential_transport_once)
 
 # frozen oracle values (defining series summed in 35-digit arithmetic)
 LI2_HALF = 0.5822405264650125059026563201596801
@@ -407,6 +408,21 @@ class TestClosedForms:
         h = polylog_mhs(ctx)
         delta = deligne.delta_splitting(h).delta
         assert np.linalg.norm(delta - delta_closed_form(ctx)) < 1e-9
+
+    @pytest.mark.parametrize("z", [0.6 - 0.5j, 0.3 + 0.2j, 2.5 - 1j, -0.7 + 0.6j,
+                                   3.6 + 1.2j, -3.9 - 0.4j])
+    def test_delta_and_ht2_against_high_precision_reference(self, z):
+        # the 60-digit closed form decides: at N = 11 the float64
+        # delta_closed_form is 1.4e-7 off at z = 0.6-0.5i, the pipeline is not
+        pytest.importorskip("mpmath")
+        for n in (6, 11):
+            ctx = PolylogContext(z, N=n)
+            ref = mp_polylog_delta(z, n)
+            delta = deligne.delta_splitting(polylog_mhs(ctx)).delta
+            assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref), (z, n)
+            for b, want in enumerate(mp_polylog_ht2(z, n), 1):
+                got = framed.height2(polylog_framed(ctx, 0, b))
+                assert abs(got - want) <= 1e-10 * abs(want), (z, n, b)
 
     def test_heights_parametrized_zero_laws(self):
         ctx = PolylogContext(0.4 + 0.3j, N=6)
