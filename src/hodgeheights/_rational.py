@@ -2,9 +2,9 @@
 
 The Betti side of a mixed Hodge structure carries exact rational data
 (weight bases, framing vectors).  Operations that must stay rational --
-echelon forms and annihilators of weight subspaces, exact membership --
-are done here with ``fractions.Fraction`` arithmetic so no float noise
-leaks into the rational structure.
+the echelon forms and exact membership from which a weight filtration
+given by rows is framed -- are done here with ``fractions.Fraction``
+arithmetic so no float noise leaks into the rational structure.
 """
 
 from __future__ import annotations
@@ -68,20 +68,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Echelon:
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def nullspace(echelon: Echelon, ncols: int) -> list[RationalVector]:
-    """Basis of {x : M x = 0} for M given by its echelon form `rref(rows)`."""
-    reduced, pivots = echelon
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][c]
-        basis.append(tuple(v))
-    return basis
 
 
 def remainder(vector: Sequence[Fraction], echelon: Echelon) -> list[Fraction]:

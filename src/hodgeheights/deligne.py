@@ -18,10 +18,11 @@ in W_k, so the right-hand side is one conjugated span,
 
     conj(F^q cap W_k + sum_{j >= 0} F^{q-1-j} cap W_{k-2-j}),   k = p+q.
 
-F^r and W_s only change at their jumps, so F^r cap W_s for every pair of
-jumps is one batched `Subspace.intersect_pairs`, each right-hand side is
-one `Subspace.sum` of its nonzero terms (one SVD), and all the pieces
-together are one more batch.
+F^r and W_s only change at their jumps; all the F^r are one batched SVD
+and all the W_s one QR of W's exact frame (see `mhs`).  F^r cap W_s for
+every pair of jumps is one batched `Subspace.intersect_pairs`, each
+right-hand side is one `Subspace.sum` of its nonzero terms (one SVD),
+and all the pieces together are one more batch.
 
 A Hodge--Tate structure, every piece of type (p, p), has as its pieces
 the standard splitting of a mixed Tate structure by its Hodge filtration
@@ -230,14 +231,15 @@ def grading_operator(b: Bigrading) -> np.ndarray:
 
 
 def hodge_components(x: np.ndarray, b: Bigrading) -> dict[tuple[int, int], np.ndarray]:
-    """Decompose an operator into pieces mapping I^{p,q} into I^{p+a,q+b}."""
+    """Decompose an operator into pieces mapping I^{p,q} into I^{p+a,q+b},
+    all mapped back from the bigrading frame in one broadcast product."""
     x = np.asarray(x, dtype=DTYPE)
     t = b.inverse_basis @ x @ b.basis
     pq = np.array(b.labels, dtype=int).reshape(-1, 2)
     shift = pq[:, None, :] - pq[None, :, :]     # (i, j) -> (p_i - p_j, q_i - q_j)
-    keys = dict.fromkeys(map(tuple, shift[t != 0].tolist()))
-    return {key: b.basis @ np.where((shift == key).all(axis=2), t, 0) @ b.inverse_basis
-            for key in keys}
+    keys = list(dict.fromkeys(map(tuple, shift[t != 0].tolist())))
+    masks = (shift == np.array(keys, dtype=int).reshape(-1, 1, 1, 2)).all(axis=3)
+    return dict(zip(keys, b.basis @ np.where(masks, t, 0) @ b.inverse_basis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,23 +67,27 @@ class FramedMHS:
             tuple((x.numerator, x.denominator) for x in v)
             for v in (self.phi_class, self.psi_class)))
 
-    def check(self) -> None:
-        """Exact rational sanity of the frame data (type checks happen on lift)."""
+    def check(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rational sanity of the frame data (type checks happen on
+        lift); returns phi_class and psi_class as float arrays."""
         h, a, b = self.mhs, self.a, self.b
         require_valid(h)
-        if len(self.phi_class) != h.dimension or len(self.psi_class) != h.dimension:
+        n = h.dimension
+        if len(self.phi_class) != n or len(self.psi_class) != n:
             raise FramingTypeError("frame vectors of wrong length")
         try:
-            list(map(float, self.phi_class + self.psi_class))
+            floats = np.array([float(x) for x in self.phi_class + self.psi_class], dtype=DTYPE)
         except OverflowError:
             raise FramingTypeError("frame class entry beyond float range") from None
-        if not h.weight_contains(2 * a, self.phi_class):
+        weight = h.weight_of(self.phi_class)
+        if weight is not None and weight > 2 * a:
             raise FramingTypeError(f"phi_class is not in W_{2 * a}")
-        if h.weight_contains(2 * a - 1, self.phi_class):
+        if weight is None or weight < 2 * a:
             raise FramingTypeError(f"phi_class vanishes in Gr^W_{2 * a}")
-        for row in h.weight_rows(2 * b - 1):
-            if sum(f * x for f, x in zip(self.psi_class, row)) != 0:
+        for row in h.weight_frame.rows[:h.weight_rank(2 * b - 1)]:
+            if sum(f * x for f, x in zip(self.psi_class, row) if x):
                 raise FramingTypeError(f"psi_class does not vanish on W_{2 * b - 1}")
+        return floats[:n], floats[n:]
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,7 @@ def frame_elements(fh: FramedMHS) -> FrameElements:
     h, a, b = fh.mhs, fh.a, fh.b
 
     def compute():
-        fh.check()
-        phi = np.array([float(x) for x in fh.phi_class], dtype=DTYPE)
-        psi = np.array([float(x) for x in fh.psi_class], dtype=DTYPE)
+        phi, psi = fh.check()
         bg = bigrading(h)
         e_h = _typed_lift(bg.basis, bg.inverse_basis @ phi, bg.labels, a, a, "phi_class")
         e_hd = _typed_lift(bg.inverse_basis.T, bg.basis.T @ psi,

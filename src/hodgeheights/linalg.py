@@ -5,10 +5,11 @@ rank-revealing SVD; every dimension decision is `numerical_rank`, one
 relative tolerance against the largest singular value (applied in closed
 form to principal sines by `Subspace.intersect_pairs`, which intersects
 a batch of pairs in one SVD; `Subspace.sum` spans any number of sides
-in one).  Equality of subspaces is mutual containment, never comparison
-of generators.  The nilpotent exponential
-of a matrix and of its negative come from one series
-(`nilpotent_exp_pair`).
+in one, and `Subspace.from_vector_sets` any number of vector sets).
+Equality of subspaces is mutual containment, never comparison of
+generators; `Subspace.containment_residuals` judges a batch of
+containments in one stacked product.  The nilpotent exponential of a
+matrix and of its negative come from one series (`nilpotent_exp_pair`).
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -81,6 +82,16 @@ def nullspace_columns(mat: np.ndarray) -> np.ndarray:
     return vh[numerical_rank(s):, :].conj().T
 
 
+def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrices as one stack, each zero-padded at the bottom right to
+    the largest shape."""
+    stack = np.zeros((len(mats), max((m.shape[0] for m in mats), default=0),
+                      max((m.shape[1] for m in mats), default=0)), dtype=DTYPE)
+    for out, m in zip(stack, mats):
+        out[:m.shape[0], :m.shape[1]] = m
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A complex-linear subspace of C^n given by an orthonormal basis.
@@ -95,15 +106,35 @@ class Subspace:
                      ambient_dim: int | None = None) -> "Subspace":
         """Build the span of the given vectors (each of length ambient_dim)."""
         rows = np.array(list(vectors), dtype=DTYPE)
-        if rows.size == 0:
-            if ambient_dim is None:
-                raise DimensionMismatch("empty spanning set needs ambient_dim")
-            return Subspace.zero(ambient_dim)
-        _check_finite(rows)
-        n = rows.shape[1]
-        if ambient_dim is not None and n != ambient_dim:
-            raise DimensionMismatch(f"vectors of length {n}, ambient {ambient_dim}")
-        return Subspace(orthonormal_columns(rows.T))
+        if rows.size == 0 and ambient_dim is None:
+            raise DimensionMismatch("empty spanning set needs ambient_dim")
+        n = rows.shape[1] if ambient_dim is None else ambient_dim
+        return Subspace.from_vector_sets([rows], n)[0]
+
+    @staticmethod
+    def from_vector_sets(sets: Sequence[np.ndarray], ambient_dim: int) -> list["Subspace"]:
+        """The span of each set of vectors (rows of length ambient_dim), from
+        one batched SVD.
+
+        Each set's vectors become the columns of one stack, zero-padded to
+        one count, which adds only zero singular values; each rank is
+        `numerical_rank` of the set's own singular values.  An empty set
+        spans zero.
+        """
+        sets = [np.asarray(rows, dtype=DTYPE) for rows in sets]
+        for rows in sets:
+            if rows.size and rows.shape[1] != ambient_dim:
+                raise DimensionMismatch(f"vectors of length {rows.shape[1]}, "
+                                        f"ambient {ambient_dim}")
+            _check_finite(rows)
+        spans = [Subspace.zero(ambient_dim)] * len(sets)
+        full = [i for i, rows in enumerate(sets) if rows.size]
+        if full:
+            u, s, _ = np.linalg.svd(_padded([sets[i].T for i in full]), full_matrices=False)
+            for i, ub, sb in zip(full, u, s):
+                rank = numerical_rank(sb[:min(sets[i].shape)])
+                spans[i] = Subspace(ub[:, :rank])
+        return spans
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -132,10 +163,18 @@ class Subspace:
 
     def containment_residual(self, other: "Subspace") -> float:
         """How far self is from being contained in `other` (0 when contained)."""
-        if self.dim == 0:
-            return 0.0
-        resid = self.basis - other.basis @ (other.basis.conj().T @ self.basis)
-        return float(np.linalg.norm(resid))
+        return float(Subspace.containment_residuals([(self, other)])[0])
+
+    @staticmethod
+    def containment_residuals(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> np.ndarray:
+        """How far each x is from being contained in its y (0 when it is),
+        as one stacked X - Y (Y^* X) Frobenius norm.  Every X and Y is
+        zero-padded to one shape, which changes no residual."""
+        if any(x.ambient_dim != y.ambient_dim for x, y in pairs):
+            raise DimensionMismatch("ambient dimensions differ")
+        xs, ys = (_padded([pair[i].basis for pair in pairs]) for i in (0, 1))
+        resid = xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs)
+        return np.linalg.norm(resid, axis=(1, 2))
 
     def contains_subspace(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
         return other.containment_residual(self) < tol * max(1, self.ambient_dim)
@@ -144,10 +183,6 @@ class Subspace:
         return (self.dim == other.dim
                 and self.contains_subspace(other, tol)
                 and other.contains_subspace(self, tol))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection with `other`: the one-pair case of `intersect_pairs`."""
-        return Subspace.intersect_pairs([(self, other)])[0]
 
     @staticmethod
     def intersect_pairs(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> list["Subspace"]:
@@ -188,14 +223,9 @@ class Subspace:
                 out.append(None)
         if not todo:
             return out
-        n = max(x.shape[0] for _, x, _ in todo)
+        xs, ys = _padded([x for _, x, _ in todo]), _padded([y for _, _, y in todo])
         cols = np.array([x.shape[1] for _, x, _ in todo])
-        d = int(cols.max())
-        xs = np.zeros((len(todo), n, d), dtype=DTYPE)
-        ys = np.zeros((len(todo), n, max(y.shape[1] for _, _, y in todo)), dtype=DTYPE)
-        for xb, yb, (_, x, y) in zip(xs, ys, todo):
-            xb[:x.shape[0], :x.shape[1]] = x
-            yb[:y.shape[0], :y.shape[1]] = y
+        d = xs.shape[2]
         resid = xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs)
         padded = np.arange(d) >= cols[:, None]
         if padded.any():

@@ -1,23 +1,24 @@
 """Mixed Hodge structures in Betti coordinates.
 
 A mixed Hodge structure (MHS) here is a rational vector space Q^n with an
-increasing weight filtration W (rational bases, kept exact as Fractions)
-and a decreasing Hodge filtration F on C^n (complex bases, expressed in
-Betti coordinates, i.e. pulled back through the comparison isomorphism).
-Working in Betti coordinates makes complex conjugation entrywise, which
-is relied on everywhere downstream.
+increasing weight filtration W (exact rational data) and a decreasing
+Hodge filtration F on C^n (complex bases, expressed in Betti coordinates,
+i.e. pulled back through the comparison isomorphism).  Working in Betti
+coordinates makes complex conjugation entrywise, which is relied on
+everywhere downstream.
 
-Filtrations are stored sparsely by jump index:
-
-* W_k is the value stored at the largest jump <= k, and 0 below the
-  smallest jump; the value at the largest jump must be the full space.
-* F^p is the value stored at the smallest jump >= p, and 0 above the
-  largest jump; the value at the smallest jump must be the full space.
+W is an exact adapted frame (`WeightFrame`): rational rows in ascending
+weight, W_k the span of those of weight <= k, so dim W_k is exact.  Rows
+given by jump are framed in one pass that also decides, exactly, that W
+is nested with a full top; constructions that know the frame hand it
+over.  F is stored sparsely by jump: F^p is the value at the smallest
+jump >= p, 0 above the largest, and the value at the smallest jump must
+be the full space.  All W_k are column slices of one QR of the frame,
+and all F^p come from one batched SVD.
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading; `validate` is the one place the MHS criteria are written and
-run.  Exact weight data is one echelon form per jump of W, and W_k and
-F^p are one Subspace per jump; W_k's dimension is its exact rank.
+run, each batch of containments as one stacked residual.
 
 The dual, Tate twists and conjugate of a valid structure are born with
 every fact their parent holds about the same data, carried over:
@@ -26,9 +27,8 @@ every fact their parent holds about the same data, carried over:
   inverse bigrading basis);
 * the F^p subspaces (the parent's, shifted or conjugated; for the dual,
   the annihilators its filtration is built from);
-* for twists and conjugates, whose weight rows are the parent's, the W_k
-  subspaces, the echelon forms and the verdict that W is nested with a
-  full top;
+* the frame: for twists and conjugates the parent's, shifted, with its
+  W_k subspaces; for the dual its exact dual basis;
 * for twists and conjugates, the singular values and inverse of the
   bigrading basis (conjugated for the conjugate), as arrays: the child's
   bigrading does not keep its parent alive;
@@ -43,7 +43,7 @@ against it.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
-subspaces, weight echelon forms, validation report, pieces, bigrading and
+subspaces, weight rows, validation report, pieces, bigrading and
 splitting) are memoized on the instance and die with it.
 """
 
@@ -94,11 +94,77 @@ class ValidationReport:
         return "\n".join(f"[{v.kind}@{v.index}] {v.message}" for v in self.violations)
 
 
-def _freeze_weight(filtration: Mapping[int, Sequence[Sequence]]) -> dict[int, RationalMatrix]:
-    out = {}
-    for k, rows in filtration.items():
-        out[int(k)] = _rational.as_fraction_matrix(rows)
-    return dict(sorted(out.items()))
+@dataclass(frozen=True)
+class WeightFrame:
+    """W as an exact adapted frame: rational rows (int or Fraction entries)
+    in ascending weight, rows[i] of weight weights[i], W_k the span of the
+    rows of weight <= k.  rows[i] has entry 1 at column pivots[i], where
+    every later row has 0, so coordinates in the frame come out of one
+    elimination in row order.  jumps are W's jumps; one may add no row."""
+
+    jumps: tuple[int, ...]
+    rows: tuple[tuple, ...]
+    weights: tuple[int, ...]
+    pivots: tuple[int, ...]
+
+    def shifted(self, shift: int) -> "WeightFrame":
+        """The same rows with every weight and jump moved by shift."""
+        return WeightFrame(tuple(k + shift for k in self.jumps), self.rows,
+                           tuple(w + shift for w in self.weights), self.pivots)
+
+    def dual(self) -> "WeightFrame":
+        """The dual W's frame, W_{-k} = Ann(W_{k-1}): the exact dual basis s_i
+        (s_i . rows[j] = delta_ij), reversed, s_i of weight -weights[i] at
+        pivot pivots[i].  u[l][m] = rows[l][pivots[m]] is unit upper
+        triangular and s_i is column i of u^{-1} at the pivots, found
+        exactly by back substitution."""
+        rows, piv = self.rows, self.pivots
+        duals = []
+        for i in range(len(rows)):
+            s = [0] * len(rows)
+            s[piv[i]] = 1
+            for l in range(i - 1, -1, -1):
+                s[piv[l]] = -sum(rows[l][piv[m]] * s[piv[m]] for m in range(l + 1, i + 1))
+            duals.append(tuple(s))
+        return WeightFrame(tuple(-k for k in reversed(self.jumps)), tuple(reversed(duals)),
+                           tuple(-w for w in reversed(self.weights)), tuple(reversed(piv)))
+
+
+def coordinate_flag(dims: Sequence[int]) -> WeightFrame:
+    """The frame whose W_{-2i} is spanned by the standard vectors of blocks
+    i, i+1, ...: block i, the next dims[i] coordinates, has weight -2i."""
+    offsets = np.cumsum([0] + list(dims)).tolist()
+    blocks = range(len(dims) - 1, -1, -1)
+    order = [c for i in blocks for c in range(offsets[i], offsets[i + 1])]
+    return WeightFrame(tuple(-2 * i for i in blocks),
+                       tuple(tuple(int(c == r) for c in range(offsets[-1])) for r in order),
+                       tuple(-2 * i for i in blocks for _ in range(dims[i])), tuple(order))
+
+
+def _adapted_frame(n: int, filtration: Mapping[int, Sequence[Sequence]]
+                   ) -> tuple[WeightFrame, tuple[Violation, ...]]:
+    """W's adapted frame from rational rows, with the exact verdict that W
+    is nested with a full top, in one ascending pass over the jumps.  W_j
+    lies in W_k when W_j's reduced echelon rows leave no remainder against
+    W_k's; then W_j's pivots are among W_k's, so W_k's echelon rows at new
+    pivots vanish at every earlier one: they are W_k's frame rows.  A W
+    that is not nested has no adapted frame; its rows serve the report."""
+    frozen = dict(sorted((int(k), _rational.as_fraction_matrix(r)) for k, r in filtration.items()))
+    jumps = tuple(frozen)
+    if any(len(row) != n for rows in frozen.values() for row in rows):
+        return (WeightFrame(jumps, (), (), ()),
+                (Violation("data", None, "weight vector of wrong length"),))
+    frame, bad, lower = [], [], None
+    for k, given in frozen.items():
+        echelon = _rational.rref(given)
+        if lower and any(any(_rational.remainder(row, echelon)) for row in lower[1][0]):
+            bad.append(Violation("weight", k, f"W_{lower[0]} not contained in W_{k}"))
+        seen = {c for _, _, c in frame}
+        frame += [(tuple(row), k, c) for row, c in zip(*echelon) if c not in seen]
+        lower = k, echelon
+    if jumps and len(lower[1][0]) != n:
+        bad.append(Violation("weight", jumps[-1], "top weight subspace is not full"))
+    return WeightFrame(jumps, *(zip(*frame) if frame else ((), (), ()))), tuple(bad)
 
 
 def _freeze_hodge(filtration: Mapping[int, Sequence[Sequence[complex]]]) -> dict[int, np.ndarray]:
@@ -123,21 +189,25 @@ def _float_row(row: Sequence[Fraction]) -> list[float]:
 class MixedHodgeStructure:
     """An MHS on Q^n in Betti coordinates.
 
-    weight_filtration maps jump k to a list of rational row vectors
-    spanning W_k; hodge_filtration maps jump p to complex row vectors
-    spanning F^p.  comparison_matrix optionally records the Betti -> de
-    Rham change of frame for reporting.
+    weight_filtration is a WeightFrame or maps jump k to a list of
+    rational row vectors spanning W_k (made into a frame at once);
+    hodge_filtration maps jump p to complex row vectors spanning F^p.
+    comparison_matrix optionally records the Betti -> de Rham change of
+    frame for reporting.
     """
 
     dimension: int
-    weight_filtration: dict[int, RationalMatrix]
+    weight_frame: WeightFrame
     hodge_filtration: dict[int, np.ndarray]
     comparison_matrix: np.ndarray | None = None
 
     def __init__(self, dimension, weight_filtration, hodge_filtration,
                  comparison_matrix=None):
         object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "weight_filtration", _freeze_weight(weight_filtration))
+        frame, bad = ((weight_filtration, ()) if isinstance(weight_filtration, WeightFrame)
+                      else _adapted_frame(self.dimension, weight_filtration))
+        object.__setattr__(self, "weight_frame", frame)
+        object.__setattr__(self, "_weight_violations", bad)
         object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration))
         if comparison_matrix is not None:
             comparison_matrix = np.array(comparison_matrix, dtype=DTYPE)
@@ -145,8 +215,8 @@ class MixedHodgeStructure:
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_seeds", {})
-        # the frozen filtrations are sorted by jump
-        object.__setattr__(self, "_wjumps", tuple(self.weight_filtration))
+        object.__setattr__(self, "_wjumps", frame.jumps)
+        # the frozen Hodge filtration is sorted by jump
         object.__setattr__(self, "_fjumps", tuple(self.hodge_filtration))
 
     # -- sparse filtration queries -------------------------------------
@@ -169,16 +239,14 @@ class MixedHodgeStructure:
         i = bisect_left(self._fjumps, p)
         return self._fjumps[i] if i < len(self._fjumps) else None
 
-    def weight_rows(self, k: int) -> RationalMatrix:
-        """Exact rational spanning rows of W_k (empty below the lowest jump)."""
-        jump = self._weight_jump(k)
-        return () if jump is None else self.weight_filtration[jump]
-
-    def hodge_rows(self, p: int) -> np.ndarray:
-        jump = self._hodge_jump(p)
-        if jump is None:
-            return np.zeros((0, self.dimension), dtype=DTYPE)
-        return self.hodge_filtration[jump]
+    @property
+    def weight_filtration(self) -> dict[int, RationalMatrix]:
+        """Exact rational rows spanning W_k by jump, read off the frame: its
+        rows of weight <= k as Fractions, ordered by pivot."""
+        f = self.weight_frame
+        return self.memo("weight rows", lambda: {k: _rational.as_fraction_matrix(
+            row for _, row in sorted(zip(f.pivots, f.rows[:self.weight_rank(k)])))
+            for k in f.jumps})
 
     def memo(self, key, compute):
         """compute(), evaluated once and kept for the lifetime of this structure.
@@ -199,50 +267,51 @@ class MixedHodgeStructure:
         self._seeds[key] = compute
 
     def weight_subspace(self, k: int) -> Subspace:
-        """W_k as a Subspace, memoized under the jump whose rows it spans.
+        """W_k as a Subspace, the one of the jump whose rows span it."""
+        return self._weight_spans()[self._weight_jump(k)]
 
-        Its basis is the left singular vectors of W_k's reduced echelon
-        rows (`_float_row`), each scaled to unit norm, all weight_rank(k) of
-        them: the exact rank decides the dimension, so no scaling of the
-        rational rows moves it.  W_k of full rank is the whole space.
-        """
+    def _weight_spans(self) -> dict:
+        """Every W_k by jump, memoized: the first weight_rank(k) columns of
+        one QR of the frame's rows as unit-norm float columns, or the whole
+        space when full.  The exact rank decides the dimension, so no
+        scaling of the rational rows moves it."""
         def compute():
-            rank = self.weight_rank(k)
-            if rank == self.dimension:
-                return Subspace.full(self.dimension)
-            if rank == 0:
-                return Subspace.zero(self.dimension)
-            cols = np.array([_float_row(row) for row in self.weight_echelon(k)[0]],
-                            dtype=DTYPE).T
-            cols /= np.linalg.norm(cols, axis=0)
-            return Subspace(np.linalg.svd(cols, full_matrices=False)[0])
-        return self.memo(("W", self._weight_jump(k)), compute)
+            n, ranks = self.dimension, {k: self.weight_rank(k) for k in self._wjumps}
+            q = np.zeros((n, 0), dtype=DTYPE)
+            if any(0 < r < n for r in ranks.values()):
+                cols = np.array([_float_row(row) for row in self.weight_frame.rows]).T
+                q = np.linalg.qr(cols / np.linalg.norm(cols, axis=0))[0].astype(DTYPE)
+            return {None: Subspace.zero(n), **{k: Subspace.full(n) if r == n
+                                               else Subspace(q[:, :r]) for k, r in ranks.items()}}
+        return self.memo("W", compute)
 
     def hodge_subspace(self, p: int) -> Subspace:
-        """F^p as a Subspace, memoized under the jump whose rows it spans."""
-        return self.memo(("F", self._hodge_jump(p)), lambda: Subspace.from_vectors(
-            self.hodge_rows(p), ambient_dim=self.dimension))
+        """F^p as a Subspace, the one of the jump whose rows span it."""
+        return self._hodge_spans()[self._hodge_jump(p)]
+
+    def _hodge_spans(self) -> dict:
+        """Every F^p by jump, memoized, from one batched SVD."""
+        n = self.dimension
+        return self.memo("F", lambda: {None: Subspace.zero(n), **dict(zip(
+            self._fjumps, Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)))})
 
     # -- exact weight-graded data --------------------------------------
 
-    def weight_echelon(self, k: int) -> _rational.Echelon:
-        """Reduced row echelon form of W_k, computed once per jump.
-
-        Every exact rank and membership decision about W reads it; callers
-        must not mutate it.
-        """
-        jump = self._weight_jump(k)
-        if jump is None:
-            return [], []
-        return self.memo(("rref", jump),
-                         lambda: _rational.rref(self.weight_filtration[jump]))
-
     def weight_rank(self, k: int) -> int:
-        return len(self.weight_echelon(k)[0])
+        """dim W_k: the number of frame rows of weight <= k."""
+        return bisect_right(self.weight_frame.weights, k)
 
-    def weight_contains(self, k: int, vector: Sequence[Fraction]) -> bool:
-        """Exact membership of a rational vector in W_k."""
-        return not any(_rational.remainder(vector, self.weight_echelon(k)))
+    def weight_of(self, vector: Sequence[Fraction]) -> int | None:
+        """The least k with the rational vector in W_k (None for 0), exactly:
+        the largest weight of its nonzero coordinates in the frame, read
+        off in one elimination in row order."""
+        f = self.weight_frame
+        v, weight = list(vector), None
+        for row, w, c in zip(f.rows, f.weights, f.pivots):
+            if v[c]:
+                _rational._eliminate(v, v[c], row, [j for j, y in enumerate(row) if y])
+                weight = w
+        return weight
 
     def graded_dimension(self, k: int) -> int:
         return self.weight_rank(k) - self.weight_rank(k - 1)
@@ -273,18 +342,16 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     if n == 0:
         return ValidationReport(())
-    if not h.weight_filtration:
+    if not h.weight_jumps:
         bad.append(Violation("weight", None, "empty weight filtration"))
     if not h.hodge_filtration:
         bad.append(Violation("hodge", None, "empty Hodge filtration"))
     if bad:
         return ValidationReport(tuple(bad))
 
-    for rows in h.weight_filtration.values():
-        for row in rows:
-            if len(row) != n:
-                bad.append(Violation("data", None, "weight vector of wrong length"))
-                return ValidationReport(tuple(bad))
+    # the frame's verdict on W: the data, or its nesting with a full top
+    if h._weight_violations[:1] and h._weight_violations[0].kind == "data":
+        return ValidationReport(h._weight_violations)
     for arr in h.hodge_filtration.values():
         if arr.size and arr.shape[1] != n:
             bad.append(Violation("data", None, "Hodge vector of wrong length"))
@@ -293,12 +360,14 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
             bad.append(Violation("data", None, "non-finite Hodge entries"))
             return ValidationReport(tuple(bad))
 
-    bad.extend(h.memo("W nesting", lambda: _weight_nesting(h)))
+    bad.extend(h._weight_violations)
 
-    # F decreasing (numeric), bottom = full space
+    # F decreasing (numeric, one batched residual), bottom = full space
     pjumps = h.hodge_jumps
-    for lo, hi in zip(pjumps, pjumps[1:]):
-        if not h.hodge_subspace(lo).contains_subspace(h.hodge_subspace(hi), SUBSPACE_TOL):
+    nested = Subspace.containment_residuals(
+        [(h.hodge_subspace(hi), h.hodge_subspace(lo)) for lo, hi in zip(pjumps, pjumps[1:])])
+    for lo, hi, resid in zip(pjumps, pjumps[1:], nested):
+        if not resid < SUBSPACE_TOL * max(1, n):
             bad.append(Violation("hodge", hi, f"F^{hi} not contained in F^{lo}"))
     if h.hodge_subspace(pjumps[0]).dim != n:
         bad.append(Violation("hodge", pjumps[0], "bottom Hodge subspace is not full"))
@@ -331,9 +400,13 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     None for (i) and (ii); (i) is decided only when all else holds.
     """
     bad = []
-    for (p, q), piece in sorted(pieces.pieces.items()):
-        if not (h.hodge_subspace(p).contains_subspace(piece, SUBSPACE_TOL)
-                and h.weight_subspace(p + q).contains_subspace(piece, SUBSPACE_TOL)):
+    items = sorted(pieces.pieces.items())
+    resid = Subspace.containment_residuals(
+        [(piece, h.hodge_subspace(p)) for (p, q), piece in items]
+        + [(piece, h.weight_subspace(p + q)) for (p, q), piece in items])
+    tol = SUBSPACE_TOL * max(1, h.dimension)
+    for ((p, q), _), in_f, in_w in zip(items, resid, resid[len(items):]):
+        if not (in_f < tol and in_w < tol):
             bad.append(Violation("purity", p + q, f"I^({p},{q}) does not lie in "
                                  f"F^{p} and W_{p + q}"))
     dims = pieces.piece_dims()
@@ -355,18 +428,6 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     if not bad and numerical_rank(pieces.singular_values) < h.dimension:
         bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
     return bad
-
-
-def _weight_nesting(h: MixedHodgeStructure) -> tuple[Violation, ...]:
-    """W increasing with a full top, decided exactly on the echelon rows."""
-    bad = []
-    jumps = h.weight_jumps
-    for lo, hi in zip(jumps, jumps[1:]):
-        if not all(h.weight_contains(hi, row) for row in h.weight_echelon(lo)[0]):
-            bad.append(Violation("weight", hi, f"W_{lo} not contained in W_{hi}"))
-    if h.weight_rank(jumps[-1]) != h.dimension:
-        bad.append(Violation("weight", jumps[-1], "top weight subspace is not full"))
-    return tuple(bad)
 
 
 def require_valid(h: MixedHodgeStructure) -> None:
@@ -407,22 +468,18 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
     return child
 
 
-def _carry_weights(h: MixedHodgeStructure, child: MixedHodgeStructure,
-                   shift: int) -> None:
-    """Seed child, whose W_{k+shift} has the rows of h's W_k, with h's exact
-    weight facts: echelon forms, subspaces and the nesting verdict, which
-    is "nested with a full top" since h is valid."""
-    for k in h.weight_jumps:
-        child._memo[("rref", k + shift)] = h.weight_echelon(k)
-        child._memo[("W", k + shift)] = h.weight_subspace(k)
-    child._memo["W nesting"] = ()
+def _carried(spans: dict, shift: int, conjugated: bool = False) -> dict:
+    """A parent's subspaces by jump as a child's whose jumps are the
+    parent's plus shift (conjugated too)."""
+    return {None if j is None else j + shift: s.conjugate() if conjugated else s
+            for j, s in spans.items()}
 
 
 def tate(a: int) -> MixedHodgeStructure:
     """The rank-1 pure structure Q(a): weight -2a, Hodge jump -a, period (2 pi i)^a."""
     return MixedHodgeStructure(
         1,
-        {-2 * a: [[Fraction(1)]]},
+        coordinate_flag([1]).shifted(-2 * a),
         {-a: [[1.0]]},
         comparison_matrix=[[(2j * np.pi) ** a]],
     )
@@ -431,15 +488,12 @@ def tate(a: int) -> MixedHodgeStructure:
 def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     """Dual MHS on the dual coordinates.
 
-    W_k(dual) = Ann(W_{-k-1}) keeps exact rational bases; F^p(dual) =
-    Ann(F^{-p+1}) is numeric.  Conventions make dual(Q(a)) = Q(-a).
+    W_k(dual) = Ann(W_{-k-1}) is framed by the exact dual basis of h's
+    frame; F^p(dual) = Ann(F^{-p+1}) is numeric.  Conventions make
+    dual(Q(a)) = Q(-a).
     """
     require_valid(h)
     n = h.dimension
-
-    # W_j(dual) = Ann(W_{-j-1}) jumps at j = -k for each jump k of W
-    dual_w = {-k: [list(v) for v in _rational.nullspace(h.weight_echelon(k - 1), n)]
-              for k in h.weight_jumps}
 
     pjumps = h.hodge_jumps                     # p_1 < ... < p_r, value T_i at p_i
     # segment of value Ann(T_{i+1}) tops out at q = -p_i; top segment is full
@@ -447,8 +501,9 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     for lo, hi in zip(pjumps, pjumps[1:]):
         dual_f[-lo] = h.hodge_subspace(hi).annihilator()
 
-    child = MixedHodgeStructure(n, dual_w, {q: s.basis.T.copy() for q, s in dual_f.items()})
-    child._memo.update({("F", q): s for q, s in dual_f.items()})
+    child = MixedHodgeStructure(n, h.weight_frame.dual(),
+                                {q: s.basis.T.copy() for q, s in dual_f.items()})
+    child._memo["F"] = {None: Subspace.zero(n), **dual_f}
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     return _inherit(h, child,
@@ -463,11 +518,11 @@ def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
     require_valid(h)
     child = MixedHodgeStructure(
         h.dimension,
-        {k - 2 * p: rows for k, rows in h.weight_filtration.items()},
+        h.weight_frame.shifted(-2 * p),
         {q - p: arr for q, arr in h.hodge_filtration.items()},
     )
-    _carry_weights(h, child, -2 * p)
-    child._memo.update({("F", q - p): h.hodge_subspace(q) for q in h.hodge_jumps})
+    child._memo["W"] = _carried(h._weight_spans(), -2 * p)
+    child._memo["F"] = _carried(h._hodge_spans(), -p)
     return _inherit(h, child,
                     lambda b: {(i - p, j - p): piece for (i, j), piece in b.pieces.items()},
                     lambda delta: delta, shares_basis=True)
@@ -481,12 +536,12 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
         comparison = h.comparison_matrix.conj()
     child = MixedHodgeStructure(
         h.dimension,
-        h.weight_filtration,
+        h.weight_frame,
         {p: arr.conj() for p, arr in h.hodge_filtration.items()},
         comparison,
     )
-    _carry_weights(h, child, 0)
-    child._memo.update({("F", q): h.hodge_subspace(q).conjugate() for q in h.hodge_jumps})
+    child._memo["W"] = h._weight_spans()
+    child._memo["F"] = _carried(h._hodge_spans(), 0, conjugated=True)
     # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p));
     # conj delta(H) = delta(H) is real, and conj H has -delta(H)
     return _inherit(h, child,
@@ -500,16 +555,10 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
 def _split_hodge_tate(dims: Sequence[int]) -> MixedHodgeStructure:
     """Direct sum of Tate pieces: block i has weight -2i with multiplicity dims[i]."""
     n = int(sum(dims))
-    offsets = np.cumsum([0] + list(dims))
-    weight, hodge = {}, {}
-    for i, d in enumerate(dims):
-        # W_{-2i} is spanned by blocks i..end
-        rows = [[Fraction(1 if c == r else 0) for c in range(n)]
-                for r in range(offsets[i], n)]
-        weight[-2 * i] = rows
-        cols = np.eye(n, dtype=DTYPE)[: offsets[i] + d]
-        hodge[-i] = cols
-    return MixedHodgeStructure(n, weight, hodge)
+    offsets = np.cumsum(dims)
+    # F^{-i} is spanned by blocks 0..i, W_{-2i} by blocks i..end
+    hodge = {-i: np.eye(n, dtype=DTYPE)[:offsets[i]] for i in range(len(dims))}
+    return MixedHodgeStructure(n, coordinate_flag(dims), hodge)
 
 
 def random_lowering(dims: Sequence[int], seed: int, scale: float = 0.8) -> np.ndarray:
@@ -546,7 +595,7 @@ def random_hodge_tate_pair(dims: Sequence[int], seed: int, scale: float = 0.8,
         lam = lam.real.astype(DTYPE)
     g = nilpotent_exp(lam)
     hodge = {p: (g @ arr.T).T for p, arr in split.hodge_filtration.items()}
-    twisted = MixedHodgeStructure(split.dimension, split.weight_filtration, hodge)
+    twisted = MixedHodgeStructure(split.dimension, split.weight_frame, hodge)
     return split, lam, twisted
 
 

@@ -29,9 +29,9 @@ of A(z)^{-1} (the de Rham flag pulled back through the comparison map).
 Its splitting and both heights admit closed forms used as end-to-end
 oracles for the generic pipeline.
 
-H(z) and the branch data (log z, Li_1..Li_N) are memoized on the
-context that defines them, so they are computed once per context and
-released with it; no module cache holds them.
+H(z), its matrices and the branch data (log z, Li_1..Li_N) are memoized
+on the context that defines them, so they are computed once per context
+and released with it; no module cache holds them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .framed import FramedMHS
 from .linalg import DTYPE, nilpotent_log
-from .mhs import MixedHodgeStructure
+from .mhs import MixedHodgeStructure, coordinate_flag
 
 TWO_PI_I = 2j * np.pi
 
@@ -394,38 +394,43 @@ class PolylogMatrices:
 
 
 def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
-    _require_log_branch(ctx)
-    n = ctx.N + 1
-    lg, vals = branch_data(ctx, ctx.N)
-    L = np.eye(n, dtype=DTYPE)
-    for i in range(1, n):
-        L[i, 0] = -vals[i - 1]
-        for j in range(1, i + 1):
-            L[i, j] = lg ** (i - j) / math.factorial(i - j)
-    A = L @ tau(TWO_PI_I, n)
-    B = A @ np.linalg.inv(A.conj()) @ tau(-1.0, n)
-    ell = np.array([-v for v in vals], dtype=DTYPE)
-    return PolylogMatrices(L, A, B, shift_matrix(n), ell)
+    """The matrices of H(z), built once per context; the arrays are read-only."""
+    def compute():
+        _require_log_branch(ctx)
+        n = ctx.N + 1
+        lg, vals = branch_data(ctx, ctx.N)
+        L = np.eye(n, dtype=DTYPE)
+        for i in range(1, n):
+            L[i, 0] = -vals[i - 1]
+            for j in range(1, i + 1):
+                L[i, j] = lg ** (i - j) / math.factorial(i - j)
+        A = L @ tau(TWO_PI_I, n)
+        B = A @ np.linalg.inv(A.conj()) @ tau(-1.0, n)
+        mats = PolylogMatrices(L, A, B, shift_matrix(n),
+                               np.array([-v for v in vals], dtype=DTYPE))
+        for arr in vars(mats).values():
+            arr.setflags(write=False)
+        return mats
+    return ctx.memo("matrices", compute)
 
 
 def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
     """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates, built
     once per context.
 
-    W_{-2k} is spanned by the standard vectors e_k..e_N; F^{-k} by the
-    first k+1 columns of A(z)^{-1}, which is the de Rham flag C^{[0,k]}
-    pulled back through the comparison map alpha = A(z).  The bigrading
+    W_{-2k} is spanned by the standard vectors e_k..e_N, handed over as
+    its frame (`mhs.coordinate_flag`); F^{-k} by the first k+1 columns
+    of A(z)^{-1}, which is the de Rham flag C^{[0,k]} pulled back
+    through the comparison map alpha = A(z).  The bigrading
     piece I^{-k,-k} is then spanned by column k of A(z)^{-1}.
     """
     def compute():
         n = ctx.N + 1
         mats = build_matrices(ctx)
         a_inv = np.linalg.inv(mats.A)
-        one, zero = Fraction(1), Fraction(0)
-        units = [tuple(one if c == r else zero for c in range(n)) for r in range(n)]
-        weight = {-2 * k: units[k:] for k in range(n)}
         hodge = {-k: a_inv[:, : k + 1].T.copy() for k in range(ctx.N + 1)}
-        return MixedHodgeStructure(n, weight, hodge, comparison_matrix=mats.A)
+        return MixedHodgeStructure(n, coordinate_flag([1] * n), hodge,
+                                   comparison_matrix=mats.A)
     return ctx.memo("mhs", compute)
 
 

@@ -10,7 +10,8 @@
   complementary, with the Hodge numbers read off the induced filtration.
 * Dense echelon forms over Fraction (every entry of every row updated at
   every step), cross-checking the sparse `rref` and `remainder` of
-  `hodgeheights._rational` exactly.
+  `hodgeheights._rational` exactly, and the exact annihilator of a row
+  span (`nullspace`), cross-checking the dual weight frame.
 * Two solvers of the defining equation of delta, cross-checking the
   closed form of `hodgeheights.deligne._solve_delta`: the degree-by-degree
   elimination run densely over every drop m up to the weight span, and an
@@ -26,7 +27,8 @@
   cross-checking the single pass of `hodgeheights.linalg`.
 * The intersection of two subspaces from the nullspace of [A | -B],
   re-orthonormalised, cross-checking the principal-sine rule of
-  `hodgeheights.linalg.Subspace.intersect_pairs`.
+  `hodgeheights.linalg.Subspace.intersect_pairs`, and `intersect`, that
+  rule's one-pair case.
 * The sequential transport: (log t, Li_1..Li_count) continued panel by
   panel, each Li_k the running value plus the Chebyshev primitive of its
   predecessor's integrand (the log powers integrated too), cross-checking
@@ -153,7 +155,7 @@ def _graded_model(h, k):
 
 def _induced_on_graded(h, sub, k, model):
     """Image of (sub cap W_k) in the graded model of Gr^W_k."""
-    coords = model.T @ sub.intersect(h.weight_subspace(k)).basis
+    coords = model.T @ intersect(sub, h.weight_subspace(k)).basis
     return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1])
 
 
@@ -174,7 +176,7 @@ def graded_purity_violations(h):
             f_side = _induced_on_graded(h, h.hodge_subspace(p), k, model)
             conj_side = _induced_on_graded(
                 h, h.hodge_subspace(k - p + 1).conjugate(), k, model)
-            if f_side.dim + conj_side.dim != m or f_side.intersect(conj_side).dim != 0:
+            if f_side.dim + conj_side.dim != m or intersect(f_side, conj_side).dim != 0:
                 bad.append(Violation(
                     "purity", k,
                     f"Gr^W_{k}: F^{p} (dim {f_side.dim}) and conj F^{k - p + 1} "
@@ -253,6 +255,20 @@ def dense_rref(rows):
     return mat[:r], pivots
 
 
+def nullspace(echelon, ncols):
+    """Basis of {x : M x = 0} for M given by its echelon form `rref(rows)`:
+    the exact annihilator of the row span."""
+    reduced, pivots = echelon
+    basis = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][c]
+        basis.append(tuple(v))
+    return basis
+
+
 def dense_remainder(vector, echelon):
     """`vector` reduced against a reduced echelon form, every entry updated."""
     v = [Fraction(x) for x in vector]
@@ -311,10 +327,15 @@ def complement_indices(inner_rows, outer_rows):
     return chosen
 
 
+def weight_rows(h, k):
+    """Exact rational rows spanning W_k (none below the lowest jump)."""
+    return h.weight_filtration.get(h._weight_jump(k), ())
+
+
 def graded_rational_basis(h, k):
     """Rational vectors in W_k whose classes form a basis of Gr^W_k."""
-    outer = h.weight_rows(k)
-    return tuple(outer[i] for i in complement_indices(h.weight_rows(k - 1), outer))
+    outer = weight_rows(h, k)
+    return tuple(outer[i] for i in complement_indices(weight_rows(h, k - 1), outer))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,6 +435,11 @@ def two_pass_log(mat):
         power = power @ nil
         out = out + ((-1) ** (k + 1)) * power / k
     return out
+
+
+def intersect(a, b):
+    """a cap b: the one-pair case of `Subspace.intersect_pairs`."""
+    return Subspace.intersect_pairs([(a, b)])[0]
 
 
 def stacked_intersection(a, b):

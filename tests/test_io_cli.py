@@ -68,6 +68,19 @@ class TestDocuments:
         for p in h.hodge_jumps:
             assert np.array_equal(h2.hodge_filtration[p], h.hodge_filtration[p])
 
+    def test_polylog_document_round_trips_the_weight_rows(self):
+        # H(z) hands W over as its frame; the document writes W_-2k as the
+        # unit rows e_k..e_N in that order, and reads back to the same rows
+        # and the same frame
+        h = polylog_mhs(PolylogContext(0.3 + 0.2j, 6))
+        doc = json.loads(json.dumps(mhs_to_document(h)))
+        assert [item["basis"] for item in doc["weight_filtration"]] == [
+            [["1" if c == r else "0" for c in range(7)] for r in range(k, 7)]
+            for k in range(6, -1, -1)]
+        h2, _ = parse_mhs_document(doc)
+        assert h2.weight_filtration == h.weight_filtration
+        assert h2.weight_frame == h.weight_frame
+
     def test_framed_round_trip_heights_bit_exact(self):
         _, _, h = random_hodge_tate_pair([1, 1, 1], seed=9)
         fh = random_framing(h, np.random.default_rng(2))

@@ -7,7 +7,7 @@ from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotU
                                  Subspace, nilpotent_exp, nilpotent_exp_pair, nilpotent_log,
                                  numerical_rank)
 
-from oracles import (oracle_annihilator_dim, oracle_intersection_dim,
+from oracles import (intersect, oracle_annihilator_dim, oracle_intersection_dim,
                      oracle_member, oracle_rank, oracle_sum_dim, stacked_intersection,
                      two_pass_exp, two_pass_log)
 
@@ -24,13 +24,13 @@ def e(i, n):
 
 class TestSubspaceBasics:
     def test_coordinate_intersection(self):
-        s = span(e(0, 3), e(1, 3)).intersect(span(e(1, 3), e(2, 3)))
+        s = intersect(span(e(0, 3), e(1, 3)), span(e(1, 3), e(2, 3)))
         assert s.dim == 1
         assert s.contains(e(1, 3))
 
     def test_self_intersection_idempotent(self):
         s = span([1, 2j, 3], [0, 1, 1j])
-        assert s.intersect(s).equals(s)
+        assert intersect(s, s).equals(s)
 
     def test_sum_of_axes(self):
         s = span(e(0, 3)).sum(span(e(1, 3)))
@@ -56,7 +56,7 @@ class TestSubspaceBasics:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            span(e(0, 3)).intersect(span(e(0, 4)))
+            intersect(span(e(0, 3)), span(e(0, 4)))
         with pytest.raises(DimensionMismatch):
             span(e(0, 3)).sum(span(e(0, 4)))
 
@@ -80,7 +80,7 @@ def test_generic_intersection_dimension_vs_oracle():
         ra = random_rational_rows(rng, 3, 6)
         rb = random_rational_rows(rng, 4, 6)
         want = oracle_intersection_dim(ra, rb)
-        got = span(*ra, n=6).intersect(span(*rb, n=6)).dim
+        got = intersect(span(*ra, n=6), span(*rb, n=6)).dim
         assert got == want
         hits += want == 1
     assert hits >= 18  # general position is the overwhelming case
@@ -96,7 +96,7 @@ def test_grassmann_identity_on_random_pairs():
             rng.standard_normal((da, n)) + 1j * rng.standard_normal((da, n)))
         b = Subspace.from_vectors(
             rng.standard_normal((db, n)) + 1j * rng.standard_normal((db, n)))
-        assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
+        assert a.sum(b).dim + intersect(a, b).dim == a.dim + b.dim
 
 
 def test_oracle_agreement_small_battery():
@@ -109,11 +109,36 @@ def test_oracle_agreement_small_battery():
         assert a.dim == oracle_rank(ra)
         assert b.dim == oracle_rank(rb)
         assert a.sum(b).dim == oracle_sum_dim(ra, rb)
-        assert a.intersect(b).dim == oracle_intersection_dim(ra, rb)
+        assert intersect(a, b).dim == oracle_intersection_dim(ra, rb)
         assert a.annihilator().dim == oracle_annihilator_dim(ra, n)
         if ra:
             probe = [sum(3 * x for x in col) for col in zip(*ra)]
             assert a.contains(probe) == oracle_member(probe, ra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16),
+       shapes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), min_size=1, max_size=5))
+def test_batched_spans_and_residuals_match_one_set_at_a_time(n, seed, shapes):
+    # rank-deficient, zero and empty row sets, zero-padded into one SVD and
+    # one stacked residual
+    rng = np.random.default_rng(seed)
+    sets = []
+    for m, r in shapes:
+        r = min(r, m, n)
+        coeffs = rng.integers(-2, 3, size=(m, r)) + 1j * rng.integers(-2, 3, size=(m, r))
+        sets.append(coeffs @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))))
+    batch = Subspace.from_vector_sets(sets, n)
+    single = [Subspace.from_vectors(rows, ambient_dim=n) for rows in sets]
+    for got, want in zip(batch, single):
+        assert got.dim == want.dim
+        assert np.linalg.norm(got.basis @ got.basis.conj().T
+                              - want.basis @ want.basis.conj().T) < 1e-12
+    pairs = [(x, y) for x in batch for y in single]
+    want = [np.linalg.norm(x.basis - y.basis @ (y.basis.conj().T @ x.basis)) for x, y in pairs]
+    assert np.allclose(Subspace.containment_residuals(pairs), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose([x.containment_residual(y) for x, y in pairs], want,
+                       rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +194,7 @@ class TestIntersectEach:
             want = stacked_intersection(a, b)
             assert g.dim == want.dim
             assert g.equals(want, tol)
-            assert a.intersect(b).dim == want.dim
+            assert intersect(a, b).dim == want.dim
             assert np.allclose(g.basis.conj().T @ g.basis, np.eye(g.dim), atol=1e-12)
         return got
 
@@ -247,7 +272,7 @@ class TestIntersectEach:
         calls = count_svds(monkeypatch)
         got = Subspace.intersect_pairs(pairs)
         assert [g is stacked_intersection(a, b) for g, (a, b) in zip(got, pairs)] == [True] * 6
-        assert [line.intersect(b) for b in (zero, full)] == [zero, line]
+        assert [intersect(line, b) for b in (zero, full)] == [zero, line]
         assert calls == []
 
     def test_one_svd_per_batch(self, monkeypatch):
@@ -416,7 +441,7 @@ def test_trivial_operands_return_the_other_side(n, d, seed, identity):
     a = random_subspace(rng, n, min(d, n))
     full = Subspace.full(n) if identity else random_subspace(rng, n, n)
     zero = Subspace.zero(n)
-    for got in (a.intersect(full), full.intersect(a), a.sum(zero), zero.sum(a)):
+    for got in (intersect(a, full), intersect(full, a), a.sum(zero), zero.sum(a)):
         assert got.ambient_dim == n
         assert got.dim == a.dim
         assert got.contains_subspace(a) and a.contains_subspace(got)
@@ -436,11 +461,11 @@ def test_trivial_operands_skip_the_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for left, right in ((a, full), (full, a), (full, full)):
-        left.intersect(right)
+        intersect(left, right)
     for left, right in ((a, zero), (zero, a), (zero, zero), (full, zero)):
         left.sum(right)
     assert calls == []
-    a.intersect(b)
+    intersect(a, b)
     a.sum(c)
     assert len(calls) == 2      # principal sines for the intersection, span for the sum
 

@@ -11,7 +11,7 @@ from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair, tate,
                               twist, validate)
 
-from oracles import graded_purity_violations, graded_rational_basis
+from oracles import graded_purity_violations, graded_rational_basis, nullspace, weight_rows
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
@@ -160,13 +160,13 @@ def test_seeded_subspaces_span_the_childs_own_rows(derive):
               odd_weight_gap_structure()):
         child = derive(h)
         for q in child.hodge_jumps:
-            own = Subspace.from_vectors(child.hodge_rows(q), ambient_dim=child.dimension)
+            own = Subspace.from_vectors(child.hodge_filtration[q], ambient_dim=child.dimension)
             assert child.hodge_subspace(q).equals(own)
         for k in child.weight_jumps:
-            rows = [[float(x) for x in row] for row in child.weight_rows(k)]
+            rows = [[float(x) for x in row] for row in child.weight_filtration[k]]
             own = Subspace.from_vectors(rows, ambient_dim=child.dimension)
             assert child.weight_subspace(k).equals(own)
-            assert child.weight_echelon(k) == _rational.rref(child.weight_filtration[k])
+            assert child.weight_rank(k) == len(_rational.rref(child.weight_filtration[k])[0])
 
 
 @pytest.mark.parametrize("derive", [lambda h: twist(h, 2), conjugate],
@@ -192,6 +192,48 @@ def test_dual_keeps_its_annihilators(monkeypatch):
     spaces = [d.hodge_subspace(q) for q in d.hodge_jumps]
     assert svds == []
     assert spaces[0].dim == d.dimension
+
+
+def _in_basis(h, g):
+    """h moved by the rational change of basis g (an integer matrix): an
+    isomorphic structure whose W is given by rows that are not unit vectors."""
+    n = h.dimension
+    return MixedHodgeStructure(
+        n, {k: [[sum(v[i] * int(g[j, i]) for i in range(n)) for j in range(n)] for v in rows]
+            for k, rows in h.weight_filtration.items()},
+        {p: arr @ g.T for p, arr in h.hodge_filtration.items()})
+
+
+def test_weight_verdict_and_dual_annihilators_hold_through_the_frame(monkeypatch):
+    # the frame's one pass over W's rows is the nesting check: one echelon
+    # form per jump when the structure is made, none when it is validated
+    rrefs = count_calls(monkeypatch, _rational, "rref")
+    h = MixedHodgeStructure(2, {0: [[1, 0]], 1: [[0, 1]], 2: [[1, 0], [0, 1]]},
+                            {0: np.eye(2, dtype=complex)})
+    assert len(rrefs) == 3
+    assert validate(h).describe() == "[weight@1] W_0 not contained in W_1"
+    assert len(rrefs) == 3
+    # the dual of a structure framed by rational rows that are not unit
+    # vectors is framed by their exact dual basis, with no echelon form,
+    # and keeps its annihilators as F: no SVD
+    g = np.triu(np.random.default_rng(8).integers(-3, 4, size=(5, 5)), 1) + np.eye(5, dtype=int)
+    h = _in_basis(random_hodge_tate([2, 1, 2], seed=8), g)
+    assert {x for row in h.weight_frame.rows for x in row} - {0, 1}
+    mhs_mod.require_valid(h)
+    rrefs.clear()
+    d = dual(h)
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    spaces = [d.hodge_subspace(q) for q in d.hodge_jumps]
+    assert rrefs == [] and svds == []
+    assert spaces[0].dim == d.dimension
+    assert validate(d).ok
+    for k in h.weight_jumps:
+        # W_{-k} of the dual is Ann(W_{k-1}), exactly
+        ann = nullspace(_rational.rref(weight_rows(h, k - 1)), h.dimension)
+        assert _rational.rref(d.weight_filtration[-k]) == _rational.rref(ann)
+    for i, s in enumerate(reversed(d.weight_frame.rows)):
+        assert [sum(x * y for x, y in zip(s, t)) for t in h.weight_frame.rows] == [
+            int(i == j) for j in range(h.dimension)]
 
 
 def test_random_hodge_tate_deterministic_and_graded():
@@ -241,7 +283,7 @@ def test_pieces_outside_the_filtrations_are_rejected():
 
 def _spanned_weight_subspace(h, k):
     """W_k as the span of its float rows, even where it is the whole space."""
-    rows = [[float(x) for x in row] for row in h.weight_rows(k)]
+    rows = [[float(x) for x in row] for row in weight_rows(h, k)]
     return Subspace.from_vectors(np.array(rows, dtype=complex).reshape(len(rows), h.dimension),
                                  ambient_dim=h.dimension)
 

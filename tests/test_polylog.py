@@ -305,6 +305,15 @@ class TestTransport:
 
 
 class TestMatrices:
+    def test_matrices_are_built_once_per_context(self):
+        # H(z) and delta's closed form share one build, read-only
+        ctx = PolylogContext(0.3 + 0.2j, 5)
+        mats = build_matrices(ctx)
+        polylog_mhs(ctx)
+        delta_closed_form(ctx)
+        assert build_matrices(ctx) is mats
+        assert not any(arr.flags.writeable for arr in (mats.L, mats.A, mats.B, mats.e0, mats.ell))
+
     def test_L_at_rank_one(self):
         ctx = PolylogContext(0.3 + 0.2j, N=1)
         m = build_matrices(ctx)

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights._rational import as_fraction_vector, nullspace, remainder, rref
+from hodgeheights._rational import as_fraction_vector, remainder, rref
 
-from oracles import dense_remainder, dense_rref
+from oracles import dense_remainder, dense_rref, nullspace
 
 
 def sparse_rows(rng, count, n, density=0.3):
