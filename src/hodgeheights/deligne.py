@@ -40,12 +40,8 @@ Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and by
 uniqueness the P_k are its Deligne pieces.
 
 The pieces are memoized on the structure.  The splitting is functorial
-(Cattani--Kaplan--Schmid), so the dual, Tate twists and conjugate of a
-valid structure are born with pieces carried over from their parent's
-(`mhs.dual`, `twist`, `conjugate`) and never evaluate the formula; a
-twist or conjugate, whose bigrading basis is its parent's or the
-parent's conjugate, also takes that basis's singular values and inverse
-(as arrays, so the parent is not kept alive).
+(Cattani--Kaplan--Schmid), so a dual, Tate twist or conjugate takes its
+pieces from its parent's (`mhs._inherit`) and never evaluates the formula.
 Validation decides on the pieces, certified, computed or carried over,
 whether (W, F) is an MHS at all; the bigrading of a valid structure is
 the same pieces, once their basis is checked to be well conditioned.
@@ -62,12 +58,11 @@ so g Y g^{-1} = C Y C^{-1}.  The Cayley transform i (g - 1)(g + 1)^{-1}
     delta = S arctan(i L (2 Cd + L)^{-1}) S^{-1}
 
 is one linear solve and a finite odd series.  It runs once per root
-structure: a dual, twist or conjugate takes -delta^T, delta or -delta
-from its parent's splitting, and a chain of them from its root's.  Every
-structure still computes Y from its own bigrading and checks the
-defining, reality and lambda residuals of its delta, so a wrong carry
-raises ResidualTooLarge.  Degree-by-degree and fixed-point solvers of
-the defining equation are test oracles (tests/oracles.py).
+structure: a derived structure takes delta from its parent's (see
+`mhs._inherit`).  Every structure still computes Y from its own
+bigrading and checks the defining, reality and lambda residuals of its
+delta, so a wrong carry raises ResidualTooLarge.  Degree-by-degree and
+fixed-point solvers of the defining equation are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -107,10 +102,9 @@ class Bigrading:
     pieces: dict[tuple[int, int], Subspace]
     basis: np.ndarray
     labels: tuple[tuple[int, int], ...]
-    #: For a twist or conjugate, whose basis is its parent's or the
-    #: parent's conjugate: the parent basis's singular values and inverse
-    #: (conjugated for a conjugate), carried over instead of computed
-    #: again.  Only the arrays are kept, so the parent structure can die.
+    #: When the basis is a parent's or its conjugate (a twist or
+    #: conjugate): that basis's singular values and inverse (conjugated
+    #: too), as arrays only, so the parent structure can die.
     carried: tuple[np.ndarray, np.ndarray] | None = None
 
     @property

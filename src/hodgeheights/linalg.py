@@ -117,9 +117,11 @@ class Subspace:
         one batched SVD.
 
         Each set's vectors become the columns of one stack, zero-padded to
-        one count, which adds only zero singular values; each rank is
-        `numerical_rank` of the set's own singular values.  An empty set
-        spans zero.
+        one count, which adds only zero singular values, and scaled to unit
+        norm (zero stays zero), which keeps every span, so small generators
+        (columns of A(z)^{-1} for H(z) scale like (2 pi)^{-k}) keep their
+        rank.  Each rank is `numerical_rank` of the set's own singular
+        values.  An empty set spans zero.
         """
         sets = [np.asarray(rows, dtype=DTYPE) for rows in sets]
         for rows in sets:
@@ -130,7 +132,10 @@ class Subspace:
         spans = [Subspace.zero(ambient_dim)] * len(sets)
         full = [i for i, rows in enumerate(sets) if rows.size]
         if full:
-            u, s, _ = np.linalg.svd(_padded([sets[i].T for i in full]), full_matrices=False)
+            stack = _padded([sets[i].T for i in full])
+            norms = np.linalg.norm(stack, axis=1, keepdims=True)
+            stack /= np.where(norms == 0.0, 1.0, norms)
+            u, s, _ = np.linalg.svd(stack, full_matrices=False)
             for i, ub, sb in zip(full, u, s):
                 rank = numerical_rank(sb[:min(sets[i].shape)])
                 spans[i] = Subspace(ub[:, :rank])

@@ -11,35 +11,25 @@ W is an exact adapted frame (`WeightFrame`): rational rows in ascending
 weight, W_k the span of those of weight <= k, so dim W_k is exact.  Rows
 given by jump are framed in one pass that also decides, exactly, that W
 is nested with a full top; constructions that know the frame hand it
-over.  F is stored sparsely by jump: F^p is the value at the smallest
-jump >= p, 0 above the largest, and the value at the smallest jump must
-be the full space.  All W_k are column slices of one QR of the frame,
-and all F^p come from one batched SVD.
+over, checked by integer comparisons on first use (`_frame_violations`).
+F is stored sparsely by jump: F^p is the value at the smallest jump >=
+p, 0 above the largest, and the value at the smallest jump must be the
+full space.  All W_k are column slices of one QR of the frame, and all
+F^p come from one batched SVD.
 
 Validity is decided on Deligne's pieces I^{p,q}, which then become the
 bigrading; `validate` is the one place the MHS criteria are written and
 run, each batch of containments as one stacked residual.
 
-The dual, Tate twists and conjugate of a valid structure are born with
-every fact their parent holds about the same data, carried over:
-
-* the pieces I^{p,q} (relabelled, conjugated or read off the parent's
-  inverse bigrading basis);
-* the F^p subspaces (the parent's, shifted or conjugated; for the dual,
-  the annihilators its filtration is built from);
-* the frame: for twists and conjugates the parent's, shifted, with its
-  W_k subspaces; for the dual its exact dual basis;
-* for twists and conjugates, the singular values and inverse of the
-  bigrading basis (conjugated for the conjugate), as arrays: the child's
-  bigrading does not keep its parent alive;
-* delta, taken on first use from the parent's splitting (see
-  `deligne.delta_splitting`).
-
-What is still checked on the child: `validate` runs every containment,
-dimension and independence check on the child's own filtrations and
-pieces, and `deligne.delta_splitting` computes Y from the child's own
-bigrading and checks delta's defining, reality and lambda residuals
-against it.
+A dual, Tate twist or conjugate of a valid structure takes what it
+inherits from its parent through one call, `_inherit`, and no other way:
+its subspaces, W's verdict, its Deligne pieces (with the singular values
+and inverse of their basis when it is the parent's or its conjugate) and
+the map that takes the parent's delta on first use.  What is still
+checked on the child: `validate` runs every containment, dimension and
+independence check on the child's own filtrations and pieces, and
+`deligne.delta_splitting` computes Y from the child's own bigrading and
+checks delta's defining, reality and lambda residuals against it.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -167,6 +157,28 @@ def _adapted_frame(n: int, filtration: Mapping[int, Sequence[Sequence]]
     return WeightFrame(jumps, *(zip(*frame) if frame else ((), (), ()))), tuple(bad)
 
 
+def _frame_violations(n: int, f: WeightFrame) -> tuple[Violation, ...]:
+    """A frame's first data violation, else W's top not being full, by
+    integer comparisons only."""
+    rows, piv, jumps, weights = f.rows, f.pivots, f.jumps, f.weights
+    cols = list(zip(*rows))
+    def data(message: str) -> tuple[Violation, ...]:
+        return (Violation("data", None, message),)
+    if any(len(row) != n for row in rows):
+        return data("weight vector of wrong length")
+    if not len(rows) == len(weights) == len(piv) <= n:
+        return data("weight frame needs one weight and pivot per row, and at most n rows")
+    if (list(jumps) != sorted(set(jumps)) or list(weights) != sorted(weights)
+            or not set(weights) <= set(jumps)):
+        return data("weight frame weights not ascending among its jumps")
+    if not all(0 <= c < n and cols[c][i] == 1 and not any(cols[c][i + 1:])
+               for i, c in enumerate(piv)):
+        return data("weight frame rows not 1 at their pivots, with 0 there in every later row")
+    if jumps and len(rows) < n:
+        return (Violation("weight", jumps[-1], "top weight subspace is not full"),)
+    return ()
+
+
 def _freeze_hodge(filtration: Mapping[int, Sequence[Sequence[complex]]]) -> dict[int, np.ndarray]:
     out = {}
     for p, rows in filtration.items():
@@ -204,16 +216,16 @@ class MixedHodgeStructure:
     def __init__(self, dimension, weight_filtration, hodge_filtration,
                  comparison_matrix=None):
         object.__setattr__(self, "dimension", int(dimension))
-        frame, bad = ((weight_filtration, ()) if isinstance(weight_filtration, WeightFrame)
+        # W's verdict comes with the frame of rows given by jump (see `validate`)
+        frame, bad = ((weight_filtration, None) if isinstance(weight_filtration, WeightFrame)
                       else _adapted_frame(self.dimension, weight_filtration))
         object.__setattr__(self, "weight_frame", frame)
-        object.__setattr__(self, "_weight_violations", bad)
         object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration))
         if comparison_matrix is not None:
             comparison_matrix = np.array(comparison_matrix, dtype=DTYPE)
             comparison_matrix.setflags(write=False)
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {} if bad is None else {"frame": bad})
         object.__setattr__(self, "_seeds", {})
         object.__setattr__(self, "_wjumps", frame.jumps)
         # the frozen Hodge filtration is sorted by jump
@@ -251,20 +263,13 @@ class MixedHodgeStructure:
     def memo(self, key, compute):
         """compute(), evaluated once and kept for the lifetime of this structure.
 
-        A value seeded under key (see `seed`) is evaluated instead of compute.
+        A derived structure's carry from its parent under key (see
+        `_inherit`) is evaluated instead of compute.
         """
         if key not in self._memo:
             self._memo[key] = self._seeds.get(key, compute)()
             self._seeds.pop(key, None)
         return self._memo[key]
-
-    def seed(self, key, compute) -> None:
-        """Have memo(key, ...) evaluate compute() instead of its own computation.
-
-        A derived structure's carry from its parent, evaluated on first use;
-        a seed that raises stays in place and raises again.
-        """
-        self._seeds[key] = compute
 
     def weight_subspace(self, k: int) -> Subspace:
         """W_k as a Subspace, the one of the jump whose rows span it."""
@@ -349,9 +354,11 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    # the frame's verdict on W: the data, or its nesting with a full top
-    if h._weight_violations[:1] and h._weight_violations[0].kind == "data":
-        return ValidationReport(h._weight_violations)
+    # the frame's verdict on W, memoized: the data, or its nesting with a
+    # full top; a handed-over frame is checked here, once
+    verdict = h.memo("frame", lambda: _frame_violations(n, h.weight_frame))
+    if verdict[:1] and verdict[0].kind == "data":
+        return ValidationReport(verdict)
     for arr in h.hodge_filtration.values():
         if arr.size and arr.shape[1] != n:
             bad.append(Violation("data", None, "Hodge vector of wrong length"))
@@ -360,7 +367,7 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
             bad.append(Violation("data", None, "non-finite Hodge entries"))
             return ValidationReport(tuple(bad))
 
-    bad.extend(h._weight_violations)
+    bad.extend(verdict)
 
     # F decreasing (numeric, one batched residual), bottom = full space
     pjumps = h.hodge_jumps
@@ -440,39 +447,17 @@ def require_valid(h: MixedHodgeStructure) -> None:
 # -- constructions ------------------------------------------------------
 
 
-def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure,
-             carry_pieces, carry_delta, shares_basis: bool = False,
-             conjugated: bool = False) -> MixedHodgeStructure:
-    """child, derived from the valid h, seeded with h's Deligne splitting.
-
-    The splitting is unique and functorial, so the pieces and delta of a
-    dual, twist or conjugate are fixed by its parent's: the pieces are
-    carry_pieces(h's) at once, delta is carry_delta(h's delta) on first
-    use, so delta is solved once per root structure.  When the carried
-    pieces assemble to h's bigrading basis (shares_basis), or to its
-    conjugate (conjugated too), the child's bigrading takes the singular
-    values and inverse (conjugated too) of h's basis, as arrays.
-    validate(child) still checks the pieces against child's own
-    filtrations, and delta_splitting(child) checks delta's residuals on
-    child's own Y.
-    """
+def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
+             pieces: dict, carried, carry_delta) -> MixedHodgeStructure:
+    """child, derived from the valid h, with what it takes from h (whose
+    splitting fixes the child's): subspaces by jump (spans["F"], spans["W"]
+    if given), W's verdict (its frame is h's, shifted or dual), pieces by
+    label with `Bigrading.carried` (or None), and carry_delta(h's delta) on
+    first use, so delta is solved once per root.  A carry that raises stays to raise again."""
     from . import deligne
-    b = deligne._pieces(h)
-    pieces = carry_pieces(b)
-    carried = None
-    if shares_basis:
-        inverse = b.inverse_basis.conj() if conjugated else b.inverse_basis
-        carried = (b.singular_values, inverse)
-    child.memo("pieces", lambda: deligne._assemble(child, pieces, carried))
-    child.seed("delta", lambda: carry_delta(deligne.delta_splitting(h).delta))
+    child._memo.update(spans, frame=(), pieces=deligne._assemble(child, pieces, carried))
+    child._seeds["delta"] = lambda: carry_delta(deligne.delta_splitting(h).delta)
     return child
-
-
-def _carried(spans: dict, shift: int, conjugated: bool = False) -> dict:
-    """A parent's subspaces by jump as a child's whose jumps are the
-    parent's plus shift (conjugated too)."""
-    return {None if j is None else j + shift: s.conjugate() if conjugated else s
-            for j, s in spans.items()}
 
 
 def tate(a: int) -> MixedHodgeStructure:
@@ -492,6 +477,7 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     frame; F^p(dual) = Ann(F^{-p+1}) is numeric.  Conventions make
     dual(Q(a)) = Q(-a).
     """
+    from . import deligne
     require_valid(h)
     n = h.dimension
 
@@ -503,50 +489,46 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
 
     child = MixedHodgeStructure(n, h.weight_frame.dual(),
                                 {q: s.basis.T.copy() for q, s in dual_f.items()})
-    child._memo["F"] = {None: Subspace.zero(n), **dual_f}
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
-    return _inherit(h, child,
-                    lambda b: {(-p, -q): Subspace.from_vectors(
-                        b.inverse_basis[[lab == (p, q) for lab in b.labels]],
-                        ambient_dim=n) for p, q in b.pieces},
+    b = deligne._pieces(h)
+    pieces = Subspace.from_vector_sets(
+        [b.inverse_basis[[lab == pq for lab in b.labels]] for pq in b.pieces], n)
+    return _inherit(h, child, {"F": {None: Subspace.zero(n), **dual_f}},
+                    {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
                     lambda delta: -delta.T)
+
+
+def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeStructure:
+    """h with every index moved by s (weights by 2s), F conjugated if
+    conjugated: the twist H(-s) or the conjugate (s = 0).  I^{p,q} becomes
+    I^{p+s,q+s}, conjugated with F under the same label (not (q, p)), so
+    the bigrading basis is h's or its conjugate (W is real).  delta(H) is
+    real, so conj H has -delta(H); only conj H keeps the comparison (conj)."""
+    from . import deligne
+    require_valid(h)
+    b, c = deligne._pieces(h), (np.conj if conjugated else np.asarray)
+    move = Subspace.conjugate if conjugated else lambda x: x
+    comparison = h.comparison_matrix if conjugated else None
+    child = MixedHodgeStructure(h.dimension, h.weight_frame.shifted(2 * s),
+                                {p + s: c(arr) for p, arr in h.hodge_filtration.items()},
+                                None if comparison is None else c(comparison))
+    spans = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
+             "F": {None if p is None else p + s: move(x) for p, x in h._hodge_spans().items()}}
+    sign = -1 if conjugated else 1
+    return _inherit(h, child, spans,
+                    {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
+                    (b.singular_values, c(b.inverse_basis)), lambda delta: sign * delta)
 
 
 def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
     """Tate twist H(p): W_k -> W_{k+2p}, F^q -> F^{q+p}, Betti basis unchanged."""
-    require_valid(h)
-    child = MixedHodgeStructure(
-        h.dimension,
-        h.weight_frame.shifted(-2 * p),
-        {q - p: arr for q, arr in h.hodge_filtration.items()},
-    )
-    child._memo["W"] = _carried(h._weight_spans(), -2 * p)
-    child._memo["F"] = _carried(h._hodge_spans(), -p)
-    return _inherit(h, child,
-                    lambda b: {(i - p, j - p): piece for (i, j), piece in b.pieces.items()},
-                    lambda delta: delta, shares_basis=True)
+    return _relabelled(h, -p, False)
 
 
 def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
     """Complex conjugate MHS: same rational data and W, F replaced by conj(F)."""
-    require_valid(h)
-    comparison = None
-    if h.comparison_matrix is not None:
-        comparison = h.comparison_matrix.conj()
-    child = MixedHodgeStructure(
-        h.dimension,
-        h.weight_frame,
-        {p: arr.conj() for p, arr in h.hodge_filtration.items()},
-        comparison,
-    )
-    child._memo["W"] = h._weight_spans()
-    child._memo["F"] = _carried(h._hodge_spans(), 0, conjugated=True)
-    # conj I^{p,q}(H) is I^{p,q} of conj H, with the same label (not (q, p));
-    # conj delta(H) = delta(H) is real, and conj H has -delta(H)
-    return _inherit(h, child,
-                    lambda b: {pq: piece.conjugate() for pq, piece in b.pieces.items()},
-                    lambda delta: -delta, shares_basis=True, conjugated=True)
+    return _relabelled(h, 0, True)
 
 
 # -- randomized Hodge--Tate structures ----------------------------------

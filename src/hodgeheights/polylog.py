@@ -53,6 +53,9 @@ TWO_PI_I = 2j * np.pi
 
 #: Terms of the basepoint series; Li_k there must settle within them.
 SERIES_TERMS = 400
+#: Most panels a path may need at the finest step, from its segment lengths
+#: alone: 1,594 to |z| = 100, about 1.6e9 (never finishing) to |z| = 1e8.
+PANEL_BUDGET = 10_000
 #: Longest panel of the continuation quadrature (its first resolution).
 QUADRATURE_STEP = 0.25
 #: Agreement required between two transport resolutions.
@@ -251,7 +254,12 @@ def _transport_once(points: tuple[complex, ...], li: list[complex],
 
 
 def _transport(points: tuple[complex, ...], count: int) -> tuple[complex, list[complex]]:
-    """Transport with one refinement pass; fails loudly if runs disagree."""
+    """Transport with one refinement pass; fails loudly if runs disagree
+    or the path needs more than PANEL_BUDGET panels."""
+    finest = QUADRATURE_STEP / 4
+    needed = sum(math.ceil(abs(b - a) / finest) for a, b in zip(points, points[1:]))
+    if needed > PANEL_BUDGET:
+        raise NonConvergent(f"path needs {needed} panels at step {finest}, over PANEL_BUDGET")
     li0 = _series_values(points[0], count, SERIES_TERMS)
     log1, li1 = _transport_once(points, li0, QUADRATURE_STEP, order=32)
     for step in (QUADRATURE_STEP / 2, QUADRATURE_STEP / 4):
@@ -332,6 +340,16 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
+def _powers_over_factorials(x, count: int) -> list:
+    """x^k / k! for k < count; from k = 171, where k! leaves float range,
+    the one before times x / k.  The closed forms near z = 0 are
+    sensitive to the direct form's rounding (ROADMAP, known defects)."""
+    out = [x ** k / math.factorial(k) for k in range(min(count, 171))]
+    for k in range(171, count):
+        out.append(out[-1] * x / k)
+    return out
+
+
 def sv_brown(b: int, ctx: PolylogContext) -> complex:
     """Single-valued polylogarithm
     L_b = Li_b - sum_{k=0}^{b-1} (-1)^(b-k) (log zzbar)^k / k! conj(Li_{b-k}).
@@ -344,8 +362,8 @@ def sv_brown(b: int, ctx: PolylogContext) -> complex:
     lg, vals = branch_data(ctx, b)
     lzz = 2.0 * lg.real                      # log(z zbar), real on every branch
     out = vals[b - 1]
-    for k in range(b):
-        out -= (-1.0) ** (b - k) * lzz ** k / math.factorial(k) * np.conj(vals[b - k - 1])
+    for k, term in enumerate(_powers_over_factorials(lzz, b)):
+        out -= (-1.0) ** (b - k) * term * np.conj(vals[b - k - 1])
     return complex(out)
 
 
@@ -360,8 +378,8 @@ def sv_bd(b: int, ctx: PolylogContext) -> complex:
     lg, vals = branch_data(ctx, b)
     lzz = 2.0 * lg.real
     acc = 0.0
-    for k in range(b):
-        weight = float(bernoulli(k)) * lzz ** k / math.factorial(k)
+    for k, term in enumerate(_powers_over_factorials(lzz, b)):
+        weight = float(bernoulli(k)) * term
         part = vals[b - k - 1].real if b % 2 == 1 else vals[b - k - 1].imag
         acc += weight * part
     return complex(acc) if b % 2 == 1 else 1j * acc
@@ -399,11 +417,11 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
         _require_log_branch(ctx)
         n = ctx.N + 1
         lg, vals = branch_data(ctx, ctx.N)
+        powers = _powers_over_factorials(lg, n - 1)
         L = np.eye(n, dtype=DTYPE)
         for i in range(1, n):
             L[i, 0] = -vals[i - 1]
-            for j in range(1, i + 1):
-                L[i, j] = lg ** (i - j) / math.factorial(i - j)
+            L[i, 1:i + 1] = powers[i - 1::-1]
         A = L @ tau(TWO_PI_I, n)
         B = A @ np.linalg.inv(A.conj()) @ tau(-1.0, n)
         mats = PolylogMatrices(L, A, B, shift_matrix(n),
@@ -478,6 +496,6 @@ def heights_closed_form(ctx: PolylogContext, a: int, b: int) -> tuple[float, flo
         ht1 = float((-sv_brown(b, ctx) / TWO_PI_I ** b).imag)
         ht2 = float((sv_bd(b, ctx) / (1j * TWO_PI_I ** b)).real)
     else:
-        ht1 = float((((lzz / TWO_PI_I) ** (b - a)) / math.factorial(b - a)).imag)
+        ht1 = float(_powers_over_factorials(lzz / TWO_PI_I, b - a + 1)[-1].imag)
         ht2 = float(lzz / (4.0 * np.pi)) if b == a + 1 else 0.0
     return ht1, ht2

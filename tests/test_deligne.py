@@ -418,7 +418,8 @@ def _hodge_tate_cases():
         dims = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(2, 5)))]
         yield random_hodge_tate(dims, seed=seed, scale=float(rng.uniform(0.2, 3.0)))
     from hodgeheights.polylog import PolylogContext, polylog_mhs
-    # N = 12 is rejected at every z here (F^-11 not contained in F^-12)
+    # N = 12 validates at every z here: F's generators are scaled to unit
+    # norm before their rank is decided
     for n in range(2, 13):
         for z in (0.3 + 0.2j, -0.6 + 0.5j, 1.5 - 2.0j, -2.6 - 3.0j):
             yield polylog_mhs(PolylogContext(z, n))
@@ -450,7 +451,7 @@ class TestHodgeTatePath:
                 cut = b.pieces[pq]
                 assert np.linalg.norm(cut.basis @ cut.basis.conj().T
                                       - piece.basis @ piece.basis.conj().T) < 1e-12
-        assert (taken, rejected) == (40 + 40, 4)
+        assert (taken, rejected) == (40 + 44, 0)
 
     def test_other_structures_take_the_formula(self):
         # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; odd weights;
@@ -622,7 +623,7 @@ class TestInheritedDelta:
         h = random_hodge_tate([1, 1, 1], seed=31)
         d = delta_splitting(h).delta
         child = derive(h)
-        child.seed("delta", lambda: wrong(d))
+        child._seeds["delta"] = lambda: wrong(d)
         with pytest.raises(ResidualTooLarge):
             delta_splitting(child)
 

@@ -619,16 +619,30 @@ class TestExitCodes:
 
     def test_rejected_polylog_structure_is_numerical(self, tmp_path, capsys):
         # H(z) is built by the program, so failing validation is a numerical
-        # failure (exit 3) in both modes; at N = 12 the Hodge flag of H(0.3+0.2i)
-        # is numerically degenerate
-        assert cli.main(["polylog", "--z", "0.3+0.2i", "--N", "12"]) == 3
+        # failure (exit 3) in both modes; at N = 32 the Hodge flag of
+        # H(0.6-0.5i) is numerically degenerate
+        assert cli.main(["polylog", "--z", "0.6-0.5i", "--N", "32"]) == 3
         single = capsys.readouterr().err
-        assert _run_sweep(tmp_path, {"grid": ["0.3+0.2i"], "N": 12,
+        assert _run_sweep(tmp_path, {"grid": ["0.6-0.5i"], "N": 32,
                                      "framings": [[0, 1]]}) == 3
         sweep = capsys.readouterr().err
         assert single == sweep
         assert single.startswith("error: invalid mixed Hodge structure:\n")
-        assert "F^-11 not contained in F^-12" in single
+        assert "F^-31 not contained in F^-32" in single
+
+    def test_polylog_at_twelve_is_accepted(self, capsys):
+        # F's generators scale like (2 pi)^-k; scaled to unit norm, the
+        # Hodge flag of H(0.3+0.2i) keeps its rank at N = 12
+        assert cli.main(["polylog", "--z", "0.3+0.2i", "--N", "12",
+                         "--a", "0", "--b", "12"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        for which in ("ht1", "ht2"):
+            assert abs(out[which] - out[which + "_closed"]) <= 1e-9 * abs(out[which + "_closed"])
+
+    def test_far_evaluation_point_is_numerical(self, capsys):
+        # the path to 1e8+1i needs about 1.6e9 panels: rejected up front
+        assert cli.main(["polylog", "--z", "1e8+1i", "--N", "4"]) == 3
+        assert "PANEL_BUDGET" in capsys.readouterr().err
 
 
 def _framed_example(**framing):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, mhs as mhs_mod
 from hodgeheights.linalg import Subspace, nilpotent_exp
-from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
-                              random_hodge_tate, random_hodge_tate_pair, tate,
-                              twist, validate)
+from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, WeightFrame, conjugate,
+                              coordinate_flag, dual, random_hodge_tate,
+                              random_hodge_tate_pair, tate, twist, validate)
 
 from oracles import graded_purity_violations, graded_rational_basis, nullspace, weight_rows
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
@@ -192,6 +192,57 @@ def test_dual_keeps_its_annihilators(monkeypatch):
     spaces = [d.hodge_subspace(q) for q in d.hodge_jumps]
     assert svds == []
     assert spaces[0].dim == d.dimension
+
+
+def test_dual_pieces_are_one_batch(monkeypatch):
+    # the dual's pieces are the parent's inverse basis rows, spanned in one
+    # batched SVD: with its three annihilators and its independence check,
+    # five SVDs (and the QR of its frame)
+    h = random_hodge_tate([1, 2, 1, 1], seed=6)
+    mhs_mod.require_valid(h)
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    qrs = count_calls(monkeypatch, np.linalg, "qr")
+    d = dual(h)
+    deligne.delta_splitting(d)
+    assert (len(svds), len(qrs)) == (5, 1)
+
+
+@pytest.mark.parametrize("frame, report", [
+    (WeightFrame((0,), ((1, 0, 0), (0, 1, 0)), (0, 0), (0, 1)),
+     "[data@None] weight vector of wrong length"),
+    # a repeated row: weight_rank would count a dependent row
+    (WeightFrame((0,), ((1, 0), (1, 0)), (0, 0), (0, 0)),
+     "[data@None] weight frame rows not 1 at their pivots, with 0 there in every later row"),
+    (WeightFrame((0,), ((2, 0), (0, 1)), (0, 0), (0, 1)),
+     "[data@None] weight frame rows not 1 at their pivots, with 0 there in every later row"),
+    (WeightFrame((0, 2), ((1, 0), (0, 1)), (2, 0), (0, 1)),
+     "[data@None] weight frame weights not ascending among its jumps"),
+    (WeightFrame((0,), ((1, 0), (0, 1)), (0, 1), (0, 1)),
+     "[data@None] weight frame weights not ascending among its jumps"),
+    (WeightFrame((0,), ((1, 0), (0, 1)), (0,), (0, 1)),
+     "[data@None] weight frame needs one weight and pivot per row, and at most n rows"),
+    (WeightFrame((0,), ((1, 0),), (0,), (0,)), "[weight@0] top weight subspace is not full"),
+], ids=["row-length", "repeated-row", "pivot-not-one", "weights-descending",
+        "weight-not-a-jump", "missing-weight", "top-not-full"])
+def test_handed_over_frame_is_checked(frame, report):
+    # a frame is taken as given, so its shape is checked as rows are
+    h = MixedHodgeStructure(2, frame, {0: np.eye(2)})
+    assert validate(h).describe() == report
+    with pytest.raises(InvalidMHS):
+        mhs_mod.require_valid(h)
+
+
+def test_derived_frames_pass_the_frame_check():
+    # a child inherits W's verdict from its parent, as its frame is the
+    # parent's shifted or dual, which keeps the pivot pattern
+    assert mhs_mod._frame_violations(3, coordinate_flag([1, 2])) == ()
+    g = np.triu(np.random.default_rng(8).integers(-3, 4, size=(5, 5)), 1) + np.eye(5, dtype=int)
+    base = random_hodge_tate([2, 1, 2], seed=8)
+    for h in (base, _in_basis(base, g)):
+        mhs_mod.require_valid(h)
+        for child in (dual(h), twist(h, 1), conjugate(h), dual(dual(h))):
+            assert mhs_mod._frame_violations(h.dimension, child.weight_frame) == ()
+            assert child._memo["frame"] == ()
 
 
 def _in_basis(h, g):
