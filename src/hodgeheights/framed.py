@@ -14,6 +14,10 @@ dual structure is built.  The two heights are
 with < , > the plain contraction between dual coordinates; no hidden
 2 pi i normalizations, periods live inside the vectors.  Both vanish
 when the structure splits over R.
+
+A framing's lifts are computed once and kept on the framing itself, so
+they die with it; its structure's bigrading and delta stay on the
+structure, shared by every framing of it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _rational, mhs as mhs_mod
+from . import mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
 from .linalg import DTYPE, nilpotent_exp
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
@@ -46,26 +50,24 @@ class FramedMHS:
     modulo W_{2a-1}.  psi_class: rational covector vanishing on W_{2b-1},
     representing the graded functional (its behaviour off W_{2b} is
     irrelevant: components of weight below -2b in the dual cannot reach
-    I^{-b,-b}).
+    I^{-b,-b}).  Entries that are int or Fraction are kept as given, as
+    in `mhs.WeightFrame` rows; any other is made a Fraction.
     """
 
     mhs: MixedHodgeStructure
     a: int
     b: int
-    phi_class: tuple[Fraction, ...]
-    psi_class: tuple[Fraction, ...]
+    phi_class: tuple[int | Fraction, ...]
+    psi_class: tuple[int | Fraction, ...]
 
     def __init__(self, mhs, a, b, phi_class, psi_class):
         object.__setattr__(self, "mhs", mhs)
         object.__setattr__(self, "a", int(a))
         object.__setattr__(self, "b", int(b))
-        object.__setattr__(self, "phi_class", _rational.as_fraction_vector(phi_class))
-        object.__setattr__(self, "psi_class", _rational.as_fraction_vector(psi_class))
-        # the memo key of the frame elements: equal framings share it, and
-        # int pairs hash far faster than Fractions on every lookup
-        object.__setattr__(self, "_frame_key", ("frame", self.a, self.b) + tuple(
-            tuple((x.numerator, x.denominator) for x in v)
-            for v in (self.phi_class, self.psi_class)))
+        for name, v in (("phi_class", phi_class), ("psi_class", psi_class)):
+            object.__setattr__(self, name, tuple(
+                x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v))
+        object.__setattr__(self, "_elements", None)   # set by frame_elements
 
     def check(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact rational sanity of the frame data (type checks happen on
@@ -116,19 +118,16 @@ def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
 def frame_elements(fh: FramedMHS) -> FrameElements:
     """The lifts e_H in I^{a,a}(H) and e_Hdual in I^{-b,-b}(dual H), both
     in the frame of H's bigrading (e_Hdual in its dual basis).  Checked and
-    lifted once per framing and kept on H; a failed check keeps nothing.
+    lifted once per framing and kept on it; a failed check keeps nothing.
     """
-    h, a, b = fh.mhs, fh.a, fh.b
-
-    def compute():
+    if fh._elements is None:
         phi, psi = fh.check()
-        bg = bigrading(h)
+        bg, a, b = bigrading(fh.mhs), fh.a, fh.b
         e_h = _typed_lift(bg.basis, bg.inverse_basis @ phi, bg.labels, a, a, "phi_class")
         e_hd = _typed_lift(bg.inverse_basis.T, bg.basis.T @ psi,
                            [(-p, -q) for p, q in bg.labels], -b, -b, "psi_class")
-        return FrameElements(e_h, e_hd)
-
-    return h.memo(fh._frame_key, compute)
+        object.__setattr__(fh, "_elements", FrameElements(e_h, e_hd))
+    return fh._elements
 
 
 def _pair(covector: np.ndarray, vector: np.ndarray) -> complex:
@@ -206,7 +205,7 @@ def conjugate_framed(fh: FramedMHS) -> FramedMHS:
 
     Heights pick up the sign (-1)^(a-b+1).
     """
-    sa, sb = (-1) ** fh.a, (-1) ** fh.b
+    sa, sb = (-1) ** (fh.a % 2), (-1) ** (fh.b % 2)     # ints, for any sign of a, b
     return FramedMHS(mhs_mod.conjugate(fh.mhs), fh.a, fh.b,
                      tuple(sa * x for x in fh.phi_class),
                      tuple(sb * x for x in fh.psi_class))

@@ -136,25 +136,11 @@ def expect_object(value: Any, path: str, keys: tuple[str, ...],
     return value
 
 
-def _two(value: Any, path: str, entry) -> list:
-    """A JSON list of two entries, each read by entry(item, its path)."""
-    if len(_list(value, path)) != 2:
-        raise ParseError(path, f"expected 2 entries, got {len(value)}")
-    return [entry(x, f"{path}[{i}]") for i, x in enumerate(value)]
-
-
-def _rational_vector(entries: Any, path: str, n: int | None = None) -> list[Fraction]:
-    _list(entries, path)
-    if n is not None and len(entries) != n:
+def _vector(entries: Any, path: str, n: int, entry) -> list:
+    """A JSON list of n entries, each read by entry(item, its path)."""
+    if len(_list(entries, path)) != n:
         raise ParseError(path, f"expected {n} entries, got {len(entries)}")
-    return [parse_fraction(x, f"{path}[{i}]") for i, x in enumerate(entries)]
-
-
-def _complex_vector(entries: Any, path: str, n: int | None = None) -> list[complex]:
-    _list(entries, path)
-    if n is not None and len(entries) != n:
-        raise ParseError(path, f"expected {n} entries, got {len(entries)}")
-    return [parse_complex(x, f"{path}[{i}]") for i, x in enumerate(entries)]
+    return [entry(x, f"{path}[{i}]") for i, x in enumerate(entries)]
 
 
 def mhs_to_document(h: MixedHodgeStructure,
@@ -199,43 +185,30 @@ def parse_mhs_document(doc: dict | str | bytes) -> tuple[MixedHodgeStructure, Fr
     Only the document's form is checked: whether the structure is a valid
     MHS is mhs.require_valid's decision.
     """
-    doc = _json(doc)
-    if not isinstance(doc, dict):
-        raise ParseError("$", "top level must be an object")
-    expect_object(doc, "$", DOCUMENT_KEYS)
-
-    if "dimension" not in doc:
-        raise ParseError("$.dimension", "missing")
+    doc = expect_object(_json(doc), "$", DOCUMENT_KEYS,
+                        required=("dimension", "weight_filtration", "hodge_filtration"))
     n = _integer(doc["dimension"], "$.dimension", minimum=1)
-
-    for key in ("weight_filtration", "hodge_filtration"):
-        if key not in doc:
-            raise ParseError(f"$.{key}", "missing")
 
     weight = {}
     for i, item in enumerate(_list(doc["weight_filtration"], "$.weight_filtration")):
         path = f"$.weight_filtration[{i}]"
-        if not isinstance(item, dict) or "weight" not in item or "basis" not in item:
-            raise ParseError(path, "expected {weight, basis}")
-        expect_object(item, path, ("weight", "basis"))
+        expect_object(item, path, ("weight", "basis"), required=("weight", "basis"))
         k = _jump(item["weight"], f"{path}.weight", weight)
-        weight[k] = [_rational_vector(row, f"{path}.basis[{j}]", n)
+        weight[k] = [_vector(row, f"{path}.basis[{j}]", n, parse_fraction)
                      for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
 
     hodge = {}
     for i, item in enumerate(_list(doc["hodge_filtration"], "$.hodge_filtration")):
         path = f"$.hodge_filtration[{i}]"
-        if not isinstance(item, dict) or "p" not in item or "basis" not in item:
-            raise ParseError(path, "expected {p, basis}")
-        expect_object(item, path, ("p", "basis"))
+        expect_object(item, path, ("p", "basis"), required=("p", "basis"))
         p = _jump(item["p"], f"{path}.p", hodge)
-        rows = [_complex_vector(row, f"{path}.basis[{j}]", n)
+        rows = [_vector(row, f"{path}.basis[{j}]", n, parse_complex)
                 for j, row in enumerate(_list(item["basis"], f"{path}.basis"))]
         hodge[p] = np.array(rows, dtype=complex).reshape(len(rows), n)
 
     comparison = None
     if "comparison_matrix" in doc:
-        rows = [_complex_vector(row, f"$.comparison_matrix[{j}]", n) for j, row
+        rows = [_vector(row, f"$.comparison_matrix[{j}]", n, parse_complex) for j, row
                 in enumerate(_list(doc["comparison_matrix"], "$.comparison_matrix"))]
         if len(rows) != n:
             raise ParseError("$.comparison_matrix", f"expected {n} x {n}, got {len(rows)} rows")
@@ -249,8 +222,8 @@ def parse_mhs_document(doc: dict | str | bytes) -> tuple[MixedHodgeStructure, Fr
                            required=("a", "b", "phi", "psi"))
         framed = FramedMHS(h, _integer(fr["a"], f"{path}.a"),
                            _integer(fr["b"], f"{path}.b"),
-                           _rational_vector(fr["phi"], f"{path}.phi", n),
-                           _rational_vector(fr["psi"], f"{path}.psi", n))
+                           _vector(fr["phi"], f"{path}.phi", n, parse_fraction),
+                           _vector(fr["psi"], f"{path}.psi", n, parse_fraction))
     return h, framed
 
 
@@ -262,10 +235,10 @@ def _grid_points(grid: Any) -> list[tuple[str, complex]]:
                 for i, g in enumerate(grid)]
     keys = ("re", "im", "resolution")
     expect_object(grid, "$.grid", keys, required=keys)
-    re_lo, re_hi = _two(grid["re"], "$.grid.re", _finite_number)
-    im_lo, im_hi = _two(grid["im"], "$.grid.im", _finite_number)
-    n_re, n_im = _two(grid["resolution"], "$.grid.resolution",
-                      lambda v, path: _integer(v, path, minimum=1))
+    re_lo, re_hi = _vector(grid["re"], "$.grid.re", 2, _finite_number)
+    im_lo, im_hi = _vector(grid["im"], "$.grid.im", 2, _finite_number)
+    n_re, n_im = _vector(grid["resolution"], "$.grid.resolution", 2,
+                         lambda v, path: _integer(v, path, minimum=1))
     return [("$.grid", complex(x, y)) for y in np.linspace(im_lo, im_hi, n_im)
             for x in np.linspace(re_lo, re_hi, n_re)]
 
@@ -294,7 +267,7 @@ def parse_sweep_spec(doc: dict | str | bytes) -> tuple[list[complex], int, list[
         raise ParseError("$.framings", "expected at least one framing")
     framings = []
     for i, f in enumerate(spec["framings"]):
-        a, b = _two(f, f"$.framings[{i}]", _integer)
+        a, b = _vector(f, f"$.framings[{i}]", 2, _integer)
         if not 0 <= a < b <= n:
             raise ParseError(f"$.framings[{i}]", f"expected integers "
                              f"0 <= a < b <= N = {n}, got {f!r}")

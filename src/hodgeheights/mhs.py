@@ -1,4 +1,4 @@
-"""Mixed Hodge structures in Betti coordinates.
+"""Mixed Hodge structures in Betti coordinates, and Deligne's pieces.
 
 A mixed Hodge structure (MHS) here is a rational vector space Q^n with an
 increasing weight filtration W (exact rational data) and a decreasing
@@ -17,19 +17,54 @@ p, 0 above the largest, and the value at the smallest jump must be the
 full space.  All W_k are column slices of one QR of the frame, and all
 F^p come from one batched SVD.
 
-Validity is decided on Deligne's pieces I^{p,q}, which then become the
-bigrading; `validate` is the one place the MHS criteria are written and
-run, each batch of containments as one stacked residual.
+Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
+with
 
-A dual, Tate twist or conjugate of a valid structure takes what it
-inherits from its parent through one call, `_inherit`, and no other way:
-its subspaces, W's verdict, its Deligne pieces (with the singular values
-and inverse of their basis when it is the parent's or its conjugate) and
-the map that takes the parent's delta on first use.  What is still
-checked on the child: `validate` runs every containment, dimension and
-independence check on the child's own filtrations and pieces, and
-`deligne.delta_splitting` computes Y from the child's own bigrading and
-checks delta's defining, reality and lambda residuals against it.
+    I^{p,q} = F^p cap W_{p+q} cap (conj(F^q) cap W_{p+q} + conj(U^{q-1}_{p+q-2})),
+    U^r_s   = sum_{j >= 0} F^{r-j} cap W_{s-j}     (W zero below the lowest weight),
+
+refining both filtrations.  Validity is decided on these pieces, which
+then become the bigrading (`Bigrading`, see `deligne`); `validate` is the
+one place the MHS criteria are written and run (`_purity_violations`),
+each batch of containments as one stacked residual.
+
+The formula is evaluated as written, for any (W, F) whose filtrations
+are nested (`_deligne_formula_pieces`).  W_k is real and every term lies
+in W_k, so the right-hand side is one conjugated span,
+
+    conj(F^q cap W_k + sum_{j >= 0} F^{q-1-j} cap W_{k-2-j}),   k = p+q.
+
+F^r cap W_s for every pair of jumps is one batched
+`Subspace.intersect_pairs`, each right-hand side is one `Subspace.sum`
+of its nonzero terms (one SVD), and all the pieces together are one
+more batch.
+
+A Hodge--Tate structure, every piece of type (p, p), has as its pieces
+the standard splitting of a mixed Tate structure by its Hodge filtration
+(Deligne 1989): P_k = F^{k/2} cap W_k for every weight k, all even.
+`_hodge_tate_candidates` computes them in one batched intersection and
+checks nothing; `validate` certifies them, and only if they fail do the
+formula's pieces decide validity and write the report.  Certified
+candidates are Deligne's pieces: (iii) each P_k has dim Gr^W_k, (ii) dim
+F^p is the total dim of the P_k with k >= 2p, for every p, and (i) they
+are a direct sum.  Then the sum of the P_j, j <= k, is direct, lies in
+W_k and has its dimension, so it is W_k; so P_k maps onto Gr^W_k and F^p
+is the sum of the P_k with k >= 2p.  Together these give F^{k/2} Gr^W_k
+= Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and
+by uniqueness the P_k are its Deligne pieces.
+
+The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
+twist or conjugate of a valid structure takes what it inherits from its
+parent through one call, `_inherit`, and no other way: its subspaces,
+W's verdict, its Deligne pieces (with the singular values and inverse of
+their basis when it is the parent's or its conjugate), and the parent
+with the map that carries its delta over, which `deligne` resolves and
+then releases the parent.  The child never evaluates the formula.  What
+is still checked on the child: `validate` runs every containment,
+dimension and independence check on the child's own filtrations and
+pieces, and `deligne.delta_splitting` computes Y from the child's own
+bigrading and checks delta's defining, reality and lambda residuals
+against it.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -42,6 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -226,7 +262,8 @@ class MixedHodgeStructure:
             comparison_matrix.setflags(write=False)
         object.__setattr__(self, "comparison_matrix", comparison_matrix)
         object.__setattr__(self, "_memo", {} if bad is None else {"frame": bad})
-        object.__setattr__(self, "_seeds", {})
+        # (parent, map) of a derived structure until its delta is carried over
+        object.__setattr__(self, "_carry", None)
         object.__setattr__(self, "_wjumps", frame.jumps)
         # the frozen Hodge filtration is sorted by jump
         object.__setattr__(self, "_fjumps", tuple(self.hodge_filtration))
@@ -261,14 +298,9 @@ class MixedHodgeStructure:
             for k in f.jumps})
 
     def memo(self, key, compute):
-        """compute(), evaluated once and kept for the lifetime of this structure.
-
-        A derived structure's carry from its parent under key (see
-        `_inherit`) is evaluated instead of compute.
-        """
+        """compute(), evaluated once and kept for the lifetime of this structure."""
         if key not in self._memo:
-            self._memo[key] = self._seeds.get(key, compute)()
-            self._seeds.pop(key, None)
+            self._memo[key] = compute()
         return self._memo[key]
 
     def weight_subspace(self, k: int) -> Subspace:
@@ -339,7 +371,7 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     carried over from its parent, and they decide.  Otherwise a
     Hodge--Tate h's candidates F^{k/2} cap W_k come first: passing the
     criteria certifies them as the Deligne pieces of a valid structure
-    (see `deligne`).  If there are no candidates, or they fail, the
+    (module docstring).  If there are no candidates, or they fail, the
     pieces of Deligne's formula decide and write the report.
     """
     bad: list[Violation] = []
@@ -382,13 +414,12 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    from . import deligne
     if "pieces" not in h._memo:
-        candidates = deligne._hodge_tate_candidates(h)
+        candidates = _hodge_tate_candidates(h)
         if candidates is not None and not _purity_violations(h, candidates):
             h.memo("pieces", lambda: candidates)
             return ValidationReport(())
-    return ValidationReport(tuple(_purity_violations(h, deligne._pieces(h))))
+    return ValidationReport(tuple(_purity_violations(h, _pieces(h))))
 
 
 def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
@@ -437,6 +468,122 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     return bad
 
 
+# -- Deligne's pieces ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Bigrading:
+    """The pieces I^{p,q} plus a column-ordered basis of V_C.
+
+    `basis` stacks orthonormal bases of the pieces, column blocks ordered
+    by decreasing weight p+q then decreasing p; `labels[i]` is the (p, q)
+    of column i's piece.
+    """
+
+    mhs: MixedHodgeStructure
+    pieces: dict[tuple[int, int], Subspace]
+    basis: np.ndarray
+    labels: tuple[tuple[int, int], ...]
+    #: When the basis is a parent's or its conjugate (a twist or
+    #: conjugate): that basis's singular values and inverse (conjugated
+    #: too), as arrays only, so the parent structure can die.
+    carried: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def dimension(self) -> int:
+        return self.mhs.dimension
+
+    @cached_property
+    def column_weights(self) -> np.ndarray:
+        return np.array([p + q for p, q in self.labels])
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        if self.carried is not None:
+            return self.carried[0]
+        return np.linalg.svd(self.basis, compute_uv=False)
+
+    @cached_property
+    def inverse_basis(self) -> np.ndarray:
+        if self.carried is not None:
+            return self.carried[1]
+        if not self.basis.size:
+            return self.basis.copy()
+        return np.linalg.inv(self.basis)
+
+    def piece_dims(self) -> dict[tuple[int, int], int]:
+        return {pq: s.dim for pq, s in self.pieces.items()}
+
+
+def _pieces(h: MixedHodgeStructure) -> Bigrading:
+    """Deligne's pieces of any nested (W, F), memoized on h: the Hodge--Tate
+    candidates once `validate` has certified them, a derived h's carried
+    over from its parent, and otherwise the formula's.  Validate decides
+    validity on them, and they are the bigrading if h is valid."""
+    return h.memo("pieces", lambda: _deligne_formula_pieces(h))
+
+
+def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
+    """F^{k/2} cap W_k for every weight k present, in one batch, when every
+    such k is even; otherwise None.  Nothing is checked here: they are
+    Deligne's pieces once `validate` certifies them (module docstring).
+    """
+    weights = h.weights_present()
+    if any(k % 2 for k in weights):
+        return None
+    cuts = Subspace.intersect_pairs(
+        [(h.hodge_subspace(k // 2), h.weight_subspace(k)) for k in weights])
+    return _assemble(h, {(k // 2, k // 2): c for k, c in zip(weights, cuts)})
+
+
+def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
+    """Deligne's formula as written (module docstring), for any nested (W, F)."""
+    n = h.dimension
+    pieces: dict[tuple[int, int], Subspace] = {}
+    if n > 0:
+        fjumps, wjumps = h.hodge_jumps, h.weight_jumps
+        jumps = [(r, s) for r in fjumps for s in wjumps]
+        fw = dict(zip(jumps, Subspace.intersect_pairs(
+            [(h.hodge_subspace(r), h.weight_subspace(s)) for r, s in jumps])))
+        zero = Subspace.zero(n)
+
+        def cut(r: int, s: int) -> Subspace:
+            # F^r cap W_s is zero above the highest jump of F or below the lowest of W
+            return fw.get((h._hodge_jump(r), h._weight_jump(s)), zero)
+
+        labels, pairs = [], []
+        for k in h.weights_present():
+            for p in range(fjumps[0], fjumps[-1] + 1):
+                left = cut(p, k)
+                if left.dim == 0:
+                    continue
+                q = k - p
+                # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest weight
+                right = cut(q, k).sum(*(cut(q - 1 - j, k - 2 - j)
+                                        for j in range(k - 1 - wjumps[0])))
+                labels.append((p, q))
+                pairs.append((left, right.conjugate()))
+        for pq, piece in zip(labels, Subspace.intersect_pairs(pairs)):
+            if piece.dim > 0:
+                pieces[pq] = piece
+    return _assemble(h, pieces)
+
+
+def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace],
+              carried: tuple[np.ndarray, np.ndarray] | None = None) -> Bigrading:
+    """The pieces of h as a Bigrading: blocks ordered by decreasing weight,
+    then decreasing p, and each column labelled by its piece.  `carried`
+    is the singular values and inverse of its basis, when known (see
+    `Bigrading.carried`)."""
+    order = sorted(pieces, key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
+    blocks, labels = [], []
+    for pq in order:
+        blocks.append(pieces[pq].basis)
+        labels.extend([pq] * pieces[pq].dim)
+    basis = np.hstack(blocks) if blocks else np.zeros((h.dimension, 0), dtype=DTYPE)
+    return Bigrading(h, pieces, basis, tuple(labels), carried)
+
+
 def require_valid(h: MixedHodgeStructure) -> None:
     """Raise InvalidMHS unless h is valid; the report is kept on h."""
     report = h.memo("report", lambda: validate(h))
@@ -452,11 +599,11 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
     """child, derived from the valid h, with what it takes from h (whose
     splitting fixes the child's): subspaces by jump (spans["F"], spans["W"]
     if given), W's verdict (its frame is h's, shifted or dual), pieces by
-    label with `Bigrading.carried` (or None), and carry_delta(h's delta) on
-    first use, so delta is solved once per root.  A carry that raises stays to raise again."""
-    from . import deligne
-    child._memo.update(spans, frame=(), pieces=deligne._assemble(child, pieces, carried))
-    child._seeds["delta"] = lambda: carry_delta(deligne.delta_splitting(h).delta)
+    label with `Bigrading.carried` (or None), and (h, carry_delta) as
+    child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
+    and then releases h, so delta is solved once per root."""
+    child._memo.update(spans, frame=(), pieces=_assemble(child, pieces, carried))
+    object.__setattr__(child, "_carry", (h, carry_delta))
     return child
 
 
@@ -477,7 +624,6 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     frame; F^p(dual) = Ann(F^{-p+1}) is numeric.  Conventions make
     dual(Q(a)) = Q(-a).
     """
-    from . import deligne
     require_valid(h)
     n = h.dimension
 
@@ -491,7 +637,7 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
                                 {q: s.basis.T.copy() for q, s in dual_f.items()})
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
-    b = deligne._pieces(h)
+    b = _pieces(h)
     pieces = Subspace.from_vector_sets(
         [b.inverse_basis[[lab == pq for lab in b.labels]] for pq in b.pieces], n)
     return _inherit(h, child, {"F": {None: Subspace.zero(n), **dual_f}},
@@ -505,9 +651,8 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
     I^{p+s,q+s}, conjugated with F under the same label (not (q, p)), so
     the bigrading basis is h's or its conjugate (W is real).  delta(H) is
     real, so conj H has -delta(H); only conj H keeps the comparison (conj)."""
-    from . import deligne
     require_valid(h)
-    b, c = deligne._pieces(h), (np.conj if conjugated else np.asarray)
+    b, c = _pieces(h), (np.conj if conjugated else np.asarray)
     move = Subspace.conjugate if conjugated else lambda x: x
     comparison = h.comparison_matrix if conjugated else None
     child = MixedHodgeStructure(h.dimension, h.weight_frame.shifted(2 * s),

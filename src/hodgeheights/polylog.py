@@ -378,11 +378,17 @@ def sv_bd(b: int, ctx: PolylogContext) -> complex:
     lg, vals = branch_data(ctx, b)
     lzz = 2.0 * lg.real
     acc = 0.0
-    for k, term in enumerate(_powers_over_factorials(lzz, b)):
-        weight = float(bernoulli(k)) * term
+    for k in range(b - 1, -1, -1):          # Horner in lzz: no lzz^k is formed
         part = vals[b - k - 1].real if b % 2 == 1 else vals[b - k - 1].imag
-        acc += weight * part
+        acc = acc * lzz + _bernoulli_over_factorial(k) * part
     return complex(acc) if b % 2 == 1 else 1j * acc
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_over_factorial(k: int) -> float:
+    """B_k / k!, formed exactly, then made a float: B_k alone leaves float
+    range past k = 258, B_k / k! never does."""
+    return float(bernoulli(k) / math.factorial(k))
 
 
 # -- the polylog matrices and mixed Hodge structure ----------------------
@@ -454,15 +460,12 @@ def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
 
 def polylog_framed(ctx: PolylogContext, a: int, b: int) -> FramedMHS:
     """The (-a, -b)-framed H(z), 0 <= a < b <= N; frame classes are the
-    standard basis vector at position a and covector at position b."""
+    standard basis vector at position a and covector at position b, with
+    int entries."""
     if not (0 <= a < b <= ctx.N):
         raise ValueError(f"need 0 <= a < b <= N, got a={a}, b={b}, N={ctx.N}")
-    n = ctx.N + 1
-
-    def unit(i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-    return FramedMHS(polylog_mhs(ctx), -a, -b, unit(a), unit(b))
+    phi, psi = (tuple(int(j == i) for j in range(ctx.N + 1)) for i in (a, b))
+    return FramedMHS(polylog_mhs(ctx), -a, -b, phi, psi)
 
 
 def delta_closed_form(ctx: PolylogContext) -> np.ndarray:
@@ -493,8 +496,10 @@ def heights_closed_form(ctx: PolylogContext, a: int, b: int) -> tuple[float, flo
         raise ValueError(f"need 0 <= a < b <= N, got a={a}, b={b}")
     lzz = 2.0 * log_z(ctx).real
     if a == 0:
-        ht1 = float((-sv_brown(b, ctx) / TWO_PI_I ** b).imag)
-        ht2 = float((sv_bd(b, ctx) / (1j * TWO_PI_I ** b)).real)
+        # 1 / (2 pi i)^b as (-i)^b (2 pi)^-b: (2 pi i)^b leaves float range past b = 385
+        scale = (-1j) ** (b % 4) * (2.0 * np.pi) ** -b
+        ht1 = float((-sv_brown(b, ctx) * scale).imag)
+        ht2 = float((sv_bd(b, ctx) * scale / 1j).real)
     else:
         ht1 = float(_powers_over_factorials(lzz / TWO_PI_I, b - a + 1)[-1].imag)
         ht2 = float(lzz / (4.0 * np.pi)) if b == a + 1 else 0.0

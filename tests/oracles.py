@@ -21,7 +21,9 @@
 * The block closed form of the polylog Betti conjugator A conj(A)^{-1}.
 * delta and ht2 of H(z) from the paper's closed forms in 60-digit
   mpmath, with no code shared with `hodgeheights.polylog`: the reference
-  where the float64 `delta_closed_form` loses digits (N >= 10).
+  where the float64 `delta_closed_form` loses digits (N >= 10).  Both
+  heights of one (0, -b) framing the same way, for b far past float
+  range of (2 pi i)^b and of the Bernoulli numbers.
 * The two-pass nilpotent exponential and logarithm (the nilpotency order
   found by one chain of powers, the series formed by a second),
   cross-checking the single pass of `hodgeheights.linalg`.
@@ -534,3 +536,24 @@ def mp_polylog_ht2(z, N, dps=60):
             d_b = acc if b % 2 else mp.mpc(0, 1) * acc
             out.append(float(mp.re(d_b / (mp.mpc(0, 1) * (2j * mp.pi) ** b))))
     return out
+
+
+def mp_polylog_base_heights(z, b, dps=30):
+    """(ht1, ht2) of the (0, -b)-framed H(z) from the closed forms
+    -Im(L_b(z)/(2 pi i)^b) and D_b(z)/(i (2 pi i)^b), with L_b Brown's and
+    D_b the Bernoulli-weighted single-valued polylog, in mpmath at `dps`
+    digits.  mpmath's exponent is unbounded, so nothing overflows."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lg, vals = _mp_branch(z, b)
+        lzz = 2 * mp.re(lg)
+        brown, acc = vals[b - 1], mp.mpf(0)
+        for k in range(b):
+            part, power = vals[b - k - 1], lzz ** k / mp.factorial(k)
+            brown -= (-1) ** (b - k) * power * mp.conj(part)
+            acc += mp.bernoulli(k) * power * (mp.re(part) if b % 2 else mp.im(part))
+        d_b = acc if b % 2 else mp.mpc(0, 1) * acc
+        period = (2j * mp.pi) ** b
+        return (float(mp.im(-brown / period)),
+                float(mp.re(d_b / (mp.mpc(0, 1) * period))))

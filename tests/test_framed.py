@@ -118,8 +118,8 @@ class TestEachFactOnce:
         seen = {"validate": [], "candidates": [], "formula": [], "bigrading": [],
                 "check": []}
         for name, module, attr in (("validate", mhs_mod, "validate"),
-                                   ("candidates", deligne, "_hodge_tate_candidates"),
-                                   ("formula", deligne, "_deligne_formula_pieces"),
+                                   ("candidates", mhs_mod, "_hodge_tate_candidates"),
+                                   ("formula", mhs_mod, "_deligne_formula_pieces"),
                                    ("bigrading", deligne, "_compute_bigrading"),
                                    ("check", FramedMHS, "check")):
             monkeypatch.setattr(module, attr, _recording(seen[name], getattr(module, attr)))
@@ -199,17 +199,36 @@ class TestEachFactOnce:
         assert calls["rref"] == []
 
     def test_frame_classes_are_converted_once(self, polylog_ctx_factory, monkeypatch):
-        # each framing converts its 2 (N + 1) class entries once, for both
-        # the range check and the lift
-        from hodgeheights.polylog import polylog_framed
-        ctx = polylog_ctx_factory(0.37 - 0.41j, 4)
-        framings = [polylog_framed(ctx, a, b) for a, b in ((0, 4), (0, 2), (1, 3), (2, 3))]
-        deligne.bigrading(framings[0].mhs)
+        # each framing with Fraction classes converts its 2 (N + 1) class
+        # entries once, for both the range check and the lift, and keeps
+        # its lifts on itself
+        from hodgeheights.polylog import polylog_mhs
+        h = polylog_mhs(polylog_ctx_factory(0.37 - 0.41j, 4))
+        framings = [FramedMHS(h, -a, -b, unit(a, 5), unit(b, 5))
+                    for a, b in ((0, 4), (0, 2), (1, 3), (2, 3))]
+        deligne.bigrading(h)
         floats = []
         monkeypatch.setattr(Fraction, "__float__", _recording(floats, Fraction.__float__))
-        for fh in framings:
+        for fh in framings * 2:
             frame_elements(fh)
         assert len(floats) == 4 * 2 * 5
+        assert all(frame_elements(fh) is fh._elements for fh in framings)
+
+    def test_polylog_framing_makes_no_fraction(self, polylog_ctx_factory, monkeypatch):
+        # polylog framings have int unit classes, kept as given: checking,
+        # lifting and pairing them constructs no Fraction and converts none
+        from hodgeheights.polylog import polylog_framed
+        ctx = polylog_ctx_factory(0.37 - 0.41j, 6)
+        deligne.delta_splitting(polylog_framed(ctx, 0, 1).mhs)
+        made, floats = [], []
+        monkeypatch.setattr(Fraction, "__new__", _recording(made, Fraction.__new__))
+        monkeypatch.setattr(Fraction, "__float__", _recording(floats, Fraction.__float__))
+        for a, b in ((0, 6), (0, 2), (1, 3), (2, 3)):
+            fh = polylog_framed(ctx, a, b)
+            assert all(type(x) is int for x in fh.phi_class + fh.psi_class)
+            self.all_heights(fh)
+            self.all_heights(conjugate_framed(fh))
+        assert made == [] and floats == []
 
     def test_structure_dies_after_its_heights(self):
         h = random_hodge_tate([1, 1, 2], seed=5)

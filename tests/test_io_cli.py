@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hodgeheights import cli, framed, jsonio
+from hodgeheights import cli, deligne, framed, jsonio, polylog
 from hodgeheights.deligne import NumericalDegeneracy, ResidualTooLarge
 from hodgeheights.framed import FramingTypeError, RealityViolation
 from hodgeheights.jsonio import (ParseError, format_complex, format_fraction,
                                  mhs_to_document, parse_complex,
                                  parse_fraction, parse_mhs_document,
                                  parse_sweep_spec)
-from hodgeheights.mhs import (InvalidMHS, ValidationReport, Violation,
-                              random_hodge_tate_pair, require_valid, tate)
+from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, ValidationReport,
+                              Violation, random_hodge_tate_pair, require_valid, tate,
+                              validate)
 from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
                                   PolylogContext, polylog_framed, polylog_mhs)
 
@@ -262,11 +263,11 @@ class TestCli:
         # the shipped document that keeps Deligne's general formula in use
         from test_deligne import curve_weight_gap_structure
 
-        from hodgeheights import deligne, mhs
+        from hodgeheights import mhs
         h, _ = parse_mhs_document((EXAMPLES / "curve-weight-gap.json").read_text())
         assert mhs_to_document(h) == mhs_to_document(curve_weight_gap_structure())
         # its weights are even, but F^{k/2} cap W_k fail the MHS criteria
-        assert mhs._purity_violations(h, deligne._hodge_tate_candidates(h))
+        assert mhs._purity_violations(h, mhs._hodge_tate_candidates(h))
         assert cli.main(["validate", str(EXAMPLES / "curve-weight-gap.json")]) == 0
         assert capsys.readouterr().out == "valid\n"
 
@@ -465,6 +466,20 @@ class TestInputRejections:
             target = target[key]
         target["comment"] = "x"
         self.assert_parse_error(tmp_path, capsys, doc, json_path)
+
+    def test_top_level_list(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys, [mhs_to_document(tate(0))], "$")
+        assert "expected an object" in str(pytest.raises(
+            ParseError, parse_mhs_document, "[]").value)
+
+    @pytest.mark.parametrize("key, field", [("weight_filtration", "basis"),
+                                            ("hodge_filtration", "basis"),
+                                            ("weight_filtration", "weight"),
+                                            ("hodge_filtration", "p")])
+    def test_filtration_item_without_a_key(self, tmp_path, capsys, key, field):
+        doc = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+        del doc[key][1][field]
+        self.assert_parse_error(tmp_path, capsys, doc, f"$.{key}[1].{field}")
 
     @pytest.mark.parametrize("key", ["weight_filtration", "hodge_filtration"])
     def test_missing_filtration(self, tmp_path, capsys, key):
@@ -716,3 +731,111 @@ class TestDocumentChecks:
         assert cli.main(["height", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: parse error: $.framing.phi: expected 4 entries, got 3")
+
+
+def _run(tmp_path, command, doc, *extra):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return cli.main([command, str(path), *extra])
+
+
+class TestTypedFailurePaths:
+    """Each typed failure raised where no well-formed example reaches it,
+    and the exit code of the command that reaches it."""
+
+    @staticmethod
+    def nearly_dependent_pieces():
+        # I^(-1,-1) = <e1> and I^(0,0) = F^0 = <e0 + 1e8 e1> are a direct sum
+        # at the rank tolerance, with sigma_min 7.1e-9 below SUBSPACE_TOL
+        return {"dimension": 2,
+                "weight_filtration": [{"weight": -2, "basis": [["0", "1"]]},
+                                      {"weight": 0, "basis": [["1", "0"], ["0", "1"]]}],
+                "hodge_filtration": [{"p": -1, "basis": [["1", "0"], ["0", "1"]]},
+                                     {"p": 0, "basis": [["1", "100000000"]]}]}
+
+    def test_nearly_dependent_pieces_are_degenerate(self, tmp_path, capsys):
+        h, _ = parse_mhs_document(self.nearly_dependent_pieces())
+        assert validate(h).ok
+        with pytest.raises(NumericalDegeneracy, match=r"sigma_min=7\.07e-09"):
+            deligne.bigrading(h)
+        assert _run(tmp_path, "splitting", self.nearly_dependent_pieces()) == 3
+        assert "nearly dependent" in capsys.readouterr().err
+
+    def test_imaginary_delta_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # h is R-split (delta = 0, Y real) with I^(0,0) of dim 2, bigrading
+        # columns 0 and 1.  Z mapping column 1 to column 0 is nilpotent and
+        # commutes with Y, so delta + i t Z leaves the defining equation
+        # holding and only the reality residual sees it
+        h = random_hodge_tate_pair([2, 1], seed=4, real=True)[2]
+        solve, z = deligne._solve_delta, np.zeros((3, 3))
+        z[0, 1] = 1.0
+        monkeypatch.setattr(deligne, "_solve_delta", lambda b: solve(b) + 1e-6j
+                            * (b.basis @ z @ b.inverse_basis))
+        with pytest.raises(ResidualTooLarge, match="delta has imaginary part"):
+            deligne.delta_splitting(h)
+        assert _run(tmp_path, "splitting", mhs_to_document(h)) == 3
+        assert "delta has imaginary part" in capsys.readouterr().err
+
+    def test_imaginary_height2_is_a_reality_violation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(framed, "delta_pairing", lambda fh, power=1: 0.5 + 1e-3j)
+        doc = json.loads((EXAMPLES / "polylog-framed.json").read_text())
+        _, fh = parse_mhs_document(doc)
+        with pytest.raises(RealityViolation, match="imaginary part 1.00e-03"):
+            framed.height2(fh)
+        assert _run(tmp_path, "height", doc, "--which", "2") == 3
+        assert "height2 pairing has imaginary part" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight, hodge, kinds, message", [
+        ({}, [{"p": 0, "basis": [["1", "0"], ["0", "1"]]}], ["weight"],
+         "empty weight filtration"),
+        ({0: [[1, 0], [0, 1]]}, [], ["hodge"], "empty Hodge filtration"),
+        ({}, [], ["weight", "hodge"], "empty weight filtration"),
+        ({0: [[1, 0], [0, 1]]}, [{"p": 0, "basis": [["1", "0"], ["nan", "1"]]}], ["data"],
+         "non-finite Hodge entries"),
+    ], ids=["empty_w", "empty_f", "both_empty", "non_finite_hodge"])
+    def test_data_violations(self, tmp_path, capsys, weight, hodge, kinds, message):
+        doc = {"dimension": 2, "hodge_filtration": hodge, "weight_filtration": [
+            {"weight": k, "basis": [[str(x) for x in row] for row in rows]}
+            for k, rows in weight.items()]}
+        report = validate(parse_mhs_document(doc)[0])
+        assert [v.kind for v in report.violations] == kinds
+        assert report.violations[0].message == message
+        assert _run(tmp_path, "validate", doc) == 2
+        assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weight, hodge, message", [
+        ({0: [[1, 0], [0, 1]]}, {0: [[1, 0, 0], [0, 1, 0]]}, "Hodge vector of wrong length"),
+        ({0: [[1, 0, 0], [0, 1, 0]]}, {0: np.eye(2)}, "weight vector of wrong length"),
+    ], ids=["hodge", "weight"])
+    def test_rows_of_the_wrong_length(self, weight, hodge, message):
+        # a document's rows are checked against its dimension when parsed,
+        # so only a library caller reaches these
+        h = MixedHodgeStructure(2, weight, hodge)
+        assert validate(h).violations == (Violation("data", None, message),)
+        with pytest.raises(InvalidMHS, match=message):
+            require_valid(h)
+
+    def test_third_transport_resolution(self, monkeypatch):
+        # a first pass that is off makes the second disagree with it, and the
+        # third, agreeing with the second, is returned
+        passes, once = [], polylog._transport_once
+
+        def first_pass_off(points, li, step, order):
+            passes.append(step)
+            lg, vals = once(points, li, step, order)
+            return lg, [v + 1e-6 * (len(passes) == 1) for v in vals]
+
+        monkeypatch.setattr(polylog, "_transport_once", first_pass_off)
+        got = polylog._transport((0.4, 2.5 - 1j), 4)
+        assert passes == [polylog.QUADRATURE_STEP / s for s in (1, 2, 4)]
+        monkeypatch.setattr(polylog, "_transport_once", once)
+        want = polylog._transport((0.4, 2.5 - 1j), 4)
+        assert max(abs(u - v) for u, v in zip((got[0], *got[1]), (want[0], *want[1]))
+                   ) <= polylog.REFINE_TOL
+
+    def test_stalled_refinement(self, monkeypatch, capsys):
+        monkeypatch.setattr(polylog, "REFINE_TOL", 0.0)
+        with pytest.raises(NonConvergent, match="quadrature refinement stalled"):
+            polylog._transport((0.4, 2.5 - 1j), 4)
+        assert cli.main(["polylog", "--z", "2.5-1i", "--N", "4"]) == 3
+        assert "quadrature refinement stalled" in capsys.readouterr().err
