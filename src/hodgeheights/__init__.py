@@ -26,9 +26,9 @@ from .framed import (FramedMHS, FrameElements, FramingTypeError,
                      frame_elements, framed_morphism_check, height1,
                      height1_via_delta, height2, twist_framed)
 from .polylog import (NonConvergent, PathThroughSingularity, PolylogContext,
-                      PolylogMatrices, bernoulli, build_matrices,
-                      delta_closed_form, heights_closed_form, li, log_z,
-                      polylog_framed, polylog_mhs, sv_bd, sv_brown)
+                      PolylogMatrices, TruncationOutOfRange, bernoulli,
+                      build_matrices, delta_closed_form, heights_closed_form,
+                      li, log_z, polylog_framed, polylog_mhs, sv_bd, sv_brown)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,8 @@ __all__ = [
     "height2", "delta_pairing", "dual_framed", "twist_framed",
     "conjugate_framed", "biextension_defect", "framed_morphism_check",
     "PolylogContext", "PolylogMatrices", "PathThroughSingularity",
-    "NonConvergent", "li", "log_z", "sv_brown", "sv_bd", "bernoulli",
+    "NonConvergent", "TruncationOutOfRange", "li", "log_z", "sv_brown",
+    "sv_bd", "bernoulli",
     "build_matrices", "polylog_mhs", "polylog_framed", "delta_closed_form",
     "heights_closed_form",
 ]

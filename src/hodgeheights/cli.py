@@ -6,9 +6,9 @@
     mhs polylog [--z RE+IMi --N n [--a i --b j] | --sweep spec.json]
                 [--csv out.csv] [--emit-json]
 
-Exit codes: 0 ok, 2 validation failure, 3 numerical degeneracy, 4 usage,
-5 I/O.  Commands raise typed exceptions; `main` alone turns them into exit
-codes, through EXIT_CODES.
+Exit codes: 0 ok, 2 validation failure, 3 numerical degeneracy, 4 usage
+(including an N past polylog.MAX_N), 5 I/O.  Commands raise typed
+exceptions; `main` alone turns them into exit codes, through EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .deligne import NumericalDegeneracy, ResidualTooLarge
 from .framed import FramingTypeError, RealityViolation
 from .jsonio import ParseError
 from .mhs import InvalidMHS, require_valid, validate
-from .polylog import NonConvergent, PathThroughSingularity, PolylogContext
+from .polylog import (NonConvergent, PathThroughSingularity, PolylogContext,
+                      TruncationOutOfRange)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,6 +54,7 @@ EXIT_CODES = {
     RealityViolation: (EXIT_NUMERICAL, ""),
     NonConvergent: (EXIT_NUMERICAL, ""),
     PathThroughSingularity: (EXIT_NUMERICAL, ""),
+    TruncationOutOfRange: (EXIT_USAGE, ""),
 }
 
 
@@ -200,7 +202,8 @@ def _polylog_point(args) -> int:
     if args.z is None:
         raise CliError(EXIT_USAGE, "need --z or --sweep")
     # a value of --z, --N, --a or --b that is rejected is a usage error,
-    # but a z at a singularity stays a numerical one
+    # but a z at a singularity stays a numerical one; an N past float
+    # range keeps its own entry in EXIT_CODES
     try:
         z = jsonio.parse_complex(args.z, "--z")
         if (args.a is None) != (args.b is None):
@@ -208,7 +211,7 @@ def _polylog_point(args) -> int:
         ctx = PolylogContext(z, N=args.N)
         h = pl.polylog_mhs(ctx)
         fh = None if args.a is None else pl.polylog_framed(ctx, args.a, args.b)
-    except PathThroughSingularity:
+    except (PathThroughSingularity, TruncationOutOfRange):
         raise
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))

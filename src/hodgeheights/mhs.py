@@ -14,8 +14,15 @@ is nested with a full top; constructions that know the frame hand it
 over, checked by integer comparisons on first use (`_frame_violations`).
 F is stored sparsely by jump: F^p is the value at the smallest jump >=
 p, 0 above the largest, and the value at the smallest jump must be the
-full space.  All W_k are column slices of one QR of the frame, and all
-F^p come from one batched SVD.
+full space.  All W_k are column slices of one QR of the frame.
+Constructions whose F is a flag (H(z), the random Hodge--Tate
+generator, Tate structures) hand it over as one complex basis with a
+rank per jump (`HodgeFlag`), F^p the span of the first r_p columns.
+One values-only SVD decides that the basis has full rank, and then all
+F^p are column slices of one QR (`_flag_frame`), F's nesting is an
+integer check on the ranks, twists and conjugates carry the flag, and
+the dual's F is the flag of the reversed conjugate frame.  F given by
+jump, and a flag short of full rank, span every F^p in one batched SVD.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -215,6 +222,33 @@ def _frame_violations(n: int, f: WeightFrame) -> tuple[Violation, ...]:
     return ()
 
 
+@dataclass(frozen=True, eq=False)
+class HodgeFlag:
+    """F as a flag: F^p, at jump jumps[i], is the span of the first
+    ranks[i] columns of one complex basis with a row per coordinate.  The
+    jumps are sorted, and the basis is kept as a read-only copy of its
+    first max(ranks) columns, which the rows by jump of
+    `MixedHodgeStructure.hodge_filtration` are views of."""
+
+    basis: np.ndarray
+    jumps: tuple[int, ...]
+    ranks: tuple[int, ...]
+
+    def __post_init__(self):
+        basis = np.array(self.basis, dtype=DTYPE)
+        by_jump = dict(sorted((int(p), int(r)) for p, r in zip(self.jumps, self.ranks)))
+        top = max(by_jump.values(), default=0)
+        if not (basis.ndim == 2 and len(by_jump) == len(self.jumps) == len(self.ranks)
+                and min(by_jump.values(), default=0) >= 0 and top <= basis.shape[1]):
+            raise ValueError("a Hodge flag needs a matrix basis and distinct jumps, each "
+                             "with a rank between 0 and its number of columns")
+        basis = basis[:, :top]
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "jumps", tuple(by_jump))
+        object.__setattr__(self, "ranks", tuple(by_jump.values()))
+
+
 def _freeze_hodge(filtration: Mapping[int, Sequence[Sequence[complex]]]) -> dict[int, np.ndarray]:
     out = {}
     for p, rows in filtration.items():
@@ -239,9 +273,10 @@ class MixedHodgeStructure:
 
     weight_filtration is a WeightFrame or maps jump k to a list of
     rational row vectors spanning W_k (made into a frame at once);
-    hodge_filtration maps jump p to complex row vectors spanning F^p.
-    comparison_matrix optionally records the Betti -> de Rham change of
-    frame for reporting.
+    hodge_filtration is a HodgeFlag or maps jump p to complex row vectors
+    spanning F^p.  Read back, hodge_filtration is always rows by jump (a
+    flag's as views of its basis).  comparison_matrix optionally records
+    the Betti -> de Rham change of frame for reporting.
     """
 
     dimension: int
@@ -256,7 +291,10 @@ class MixedHodgeStructure:
         frame, bad = ((weight_filtration, None) if isinstance(weight_filtration, WeightFrame)
                       else _adapted_frame(self.dimension, weight_filtration))
         object.__setattr__(self, "weight_frame", frame)
-        object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration))
+        flag = hodge_filtration if isinstance(hodge_filtration, HodgeFlag) else None
+        object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration)
+                           if flag is None else {p: flag.basis.T[:r]
+                                                 for p, r in zip(flag.jumps, flag.ranks)})
         if comparison_matrix is not None:
             comparison_matrix = np.array(comparison_matrix, dtype=DTYPE)
             comparison_matrix.setflags(write=False)
@@ -264,6 +302,7 @@ class MixedHodgeStructure:
         object.__setattr__(self, "_memo", {} if bad is None else {"frame": bad})
         # (parent, map) of a derived structure until its delta is carried over
         object.__setattr__(self, "_carry", None)
+        object.__setattr__(self, "_flag", flag)
         object.__setattr__(self, "_wjumps", frame.jumps)
         # the frozen Hodge filtration is sorted by jump
         object.__setattr__(self, "_fjumps", tuple(self.hodge_filtration))
@@ -327,10 +366,40 @@ class MixedHodgeStructure:
         return self._hodge_spans()[self._hodge_jump(p)]
 
     def _hodge_spans(self) -> dict:
-        """Every F^p by jump, memoized, from one batched SVD."""
-        n = self.dimension
-        return self.memo("F", lambda: {None: Subspace.zero(n), **dict(zip(
-            self._fjumps, Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)))})
+        """Every F^p by jump, memoized: a flag's first r_p columns of its
+        orthonormal frame, or the whole space when full; rows by jump (and a
+        flag that has no frame) from one batched SVD."""
+        def compute():
+            n, q = self.dimension, self._flag_frame()
+            spans = (Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
+                     if q is None else [Subspace.full(n) if r == n else Subspace(q[:, :r])
+                                        for r in self._flag.ranks])
+            return {None: Subspace.zero(n), **dict(zip(self._fjumps, spans))}
+        return self.memo("F", compute)
+
+    def _flag_frame(self) -> np.ndarray | None:
+        """The orthonormal frame of a handed-over flag, memoized: Q of one QR
+        of its basis scaled to unit norm, so F^p is the span of Q's first
+        r_p columns.  One values-only SVD decides the rank: when the basis
+        passes `numerical_rank` at full rank, so does every prefix of it
+        (Cauchy interlacing), so each r_p is the dim the batched SVD would
+        find.  None for rows by jump, and for a flag whose basis is not of
+        full rank, not finite or of the wrong length: those take the
+        batched path, and their report is its report."""
+        def compute():
+            if self._flag is None:
+                return None
+            cols = self._flag.basis
+            n, m = cols.shape
+            norms = np.linalg.norm(cols, axis=0)
+            if not (n == self.dimension and 0 < m <= n and np.all(np.isfinite(norms))
+                    and np.all(norms > 0)):
+                return None
+            cols = cols / norms
+            if numerical_rank(np.linalg.svd(cols, compute_uv=False)) < m:
+                return None
+            return np.linalg.qr(cols)[0]
+        return self.memo("flag", compute)
 
     # -- exact weight-graded data --------------------------------------
 
@@ -391,7 +460,9 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     verdict = h.memo("frame", lambda: _frame_violations(n, h.weight_frame))
     if verdict[:1] and verdict[0].kind == "data":
         return ValidationReport(verdict)
-    for arr in h.hodge_filtration.values():
+    # a flag's rows by jump are leading rows of its basis: one check
+    flag = h._flag
+    for arr in (h.hodge_filtration.values() if flag is None else (flag.basis.T,)):
         if arr.size and arr.shape[1] != n:
             bad.append(Violation("data", None, "Hodge vector of wrong length"))
             return ValidationReport(tuple(bad))
@@ -401,12 +472,18 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     bad.extend(verdict)
 
-    # F decreasing (numeric, one batched residual), bottom = full space
+    # F decreasing, bottom = full space: a flag with a frame is nested
+    # exactly when its ranks do not grow with p; rows by jump are judged by
+    # one batched residual
     pjumps = h.hodge_jumps
-    nested = Subspace.containment_residuals(
-        [(h.hodge_subspace(hi), h.hodge_subspace(lo)) for lo, hi in zip(pjumps, pjumps[1:])])
-    for lo, hi, resid in zip(pjumps, pjumps[1:], nested):
-        if not resid < SUBSPACE_TOL * max(1, n):
+    if h._flag_frame() is not None:
+        outside = [hi > lo for lo, hi in zip(flag.ranks, flag.ranks[1:])]
+    else:
+        outside = [not resid < SUBSPACE_TOL * max(1, n) for resid in
+                   Subspace.containment_residuals([(h.hodge_subspace(hi), h.hodge_subspace(lo))
+                                                   for lo, hi in zip(pjumps, pjumps[1:])])]
+    for lo, hi, out in zip(pjumps, pjumps[1:], outside):
+        if out:
             bad.append(Violation("hodge", hi, f"F^{hi} not contained in F^{lo}"))
     if h.hodge_subspace(pjumps[0]).dim != n:
         bad.append(Violation("hodge", pjumps[0], "bottom Hodge subspace is not full"))
@@ -447,22 +524,32 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
         if not (in_f < tol and in_w < tol):
             bad.append(Violation("purity", p + q, f"I^({p},{q}) does not lie in "
                                  f"F^{p} and W_{p + q}"))
-    dims = pieces.piece_dims()
+    # one pass over the pieces: those of each weight in label order, and
+    # the total dim at each first index
+    dims, of_weight, at_p = pieces.piece_dims(), {}, {}
+    for (p, q), d in sorted(dims.items()):
+        of_weight.setdefault(p + q, []).append((p, q, d))
+        at_p[p] = at_p.get(p, 0) + d
     for k in h.weights_present():
-        total = sum(d for (p, q), d in dims.items() if p + q == k)
+        here = of_weight.get(k, [])
+        total = sum(d for _, _, d in here)
         if total != h.graded_dimension(k):
             bad.append(Violation("purity", k, f"pieces of weight {k} have dim {total}, "
                                  f"Gr^W_{k} has dim {h.graded_dimension(k)}"))
-        for (p, q), d in sorted(dims.items()):
-            if p + q == k and d > dims.get((q, p), 0):
+        for p, q, d in here:
+            if d > dims.get((q, p), 0):
                 bad.append(Violation("purity", k, f"dim I^({p},{q}) = {d} exceeds "
                                      f"dim I^({q},{p}) = {dims.get((q, p), 0)}"))
-    pjumps = h.hodge_jumps
-    for p in range(pjumps[0], pjumps[-1] + 1):
-        total = sum(d for (pp, q), d in dims.items() if pp >= p)
-        if total != h.hodge_subspace(p).dim:
+    # dims of the pieces I^(p',q) with p' >= p, for p from the top jump down
+    first, last = h.hodge_jumps[0], h.hodge_jumps[-1]
+    total, above = sum(d for p, d in at_p.items() if p > last), {}
+    for p in range(last, first - 1, -1):
+        total += at_p.get(p, 0)
+        above[p] = total
+    for p in range(first, last + 1):
+        if above[p] != h.hodge_subspace(p).dim:
             bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
-                                 f"pieces I^(p',q) with p' >= {p} have dim {total}"))
+                                 f"pieces I^(p',q) with p' >= {p} have dim {above[p]}"))
     if not bad and numerical_rank(pieces.singular_values) < h.dimension:
         bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
     return bad
@@ -598,7 +685,8 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
              pieces: dict, carried, carry_delta) -> MixedHodgeStructure:
     """child, derived from the valid h, with what it takes from h (whose
     splitting fixes the child's): subspaces by jump (spans["F"], spans["W"]
-    if given), W's verdict (its frame is h's, shifted or dual), pieces by
+    if given) or the orthonormal frame of its Hodge flag (spans["flag"]),
+    W's verdict (its frame is h's, shifted or dual), pieces by
     label with `Bigrading.carried` (or None), and (h, carry_delta) as
     child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
     and then releases h, so delta is solved once per root."""
@@ -612,7 +700,7 @@ def tate(a: int) -> MixedHodgeStructure:
     return MixedHodgeStructure(
         1,
         coordinate_flag([1]).shifted(-2 * a),
-        {-a: [[1.0]]},
+        HodgeFlag(np.ones((1, 1)), (-a,), (1,)),
         comparison_matrix=[[(2j * np.pi) ** a]],
     )
 
@@ -621,27 +709,30 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     """Dual MHS on the dual coordinates.
 
     W_k(dual) = Ann(W_{-k-1}) is framed by the exact dual basis of h's
-    frame; F^p(dual) = Ann(F^{-p+1}) is numeric.  Conventions make
-    dual(Q(a)) = Q(-a).
+    frame; F^q(dual) = Ann(F^{1-q}) is numeric, with jumps at q = -p for
+    each jump p of F.  For a flag with an orthonormal frame Q, Ann(F^p) is
+    spanned by the trailing n - r_p columns of conj(Q), since f . v = 0
+    exactly when conj(f) is orthogonal to v: reversed, conj(Q) is the
+    dual's flag and its own frame.  Conventions make dual(Q(a)) = Q(-a).
     """
     require_valid(h)
-    n = h.dimension
-
-    pjumps = h.hodge_jumps                     # p_1 < ... < p_r, value T_i at p_i
-    # segment of value Ann(T_{i+1}) tops out at q = -p_i; top segment is full
-    dual_f = {-pjumps[-1]: Subspace.full(n)}
-    for lo, hi in zip(pjumps, pjumps[1:]):
-        dual_f[-lo] = h.hodge_subspace(hi).annihilator()
-
-    child = MixedHodgeStructure(n, h.weight_frame.dual(),
-                                {q: s.basis.T.copy() for q, s in dual_f.items()})
+    n, q = h.dimension, h._flag_frame()
+    jumps = [-p for p in reversed(h.hodge_jumps)]
+    if q is None:
+        ann = {j: h.hodge_subspace(1 - j).annihilator() for j in jumps}
+        child = MixedHodgeStructure(n, h.weight_frame.dual(),
+                                    {j: s.basis.T.copy() for j, s in ann.items()})
+        spans = {"F": {None: Subspace.zero(n), **ann}}
+    else:
+        child = MixedHodgeStructure(n, h.weight_frame.dual(), HodgeFlag(
+            q[:, ::-1].conj(), jumps, [n - h.hodge_subspace(1 - j).dim for j in jumps]))
+        spans = {"flag": child._flag.basis}
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     b = _pieces(h)
     pieces = Subspace.from_vector_sets(
         [b.inverse_basis[[lab == pq for lab in b.labels]] for pq in b.pieces], n)
-    return _inherit(h, child, {"F": {None: Subspace.zero(n), **dual_f}},
-                    {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
+    return _inherit(h, child, spans, {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
                     lambda delta: -delta.T)
 
 
@@ -649,17 +740,21 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
     """h with every index moved by s (weights by 2s), F conjugated if
     conjugated: the twist H(-s) or the conjugate (s = 0).  I^{p,q} becomes
     I^{p+s,q+s}, conjugated with F under the same label (not (q, p)), so
-    the bigrading basis is h's or its conjugate (W is real).  delta(H) is
-    real, so conj H has -delta(H); only conj H keeps the comparison (conj)."""
+    the bigrading basis is h's or its conjugate (W is real), and a flag
+    stays a flag, with its frame.  delta(H) is real, so conj H has
+    -delta(H); only conj H keeps the comparison (conj)."""
     require_valid(h)
-    b, c = _pieces(h), (np.conj if conjugated else np.asarray)
+    b, flag, q = _pieces(h), h._flag, h._flag_frame()
+    c = np.conj if conjugated else np.asarray
     move = Subspace.conjugate if conjugated else lambda x: x
     comparison = h.comparison_matrix if conjugated else None
-    child = MixedHodgeStructure(h.dimension, h.weight_frame.shifted(2 * s),
-                                {p + s: c(arr) for p, arr in h.hodge_filtration.items()},
+    hodge = ({p + s: c(arr) for p, arr in h.hodge_filtration.items()} if flag is None else
+             HodgeFlag(c(flag.basis), [p + s for p in flag.jumps], flag.ranks))
+    child = MixedHodgeStructure(h.dimension, h.weight_frame.shifted(2 * s), hodge,
                                 None if comparison is None else c(comparison))
     spans = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
-             "F": {None if p is None else p + s: move(x) for p, x in h._hodge_spans().items()}}
+             "F": {None if p is None else p + s: move(x) for p, x in h._hodge_spans().items()},
+             "flag": None if q is None else c(q)}
     sign = -1 if conjugated else 1
     return _inherit(h, child, spans,
                     {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
@@ -682,10 +777,9 @@ def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:
 def _split_hodge_tate(dims: Sequence[int]) -> MixedHodgeStructure:
     """Direct sum of Tate pieces: block i has weight -2i with multiplicity dims[i]."""
     n = int(sum(dims))
-    offsets = np.cumsum(dims)
     # F^{-i} is spanned by blocks 0..i, W_{-2i} by blocks i..end
-    hodge = {-i: np.eye(n, dtype=DTYPE)[:offsets[i]] for i in range(len(dims))}
-    return MixedHodgeStructure(n, coordinate_flag(dims), hodge)
+    return MixedHodgeStructure(n, coordinate_flag(dims), HodgeFlag(
+        np.eye(n), [-i for i in range(len(dims))], np.cumsum(dims, dtype=int).tolist()))
 
 
 def random_lowering(dims: Sequence[int], seed: int, scale: float = 0.8) -> np.ndarray:
@@ -720,9 +814,10 @@ def random_hodge_tate_pair(dims: Sequence[int], seed: int, scale: float = 0.8,
     lam = random_lowering(dims, seed, scale)
     if real:
         lam = lam.real.astype(DTYPE)
-    g = nilpotent_exp(lam)
-    hodge = {p: (g @ arr.T).T for p, arr in split.hodge_filtration.items()}
-    twisted = MixedHodgeStructure(split.dimension, split.weight_frame, hodge)
+    # e^lambda . F is the flag of the columns of e^lambda, with F's ranks
+    flag = split._flag
+    twisted = MixedHodgeStructure(split.dimension, split.weight_frame,
+                                  HodgeFlag(nilpotent_exp(lam), flag.jumps, flag.ranks))
     return split, lam, twisted
 
 

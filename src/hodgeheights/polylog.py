@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +48,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .framed import FramedMHS
 from .linalg import DTYPE, nilpotent_log
-from .mhs import MixedHodgeStructure, coordinate_flag
+from .mhs import HodgeFlag, MixedHodgeStructure, coordinate_flag
 
 TWO_PI_I = 2j * np.pi
 
@@ -60,6 +61,8 @@ PANEL_BUDGET = 10_000
 QUADRATURE_STEP = 0.25
 #: Agreement required between two transport resolutions.
 REFINE_TOL = 1e-11
+#: Largest N for the matrices of H(z): (2 pi)^N is finite up to N = 386.
+MAX_N = int(math.log(sys.float_info.max) / math.log(2 * math.pi))
 #: Distance from the singular points 0 and 1 below which a point is one.
 SINGULAR_RADIUS = 1e-12
 #: Distance from the real axis below which a point of a cut lies on it.
@@ -74,6 +77,10 @@ SERIES_DISK_SLACK = 1e-13
 SERIES_STOP = 1e-18
 #: The basepoint series has not settled if its last |z|^n exceeds this.
 SERIES_SETTLED = 1e-17
+
+
+class TruncationOutOfRange(ValueError):
+    """N is past MAX_N, where column N of A(z), (2 pi i)^N, leaves float range."""
 
 
 class PathThroughSingularity(ValueError):
@@ -418,8 +425,13 @@ class PolylogMatrices:
 
 
 def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
-    """The matrices of H(z), built once per context; the arrays are read-only."""
+    """The matrices of H(z), built once per context; the arrays are read-only.
+    Raises TruncationOutOfRange past N = MAX_N before any other work."""
     def compute():
+        if ctx.N > MAX_N:
+            raise TruncationOutOfRange(
+                f"N = {ctx.N} exceeds {MAX_N}: column N of A(z) is (2 pi i)^N, "
+                f"beyond float range")
         _require_log_branch(ctx)
         n = ctx.N + 1
         lg, vals = branch_data(ctx, ctx.N)
@@ -438,23 +450,31 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
     return ctx.memo("matrices", compute)
 
 
+def _inverse_comparison(ctx: PolylogContext) -> np.ndarray:
+    """A(z)^{-1}, inverted once per context when first needed; read-only."""
+    def compute():
+        a_inv = np.linalg.inv(build_matrices(ctx).A)
+        a_inv.setflags(write=False)
+        return a_inv
+    return ctx.memo("inverse comparison", compute)
+
+
 def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
     """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates, built
     once per context.
 
     W_{-2k} is spanned by the standard vectors e_k..e_N, handed over as
     its frame (`mhs.coordinate_flag`); F^{-k} by the first k+1 columns
-    of A(z)^{-1}, which is the de Rham flag C^{[0,k]} pulled back
-    through the comparison map alpha = A(z).  The bigrading
-    piece I^{-k,-k} is then spanned by column k of A(z)^{-1}.
+    of A(z)^{-1}, handed over as a flag (`mhs.HodgeFlag`), which is the
+    de Rham flag C^{[0,k]} pulled back through the comparison map alpha
+    = A(z).  The bigrading piece I^{-k,-k} is then spanned by column k
+    of A(z)^{-1}.
     """
     def compute():
         n = ctx.N + 1
-        mats = build_matrices(ctx)
-        a_inv = np.linalg.inv(mats.A)
-        hodge = {-k: a_inv[:, : k + 1].T.copy() for k in range(ctx.N + 1)}
-        return MixedHodgeStructure(n, coordinate_flag([1] * n), hodge,
-                                   comparison_matrix=mats.A)
+        flag = HodgeFlag(_inverse_comparison(ctx), range(-ctx.N, 1), range(n, 0, -1))
+        return MixedHodgeStructure(n, coordinate_flag([1] * n), flag,
+                                   comparison_matrix=build_matrices(ctx).A)
     return ctx.memo("mhs", compute)
 
 
@@ -477,8 +497,7 @@ def delta_closed_form(ctx: PolylogContext) -> np.ndarray:
     """
     mats = build_matrices(ctx)
     delta_dr = 0.5j * nilpotent_log(mats.B)
-    a_inv = np.linalg.inv(mats.A)
-    return a_inv @ delta_dr @ mats.A
+    return _inverse_comparison(ctx) @ delta_dr @ mats.A
 
 
 def heights_closed_form(ctx: PolylogContext, a: int, b: int) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from hodgeheights.framed import (FramedMHS, FramingTypeError,
                                  framed_morphism_check, height1,
                                  height1_via_delta, height2, twist_framed)
 from hodgeheights import deligne, mhs as mhs_mod
-from hodgeheights.linalg import nilpotent_exp
+from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
 
@@ -175,23 +175,28 @@ class TestEachFactOnce:
     @pytest.mark.parametrize("n", [4, 6, 10, 11])
     def test_fresh_polylog_makes_no_rational_work(self, n, monkeypatch):
         # W of H(z) is handed over as its frame, the coordinate flag: no
-        # echelon form and no Fraction -> float conversion.  W_k are slices
-        # of one QR and F^p one batched SVD, the candidates one batch and the
-        # direct-sum check one SVD, so the factorisations do not grow with N.
-        # The heights read frame coordinates, never an echelon form.
+        # echelon form and no Fraction -> float conversion.  F is handed
+        # over as a flag, the columns of A(z)^{-1}: one values-only SVD
+        # decides its rank and every F^p is a slice of one QR, so there is
+        # no batched F SVD.  W_k are slices of one QR, the candidates one
+        # batch and the direct-sum check one SVD: 3 SVDs and 2 QRs, which
+        # do not grow with N.  The heights read frame coordinates, never
+        # an echelon form.
         from hodgeheights import _rational
         from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
         h = polylog_mhs(ctx)
-        calls = {"rref": [], "float": [], "svd": [], "qr": []}
+        calls = {"rref": [], "float": [], "svd": [], "qr": [], "sets": []}
         monkeypatch.setattr(_rational, "rref", _recording(calls["rref"], _rational.rref))
         monkeypatch.setattr(Fraction, "__float__",
                             _recording(calls["float"], Fraction.__float__))
         monkeypatch.setattr(np.linalg, "svd", _recording(calls["svd"], np.linalg.svd))
         monkeypatch.setattr(np.linalg, "qr", _recording(calls["qr"], np.linalg.qr))
+        monkeypatch.setattr(Subspace, "from_vector_sets", staticmethod(
+            _recording(calls["sets"], Subspace.from_vector_sets)))
         deligne.delta_splitting(h)
-        assert calls["rref"] == [] and calls["float"] == []
-        assert (len(calls["svd"]), len(calls["qr"])) == (3, 1)
+        assert calls["rref"] == [] and calls["float"] == [] and calls["sets"] == []
+        assert (len(calls["svd"]), len(calls["qr"])) == (3, 2)
         for b in range(1, n + 1):
             fh = polylog_framed(ctx, 0, b)
             height1(fh)

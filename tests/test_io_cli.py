@@ -19,7 +19,8 @@ from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, ValidationReport,
                               Violation, random_hodge_tate_pair, require_valid, tate,
                               validate)
 from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
-                                  PolylogContext, polylog_framed, polylog_mhs)
+                                  PolylogContext, TruncationOutOfRange, polylog_framed,
+                                  polylog_mhs)
 
 from conftest import random_framing
 
@@ -653,6 +654,18 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         for which in ("ht1", "ht2"):
             assert abs(out[which] - out[which + "_closed"]) <= 1e-9 * abs(out[which + "_closed"])
+
+    def test_n_past_float_range_is_usage(self, tmp_path, capsys):
+        # (2 pi i)^N leaves float range past N = 386: rejected, in both
+        # modes, through EXIT_CODES and before any transport
+        assert cli.EXIT_CODES[TruncationOutOfRange] == (cli.EXIT_USAGE, "")
+        assert cli.main(["polylog", "--z", "0.3+0.2i", "--N", "390",
+                         "--a", "0", "--b", "390"]) == 4
+        single = capsys.readouterr().err
+        assert _run_sweep(tmp_path, {"grid": ["0.3+0.2i"], "N": 390,
+                                     "framings": [[0, 1]]}) == 4
+        assert capsys.readouterr().err == single == (
+            "error: N = 390 exceeds 386: column N of A(z) is (2 pi i)^N, beyond float range\n")
 
     def test_far_evaluation_point_is_numerical(self, capsys):
         # the path to 1e8+1i needs about 1.6e9 panels: rejected up front

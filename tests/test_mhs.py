@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeheights import _rational, deligne, mhs as mhs_mod
+from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
 from hodgeheights.linalg import Subspace, nilpotent_exp
-from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, WeightFrame, conjugate,
-                              coordinate_flag, dual, random_hodge_tate,
+from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
+                              conjugate, coordinate_flag, dual, random_hodge_tate,
                               random_hodge_tate_pair, tate, twist, validate)
 
+from conftest import random_framing
 from oracles import graded_purity_violations, graded_rational_basis, nullspace, weight_rows
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
@@ -183,7 +184,8 @@ def test_twist_and_conjugate_inherit_the_weight_verdict(derive, monkeypatch):
 
 
 def test_dual_keeps_its_annihilators(monkeypatch):
-    # F^q of the dual is the annihilator dual() forms, or the full space:
+    # F^q of the dual is the annihilator dual() forms (for a flag, the
+    # leading columns of the reversed conjugate frame), or the full space:
     # no second orthonormalisation of the same rows
     h = random_hodge_tate([2, 1, 2], seed=8)
     mhs_mod.require_valid(h)
@@ -196,15 +198,151 @@ def test_dual_keeps_its_annihilators(monkeypatch):
 
 def test_dual_pieces_are_one_batch(monkeypatch):
     # the dual's pieces are the parent's inverse basis rows, spanned in one
-    # batched SVD: with its three annihilators and its independence check,
-    # five SVDs (and the QR of its frame)
+    # batched SVD, and with its independence check that is two SVDs (and
+    # the QR of its frame).  The parent's F is a flag, so the dual's F is
+    # the reversed conjugate of the parent's flag frame: no annihilator SVD
     h = random_hodge_tate([1, 2, 1, 1], seed=6)
     mhs_mod.require_valid(h)
     svds = count_calls(monkeypatch, np.linalg, "svd")
     qrs = count_calls(monkeypatch, np.linalg, "qr")
+    annihilators = count_calls(monkeypatch, Subspace, "annihilator")
     d = dual(h)
     deligne.delta_splitting(d)
-    assert (len(svds), len(qrs)) == (5, 1)
+    assert (len(svds), len(qrs)) == (2, 1)
+    assert annihilators == []
+
+
+def test_dual_of_a_flag_annihilates_its_f():
+    # F^q of the dual is Ann(F^{1-q}): the reversed conjugate of the
+    # parent's flag frame, itself a flag with its own frame
+    for h in (random_hodge_tate([1, 2, 1, 1], seed=6), tate(2),
+              polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6))):
+        d = dual(h)
+        assert d._flag is not None and d._flag_frame() is d._flag.basis
+        for q in d.hodge_jumps:
+            ann, f = d.hodge_subspace(q), h.hodge_subspace(1 - q)
+            assert ann.dim + f.dim == h.dimension
+            assert np.linalg.norm(ann.basis.T @ f.basis) < 1e-12
+        assert validate(d).ok and validate(dual(d)).ok
+
+
+def test_dual_of_rank_zero_is_rank_zero():
+    # validate accepts every rank-0 structure, and so does dual
+    h = MixedHodgeStructure(0, {}, {})
+    d = dual(h)
+    assert d.dimension == 0 and d.hodge_jumps == [] and d.weight_jumps == []
+    assert validate(d).ok
+    assert deligne.delta_splitting(d).delta.shape == (0, 0)
+    assert dual(d).dimension == 0
+
+
+def test_flag_rows_are_read_only_views_of_its_basis():
+    # F^{-k} of H(z) reads the first k+1 columns of A(z)^{-1} as rows:
+    # read-only views of the flag's basis, exactly those values
+    ctx = polylog.PolylogContext(0.3 + 0.2j, 5)
+    h = polylog.polylog_mhs(ctx)
+    a_inv = np.linalg.inv(polylog.build_matrices(ctx).A)
+    assert h.hodge_jumps == list(range(-5, 1))
+    for k in range(6):
+        rows = h.hodge_filtration[-k]
+        assert np.array_equal(rows, a_inv[:, :k + 1].T)
+        assert not rows.flags.writeable and rows.base is not None
+    with pytest.raises(ValueError):
+        HodgeFlag(np.eye(2), (0, 1), (2, 3))
+    with pytest.raises(ValueError):
+        HodgeFlag(np.eye(2), (0, 0), (2, 1))
+
+
+def _as_rows(h):
+    """h with the same W frame and F given as rows by jump."""
+    return MixedHodgeStructure(h.dimension, h.weight_frame, h.hodge_filtration,
+                               h.comparison_matrix)
+
+
+def _outcome(h, fh):
+    """describe(), piece dims, the splitting's exception type and the
+    heights of fh and of its dual and conjugate framings."""
+    report = validate(h).describe()
+    if report != "valid":
+        return report, None, None, ()
+    try:
+        deligne.delta_splitting(h)
+    except Exception as exc:
+        return report, None, type(exc), ()
+    heights = ()
+    if fh is not None:
+        heights = tuple(f(g) for g in (fh, framed.dual_framed(fh), framed.conjugate_framed(fh))
+                        for f in (framed.height1, framed.height2))
+    return report, mhs_mod._pieces(h).piece_dims(), None, heights
+
+
+def assert_flag_matches_rows(h, fh=None):
+    """The flag path and the batched path of the same F agree: report,
+    piece dims, exception types and heights, to 1e-12 relative to the
+    largest height of the framing family (a small height of a structure
+    with large ones carries the rounding of the large ones: two correct
+    float evaluations of conjugate ht2 at scale 3 were 1.9e-12 apart
+    relative to itself, 1.8e-13 relative to the family's largest)."""
+    assert h._flag is not None
+    rows = _as_rows(h)
+    rows_fh = None if fh is None else framed.FramedMHS(rows, fh.a, fh.b, fh.phi_class,
+                                                        fh.psi_class)
+    mine, theirs = _outcome(h, fh), _outcome(rows, rows_fh)
+    assert mine[:3] == theirs[:3]
+    scale = max(map(abs, theirs[3]), default=0.0)
+    np.testing.assert_allclose(mine[3], theirs[3], rtol=0, atol=1e-12 * scale + 1e-15)
+    if mine[0] == "valid":
+        for derive in (dual, conjugate, lambda x: twist(x, 1)):
+            assert validate(derive(h)).describe() == validate(derive(rows)).describe()
+
+
+# derandomized: the same examples on every run, as the heights' margin is
+# about 2x (the worst of 600 random structures was 4.2e-13 of the largest)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.5, 0.9, 2.0, 3.0]))
+def test_hodge_tate_flag_matches_rows(dims, seed, scale):
+    h = random_hodge_tate(dims, seed=seed, scale=scale)
+    fh = (random_framing(h, np.random.default_rng(seed), b_level=len(dims) - 1)
+          if len(dims) > 1 else None)
+    assert_flag_matches_rows(h, fh)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.integers(2, 20), radius=st.floats(0.1, 4.0),
+       angle=st.floats(0.15, np.pi - 0.15), lower=st.booleans(), data=st.data())
+def test_polylog_flag_matches_rows(n, radius, angle, lower, data):
+    z = radius * complex(np.cos(angle), -np.sin(angle) if lower else np.sin(angle))
+    ctx = polylog.PolylogContext(z, n)
+    b = data.draw(st.integers(1, n))
+    assert_flag_matches_rows(polylog.polylog_mhs(ctx), polylog.polylog_framed(ctx, 0, b))
+
+
+def _degenerate_flag(kind):
+    """A flag short of full rank: H(0.6-0.5i) at N = 32, or the flag of a
+    random Hodge--Tate structure with one generator changed."""
+    if kind == "polylog-N32":
+        return polylog.polylog_mhs(polylog.PolylogContext(0.6 - 0.5j, 32))
+    h = random_hodge_tate([1, 2, 1], seed=5)
+    basis = np.array(h._flag.basis)
+    if kind == "zero-generator":
+        basis[:, 3] = 0
+    elif kind == "repeated-generator":
+        basis[:, 2] = basis[:, 1]
+    else:
+        basis[:, 1] = basis[:, 0] * (1 + 1e-13)
+    return MixedHodgeStructure(h.dimension, h.weight_frame,
+                               HodgeFlag(basis, h._flag.jumps, h._flag.ranks))
+
+
+@pytest.mark.parametrize("kind", ["zero-generator", "repeated-generator", "rank-deficient",
+                                  "polylog-N32"])
+def test_degenerate_flag_takes_the_batched_path(kind):
+    # a basis short of full rank has no frame, so its report is the batched
+    # SVD's, word for word
+    h = _degenerate_flag(kind)
+    assert h._flag_frame() is None and not validate(h).ok
+    assert_flag_matches_rows(h)
 
 
 @pytest.mark.parametrize("frame, report", [

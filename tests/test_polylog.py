@@ -8,8 +8,8 @@ import pytest
 from hodgeheights import deligne, framed, polylog
 from hodgeheights.linalg import nilpotent_exp, nilpotent_log
 from hodgeheights.mhs import validate
-from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
-                                  PolylogContext, bernoulli, branch_data,
+from hodgeheights.polylog import (MAX_N, NonConvergent, PathThroughSingularity,
+                                  PolylogContext, TruncationOutOfRange, bernoulli, branch_data,
                                   build_matrices, delta_closed_form,
                                   heights_closed_form, li, log_z,
                                   polylog_framed, polylog_mhs, sv_bd, sv_brown,
@@ -320,6 +320,33 @@ class TestTransport:
 
 
 class TestMatrices:
+    def test_n_past_float_range_is_rejected_before_any_work(self, monkeypatch):
+        # column N of A(z) is (2 pi i)^N, finite up to N = 386 only
+        assert MAX_N == 386 and math.isfinite((2 * math.pi) ** MAX_N)
+        with pytest.raises(OverflowError):
+            complex(2j * math.pi) ** (MAX_N + 1)
+        monkeypatch.setattr(polylog, "branch_data", lambda *args: pytest.fail("work done"))
+        for n in (MAX_N + 1, 390):
+            ctx = PolylogContext(0.3 + 0.2j, n)
+            for build in (build_matrices, polylog_mhs, delta_closed_form):
+                with pytest.raises(TruncationOutOfRange, match=f"N = {n} exceeds 386"):
+                    build(ctx)
+
+    def test_a_inverse_is_shared(self, monkeypatch):
+        # A(z)^{-1} is inverted once per context, for H(z)'s flag and the
+        # closed-form delta, and not by build_matrices; delta's values stay
+        # those of its own inverse
+        ctx = PolylogContext(0.3 + 0.2j, 6)
+        mats = build_matrices(ctx)
+        want = np.linalg.inv(mats.A) @ (0.5j * nilpotent_log(mats.B)) @ mats.A
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        polylog_mhs(ctx)
+        assert np.array_equal(delta_closed_form(ctx), want)
+        assert len(calls) == 1
+        build_matrices(PolylogContext(0.3 + 0.2j, 5))
+        assert len(calls) == 2
+
     def test_L_past_float_factorials(self):
         # 171! is beyond float range; lg^k / k! is formed without it
         mp = pytest.importorskip("mpmath")
