@@ -6,10 +6,11 @@ relative tolerance against the largest singular value (applied in closed
 form to principal sines by `Subspace.intersect_pairs`, which intersects
 a batch of pairs in one SVD; `Subspace.sum` spans any number of sides
 in one, and `Subspace.from_vector_sets` any number of vector sets).
-Equality of subspaces is mutual containment, never comparison of
-generators; `Subspace.containment_residuals` judges a batch of
-containments in one stacked product.  The nilpotent exponential of a
-matrix and of its negative come from one series (`nilpotent_exp_pair`).
+`Subspace.containment_residuals` judges a batch of containments in one
+stacked product, and `Subspace.nested_frame` gives a decreasing chain of
+subspaces one orthonormal frame, each a slice of it.  The nilpotent
+exponential of a matrix and of its negative come from one series
+(`nilpotent_exp_pair`).
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -21,7 +22,7 @@ seam to swap in a wider type if a future use case needs more precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,17 +72,6 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     return u[:, :numerical_rank(s)]
 
 
-def nullspace_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {x : mat @ x = 0} at numerical rank."""
-    m, n = mat.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=DTYPE)
-    if m == 0:
-        return np.eye(n, dtype=DTYPE)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[numerical_rank(s):, :].conj().T
-
-
 def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The matrices as one stack, each zero-padded at the bottom right to
     the largest shape."""
@@ -100,16 +90,6 @@ class Subspace:
     """
 
     basis: np.ndarray
-
-    @staticmethod
-    def from_vectors(vectors: Iterable[Sequence[complex]] | np.ndarray,
-                     ambient_dim: int | None = None) -> "Subspace":
-        """Build the span of the given vectors (each of length ambient_dim)."""
-        rows = np.array(list(vectors), dtype=DTYPE)
-        if rows.size == 0 and ambient_dim is None:
-            raise DimensionMismatch("empty spanning set needs ambient_dim")
-        n = rows.shape[1] if ambient_dim is None else ambient_dim
-        return Subspace.from_vector_sets([rows], n)[0]
 
     @staticmethod
     def from_vector_sets(sets: Sequence[np.ndarray], ambient_dim: int) -> list["Subspace"]:
@@ -180,14 +160,6 @@ class Subspace:
         xs, ys = (_padded([pair[i].basis for pair in pairs]) for i in (0, 1))
         resid = xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs)
         return np.linalg.norm(resid, axis=(1, 2))
-
-    def contains_subspace(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
-        return other.containment_residual(self) < tol * max(1, self.ambient_dim)
-
-    def equals(self, other: "Subspace", tol: float = RANK_TOL) -> bool:
-        return (self.dim == other.dim
-                and self.contains_subspace(other, tol)
-                and other.contains_subspace(self, tol))
 
     @staticmethod
     def intersect_pairs(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> list["Subspace"]:
@@ -263,13 +235,24 @@ class Subspace:
             return sides[0] if sides else self
         return Subspace(orthonormal_columns(np.hstack([side.basis for side in sides])))
 
-    def annihilator(self) -> "Subspace":
-        """Functionals vanishing on self, as vectors in dual coordinates.
-
-        Complex-linear: f is in the result iff sum_i f_i v_i = 0 for all v
-        in self (no conjugation).
-        """
-        return Subspace(nullspace_columns(self.basis.T))
+    @staticmethod
+    def nested_frame(chain: Sequence["Subspace"], ambient_dim: int) -> np.ndarray:
+        """One orthonormal frame of a chain S_0 >= S_1 >= ... >= S_m, S_i the
+        span of its first dim S_i columns: S_m's basis, then for i = m-1
+        down to 0 the complement of S_{i+1} in S_i, the leading dim S_i -
+        dim S_{i+1} left singular vectors of S_i's basis less its projection
+        on S_{i+1}.  Its rank is known, so none is decided; all complements
+        are one batched SVD of zero-padded stacks (none if no dim drops)."""
+        if not chain:
+            return np.zeros((ambient_dim, 0), dtype=DTYPE)
+        pairs = list(zip(chain, chain[1:]))
+        blocks = [chain[-1].basis]
+        if any(lo.dim > hi.dim for lo, hi in pairs):
+            xs, ys = (_padded([pair[i].basis for pair in pairs]) for i in (0, 1))
+            u = np.linalg.svd(xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs),
+                              full_matrices=False)[0]
+            blocks += [ub[:, :lo.dim - hi.dim] for ub, (lo, hi) in zip(u[::-1], pairs[::-1])]
+        return np.hstack(blocks)
 
     def conjugate(self) -> "Subspace":
         return Subspace(self.basis.conj())

@@ -12,17 +12,15 @@ weight, W_k the span of those of weight <= k, so dim W_k is exact.  Rows
 given by jump are framed in one pass that also decides, exactly, that W
 is nested with a full top; constructions that know the frame hand it
 over, checked by integer comparisons on first use (`_frame_violations`).
-F is stored sparsely by jump: F^p is the value at the smallest jump >=
-p, 0 above the largest, and the value at the smallest jump must be the
-full space.  All W_k are column slices of one QR of the frame.
-Constructions whose F is a flag (H(z), the random Hodge--Tate
-generator, Tate structures) hand it over as one complex basis with a
-rank per jump (`HodgeFlag`), F^p the span of the first r_p columns.
-One values-only SVD decides that the basis has full rank, and then all
-F^p are column slices of one QR (`_flag_frame`), F's nesting is an
-integer check on the ranks, twists and conjugates carry the flag, and
-the dual's F is the flag of the reversed conjugate frame.  F given by
-jump, and a flag short of full rank, span every F^p in one batched SVD.
+All W_k are column slices of one QR of the frame.  F is sparse by jump:
+F^p is the value at the smallest jump >= p, 0 above the largest, and the
+value at the smallest jump must be the full space.  It is given as rows
+by jump, or as a flag (`HodgeFlag`, as H(z), the random Hodge--Tate
+generator and Tate structures give it), and decided once, like W, in
+`_hodge`: every F^p and F's verdict.  A valid F has one orthonormal
+frame Q, F^p its first dim F^p columns (`_hodge_frame`); every dual,
+twist and conjugate is a flag whose basis is its own frame (the reversed
+conj(Q), Q or conj(Q)), so its F^p are slices with no factorisation.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -62,11 +60,11 @@ by uniqueness the P_k are its Deligne pieces.
 
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
-parent through one call, `_inherit`, and no other way: its subspaces,
-W's verdict, its Deligne pieces (with the singular values and inverse of
-their basis when it is the parent's or its conjugate), and the parent
-with the map that carries its delta over, which `deligne` resolves and
-then releases the parent.  The child never evaluates the formula.  What
+parent through one call, `_inherit`, and no other way: its W subspaces
+(a twist's or conjugate's), W's verdict, F's frame, its Deligne pieces
+(with the singular values and inverse of their basis when it is the
+parent's or its conjugate), and the parent with the map that carries its
+delta over, which `deligne` resolves and then releases the parent.  The child never evaluates the formula.  What
 is still checked on the child: `validate` runs every containment,
 dimension and independence check on the child's own filtrations and
 pieces, and `deligne.delta_splitting` computes Y from the child's own
@@ -81,21 +79,27 @@ splitting) are memoized on the instance and die with it.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _rational
 from ._rational import RationalMatrix
-from .linalg import DTYPE, Subspace, nilpotent_exp, numerical_rank
+from .linalg import DTYPE, LinalgError, Subspace, nilpotent_exp, numerical_rank
 
 #: Tolerance for subspace residuals: F's nesting and the pieces' containment
 #: in validation, and the bigrading's smallest singular value.
 SUBSPACE_TOL = 1e-8
+
+#: Largest |a| of a Tate structure Q(a): (2 pi)^a is finite up to a = 386.
+MAX_TATE = int(math.log(sys.float_info.max) / math.log(2 * math.pi))
 
 
 class InvalidMHS(ValueError):
@@ -222,6 +226,12 @@ def _frame_violations(n: int, f: WeightFrame) -> tuple[Violation, ...]:
     return ()
 
 
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=DTYPE)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class HodgeFlag:
     """F as a flag: F^p, at jump jumps[i], is the span of the first
@@ -235,27 +245,16 @@ class HodgeFlag:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=DTYPE)
+        basis = np.asarray(self.basis, dtype=DTYPE)
         by_jump = dict(sorted((int(p), int(r)) for p, r in zip(self.jumps, self.ranks)))
         top = max(by_jump.values(), default=0)
         if not (basis.ndim == 2 and len(by_jump) == len(self.jumps) == len(self.ranks)
                 and min(by_jump.values(), default=0) >= 0 and top <= basis.shape[1]):
             raise ValueError("a Hodge flag needs a matrix basis and distinct jumps, each "
                              "with a rank between 0 and its number of columns")
-        basis = basis[:, :top]
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _readonly(basis[:, :top]))
         object.__setattr__(self, "jumps", tuple(by_jump))
         object.__setattr__(self, "ranks", tuple(by_jump.values()))
-
-
-def _freeze_hodge(filtration: Mapping[int, Sequence[Sequence[complex]]]) -> dict[int, np.ndarray]:
-    out = {}
-    for p, rows in filtration.items():
-        arr = np.array(rows, dtype=DTYPE)
-        arr.setflags(write=False)
-        out[int(p)] = arr
-    return dict(sorted(out.items()))
 
 
 def _float_row(row: Sequence[Fraction]) -> list[float]:
@@ -292,13 +291,11 @@ class MixedHodgeStructure:
                       else _adapted_frame(self.dimension, weight_filtration))
         object.__setattr__(self, "weight_frame", frame)
         flag = hodge_filtration if isinstance(hodge_filtration, HodgeFlag) else None
-        object.__setattr__(self, "hodge_filtration", _freeze_hodge(hodge_filtration)
-                           if flag is None else {p: flag.basis.T[:r]
-                                                 for p, r in zip(flag.jumps, flag.ranks)})
-        if comparison_matrix is not None:
-            comparison_matrix = np.array(comparison_matrix, dtype=DTYPE)
-            comparison_matrix.setflags(write=False)
-        object.__setattr__(self, "comparison_matrix", comparison_matrix)
+        object.__setattr__(self, "hodge_filtration", dict(sorted(
+            {int(p): _readonly(rows) for p, rows in hodge_filtration.items()}.items()))
+            if flag is None else {p: flag.basis.T[:r] for p, r in zip(flag.jumps, flag.ranks)})
+        object.__setattr__(self, "comparison_matrix", None if comparison_matrix is None
+                           else _readonly(comparison_matrix))
         object.__setattr__(self, "_memo", {} if bad is None else {"frame": bad})
         # (parent, map) of a derived structure until its delta is carried over
         object.__setattr__(self, "_carry", None)
@@ -363,43 +360,59 @@ class MixedHodgeStructure:
 
     def hodge_subspace(self, p: int) -> Subspace:
         """F^p as a Subspace, the one of the jump whose rows span it."""
-        return self._hodge_spans()[self._hodge_jump(p)]
+        spans, verdict = self._hodge()
+        if spans is None:
+            raise LinalgError(verdict[0].message)
+        return spans[self._hodge_jump(p)]
 
-    def _hodge_spans(self) -> dict:
-        """Every F^p by jump, memoized: a flag's first r_p columns of its
-        orthonormal frame, or the whole space when full; rows by jump (and a
-        flag that has no frame) from one batched SVD."""
+    def _hodge(self) -> tuple[dict | None, tuple[Violation, ...]]:
+        """F decided once, memoized like W's verdict: every F^p by jump (None
+        on bad data) and F's verdict, its first data violation or else its
+        nesting with a full bottom.  With a frame Q (memo "Q": carried by a
+        derived structure, or one QR of a flag's unit-norm basis that one
+        values-only SVD finds of full rank, so that by Cauchy interlacing
+        every prefix has the rank the batched SVD would find), F^p is the
+        span of Q's first r_p columns and F is nested when the ranks do not
+        grow with p.  F by jump, and a flag short of full rank, take one
+        batched SVD and one batched nesting residual."""
         def compute():
-            n, q = self.dimension, self._flag_frame()
-            spans = (Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
-                     if q is None else [Subspace.full(n) if r == n else Subspace(q[:, :r])
-                                        for r in self._flag.ranks])
-            return {None: Subspace.zero(n), **dict(zip(self._fjumps, spans))}
+            n, flag = self.dimension, self._flag
+            for arr in (self.hodge_filtration.values() if flag is None else (flag.basis.T,)):
+                if arr.size and (arr.ndim != 2 or arr.shape[1] != n):
+                    return None, (Violation("data", None, "Hodge vector of wrong length"),)
+                if arr.size and not np.all(np.isfinite(arr)):
+                    return None, (Violation("data", None, "non-finite Hodge entries"),)
+            if flag is not None and "Q" not in self._memo:
+                norms = np.linalg.norm(flag.basis, axis=0)
+                cols = flag.basis / np.where(norms > 0, norms, 1)
+                full = cols.size and numerical_rank(
+                    np.linalg.svd(cols, compute_uv=False)) == cols.shape[1]
+                self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
+            q = self._memo.get("Q")
+            if q is not None:
+                spans = [Subspace.full(n) if r == n else Subspace(q[:, :r]) for r in flag.ranks]
+                outside = [hi > lo for lo, hi in zip(flag.ranks, flag.ranks[1:])]
+            else:
+                spans = Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
+                outside = [not resid < SUBSPACE_TOL * max(1, n) for resid in
+                           Subspace.containment_residuals(list(zip(spans[1:], spans)))]
+            jumps = self._fjumps
+            bad = [Violation("hodge", hi, f"F^{hi} not contained in F^{lo}")
+                   for lo, hi, out in zip(jumps, jumps[1:], outside) if out]
+            if jumps and spans[0].dim != n:
+                bad.append(Violation("hodge", jumps[0], "bottom Hodge subspace is not full"))
+            return {None: Subspace.zero(n), **dict(zip(jumps, spans))}, tuple(bad)
         return self.memo("F", compute)
 
-    def _flag_frame(self) -> np.ndarray | None:
-        """The orthonormal frame of a handed-over flag, memoized: Q of one QR
-        of its basis scaled to unit norm, so F^p is the span of Q's first
-        r_p columns.  One values-only SVD decides the rank: when the basis
-        passes `numerical_rank` at full rank, so does every prefix of it
-        (Cauchy interlacing), so each r_p is the dim the batched SVD would
-        find.  None for rows by jump, and for a flag whose basis is not of
-        full rank, not finite or of the wrong length: those take the
-        batched path, and their report is its report."""
-        def compute():
-            if self._flag is None:
-                return None
-            cols = self._flag.basis
-            n, m = cols.shape
-            norms = np.linalg.norm(cols, axis=0)
-            if not (n == self.dimension and 0 < m <= n and np.all(np.isfinite(norms))
-                    and np.all(norms > 0)):
-                return None
-            cols = cols / norms
-            if numerical_rank(np.linalg.svd(cols, compute_uv=False)) < m:
-                return None
-            return np.linalg.qr(cols)[0]
-        return self.memo("flag", compute)
+    def _hodge_frame(self) -> np.ndarray:
+        """F's orthonormal frame Q, F^p the span of its first dim F^p
+        columns, for F nested with a full bottom: the one `_hodge` read its
+        F^p off, else built from them by `Subspace.nested_frame`."""
+        spans = self._hodge()[0]
+        if self._memo.get("Q") is None:
+            self._memo["Q"] = Subspace.nested_frame([spans[p] for p in self._fjumps],
+                                                    self.dimension)
+        return self._memo["Q"]
 
     # -- exact weight-graded data --------------------------------------
 
@@ -455,41 +468,12 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     if bad:
         return ValidationReport(tuple(bad))
 
-    # the frame's verdict on W, memoized: the data, or its nesting with a
-    # full top; a handed-over frame is checked here, once
-    verdict = h.memo("frame", lambda: _frame_violations(n, h.weight_frame))
-    if verdict[:1] and verdict[0].kind == "data":
-        return ValidationReport(verdict)
-    # a flag's rows by jump are leading rows of its basis: one check
-    flag = h._flag
-    for arr in (h.hodge_filtration.values() if flag is None else (flag.basis.T,)):
-        if arr.size and arr.shape[1] != n:
-            bad.append(Violation("data", None, "Hodge vector of wrong length"))
-            return ValidationReport(tuple(bad))
-        if arr.size and not np.all(np.isfinite(arr)):
-            bad.append(Violation("data", None, "non-finite Hodge entries"))
-            return ValidationReport(tuple(bad))
-
-    bad.extend(verdict)
-
-    # F decreasing, bottom = full space: a flag with a frame is nested
-    # exactly when its ranks do not grow with p; rows by jump are judged by
-    # one batched residual
-    pjumps = h.hodge_jumps
-    if h._flag_frame() is not None:
-        outside = [hi > lo for lo, hi in zip(flag.ranks, flag.ranks[1:])]
-    else:
-        outside = [not resid < SUBSPACE_TOL * max(1, n) for resid in
-                   Subspace.containment_residuals([(h.hodge_subspace(hi), h.hodge_subspace(lo))
-                                                   for lo, hi in zip(pjumps, pjumps[1:])])]
-    for lo, hi, out in zip(pjumps, pjumps[1:], outside):
-        if out:
-            bad.append(Violation("hodge", hi, f"F^{hi} not contained in F^{lo}"))
-    if h.hodge_subspace(pjumps[0]).dim != n:
-        bad.append(Violation("hodge", pjumps[0], "bottom Hodge subspace is not full"))
-
+    # W's verdict and F's, each memoized: the first data violation, W's
+    # nesting with a full top and F's with a full bottom; a handed-over
+    # frame is checked here, once
+    bad = [*h.memo("frame", lambda: _frame_violations(n, h.weight_frame)), *h._hodge()[1]]
     if bad:
-        return ValidationReport(tuple(bad))
+        return ValidationReport(tuple([v for v in bad if v.kind == "data"][:1] or bad))
 
     if "pieces" not in h._memo:
         candidates = _hodge_tate_candidates(h)
@@ -684,19 +668,25 @@ def require_valid(h: MixedHodgeStructure) -> None:
 def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
              pieces: dict, carried, carry_delta) -> MixedHodgeStructure:
     """child, derived from the valid h, with what it takes from h (whose
-    splitting fixes the child's): subspaces by jump (spans["F"], spans["W"]
-    if given) or the orthonormal frame of its Hodge flag (spans["flag"]),
-    W's verdict (its frame is h's, shifted or dual), pieces by
-    label with `Bigrading.carried` (or None), and (h, carry_delta) as
-    child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
-    and then releases h, so delta is solved once per root."""
-    child._memo.update(spans, frame=(), pieces=_assemble(child, pieces, carried))
+    splitting fixes the child's): W's subspaces by jump (spans["W"], if
+    given), W's verdict (its frame is h's, shifted or dual), F's frame (the
+    basis of the child's flag), pieces by label with `Bigrading.carried`
+    (or None), and (h, carry_delta) as child._carry: `deligne.delta_splitting`
+    takes carry_delta(h's delta) and then releases h, so delta is solved
+    once per root."""
+    child._memo.update(spans, Q=child._flag.basis, frame=(),
+                       pieces=_assemble(child, pieces, carried))
     object.__setattr__(child, "_carry", (h, carry_delta))
     return child
 
 
 def tate(a: int) -> MixedHodgeStructure:
-    """The rank-1 pure structure Q(a): weight -2a, Hodge jump -a, period (2 pi i)^a."""
+    """The rank-1 pure structure Q(a): weight -2a, Hodge jump -a, period (2 pi i)^a.
+    Raises ValueError unless a is an integer with |a| <= MAX_TATE, past
+    which the period or its inverse leaves float range."""
+    if not (isinstance(a, Integral) and abs(a) <= MAX_TATE):
+        raise ValueError(f"Q({a!r}) needs an integer a with |a| at most {MAX_TATE}, "
+                         "past which (2 pi i)^a leaves float range")
     return MixedHodgeStructure(
         1,
         coordinate_flag([1]).shifted(-2 * a),
@@ -710,29 +700,22 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
 
     W_k(dual) = Ann(W_{-k-1}) is framed by the exact dual basis of h's
     frame; F^q(dual) = Ann(F^{1-q}) is numeric, with jumps at q = -p for
-    each jump p of F.  For a flag with an orthonormal frame Q, Ann(F^p) is
-    spanned by the trailing n - r_p columns of conj(Q), since f . v = 0
+    each jump p of F.  With h's orthonormal frame Q, Ann(F^p) is spanned
+    by the trailing n - dim F^p columns of conj(Q), since f . v = 0
     exactly when conj(f) is orthogonal to v: reversed, conj(Q) is the
     dual's flag and its own frame.  Conventions make dual(Q(a)) = Q(-a).
     """
     require_valid(h)
-    n, q = h.dimension, h._flag_frame()
+    n, q = h.dimension, h._hodge_frame()
     jumps = [-p for p in reversed(h.hodge_jumps)]
-    if q is None:
-        ann = {j: h.hodge_subspace(1 - j).annihilator() for j in jumps}
-        child = MixedHodgeStructure(n, h.weight_frame.dual(),
-                                    {j: s.basis.T.copy() for j, s in ann.items()})
-        spans = {"F": {None: Subspace.zero(n), **ann}}
-    else:
-        child = MixedHodgeStructure(n, h.weight_frame.dual(), HodgeFlag(
-            q[:, ::-1].conj(), jumps, [n - h.hodge_subspace(1 - j).dim for j in jumps]))
-        spans = {"flag": child._flag.basis}
+    child = MixedHodgeStructure(n, h.weight_frame.dual(), HodgeFlag(
+        q[:, ::-1].conj(), jumps, [n - h.hodge_subspace(1 - j).dim for j in jumps]))
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     b = _pieces(h)
     pieces = Subspace.from_vector_sets(
         [b.inverse_basis[[lab == pq for lab in b.labels]] for pq in b.pieces], n)
-    return _inherit(h, child, spans, {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
+    return _inherit(h, child, {}, {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
                     lambda delta: -delta.T)
 
 
@@ -740,30 +723,32 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
     """h with every index moved by s (weights by 2s), F conjugated if
     conjugated: the twist H(-s) or the conjugate (s = 0).  I^{p,q} becomes
     I^{p+s,q+s}, conjugated with F under the same label (not (q, p)), so
-    the bigrading basis is h's or its conjugate (W is real), and a flag
-    stays a flag, with its frame.  delta(H) is real, so conj H has
-    -delta(H); only conj H keeps the comparison (conj)."""
+    the bigrading basis is h's or its conjugate (W is real), and F is the
+    flag of h's frame Q, or of conj(Q), and has it as its own frame.
+    delta(H) is real, so conj H has -delta(H); only conj H keeps the
+    comparison (conj)."""
     require_valid(h)
-    b, flag, q = _pieces(h), h._flag, h._flag_frame()
+    b, q, jumps = _pieces(h), h._hodge_frame(), h.hodge_jumps
     c = np.conj if conjugated else np.asarray
     move = Subspace.conjugate if conjugated else lambda x: x
     comparison = h.comparison_matrix if conjugated else None
-    hodge = ({p + s: c(arr) for p, arr in h.hodge_filtration.items()} if flag is None else
-             HodgeFlag(c(flag.basis), [p + s for p in flag.jumps], flag.ranks))
-    child = MixedHodgeStructure(h.dimension, h.weight_frame.shifted(2 * s), hodge,
-                                None if comparison is None else c(comparison))
-    spans = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
-             "F": {None if p is None else p + s: move(x) for p, x in h._hodge_spans().items()},
-             "flag": None if q is None else c(q)}
-    sign = -1 if conjugated else 1
+    child = MixedHodgeStructure(
+        h.dimension, h.weight_frame.shifted(2 * s),
+        HodgeFlag(c(q), [p + s for p in jumps], [h.hodge_subspace(p).dim for p in jumps]),
+        comparison if comparison is None else c(comparison))
+    spans = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()}}
     return _inherit(h, child, spans,
                     {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
-                    (b.singular_values, c(b.inverse_basis)), lambda delta: sign * delta)
+                    (b.singular_values, c(b.inverse_basis)),
+                    lambda delta: -delta if conjugated else delta)
 
 
 def twist(h: MixedHodgeStructure, p: int) -> MixedHodgeStructure:
-    """Tate twist H(p): W_k -> W_{k+2p}, F^q -> F^{q+p}, Betti basis unchanged."""
-    return _relabelled(h, -p, False)
+    """Tate twist H(p): W_k -> W_{k+2p}, F^q -> F^{q+p}, Betti basis unchanged.
+    Raises ValueError unless p is an integer."""
+    if not isinstance(p, Integral):
+        raise ValueError(f"a Tate twist needs an integer, not {p!r}")
+    return _relabelled(h, -int(p), False)
 
 
 def conjugate(h: MixedHodgeStructure) -> MixedHodgeStructure:

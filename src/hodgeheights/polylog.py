@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +47,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .framed import FramedMHS
 from .linalg import DTYPE, nilpotent_log
-from .mhs import HodgeFlag, MixedHodgeStructure, coordinate_flag
+from .mhs import MAX_TATE, HodgeFlag, MixedHodgeStructure, coordinate_flag
 
 TWO_PI_I = 2j * np.pi
 
@@ -61,8 +60,9 @@ PANEL_BUDGET = 10_000
 QUADRATURE_STEP = 0.25
 #: Agreement required between two transport resolutions.
 REFINE_TOL = 1e-11
-#: Largest N for the matrices of H(z): (2 pi)^N is finite up to N = 386.
-MAX_N = int(math.log(sys.float_info.max) / math.log(2 * math.pi))
+#: Largest N for the matrices of H(z): column N is the period (2 pi i)^N of
+#: Q(N), finite up to N = 386.
+MAX_N = MAX_TATE
 #: Distance from the singular points 0 and 1 below which a point is one.
 SINGULAR_RADIUS = 1e-12
 #: Distance from the real axis below which a point of a cut lies on it.
@@ -112,6 +112,8 @@ class PolylogContext:
         object.__setattr__(self, "path", tuple(complex(p) for p in self.path))
         if not all(cmath.isfinite(p) for p in (self.z, *self.path)):
             raise ValueError("evaluation point and path must be finite")
+        if isinstance(self.N, bool) or not isinstance(self.N, int):
+            raise ValueError(f"N must be an int, not {self.N!r}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         # z = 0 is allowed for bare Li evaluation (all Li_k(0) = 0); log z

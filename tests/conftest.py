@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,6 +14,20 @@ def polylog_ctx_factory():
     def make(z, n=6, **kwargs):
         return PolylogContext(z, N=n, **kwargs)
     return make
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list that grows at each call of owner.name by its first argument
+    (None for a call without one); a static method stays static."""
+    real, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+    monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
+    return calls
 
 
 def random_framing(h, rng, a_level=0, b_level=None):

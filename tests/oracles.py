@@ -31,6 +31,10 @@
   re-orthonormalised, cross-checking the principal-sine rule of
   `hodgeheights.linalg.Subspace.intersect_pairs`, and `intersect`, that
   rule's one-pair case.
+* Subspace helpers that only the tests use: the span of one set of
+  vectors (`from_vectors`), containment and equality as mutual
+  containment, never comparison of generators (`contains_subspace`,
+  `equals`), and the nullspace of a matrix (`nullspace_columns`).
 * The sequential transport: (log t, Li_1..Li_count) continued panel by
   panel, each Li_k the running value plus the Chebyshev primitive of its
   predecessor's integrand (the log powers integrated too), cross-checking
@@ -45,7 +49,7 @@ import numpy as np
 
 from hodgeheights._rational import rref
 from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpotent,
-                                 NotUnipotent, Subspace, nilpotent_exp, nullspace_columns,
+                                 NotUnipotent, Subspace, nilpotent_exp, numerical_rank,
                                  orthonormal_columns)
 from hodgeheights.mhs import Violation
 from hodgeheights.polylog import (_check_segment, _cheb_nodes, _panel_points,
@@ -131,10 +135,6 @@ def oracle_intersection_dim(rows_a, rows_b) -> int:
     return oracle_rank(rows_a) + oracle_rank(rows_b) - oracle_sum_dim(rows_a, rows_b)
 
 
-def oracle_annihilator_dim(rows, ambient: int) -> int:
-    return ambient - oracle_rank(rows)
-
-
 def oracle_member(vector, rows) -> bool:
     return oracle_rank(list(rows) + [list(vector)]) == oracle_rank(rows)
 
@@ -158,7 +158,7 @@ def _graded_model(h, k):
 def _induced_on_graded(h, sub, k, model):
     """Image of (sub cap W_k) in the graded model of Gr^W_k."""
     coords = model.T @ intersect(sub, h.weight_subspace(k)).basis
-    return Subspace.from_vectors(coords.T, ambient_dim=model.shape[1])
+    return from_vectors(coords.T, ambient_dim=model.shape[1])
 
 
 def graded_purity_violations(h):
@@ -437,6 +437,36 @@ def two_pass_log(mat):
         power = power @ nil
         out = out + ((-1) ** (k + 1)) * power / k
     return out
+
+
+def from_vectors(vectors, ambient_dim=None):
+    """The span of the given vectors (each of length ambient_dim)."""
+    rows = np.array(list(vectors), dtype=DTYPE)
+    if rows.size == 0 and ambient_dim is None:
+        raise DimensionMismatch("empty spanning set needs ambient_dim")
+    n = rows.shape[1] if ambient_dim is None else ambient_dim
+    return Subspace.from_vector_sets([rows], n)[0]
+
+
+def contains_subspace(outer, inner, tol=RANK_TOL):
+    """inner lies in outer, at tol times the ambient dimension."""
+    return inner.containment_residual(outer) < tol * max(1, outer.ambient_dim)
+
+
+def equals(a, b, tol=RANK_TOL):
+    """Equal dims and mutual containment."""
+    return a.dim == b.dim and contains_subspace(a, b, tol) and contains_subspace(b, a, tol)
+
+
+def nullspace_columns(mat):
+    """Orthonormal basis of {x : mat @ x = 0} at numerical rank."""
+    m, n = mat.shape
+    if n == 0:
+        return np.zeros((0, 0), dtype=DTYPE)
+    if m == 0:
+        return np.eye(n, dtype=DTYPE)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[numerical_rank(s):, :].conj().T
 
 
 def intersect(a, b):

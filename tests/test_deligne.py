@@ -15,8 +15,8 @@ from hodgeheights.mhs import (InvalidMHS, MixedHodgeStructure, conjugate, dual,
                               random_hodge_tate, random_hodge_tate_pair,
                               require_valid, tate, twist, validate)
 
-from conftest import random_framing
-from oracles import delta_fixed_point, dense_solve_delta, projectors
+from conftest import count_calls, random_framing
+from oracles import delta_fixed_point, dense_solve_delta, equals, from_vectors, projectors
 
 
 def weight_one_curve_like(tau=0.3 + 1.1j):
@@ -34,8 +34,8 @@ class TestBigrading:
         b = bigrading(h)
         assert set(b.pieces) == {(1, 0), (0, 1)}
         f1 = h.hodge_subspace(1)
-        assert b.pieces[(1, 0)].equals(f1)
-        assert b.pieces[(0, 1)].equals(f1.conjugate())
+        assert equals(b.pieces[(1, 0)], f1)
+        assert equals(b.pieces[(0, 1)], f1.conjugate())
 
     def test_split_hodge_tate_pieces_are_summands(self):
         h = random_hodge_tate([1, 2, 1], seed=1, scale=0.0)
@@ -77,13 +77,7 @@ class TestBigrading:
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
-        real_svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
         require_valid(h)
         deligne.bigrading(h)
         assert len(calls) <= 3
@@ -103,18 +97,8 @@ class TestBigrading:
         # QR; with an SVD per jump of F and of W they were 13 and 8, and
         # the formula's recursion made 16 and 10.
         h = make()
-        real_svd, real_qr, calls, qrs = np.linalg.svd, np.linalg.qr, [], []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real_svd(*args, **kwargs)
-
-        def counting_qr(*args, **kwargs):
-            qrs.append(1)
-            return real_qr(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        qrs = count_calls(monkeypatch, np.linalg, "qr")
         require_valid(h)
         deligne.bigrading(h)
         assert len(calls) <= bound
@@ -131,7 +115,7 @@ class TestBigrading:
         b0 = bigrading(h)
         b1 = bigrading(twist(h, 2))
         for (p, q), piece in b0.pieces.items():
-            assert piece.equals(b1.pieces[(p - 2, q - 2)])
+            assert equals(piece, b1.pieces[(p - 2, q - 2)])
 
     def test_conjugate_pieces_are_conjugated(self):
         # I^{p,q}(conj H) = conj I^{p,q}(H) with the same label; relabelling
@@ -141,7 +125,7 @@ class TestBigrading:
             bc = bigrading(conjugate(h))
             assert bc.piece_dims() == bh.piece_dims()
             for pq, piece in bh.pieces.items():
-                assert bc.pieces[pq].equals(piece.conjugate())
+                assert equals(bc.pieces[pq], piece.conjugate())
 
 
 def check_bigrading_axioms(h, tol=1e-8):
@@ -153,7 +137,7 @@ def check_bigrading_axioms(h, tol=1e-8):
     # axiom 1: F^p is the span of pieces with first index >= p
     for p in h.hodge_jumps:
         blocks = [s.basis for (pp, q), s in b.pieces.items() if pp >= p]
-        got = (Subspace.from_vectors(np.hstack(blocks).T, ambient_dim=n)
+        got = (from_vectors(np.hstack(blocks).T, ambient_dim=n)
                if blocks else Subspace.zero(n))
         f = h.hodge_subspace(p)
         assert got.dim == f.dim
@@ -162,7 +146,7 @@ def check_bigrading_axioms(h, tol=1e-8):
     # axiom 2: W_k is the span of pieces with total weight <= k
     for k in h.weight_jumps:
         blocks = [s.basis for (p, q), s in b.pieces.items() if p + q <= k]
-        got = (Subspace.from_vectors(np.hstack(blocks).T, ambient_dim=n)
+        got = (from_vectors(np.hstack(blocks).T, ambient_dim=n)
                if blocks else Subspace.zero(n))
         w = h.weight_subspace(k)
         assert got.dim == w.dim
@@ -171,7 +155,7 @@ def check_bigrading_axioms(h, tol=1e-8):
     for (p, q), piece in b.pieces.items():
         allowed = [s.basis for (pp, qq), s in b.pieces.items()
                    if (pp, qq) == (q, p) or (pp < q and qq < p)]
-        target = (Subspace.from_vectors(np.hstack(allowed).T, ambient_dim=n)
+        target = (from_vectors(np.hstack(allowed).T, ambient_dim=n)
                   if allowed else Subspace.zero(n))
         assert piece.conjugate().containment_residual(target) < tol
 
@@ -543,7 +527,7 @@ class TestDerivedStructures:
         assert b.labels == bf.labels
         assert b.piece_dims() == bf.piece_dims()
         for pq, piece in b.pieces.items():
-            assert piece.equals(bf.pieces[pq], deligne.SUBSPACE_TOL)
+            assert equals(piece, bf.pieces[pq], deligne.SUBSPACE_TOL)
         assert np.linalg.norm(delta_splitting(child).delta
                               - delta_splitting(fresh).delta) < 1e-9
         if framing is not None:
@@ -686,13 +670,7 @@ class TestInheritedDelta:
         # conjugate), which the child's independence check and Y read
         h = random_hodge_tate([1, 2, 1], seed=3)
         delta_splitting(h)
-        real_svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
         child = derive(h)
         require_valid(child)
         delta_splitting(child)

@@ -16,7 +16,7 @@ from hodgeheights.linalg import Subspace, nilpotent_exp
 from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
 
-from conftest import random_framing
+from conftest import count_calls, random_framing
 
 
 def unit(i, n):
@@ -100,14 +100,6 @@ class TestFrameElements:
             height1(fh)
 
 
-def _recording(seen, fn):
-    """fn, appending its first argument to `seen` on every call."""
-    def wrapper(first, *args, **kwargs):
-        seen.append(first)
-        return fn(first, *args, **kwargs)
-    return wrapper
-
-
 class TestEachFactOnce:
     """Frame elements and heights validate and bigrade their structure once,
     check and lift each framing once, and build no other structure (in
@@ -115,15 +107,12 @@ class TestEachFactOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"validate": [], "candidates": [], "formula": [], "bigrading": [],
-                "check": []}
-        for name, module, attr in (("validate", mhs_mod, "validate"),
-                                   ("candidates", mhs_mod, "_hodge_tate_candidates"),
-                                   ("formula", mhs_mod, "_deligne_formula_pieces"),
-                                   ("bigrading", deligne, "_compute_bigrading"),
-                                   ("check", FramedMHS, "check")):
-            monkeypatch.setattr(module, attr, _recording(seen[name], getattr(module, attr)))
-        return seen
+        return {name: count_calls(monkeypatch, owner, attr)
+                for name, owner, attr in (("validate", mhs_mod, "validate"),
+                                          ("candidates", mhs_mod, "_hodge_tate_candidates"),
+                                          ("formula", mhs_mod, "_deligne_formula_pieces"),
+                                          ("bigrading", deligne, "_compute_bigrading"),
+                                          ("check", FramedMHS, "check"))}
 
     @staticmethod
     def all_heights(fh):
@@ -186,14 +175,11 @@ class TestEachFactOnce:
         from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
         h = polylog_mhs(ctx)
-        calls = {"rref": [], "float": [], "svd": [], "qr": [], "sets": []}
-        monkeypatch.setattr(_rational, "rref", _recording(calls["rref"], _rational.rref))
-        monkeypatch.setattr(Fraction, "__float__",
-                            _recording(calls["float"], Fraction.__float__))
-        monkeypatch.setattr(np.linalg, "svd", _recording(calls["svd"], np.linalg.svd))
-        monkeypatch.setattr(np.linalg, "qr", _recording(calls["qr"], np.linalg.qr))
-        monkeypatch.setattr(Subspace, "from_vector_sets", staticmethod(
-            _recording(calls["sets"], Subspace.from_vector_sets)))
+        calls = {name: count_calls(monkeypatch, owner, attr)
+                 for name, owner, attr in (("rref", _rational, "rref"),
+                                           ("float", Fraction, "__float__"),
+                                           ("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),
+                                           ("sets", Subspace, "from_vector_sets"))}
         deligne.delta_splitting(h)
         assert calls["rref"] == [] and calls["float"] == [] and calls["sets"] == []
         assert (len(calls["svd"]), len(calls["qr"])) == (3, 2)
@@ -212,8 +198,7 @@ class TestEachFactOnce:
         framings = [FramedMHS(h, -a, -b, unit(a, 5), unit(b, 5))
                     for a, b in ((0, 4), (0, 2), (1, 3), (2, 3))]
         deligne.bigrading(h)
-        floats = []
-        monkeypatch.setattr(Fraction, "__float__", _recording(floats, Fraction.__float__))
+        floats = count_calls(monkeypatch, Fraction, "__float__")
         for fh in framings * 2:
             frame_elements(fh)
         assert len(floats) == 4 * 2 * 5
@@ -225,9 +210,8 @@ class TestEachFactOnce:
         from hodgeheights.polylog import polylog_framed
         ctx = polylog_ctx_factory(0.37 - 0.41j, 6)
         deligne.delta_splitting(polylog_framed(ctx, 0, 1).mhs)
-        made, floats = [], []
-        monkeypatch.setattr(Fraction, "__new__", _recording(made, Fraction.__new__))
-        monkeypatch.setattr(Fraction, "__float__", _recording(floats, Fraction.__float__))
+        made = count_calls(monkeypatch, Fraction, "__new__")
+        floats = count_calls(monkeypatch, Fraction, "__float__")
         for a, b in ((0, 6), (0, 2), (1, 3), (2, 3)):
             fh = polylog_framed(ctx, a, b)
             assert all(type(x) is int for x in fh.phi_class + fh.psi_class)

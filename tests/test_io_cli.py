@@ -818,8 +818,9 @@ class TestTypedFailurePaths:
 
     @pytest.mark.parametrize("weight, hodge, message", [
         ({0: [[1, 0], [0, 1]]}, {0: [[1, 0, 0], [0, 1, 0]]}, "Hodge vector of wrong length"),
+        ({0: [[1, 0], [0, 1]]}, {0: [1, 0]}, "Hodge vector of wrong length"),
         ({0: [[1, 0, 0], [0, 1, 0]]}, {0: np.eye(2)}, "weight vector of wrong length"),
-    ], ids=["hodge", "weight"])
+    ], ids=["hodge", "hodge-not-rows", "weight"])
     def test_rows_of_the_wrong_length(self, weight, hodge, message):
         # a document's rows are checked against its dimension when parsed,
         # so only a library caller reaches these

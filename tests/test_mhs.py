@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
-from hodgeheights.linalg import Subspace, nilpotent_exp
+from hodgeheights.linalg import nilpotent_exp
 from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
                               conjugate, coordinate_flag, dual, random_hodge_tate,
                               random_hodge_tate_pair, tate, twist, validate)
 
-from conftest import random_framing
-from oracles import graded_purity_violations, graded_rational_basis, nullspace, weight_rows
+from conftest import count_calls, random_framing
+from oracles import (equals, from_vectors, graded_purity_violations, graded_rational_basis,
+                     nullspace, weight_rows)
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
@@ -45,6 +46,30 @@ def test_twist_of_tate():
         t = twist(tate(0), a)
         assert t.weight_jumps == [-2 * a]
         assert t.hodge_jumps == [-a]
+
+
+def test_tate_past_float_range_raises():
+    # (2 pi)^a is finite up to a = 386, so Q(a) is made up to |a| = 386, and
+    # only for an integer a
+    assert mhs_mod.MAX_TATE == 386
+    for a in (386, -386):
+        assert validate(tate(a)).ok
+    for a in (387, 400, -400, 1.5):
+        with pytest.raises(ValueError, match="at most 386"):
+            tate(a)
+
+
+def test_twist_needs_an_integer():
+    # a twist by a non-integer has no Hodge jumps to move to: it is rejected
+    # before validation, which never raises
+    h = tate(0)
+    for p in (1.5, 0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            twist(h, p)
+    assert twist(h, np.int64(2)).hodge_jumps == [-2]
+    fh = polylog.polylog_framed(polylog.PolylogContext(0.3 + 0.2j, 3), 0, 2)
+    with pytest.raises(ValueError, match="integer"):
+        framed.twist_framed(fh, 0.5)
 
 
 def test_purity_violation_detected():
@@ -101,14 +126,14 @@ def test_conjugate_involution_and_validity():
     assert validate(hc).ok
     back = conjugate(hc)
     for p in h.hodge_jumps:
-        assert h.hodge_subspace(p).equals(back.hodge_subspace(p))
+        assert equals(h.hodge_subspace(p), back.hodge_subspace(p))
 
 
 def test_conjugate_fixes_r_split():
     _, _, h = random_hodge_tate_pair([1, 1], seed=3, real=True)
     hc = conjugate(h)
     for p in h.hodge_jumps:
-        assert h.hodge_subspace(p).equals(hc.hodge_subspace(p))
+        assert equals(h.hodge_subspace(p), hc.hodge_subspace(p))
 
 
 def test_dual_twist_commutation():
@@ -125,18 +150,6 @@ def test_dual_and_conjugate_of_valid_are_valid():
         assert validate(dual(h)).ok
         assert validate(conjugate(h)).ok
         assert validate(twist(h, 2)).ok
-
-
-def count_calls(monkeypatch, module, name):
-    """The list that grows by one at each call of module.name."""
-    real, calls = getattr(module, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 def test_subspaces_are_memoized_by_jump(polylog_ctx_factory):
@@ -161,12 +174,12 @@ def test_seeded_subspaces_span_the_childs_own_rows(derive):
               odd_weight_gap_structure()):
         child = derive(h)
         for q in child.hodge_jumps:
-            own = Subspace.from_vectors(child.hodge_filtration[q], ambient_dim=child.dimension)
-            assert child.hodge_subspace(q).equals(own)
+            own = from_vectors(child.hodge_filtration[q], ambient_dim=child.dimension)
+            assert equals(child.hodge_subspace(q), own)
         for k in child.weight_jumps:
             rows = [[float(x) for x in row] for row in child.weight_filtration[k]]
-            own = Subspace.from_vectors(rows, ambient_dim=child.dimension)
-            assert child.weight_subspace(k).equals(own)
+            own = from_vectors(rows, ambient_dim=child.dimension)
+            assert equals(child.weight_subspace(k), own)
             assert child.weight_rank(k) == len(_rational.rref(child.weight_filtration[k])[0])
 
 
@@ -184,9 +197,9 @@ def test_twist_and_conjugate_inherit_the_weight_verdict(derive, monkeypatch):
 
 
 def test_dual_keeps_its_annihilators(monkeypatch):
-    # F^q of the dual is the annihilator dual() forms (for a flag, the
-    # leading columns of the reversed conjugate frame), or the full space:
-    # no second orthonormalisation of the same rows
+    # F^q of the dual is the annihilator dual() forms, the leading columns
+    # of the reversed conjugate frame, or the full space: no second
+    # orthonormalisation of the same rows
     h = random_hodge_tate([2, 1, 2], seed=8)
     mhs_mod.require_valid(h)
     d = dual(h)
@@ -199,26 +212,54 @@ def test_dual_keeps_its_annihilators(monkeypatch):
 def test_dual_pieces_are_one_batch(monkeypatch):
     # the dual's pieces are the parent's inverse basis rows, spanned in one
     # batched SVD, and with its independence check that is two SVDs (and
-    # the QR of its frame).  The parent's F is a flag, so the dual's F is
-    # the reversed conjugate of the parent's flag frame: no annihilator SVD
-    h = random_hodge_tate([1, 2, 1, 1], seed=6)
-    mhs_mod.require_valid(h)
-    svds = count_calls(monkeypatch, np.linalg, "svd")
-    qrs = count_calls(monkeypatch, np.linalg, "qr")
-    annihilators = count_calls(monkeypatch, Subspace, "annihilator")
-    d = dual(h)
-    deligne.delta_splitting(d)
-    assert (len(svds), len(qrs)) == (2, 1)
-    assert annihilators == []
+    # the QR of its W frame).  A parent whose F is a flag of full rank has
+    # its frame already; one whose F is given by jump (the formula
+    # fixtures) builds it from its spans in one batched SVD of known ranks,
+    # a third (an SVD per annihilator made four)
+    for h, svd_count in ((random_hodge_tate([1, 2, 1, 1], seed=6), 2),
+                         (curve_weight_gap_structure(), 3), (odd_weight_gap_structure(), 3)):
+        mhs_mod.require_valid(h)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        qrs = count_calls(monkeypatch, np.linalg, "qr")
+        d = dual(h)
+        deligne.delta_splitting(d)
+        assert (len(svds), len(qrs)) == (svd_count, 1)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("derive", [dual, lambda h: twist(h, 2), conjugate,
+                                    lambda h: dual(conjugate(h))],
+                         ids=["dual", "twist", "conjugate", "conjugate-dual"])
+def test_children_carry_their_frame(derive, monkeypatch):
+    # every child is a Hodge flag whose basis is its own orthonormal frame,
+    # whether its parent's F is a flag or rows by jump, so its F^p are
+    # slices of that frame: no SVD and no QR
+    ht = random_hodge_tate([1, 2, 1, 1], seed=6)
+    for h in (ht, _as_rows(ht), curve_weight_gap_structure(), odd_weight_gap_structure(),
+              polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6)), tate(2)):
+        child = derive(h)
+        assert child._flag is not None and child._memo["Q"] is child._flag.basis
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        qrs = count_calls(monkeypatch, np.linalg, "qr")
+        spaces = [child.hodge_subspace(q) for q in child.hodge_jumps]
+        assert svds == [] and qrs == []
+        monkeypatch.undo()
+        q = child._flag.basis
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(h.dimension), atol=1e-12)
+        assert [s.dim for s in spaces] == list(child._flag.ranks)
+        assert validate(child).ok
 
 
 def test_dual_of_a_flag_annihilates_its_f():
     # F^q of the dual is Ann(F^{1-q}): the reversed conjugate of the
-    # parent's flag frame, itself a flag with its own frame
+    # parent's frame, a flag with its own frame, for a parent whose F is a
+    # flag or given by jump (its frame built from its spans)
     for h in (random_hodge_tate([1, 2, 1, 1], seed=6), tate(2),
-              polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6))):
+              polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6)),
+              curve_weight_gap_structure(), odd_weight_gap_structure(),
+              _as_rows(random_hodge_tate([2, 1, 2], seed=8))):
         d = dual(h)
-        assert d._flag is not None and d._flag_frame() is d._flag.basis
+        assert d._flag is not None and d._memo["Q"] is d._flag.basis
         for q in d.hodge_jumps:
             ann, f = d.hodge_subspace(q), h.hodge_subspace(1 - q)
             assert ann.dim + f.dim == h.dimension
@@ -341,7 +382,7 @@ def test_degenerate_flag_takes_the_batched_path(kind):
     # a basis short of full rank has no frame, so its report is the batched
     # SVD's, word for word
     h = _degenerate_flag(kind)
-    assert h._flag_frame() is None and not validate(h).ok
+    assert not validate(h).ok and h._memo["Q"] is None
     assert_flag_matches_rows(h)
 
 
@@ -439,7 +480,7 @@ def test_generator_lambda_zero_gives_split():
     split, lam, twisted = random_hodge_tate_pair([1, 1], seed=0, scale=0.0)
     assert np.linalg.norm(lam) == 0.0
     for p in split.hodge_jumps:
-        assert split.hodge_subspace(p).equals(twisted.hodge_subspace(p))
+        assert equals(split.hodge_subspace(p), twisted.hodge_subspace(p))
 
 
 def test_generator_moves_bigrading_by_exp_lambda():
@@ -450,7 +491,7 @@ def test_generator_moves_bigrading_by_exp_lambda():
     g = nilpotent_exp(lam)
     assert set(bs.pieces) == set(bt.pieces)
     for pq, piece in bs.pieces.items():
-        assert piece.apply(g).equals(bt.pieces[pq], 1e-8)
+        assert equals(piece.apply(g), bt.pieces[pq], 1e-8)
 
 
 def test_pieces_outside_the_filtrations_are_rejected():
@@ -473,8 +514,8 @@ def test_pieces_outside_the_filtrations_are_rejected():
 def _spanned_weight_subspace(h, k):
     """W_k as the span of its float rows, even where it is the whole space."""
     rows = [[float(x) for x in row] for row in weight_rows(h, k)]
-    return Subspace.from_vectors(np.array(rows, dtype=complex).reshape(len(rows), h.dimension),
-                                 ambient_dim=h.dimension)
+    return from_vectors(np.array(rows, dtype=complex).reshape(len(rows), h.dimension),
+                        ambient_dim=h.dimension)
 
 
 def _parent_pieces_twist():

@@ -108,6 +108,14 @@ class TestLi:
             PolylogContext(z, N=2, path=path)
         assert not isinstance(err.value, PathThroughSingularity)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.int64(3), "3"],
+                             ids=["float", "integral-float", "bool", "numpy-int", "str"])
+    def test_truncation_must_be_an_int(self, n):
+        # N slices the matrices, so a float fails late and True passes as 1;
+        # both are rejected when the context is made
+        with pytest.raises(ValueError, match="N must be an int"):
+            PolylogContext(0.3 + 0.2j, N=n)
+
     def test_series_cutoff_raises(self):
         with pytest.raises(NonConvergent):
             polylog._series_values(0.499, 1, terms=10)
