@@ -101,7 +101,8 @@ class Subspace:
         norm (zero stays zero), which keeps every span, so small generators
         (columns of A(z)^{-1} for H(z) scale like (2 pi)^{-k}) keep their
         rank.  Each rank is `numerical_rank` of the set's own singular
-        values.  An empty set spans zero.
+        values; an empty set spans zero.  Sets of one vector each make no
+        SVD: a scaled vector is its own basis, singular value 1 (0 if zero).
         """
         sets = [np.asarray(rows, dtype=DTYPE) for rows in sets]
         for rows in sets:
@@ -115,7 +116,8 @@ class Subspace:
             stack = _padded([sets[i].T for i in full])
             norms = np.linalg.norm(stack, axis=1, keepdims=True)
             stack /= np.where(norms == 0.0, 1.0, norms)
-            u, s, _ = np.linalg.svd(stack, full_matrices=False)
+            u, s = ((stack, (norms[:, 0] > 0.0) * 1.0) if stack.shape[2] == 1
+                    else np.linalg.svd(stack, full_matrices=False)[:2])
             for i, ub, sb in zip(full, u, s):
                 rank = numerical_rank(sb[:min(sets[i].shape)])
                 spans[i] = Subspace(ub[:, :rank])

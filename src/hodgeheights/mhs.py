@@ -46,17 +46,19 @@ more batch.
 
 A Hodge--Tate structure, every piece of type (p, p), has as its pieces
 the standard splitting of a mixed Tate structure by its Hodge filtration
-(Deligne 1989): P_k = F^{k/2} cap W_k for every weight k, all even.
-`_hodge_tate_candidates` computes them in one batched intersection and
-checks nothing; `validate` certifies them, and only if they fail do the
-formula's pieces decide validity and write the report.  Certified
-candidates are Deligne's pieces: (iii) each P_k has dim Gr^W_k, (ii) dim
-F^p is the total dim of the P_k with k >= 2p, for every p, and (i) they
-are a direct sum.  Then the sum of the P_j, j <= k, is direct, lies in
-W_k and has its dimension, so it is W_k; so P_k maps onto Gr^W_k and F^p
-is the sum of the P_k with k >= 2p.  Together these give F^{k/2} Gr^W_k
-= Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and
-by uniqueness the P_k are its Deligne pieces.
+(Deligne 1989), P_k = F^{k/2} cap W_k for every weight k, all even.  A
+flag hands them over: its block of jump p, the columns between the ranks
+of consecutive jumps, is the candidate P_{2p} (`_hodge_tate_candidates`;
+column k of A(z)^{-1} for H(z)).  `validate` certifies them; if they
+fail, or F is given by jump, the formula's pieces decide validity and
+write the report.  Certified candidates are Deligne's pieces: each P_k
+lies in F^{k/2} and W_k, (iii) has dim Gr^W_k, (ii) dim F^p is the total
+dim of the P_k with k >= 2p, for every p, and (i) they are a direct sum.
+Then the sum of the P_j with j <= k is direct, lies in W_k and has its
+dimension, so it is W_k; so P_k maps onto Gr^W_k and F^p is the sum of
+the P_k with k >= 2p.  Together these give F^{k/2} Gr^W_k = Gr^W_k and
+F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and by uniqueness
+the P_k are its Deligne pieces.
 
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
@@ -215,6 +217,8 @@ def _frame_violations(n: int, f: WeightFrame) -> tuple[Violation, ...]:
         return data("weight vector of wrong length")
     if not len(rows) == len(weights) == len(piv) <= n:
         return data("weight frame needs one weight and pivot per row, and at most n rows")
+    if not all(isinstance(k, Integral) for k in (*jumps, *weights, *piv)):
+        return data("weight frame weights, jumps or pivots not integers")
     if (list(jumps) != sorted(set(jumps)) or list(weights) != sorted(weights)
             or not set(weights) <= set(jumps)):
         return data("weight frame weights not ascending among its jumps")
@@ -450,11 +454,10 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
     on h for its bigrading.  This is the one place the MHS criteria are
     written (`_purity_violations`).  A derived structure's pieces are
-    carried over from its parent, and they decide.  Otherwise a
-    Hodge--Tate h's candidates F^{k/2} cap W_k come first: passing the
-    criteria certifies them as the Deligne pieces of a valid structure
-    (module docstring).  If there are no candidates, or they fail, the
-    pieces of Deligne's formula decide and write the report.
+    carried over from its parent, and they decide.  Otherwise a flag's
+    column blocks, its Hodge--Tate candidates, come first: passing the
+    criteria certifies them as Deligne's pieces (module docstring).  If
+    there are none, or they fail, the formula's pieces decide and report.
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -595,16 +598,15 @@ def _pieces(h: MixedHodgeStructure) -> Bigrading:
 
 
 def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
-    """F^{k/2} cap W_k for every weight k present, in one batch, when every
-    such k is even; otherwise None.  Nothing is checked here: they are
-    Deligne's pieces once `validate` certifies them (module docstring).
-    """
-    weights = h.weights_present()
-    if any(k % 2 for k in weights):
+    """The column blocks of h's flag between the ranks of consecutive jumps,
+    the block of jump p labelled (p, p), spanned in one batch; None for F
+    by jump.  Nothing is checked here (module docstring)."""
+    flag = h._flag
+    if flag is None:
         return None
-    cuts = Subspace.intersect_pairs(
-        [(h.hodge_subspace(k // 2), h.weight_subspace(k)) for k in weights])
-    return _assemble(h, {(k // 2, k // 2): c for k, c in zip(weights, cuts)})
+    cuts = list(zip(flag.ranks, (*flag.ranks[1:], 0)))
+    spans = Subspace.from_vector_sets([flag.basis[:, lo:hi].T for hi, lo in cuts], h.dimension)
+    return _assemble(h, {(p, p): x for p, x in zip(flag.jumps, spans) if x.dim})
 
 
 def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:

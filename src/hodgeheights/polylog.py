@@ -25,9 +25,9 @@ The polylogarithm mixed Hodge structure H(z) of rank N+1 is assembled in
 Betti coordinates from the period matrix A(z) = L(z) tau(2 pi i): the
 weight filtration is the standard flag spanned by e_k..e_N in weight
 -2k, and the Hodge filtration F^{-k} is spanned by the first k+1 columns
-of A(z)^{-1} (the de Rham flag pulled back through the comparison map).
-Its splitting and both heights admit closed forms used as end-to-end
-oracles for the generic pipeline.
+of A(z)^{-1} (the de Rham flag pulled back through the comparison map),
+exactly lower triangular, so column k lies in W_{-2k} and spans
+I^{-k,-k}.  Its splitting and heights have closed forms used as oracles.
 
 H(z), its matrices and the branch data (log z, Li_1..Li_N) are memoized
 on the context that defines them, so they are computed once per context
@@ -202,8 +202,11 @@ def _cheb_nodes(order: int):
     parts in one real product.
     """
     x = -np.cos(np.pi * np.arange(order + 1) / order)
+    # v^{-1} by the discrete orthogonality of T_k at the Lobatto nodes:
+    # (2/order) h v^T h, h halving the end nodes and the end degrees
+    v, h = cheb.chebvander(x, order), np.where(np.arange(order + 1) % order, 1.0, 0.5)
     Q = (cheb.chebvander(x, order + 1) @ cheb.chebint(np.eye(order + 1), axis=0)
-         @ np.linalg.inv(cheb.chebvander(x, order)))
+         @ (2.0 / order * h[:, None] * v.T * h))
     return x, Q - Q[0]
 
 
@@ -234,6 +237,7 @@ def _transport_once(points: tuple[complex, ...], li: list[complex],
     lo, hi = np.array(los, dtype=DTYPE), np.array(his, dtype=DTYPE)
     half = (hi - lo) / 2
     t = (lo + hi) / 2 + half * x[:, None]    # column p holds panel p's nodes
+    t[0], t[-1] = lo, hi                     # exact ends: 1 - t is exact near 1
     w = half / t                             # dt / t = w dx on each panel
     ratio = (1.0 - t) / (1.0 - lo)
     # -log(ratio) from its modulus and angle: numpy's complex log is
@@ -409,18 +413,18 @@ def tau(value: complex, size: int) -> np.ndarray:
 
 def shift_matrix(size: int) -> np.ndarray:
     """e_0: the subdiagonal shift with zero first column."""
-    e0 = np.zeros((size, size), dtype=DTYPE)
-    for k in range(2, size):
-        e0[k, k - 1] = 1.0
+    e0 = np.eye(size, k=-1, dtype=DTYPE)
+    e0[:, 0] = 0.0
     return e0
 
 
 @dataclass(frozen=True)
 class PolylogMatrices:
-    """L(z), A(z) = L tau(2 pi i), B = A conj(A)^{-1} tau(-1), e_0 and ell."""
+    """L(z), A(z) = L tau(2 pi i), A^{-1}, B = A conj(A)^{-1} tau(-1), e_0, ell."""
 
     L: np.ndarray
     A: np.ndarray
+    A_inv: np.ndarray
     B: np.ndarray
     e0: np.ndarray
     ell: np.ndarray
@@ -428,55 +432,47 @@ class PolylogMatrices:
 
 def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
     """The matrices of H(z), built once per context; the arrays are read-only.
-    Raises TruncationOutOfRange past N = MAX_N before any other work."""
+    Raises TruncationOutOfRange past N = MAX_N before any other work.
+    L = [1, 0; ell, 1] e^{lg e_0}, lg = log z, has the exact inverse
+    e^{-lg e_0} [1, 0; -ell, 1], with exact zeros above the diagonal, so
+    A^{-1} = tau(2 pi i)^{-1} L^{-1} and B = L tau(-1) conj(L^{-1}) tau(-1)."""
     def compute():
         if ctx.N > MAX_N:
             raise TruncationOutOfRange(
                 f"N = {ctx.N} exceeds {MAX_N}: column N of A(z) is (2 pi i)^N, "
                 f"beyond float range")
         _require_log_branch(ctx)
-        n = ctx.N + 1
         lg, vals = branch_data(ctx, ctx.N)
-        powers = _powers_over_factorials(lg, n - 1)
-        L = np.eye(n, dtype=DTYPE)
-        for i in range(1, n):
-            L[i, 0] = -vals[i - 1]
-            L[i, 1:i + 1] = powers[i - 1::-1]
-        A = L @ tau(TWO_PI_I, n)
-        B = A @ np.linalg.inv(A.conj()) @ tau(-1.0, n)
-        mats = PolylogMatrices(L, A, B, shift_matrix(n),
-                               np.array([-v for v in vals], dtype=DTYPE))
+        n, ell = ctx.N + 1, -np.array(vals, dtype=DTYPE)
+        j, signs = np.arange(n), (-1.0) ** np.arange(n)     # signs: tau(-1)
+        L, L_inv = np.eye(n, dtype=DTYPE), np.eye(n, dtype=DTYPE)
+        for mat, x in ((L, lg), (L_inv, -lg)):    # Toeplitz blocks of x^(i-j)/(i-j)!
+            powers = _powers_over_factorials(x, n - 1)
+            for i in range(1, n):
+                mat[i, 1:i + 1] = powers[i - 1::-1]
+        L[1:, 0], L_inv[1:, 0] = ell, -(L_inv[1:, 1:] @ ell)
+        # (2 pi i)^-j as (-i)^j (2 pi)^-j, exact in the power of i
+        scale = np.array([1, -1j, -1, 1j])[j % 4] * (2.0 * np.pi) ** -j.astype(float)
+        mats = PolylogMatrices(L, L @ tau(TWO_PI_I, n), scale[:, None] * L_inv,
+                               (L * signs) @ (L_inv.conj() * signs), shift_matrix(n), ell)
         for arr in vars(mats).values():
             arr.setflags(write=False)
         return mats
     return ctx.memo("matrices", compute)
 
 
-def _inverse_comparison(ctx: PolylogContext) -> np.ndarray:
-    """A(z)^{-1}, inverted once per context when first needed; read-only."""
-    def compute():
-        a_inv = np.linalg.inv(build_matrices(ctx).A)
-        a_inv.setflags(write=False)
-        return a_inv
-    return ctx.memo("inverse comparison", compute)
-
-
 def polylog_mhs(ctx: PolylogContext) -> MixedHodgeStructure:
     """The rank N+1 Hodge--Tate structure H(z) in Betti coordinates, built
-    once per context.
-
-    W_{-2k} is spanned by the standard vectors e_k..e_N, handed over as
-    its frame (`mhs.coordinate_flag`); F^{-k} by the first k+1 columns
-    of A(z)^{-1}, handed over as a flag (`mhs.HodgeFlag`), which is the
-    de Rham flag C^{[0,k]} pulled back through the comparison map alpha
-    = A(z).  The bigrading piece I^{-k,-k} is then spanned by column k
-    of A(z)^{-1}.
-    """
+    once per context.  W_{-2k} is spanned by the standard vectors
+    e_k..e_N, handed over as its frame (`mhs.coordinate_flag`); F^{-k} by
+    the first k+1 columns of A(z)^{-1}, handed over as a flag
+    (`mhs.HodgeFlag`): the de Rham flag C^{[0,k]} pulled back through the
+    comparison map alpha = A(z).  Column k, the flag's block of jump -k,
+    spans the bigrading piece I^{-k,-k}, as `validate` certifies."""
     def compute():
-        n = ctx.N + 1
-        flag = HodgeFlag(_inverse_comparison(ctx), range(-ctx.N, 1), range(n, 0, -1))
-        return MixedHodgeStructure(n, coordinate_flag([1] * n), flag,
-                                   comparison_matrix=build_matrices(ctx).A)
+        n, mats = ctx.N + 1, build_matrices(ctx)
+        flag = HodgeFlag(mats.A_inv, range(-ctx.N, 1), range(n, 0, -1))
+        return MixedHodgeStructure(n, coordinate_flag([1] * n), flag, comparison_matrix=mats.A)
     return ctx.memo("mhs", compute)
 
 
@@ -499,7 +495,7 @@ def delta_closed_form(ctx: PolylogContext) -> np.ndarray:
     """
     mats = build_matrices(ctx)
     delta_dr = 0.5j * nilpotent_log(mats.B)
-    return _inverse_comparison(ctx) @ delta_dr @ mats.A
+    return mats.A_inv @ delta_dr @ mats.A
 
 
 def heights_closed_form(ctx: PolylogContext, a: int, b: int) -> tuple[float, float]:

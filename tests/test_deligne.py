@@ -65,24 +65,26 @@ class TestBigrading:
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
         # Validation computes the pieces once and the bigrading assembles
-        # the same pieces.  H(z) is Hodge--Tate, so its pieces are
-        # F^{k/2} cap W_k for every weight k, one batched SVD, and the
-        # direct-sum check is one SVD of the assembled basis, which the
-        # bigrading reuses; every F^p is one more batched SVD, and W_k are
-        # slices of one QR.  So validating and bigrading H(z) costs 3 SVDs
-        # at every N (11/15/23 at N = 4/6/10 with an SVD per jump of W and
-        # of F, 28/47/97 with Deligne's formula).  A second singular-value
-        # pass for the bigrading, an SVD per piece or per jump, or an SVD
-        # for a trivial operand breaks the bound.
+        # the same pieces.  H(z) is Hodge--Tate and hands its pieces over:
+        # column k of its flag, A(z)^{-1}, spans I^{-k,-k}, one vector
+        # each, spanned with no SVD, and the direct-sum check is one SVD
+        # of the assembled basis, which the bigrading reuses; one
+        # values-only SVD finds the flag of full rank, and every F^p and
+        # W_k are slices of QRs.  So validating and bigrading H(z) costs 2
+        # SVDs at every N (3 with the candidates F^{k/2} cap W_k as one
+        # batched intersection, 11/15/23 at N = 4/6/10 with an SVD per
+        # jump of W and of F, 28/47/97 with Deligne's formula).  A second
+        # singular-value pass for the bigrading, an SVD per piece or per
+        # jump, or an SVD for a trivial operand breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
         calls = count_calls(monkeypatch, np.linalg, "svd")
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= 3
+        assert len(calls) <= 2
 
-    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 9),
+    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 8),
                                              (lambda: odd_weight_gap_structure(), 5)],
                              ids=["curve", "odd"])
     def test_formula_svd_count(self, make, bound, monkeypatch):
@@ -91,11 +93,11 @@ class TestBigrading:
         # F^r cap W_s for every pair of jumps is one batched SVD, each
         # right-hand side with two or more nonzero terms one more, and all
         # the pieces one batch; the direct-sum check is one SVD of the
-        # assembled basis, which the bigrading reuses.  The curve's weights
-        # are even, so its Hodge--Tate candidates cost one batch before
-        # they fail.  So validating and bigrading cost 9 and 5 SVDs and one
-        # QR; with an SVD per jump of F and of W they were 13 and 8, and
-        # the formula's recursion made 16 and 10.
+        # assembled basis, which the bigrading reuses.  F is given by
+        # jump, so neither has Hodge--Tate candidates.  So validating and
+        # bigrading cost 8 and 5 SVDs and one QR; the curve's candidates
+        # F^{k/2} cap W_k made a ninth, with an SVD per jump of F and of W
+        # they were 13 and 8, and the formula's recursion made 16 and 10.
         h = make()
         calls = count_calls(monkeypatch, np.linalg, "svd")
         qrs = count_calls(monkeypatch, np.linalg, "qr")
@@ -396,6 +398,12 @@ def _fresh(h):
     return MixedHodgeStructure(h.dimension, h.weight_filtration, h.hodge_filtration)
 
 
+def _fresh_flag(h, flag=None):
+    """h's W frame and flag (or the given one) in a new structure, with
+    nothing memoized."""
+    return MixedHodgeStructure(h.dimension, h.weight_frame, flag or h._flag)
+
+
 def _hodge_tate_cases():
     rng = np.random.default_rng(16)
     for seed in range(40):
@@ -411,22 +419,21 @@ def _hodge_tate_cases():
 
 class TestHodgeTatePath:
     def test_matches_deligne_formula(self):
-        # validate certifies the candidates I^{p,p} = F^p cap W_2p on every
-        # valid Hodge--Tate structure, with the report the formula gives,
-        # and they are the formula's pieces; N = 12 is rejected before any
-        # pieces are computed
+        # validate certifies the candidates I^{p,p}, the column blocks of
+        # the flag, on every valid Hodge--Tate structure, with the report
+        # the formula gives, and they are the formula's pieces
         taken = rejected = 0
         for h in _hodge_tate_cases():
             formula = _fresh(h)
-            formula.memo("pieces", lambda: mhs_mod._deligne_formula_pieces(formula))
-            mine = _fresh(h)
+            assert mhs_mod._hodge_tate_candidates(formula) is None
+            mine = _fresh_flag(h)
             report = validate(mine)
             assert report == validate(formula)
             if not report.ok:
                 rejected += 1
                 continue
             taken += 1
-            b, candidates = mhs_mod._pieces(mine), mhs_mod._hodge_tate_candidates(_fresh(h))
+            b, candidates = mhs_mod._pieces(mine), mhs_mod._hodge_tate_candidates(_fresh_flag(h))
             assert b.labels == candidates.labels
             assert np.array_equal(b.basis, candidates.basis)
             f = mhs_mod._pieces(formula)
@@ -439,19 +446,26 @@ class TestHodgeTatePath:
 
     def test_other_structures_take_the_formula(self):
         # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; odd weights;
-        # and the rank-2 pure structure F^1 of which no weight-0 MHS allows
-        from hodgeheights.mhs import _purity_violations
+        # and the rank-2 pure structure F^1 of which no weight-0 MHS allows.
+        # Given by jump they have no candidates; as the flag of their own
+        # frame, the blocks fail the criteria
+        from hodgeheights.mhs import HodgeFlag, _purity_violations
         purity = MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]},
                                      {0: np.eye(2, dtype=complex),
                                       1: np.array([[1.0, 1j]])})
         for h in (curve_weight_gap_structure(), odd_weight_gap_structure(), purity):
-            candidates = mhs_mod._hodge_tate_candidates(_fresh(h))
-            assert candidates is None or _purity_violations(h, candidates)
+            assert mhs_mod._hodge_tate_candidates(_fresh(h)) is None
             validate(h)
             b = mhs_mod._pieces(h)
             formula = mhs_mod._deligne_formula_pieces(_fresh(h))
             assert b.labels == formula.labels
             assert np.array_equal(b.basis, formula.basis)
+            if h is purity:
+                continue
+            q, jumps = h._hodge_frame(), h.hodge_jumps
+            flagged = _fresh_flag(h, HodgeFlag(q, jumps, [h.hodge_subspace(p).dim for p in jumps]))
+            assert _purity_violations(flagged, mhs_mod._hodge_tate_candidates(flagged))
+            assert validate(flagged).ok and mhs_mod._pieces(flagged).labels == formula.labels
 
 
 class TestMixedTypeStructures:

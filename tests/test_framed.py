@@ -167,10 +167,11 @@ class TestEachFactOnce:
         # echelon form and no Fraction -> float conversion.  F is handed
         # over as a flag, the columns of A(z)^{-1}: one values-only SVD
         # decides its rank and every F^p is a slice of one QR, so there is
-        # no batched F SVD.  W_k are slices of one QR, the candidates one
-        # batch and the direct-sum check one SVD: 3 SVDs and 2 QRs, which
-        # do not grow with N.  The heights read frame coordinates, never
-        # an echelon form.
+        # no batched F SVD.  W_k are slices of one QR.  The candidates are
+        # the flag's columns, one vector each, spanned in one batch with no
+        # SVD and no intersection, and the direct-sum check is one SVD: 2
+        # SVDs and 2 QRs, which do not grow with N.  The heights read frame
+        # coordinates, never an echelon form.
         from hodgeheights import _rational
         from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
@@ -179,15 +180,35 @@ class TestEachFactOnce:
                  for name, owner, attr in (("rref", _rational, "rref"),
                                            ("float", Fraction, "__float__"),
                                            ("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),
-                                           ("sets", Subspace, "from_vector_sets"))}
+                                           ("sets", Subspace, "from_vector_sets"),
+                                           ("cuts", Subspace, "intersect_pairs"))}
         deligne.delta_splitting(h)
-        assert calls["rref"] == [] and calls["float"] == [] and calls["sets"] == []
-        assert (len(calls["svd"]), len(calls["qr"])) == (3, 2)
+        assert calls["rref"] == [] and calls["float"] == [] and calls["cuts"] == []
+        assert len(calls["sets"]) == 1
+        assert (len(calls["svd"]), len(calls["qr"])) == (2, 2)
         for b in range(1, n + 1):
             fh = polylog_framed(ctx, 0, b)
             height1(fh)
             height2(fh)
         assert calls["rref"] == []
+
+    @pytest.mark.parametrize("make, svds, qrs", [
+        (lambda: random_hodge_tate([1, 2, 1], seed=4), 3, 2),
+        (lambda: random_hodge_tate([1, 1, 1, 1], seed=4), 2, 2),
+        (lambda: mhs_mod.tate(2), 2, 1)], ids=["random-121", "random-1111", "tate"])
+    def test_fresh_constructions_find_no_intersection(self, make, svds, qrs, monkeypatch):
+        # the random generator and Q(a) hand their pieces over as the
+        # column blocks of their flags (block i of e^lambda, Q(a)'s one
+        # column): spanned in one batch, an SVD only for a block of more
+        # than one column, and no intersection
+        h = make()
+        calls = {name: count_calls(monkeypatch, owner, attr)
+                 for name, owner, attr in (("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),
+                                           ("cuts", Subspace, "intersect_pairs"),
+                                           ("formula", mhs_mod, "_deligne_formula_pieces"))}
+        deligne.delta_splitting(h)
+        assert calls["cuts"] == [] and calls["formula"] == []
+        assert (len(calls["svd"]), len(calls["qr"])) == (svds, qrs)
 
     def test_frame_classes_are_converted_once(self, polylog_ctx_factory, monkeypatch):
         # each framing with Fraction classes converts its 2 (N + 1) class

@@ -215,9 +215,10 @@ def test_dual_pieces_are_one_batch(monkeypatch):
     # the QR of its W frame).  A parent whose F is a flag of full rank has
     # its frame already; one whose F is given by jump (the formula
     # fixtures) builds it from its spans in one batched SVD of known ranks,
-    # a third (an SVD per annihilator made four)
+    # a third.  Their pieces are one vector each, spanned with no SVD, so
+    # every dual here makes two
     for h, svd_count in ((random_hodge_tate([1, 2, 1, 1], seed=6), 2),
-                         (curve_weight_gap_structure(), 3), (odd_weight_gap_structure(), 3)):
+                         (curve_weight_gap_structure(), 2), (odd_weight_gap_structure(), 2)):
         mhs_mod.require_valid(h)
         svds = count_calls(monkeypatch, np.linalg, "svd")
         qrs = count_calls(monkeypatch, np.linalg, "qr")
@@ -279,10 +280,14 @@ def test_dual_of_rank_zero_is_rank_zero():
 
 def test_flag_rows_are_read_only_views_of_its_basis():
     # F^{-k} of H(z) reads the first k+1 columns of A(z)^{-1} as rows:
-    # read-only views of the flag's basis, exactly those values
+    # read-only views of the flag's basis, exactly those values, and the
+    # closed-form inverse is exactly lower triangular
     ctx = polylog.PolylogContext(0.3 + 0.2j, 5)
     h = polylog.polylog_mhs(ctx)
-    a_inv = np.linalg.inv(polylog.build_matrices(ctx).A)
+    mats = polylog.build_matrices(ctx)
+    a_inv = mats.A_inv
+    assert not np.triu(a_inv, 1).any()
+    assert np.abs(a_inv @ mats.A - np.eye(6)).max() <= 1e-14
     assert h.hodge_jumps == list(range(-5, 1))
     for k in range(6):
         rows = h.hodge_filtration[-k]
@@ -360,10 +365,9 @@ def test_polylog_flag_matches_rows(n, radius, angle, lower, data):
 
 
 def _degenerate_flag(kind):
-    """A flag short of full rank: H(0.6-0.5i) at N = 32, or the flag of a
-    random Hodge--Tate structure with one generator changed."""
-    if kind == "polylog-N32":
-        return polylog.polylog_mhs(polylog.PolylogContext(0.6 - 0.5j, 32))
+    """A flag short of full rank: the flag of a random Hodge--Tate
+    structure with one generator changed.  (H(z) is no such flag: with its
+    exact triangular A(z)^{-1} it validates at N = 32, 40 and 64.)"""
     h = random_hodge_tate([1, 2, 1], seed=5)
     basis = np.array(h._flag.basis)
     if kind == "zero-generator":
@@ -376,8 +380,7 @@ def _degenerate_flag(kind):
                                HodgeFlag(basis, h._flag.jumps, h._flag.ranks))
 
 
-@pytest.mark.parametrize("kind", ["zero-generator", "repeated-generator", "rank-deficient",
-                                  "polylog-N32"])
+@pytest.mark.parametrize("kind", ["zero-generator", "repeated-generator", "rank-deficient"])
 def test_degenerate_flag_takes_the_batched_path(kind):
     # a basis short of full rank has no frame, so its report is the batched
     # SVD's, word for word
@@ -401,8 +404,11 @@ def test_degenerate_flag_takes_the_batched_path(kind):
     (WeightFrame((0,), ((1, 0), (0, 1)), (0,), (0, 1)),
      "[data@None] weight frame needs one weight and pivot per row, and at most n rows"),
     (WeightFrame((0,), ((1, 0),), (0,), (0,)), "[weight@0] top weight subspace is not full"),
+    # weights, jumps and pivots index and count: a float one is data, not a TypeError
+    (WeightFrame((-3.0,), ((1, 0), (0, 1)), (-3.0, -3.0), (0, 1)),
+     "[data@None] weight frame weights, jumps or pivots not integers"),
 ], ids=["row-length", "repeated-row", "pivot-not-one", "weights-descending",
-        "weight-not-a-jump", "missing-weight", "top-not-full"])
+        "weight-not-a-jump", "missing-weight", "top-not-full", "float-weights"])
 def test_handed_over_frame_is_checked(frame, report):
     # a frame is taken as given, so its shape is checked as rows are
     h = MixedHodgeStructure(2, frame, {0: np.eye(2)})

@@ -40,6 +40,16 @@ class TestLi:
     def test_li1_is_minus_log(self):
         assert abs(li(1, PolylogContext(0.5, N=1)) - math.log(2)) < 1e-14
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_li1_near_one(self, eps):
+        # the panel ends are the nodes' ends exactly, so 1 - t is exact at
+        # the last node, where its rounding cost 5.4e-10 at eps = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        z = 1 - eps * (1 + 1j) / math.sqrt(2)
+        with mpmath.workdps(30):
+            ref = complex(-mpmath.log(1 - mpmath.mpc(z)))
+        assert abs(li(1, PolylogContext(z, N=1)) - ref) <= 1e-14 * abs(ref)
+
     def test_li2_half_vs_series_oracle(self):
         assert abs(li(2, PolylogContext(0.5, N=2)) - LI2_HALF) < 1e-13
 
@@ -341,19 +351,22 @@ class TestMatrices:
                     build(ctx)
 
     def test_a_inverse_is_shared(self, monkeypatch):
-        # A(z)^{-1} is inverted once per context, for H(z)'s flag and the
-        # closed-form delta, and not by build_matrices; delta's values stay
-        # those of its own inverse
-        ctx = PolylogContext(0.3 + 0.2j, 6)
-        mats = build_matrices(ctx)
-        want = np.linalg.inv(mats.A) @ (0.5j * nilpotent_log(mats.B)) @ mats.A
+        # A(z)^{-1} = tau(2 pi i)^{-1} L^{-1} in closed form, built with the
+        # matrices: no inversion builds H(z), its flag or the closed-form
+        # delta, both read the one A_inv, and it is exactly lower triangular
         inv, calls = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
-        polylog_mhs(ctx)
-        assert np.array_equal(delta_closed_form(ctx), want)
-        assert len(calls) == 1
-        build_matrices(PolylogContext(0.3 + 0.2j, 5))
-        assert len(calls) == 2
+        for z, n in ((0.3 + 0.2j, 6), (-3.9 - 0.4j, 10), (0.6 - 0.5j, 40)):
+            ctx = PolylogContext(z, n)
+            mats = build_matrices(ctx)
+            assert np.array_equal(polylog_mhs(ctx)._flag.basis, mats.A_inv)
+            assert np.array_equal(delta_closed_form(ctx),
+                                  mats.A_inv @ (0.5j * nilpotent_log(mats.B)) @ mats.A)
+            assert not np.triu(mats.A_inv, 1).any() and not np.triu(mats.B, 1).any()
+            assert np.abs(mats.A_inv @ mats.A - np.eye(n + 1)).max() <= 1e-14
+            want = closed_form_betti_conjugator(ctx) @ tau(-1.0, n + 1)
+            assert np.linalg.norm(mats.B - want) <= 1e-12 * np.linalg.norm(want), (z, n)
+        assert calls == []
 
     def test_L_past_float_factorials(self):
         # 171! is beyond float range; lg^k / k! is formed without it
@@ -482,19 +495,25 @@ class TestClosedForms:
     @pytest.mark.parametrize("z", [0.6 - 0.5j, 0.3 + 0.2j, 2.5 - 1j, -0.7 + 0.6j,
                                    3.6 + 1.2j, -3.9 - 0.4j])
     def test_delta_and_ht2_against_high_precision_reference(self, z):
-        # the 60-digit closed form decides: at N = 11 the float64
-        # delta_closed_form is 1.4e-7 off at z = 0.6-0.5i, the pipeline is not.
+        # the mpmath closed form decides, at 60 digits (90 at N = 32).  The
+        # float64 delta_closed_form is held to it too: with A(z)^{-1} from an
+        # LU it was 1.4e-7 off at N = 11 and 0.25 at N = 20 (z = 0.6-0.5i).
         # From N = 12 on, some heights are below 1e-13 (8.3e-18 at b = 20,
         # z = -3.9-0.4i), so ht2 is also allowed 1e-15 absolute there
         pytest.importorskip("mpmath")
-        deep = z in (0.6 - 0.5j, 0.3 + 0.2j, 2.5 - 1j, -3.9 - 0.4j)
-        for n in (6, 11, 12, 16, 20) if deep else (6, 11):
+        ns = (6, 11)
+        if z in (0.6 - 0.5j, 0.3 + 0.2j, 2.5 - 1j, -3.9 - 0.4j):
+            ns += (12, 16, 20) + ((32,) if z in (0.6 - 0.5j, -3.9 - 0.4j) else ())
+        for n in ns:
+            dps = 90 if n >= 32 else 60
             ctx = PolylogContext(z, N=n)
-            ref = mp_polylog_delta(z, n)
+            ref = mp_polylog_delta(z, n, dps)
             delta = deligne.delta_splitting(polylog_mhs(ctx)).delta
             assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref), (z, n)
+            closed = delta_closed_form(ctx)
+            assert np.linalg.norm(closed - ref) <= 1e-12 * np.linalg.norm(ref), (z, n)
             floor = 1e-15 if n >= 12 else 0.0
-            for b, want in enumerate(mp_polylog_ht2(z, n), 1):
+            for b, want in enumerate(mp_polylog_ht2(z, n, dps), 1):
                 got = framed.height2(polylog_framed(ctx, 0, b))
                 assert abs(got - want) <= max(1e-10 * abs(want), floor), (z, n, b)
 
