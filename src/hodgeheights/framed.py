@@ -102,17 +102,22 @@ def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
                 what: str) -> np.ndarray:
     """Project coords (in the columns of frame, typed by labels) onto I^{p,q},
     checking the class has no other components of the same weight (that is
-    the pure-type condition on the graded piece)."""
-    scale = max(float(np.linalg.norm(coords)), 1e-30)
-    lift = np.zeros_like(coords)
-    for i, (pi, qi) in enumerate(labels):
-        if (pi, qi) == (p, q):
-            lift[i] = coords[i]
-        elif pi + qi == p + q and abs(coords[i]) > SUBSPACE_TOL * scale:
+    the pure-type condition on the graded piece).  The lift is coords
+    under one mask over the labels; the other columns of that weight are
+    judged in one comparison, and the first offending one, in label
+    order, is the one reported.  |coords| sets the scale only when there
+    are such columns (none for H(z), whose weights have one column each)."""
+    mine = [label == (p, q) for label in labels]
+    others = [i for i, (pi, qi) in enumerate(labels) if pi + qi == p + q and (pi, qi) != (p, q)]
+    if others:
+        scale = max(float(np.linalg.norm(coords)), 1e-30)
+        large = np.abs(coords[others]) > SUBSPACE_TOL * scale
+        if large.any():
+            pi, qi = labels[others[int(np.argmax(large))]]
             raise FramingTypeError(
                 f"{what}: graded class has a component of type ({pi},{qi}), "
                 f"expected pure ({p},{q})")
-    return frame @ lift
+    return frame @ (coords * mine)
 
 
 def frame_elements(fh: FramedMHS) -> FrameElements:

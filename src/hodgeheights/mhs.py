@@ -42,23 +42,30 @@ in W_k, so the right-hand side is one conjugated span,
 F^r cap W_s for every pair of jumps is one batched
 `Subspace.intersect_pairs`, each right-hand side is one `Subspace.sum`
 of its nonzero terms (one SVD), and all the pieces together are one
-more batch.
+more batch.  (One zero-padded batch of every right-hand side was
+measured slower: the sides' widths differ by up to 100x, so padding
+multiplies the factorisation work more than one call per side costs.)
 
 A Hodge--Tate structure, every piece of type (p, p), has as its pieces
 the standard splitting of a mixed Tate structure by its Hodge filtration
 (Deligne 1989), P_k = F^{k/2} cap W_k for every weight k, all even.  A
 flag hands them over: its block of jump p, the columns between the ranks
 of consecutive jumps, is the candidate P_{2p} (`_hodge_tate_candidates`;
-column k of A(z)^{-1} for H(z)).  `validate` certifies them; if they
-fail, or F is given by jump, the formula's pieces decide validity and
-write the report.  Certified candidates are Deligne's pieces: each P_k
-lies in F^{k/2} and W_k, (iii) has dim Gr^W_k, (ii) dim F^p is the total
-dim of the P_k with k >= 2p, for every p, and (i) they are a direct sum.
-Then the sum of the P_j with j <= k is direct, lies in W_k and has its
-dimension, so it is W_k; so P_k maps onto Gr^W_k and F^p is the sum of
-the P_k with k >= 2p.  Together these give F^{k/2} Gr^W_k = Gr^W_k and
-F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate MHS, and by uniqueness
-the P_k are its Deligne pieces.
+column k of A(z)^{-1} for H(z)).  The blocks are cut from the unit-norm
+basis that `_hodge` found of full rank, so no rank is left to decide: a
+one-column block is its own orthonormal basis, the wider ones take one
+batched QR, and when every block is one column the candidates' basis is
+that unit-norm basis, whose singular values `_hodge` already has.
+`validate` certifies them; if they fail, or there are none (F given by
+jump, or a flag short of full rank), the formula's pieces decide
+validity and write the report.  Certified candidates are Deligne's
+pieces: each P_k lies in F^{k/2} and W_k, (iii) has dim Gr^W_k, (ii) dim
+F^p is the total dim of the P_k with k >= 2p, for every p, and (i) they
+are a direct sum.  Then the sum of the P_j with j <= k is direct, lies
+in W_k and has its dimension, so it is W_k; so P_k maps onto Gr^W_k and
+F^p is the sum of the P_k with k >= 2p.  Together these give F^{k/2}
+Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate
+MHS, and by uniqueness the P_k are its Deligne pieces.
 
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
@@ -94,7 +101,7 @@ import numpy as np
 
 from . import _rational
 from ._rational import RationalMatrix
-from .linalg import DTYPE, LinalgError, Subspace, nilpotent_exp, numerical_rank
+from .linalg import DTYPE, LinalgError, Subspace, _padded, nilpotent_exp, numerical_rank
 
 #: Tolerance for subspace residuals: F's nesting and the pieces' containment
 #: in validation, and the bigrading's smallest singular value.
@@ -377,8 +384,10 @@ class MixedHodgeStructure:
         values-only SVD finds of full rank, so that by Cauchy interlacing
         every prefix has the rank the batched SVD would find), F^p is the
         span of Q's first r_p columns and F is nested when the ranks do not
-        grow with p.  F by jump, and a flag short of full rank, take one
-        batched SVD and one batched nesting residual."""
+        grow with p.  That unit-norm basis and its singular values are kept
+        beside Q (memo "unit"), for the Hodge--Tate candidates.  F by jump,
+        and a flag short of full rank, take one batched SVD and one batched
+        nesting residual."""
         def compute():
             n, flag = self.dimension, self._flag
             for arr in (self.hodge_filtration.values() if flag is None else (flag.basis.T,)):
@@ -389,9 +398,10 @@ class MixedHodgeStructure:
             if flag is not None and "Q" not in self._memo:
                 norms = np.linalg.norm(flag.basis, axis=0)
                 cols = flag.basis / np.where(norms > 0, norms, 1)
-                full = cols.size and numerical_rank(
-                    np.linalg.svd(cols, compute_uv=False)) == cols.shape[1]
+                s = np.linalg.svd(cols, compute_uv=False) if cols.size else None
+                full = s is not None and numerical_rank(s) == cols.shape[1]
                 self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
+                self._memo["unit"] = (cols, s) if full else None
             q = self._memo.get("Q")
             if q is not None:
                 spans = [Subspace.full(n) if r == n else Subspace(q[:, :r]) for r in flag.ranks]
@@ -558,10 +568,13 @@ class Bigrading:
     pieces: dict[tuple[int, int], Subspace]
     basis: np.ndarray
     labels: tuple[tuple[int, int], ...]
-    #: When the basis is a parent's or its conjugate (a twist or
-    #: conjugate): that basis's singular values and inverse (conjugated
-    #: too), as arrays only, so the parent structure can die.
-    carried: tuple[np.ndarray, np.ndarray] | None = None
+    #: The basis's singular values, when known as it is assembled: the
+    #: flag's unit-norm basis's (see `_hodge_tate_candidates`), or a
+    #: parent's when the basis is the parent's or its conjugate (a twist or
+    #: conjugate).  As an array only, so the parent structure can die.
+    known_singular_values: np.ndarray | None = None
+    #: The basis's inverse, when it is a parent's (conjugated too).
+    known_inverse: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -573,14 +586,14 @@ class Bigrading:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        if self.carried is not None:
-            return self.carried[0]
+        if self.known_singular_values is not None:
+            return self.known_singular_values
         return np.linalg.svd(self.basis, compute_uv=False)
 
     @cached_property
     def inverse_basis(self) -> np.ndarray:
-        if self.carried is not None:
-            return self.carried[1]
+        if self.known_inverse is not None:
+            return self.known_inverse
         if not self.basis.size:
             return self.basis.copy()
         return np.linalg.inv(self.basis)
@@ -598,15 +611,29 @@ def _pieces(h: MixedHodgeStructure) -> Bigrading:
 
 
 def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
-    """The column blocks of h's flag between the ranks of consecutive jumps,
-    the block of jump p labelled (p, p), spanned in one batch; None for F
-    by jump.  Nothing is checked here (module docstring)."""
-    flag = h._flag
-    if flag is None:
+    """The column blocks of the unit-norm basis of h's flag (memo "unit")
+    between the ranks of consecutive jumps, the block of jump p labelled
+    (p, p); None for F by jump, a flag short of full rank or an F that is
+    not nested with a full bottom.  Nothing else is checked here (module
+    docstring).  No rank is decided: the basis has full rank, so by
+    Cauchy interlacing so has every block.  A one-column block is its own
+    orthonormal basis, and the wider blocks are orthonormalised by one
+    batched QR of zero-padded stacks, whose leading columns padding does
+    not move.  When every block is one column the basis assembled is the
+    unit-norm basis itself, so its singular values are those `_hodge`
+    found."""
+    verdict, unit = h._hodge()[1], h._memo.get("unit")
+    if verdict or unit is None:
         return None
-    cuts = list(zip(flag.ranks, (*flag.ranks[1:], 0)))
-    spans = Subspace.from_vector_sets([flag.basis[:, lo:hi].T for hi, lo in cuts], h.dimension)
-    return _assemble(h, {(p, p): x for p, x in zip(flag.jumps, spans) if x.dim})
+    (cols, s), flag = unit, h._flag
+    blocks = {(p, p): cols[:, lo:hi]
+              for p, hi, lo in zip(flag.jumps, flag.ranks, (*flag.ranks[1:], 0)) if hi > lo}
+    wide = [pq for pq, x in blocks.items() if x.shape[1] > 1]
+    if wide:
+        for pq, q in zip(wide, np.linalg.qr(_padded([blocks[pq] for pq in wide]))[0]):
+            blocks[pq] = q[:, :blocks[pq].shape[1]]
+    return _assemble(h, {pq: Subspace(x) for pq, x in blocks.items()},
+                     None if wide else s)
 
 
 def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
@@ -643,18 +670,19 @@ def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
 
 
 def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace],
-              carried: tuple[np.ndarray, np.ndarray] | None = None) -> Bigrading:
+              singular_values: np.ndarray | None = None,
+              inverse: np.ndarray | None = None) -> Bigrading:
     """The pieces of h as a Bigrading: blocks ordered by decreasing weight,
-    then decreasing p, and each column labelled by its piece.  `carried`
-    is the singular values and inverse of its basis, when known (see
-    `Bigrading.carried`)."""
+    then decreasing p, and each column labelled by its piece, with the
+    singular values and inverse of its basis where known (see
+    `Bigrading.known_singular_values`)."""
     order = sorted(pieces, key=lambda pq: (-(pq[0] + pq[1]), -pq[0]))
     blocks, labels = [], []
     for pq in order:
         blocks.append(pieces[pq].basis)
         labels.extend([pq] * pieces[pq].dim)
     basis = np.hstack(blocks) if blocks else np.zeros((h.dimension, 0), dtype=DTYPE)
-    return Bigrading(h, pieces, basis, tuple(labels), carried)
+    return Bigrading(h, pieces, basis, tuple(labels), singular_values, inverse)
 
 
 def require_valid(h: MixedHodgeStructure) -> None:
@@ -668,16 +696,16 @@ def require_valid(h: MixedHodgeStructure) -> None:
 
 
 def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
-             pieces: dict, carried, carry_delta) -> MixedHodgeStructure:
+             pieces: dict, known, carry_delta) -> MixedHodgeStructure:
     """child, derived from the valid h, with what it takes from h (whose
     splitting fixes the child's): W's subspaces by jump (spans["W"], if
     given), W's verdict (its frame is h's, shifted or dual), F's frame (the
-    basis of the child's flag), pieces by label with `Bigrading.carried`
-    (or None), and (h, carry_delta) as child._carry: `deligne.delta_splitting`
-    takes carry_delta(h's delta) and then releases h, so delta is solved
-    once per root."""
+    basis of the child's flag), pieces by label with the singular values
+    and inverse of their basis (`known`, or ()), and (h, carry_delta) as
+    child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
+    and then releases h, so delta is solved once per root."""
     child._memo.update(spans, Q=child._flag.basis, frame=(),
-                       pieces=_assemble(child, pieces, carried))
+                       pieces=_assemble(child, pieces, *known))
     object.__setattr__(child, "_carry", (h, carry_delta))
     return child
 
@@ -717,7 +745,7 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     b = _pieces(h)
     pieces = Subspace.from_vector_sets(
         [b.inverse_basis[[lab == pq for lab in b.labels]] for pq in b.pieces], n)
-    return _inherit(h, child, {}, {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, None,
+    return _inherit(h, child, {}, {(-p, -q): x for (p, q), x in zip(b.pieces, pieces)}, (),
                     lambda delta: -delta.T)
 
 

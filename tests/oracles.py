@@ -51,7 +51,8 @@ from hodgeheights._rational import rref
 from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpotent,
                                  NotUnipotent, Subspace, nilpotent_exp, numerical_rank,
                                  orthonormal_columns)
-from hodgeheights.mhs import Violation
+from hodgeheights.framed import FramingTypeError
+from hodgeheights.mhs import SUBSPACE_TOL, Violation
 from hodgeheights.polylog import (_check_segment, _cheb_nodes, _panel_points,
                                   build_matrices, log_z, tau)
 
@@ -437,6 +438,22 @@ def two_pass_log(mat):
         power = power @ nil
         out = out + ((-1) ** (k + 1)) * power / k
     return out
+
+
+def loop_typed_lift(frame, coords, labels, p, q, what):
+    """`framed._typed_lift` one column at a time: the lift onto I^{p,q},
+    raising at the first column of another type of the same weight whose
+    coordinate exceeds SUBSPACE_TOL times |coords|."""
+    scale = max(float(np.linalg.norm(coords)), 1e-30)
+    lift = np.zeros_like(coords)
+    for i, (pi, qi) in enumerate(labels):
+        if (pi, qi) == (p, q):
+            lift[i] = coords[i]
+        elif pi + qi == p + q and abs(coords[i]) > SUBSPACE_TOL * scale:
+            raise FramingTypeError(
+                f"{what}: graded class has a component of type ({pi},{qi}), "
+                f"expected pure ({p},{q})")
+    return frame @ lift
 
 
 def from_vectors(vectors, ambient_dim=None):

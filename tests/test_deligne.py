@@ -66,23 +66,24 @@ class TestBigrading:
     def test_svd_count_grows_quadratically(self, n, monkeypatch):
         # Validation computes the pieces once and the bigrading assembles
         # the same pieces.  H(z) is Hodge--Tate and hands its pieces over:
-        # column k of its flag, A(z)^{-1}, spans I^{-k,-k}, one vector
-        # each, spanned with no SVD, and the direct-sum check is one SVD
-        # of the assembled basis, which the bigrading reuses; one
-        # values-only SVD finds the flag of full rank, and every F^p and
-        # W_k are slices of QRs.  So validating and bigrading H(z) costs 2
-        # SVDs at every N (3 with the candidates F^{k/2} cap W_k as one
-        # batched intersection, 11/15/23 at N = 4/6/10 with an SVD per
-        # jump of W and of F, 28/47/97 with Deligne's formula).  A second
-        # singular-value pass for the bigrading, an SVD per piece or per
-        # jump, or an SVD for a trivial operand breaks the bound.
+        # column k of its flag, A(z)^{-1}, spans I^{-k,-k}.  One
+        # values-only SVD finds the flag's unit-norm basis of full rank;
+        # its columns are the pieces' bases, so the assembled basis is that
+        # basis and the direct-sum check reads the same singular values.
+        # Every F^p and W_k are slices of QRs.  So validating and bigrading
+        # H(z) costs 1 SVD at every N (2 with a second SVD of the assembled
+        # basis, 3 with the candidates F^{k/2} cap W_k as one batched
+        # intersection, 11/15/23 at N = 4/6/10 with an SVD per jump of W
+        # and of F, 28/47/97 with Deligne's formula).  A second
+        # singular-value pass, an SVD per piece or per jump, or an SVD for
+        # a trivial operand breaks the bound.
         from hodgeheights.mhs import require_valid
         from hodgeheights.polylog import PolylogContext, polylog_mhs
         h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
         calls = count_calls(monkeypatch, np.linalg, "svd")
         require_valid(h)
         deligne.bigrading(h)
-        assert len(calls) <= 2
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 8),
                                              (lambda: odd_weight_gap_structure(), 5)],
@@ -420,8 +421,9 @@ def _hodge_tate_cases():
 class TestHodgeTatePath:
     def test_matches_deligne_formula(self):
         # validate certifies the candidates I^{p,p}, the column blocks of
-        # the flag, on every valid Hodge--Tate structure, with the report
-        # the formula gives, and they are the formula's pieces
+        # the flag's memoized unit-norm basis, on every valid Hodge--Tate
+        # structure, with the report the formula gives, and they are the
+        # formula's pieces
         taken = rejected = 0
         for h in _hodge_tate_cases():
             formula = _fresh(h)
@@ -433,9 +435,19 @@ class TestHodgeTatePath:
                 rejected += 1
                 continue
             taken += 1
-            b, candidates = mhs_mod._pieces(mine), mhs_mod._hodge_tate_candidates(_fresh_flag(h))
-            assert b.labels == candidates.labels
-            assert np.array_equal(b.basis, candidates.basis)
+            # a one-column block is the piece's basis as it is; a wider one
+            # spans the piece, which has an orthonormal basis of its width
+            b, (cols, _), flag = mhs_mod._pieces(mine), mine._memo["unit"], mine._flag
+            blocks = {(p, p): cols[:, lo:hi] for p, hi, lo
+                      in zip(flag.jumps, flag.ranks, (*flag.ranks[1:], 0))}
+            assert b.piece_dims() == {pq: x.shape[1] for pq, x in blocks.items()}
+            for pq, block in blocks.items():
+                piece = b.pieces[pq].basis
+                if block.shape[1] == 1:
+                    assert np.array_equal(piece, block)
+                    continue
+                assert np.linalg.norm(piece.conj().T @ piece - np.eye(piece.shape[1])) < 1e-14
+                assert np.linalg.norm(block - piece @ (piece.conj().T @ block)) < 1e-14
             f = mhs_mod._pieces(formula)
             assert b.labels == f.labels
             for pq, piece in f.pieces.items():
@@ -443,6 +455,23 @@ class TestHodgeTatePath:
                 assert np.linalg.norm(cut.basis @ cut.basis.conj().T
                                       - piece.basis @ piece.basis.conj().T) < 1e-12
         assert (taken, rejected) == (40 + 44, 0)
+
+    @pytest.mark.parametrize("n", [4, 10, 20])
+    def test_bigrading_spectrum_is_the_flags(self, n, monkeypatch):
+        # every block of H(z)'s flag is one column, so the bigrading basis
+        # is the flag's unit-norm basis, in flag order and bit for bit,
+        # and its singular values are the ones `_hodge` found: reading
+        # them makes no SVD, and a second SVD of the same array would
+        # return the same values
+        from hodgeheights.polylog import PolylogContext, polylog_mhs
+        h = polylog_mhs(PolylogContext(0.3 + 0.2j, n))
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        b = bigrading(h)
+        cols, s = h._memo["unit"]
+        assert len(calls) == 1 and calls[0] is cols
+        assert np.array_equal(b.basis, cols)
+        assert b.singular_values is s
+        assert np.array_equal(np.linalg.svd(b.basis, compute_uv=False), s)
 
     def test_other_structures_take_the_formula(self):
         # even weights, but a type (0,-2) + (-2,0) on Gr^W_-2; odd weights;

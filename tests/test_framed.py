@@ -17,6 +17,7 @@ from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
 
 from conftest import count_calls, random_framing
+from oracles import loop_typed_lift
 
 
 def unit(i, n):
@@ -83,6 +84,33 @@ class TestFrameElements:
         fh = FramedMHS(h, 0, -1, unit(0, 3), unit(1, 3))
         with pytest.raises(FramingTypeError, match="psi_class"):
             frame_elements(fh)
+
+    def test_typed_lift_matches_the_loop(self):
+        # one mask over the labels: the loop's lift, the same values, or
+        # the loop's error at the first offending column in label order;
+        # coordinates straddle the type tolerance, several columns offend
+        from hodgeheights.framed import _typed_lift
+        rng = np.random.default_rng(27)
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            labels = [tuple(int(x) for x in rng.integers(-2, 1, size=2)) for _ in range(n)]
+            p, q = labels[int(rng.integers(n))] if rng.random() < 0.8 else (0, -1)
+            coords = ((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                      * 10.0 ** rng.choice([0, -7.5, -8.5, -12], size=n))
+            frame = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            args = frame, coords, labels, p, q, "phi_class"
+            try:
+                want = loop_typed_lift(*args)
+            except FramingTypeError as exc:
+                with pytest.raises(FramingTypeError) as got:
+                    _typed_lift(*args)
+                assert str(got.value) == str(exc)
+                outcomes.add("raised")
+                continue
+            assert np.array_equal(_typed_lift(*args), want)
+            outcomes.add("lifted")
+        assert outcomes == {"raised", "lifted"}
 
     @pytest.mark.parametrize("phi, psi, message", [
         (unit(0, 3), unit(2, 4), "frame vectors of wrong length"),
@@ -168,10 +196,11 @@ class TestEachFactOnce:
         # over as a flag, the columns of A(z)^{-1}: one values-only SVD
         # decides its rank and every F^p is a slice of one QR, so there is
         # no batched F SVD.  W_k are slices of one QR.  The candidates are
-        # the flag's columns, one vector each, spanned in one batch with no
-        # SVD and no intersection, and the direct-sum check is one SVD: 2
-        # SVDs and 2 QRs, which do not grow with N.  The heights read frame
-        # coordinates, never an echelon form.
+        # the columns of the flag's unit-norm basis, one each, with no
+        # span, SVD or intersection, and the direct-sum check reads that
+        # basis's singular values off the same SVD: 1 SVD and 2 QRs, which
+        # do not grow with N.  The heights read frame coordinates, never an
+        # echelon form.
         from hodgeheights import _rational
         from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
@@ -184,8 +213,8 @@ class TestEachFactOnce:
                                            ("cuts", Subspace, "intersect_pairs"))}
         deligne.delta_splitting(h)
         assert calls["rref"] == [] and calls["float"] == [] and calls["cuts"] == []
-        assert len(calls["sets"]) == 1
-        assert (len(calls["svd"]), len(calls["qr"])) == (2, 2)
+        assert calls["sets"] == []
+        assert (len(calls["svd"]), len(calls["qr"])) == (1, 2)
         for b in range(1, n + 1):
             fh = polylog_framed(ctx, 0, b)
             height1(fh)
@@ -193,14 +222,18 @@ class TestEachFactOnce:
         assert calls["rref"] == []
 
     @pytest.mark.parametrize("make, svds, qrs", [
-        (lambda: random_hodge_tate([1, 2, 1], seed=4), 3, 2),
-        (lambda: random_hodge_tate([1, 1, 1, 1], seed=4), 2, 2),
-        (lambda: mhs_mod.tate(2), 2, 1)], ids=["random-121", "random-1111", "tate"])
+        (lambda: random_hodge_tate([1, 2, 1], seed=4), 2, 3),
+        (lambda: random_hodge_tate([1, 1, 1, 1], seed=4), 1, 2),
+        (lambda: mhs_mod.tate(2), 1, 1)], ids=["random-121", "random-1111", "tate"])
     def test_fresh_constructions_find_no_intersection(self, make, svds, qrs, monkeypatch):
         # the random generator and Q(a) hand their pieces over as the
-        # column blocks of their flags (block i of e^lambda, Q(a)'s one
-        # column): spanned in one batch, an SVD only for a block of more
-        # than one column, and no intersection
+        # column blocks of their flags' unit-norm bases (block i of
+        # e^lambda, Q(a)'s one column), with no span and no intersection.
+        # One SVD finds the flag of full rank; with one-column blocks its
+        # singular values are the bigrading's, so that is the only SVD.  A
+        # wider block, [1, 2, 1]'s, takes one batched QR in place of the
+        # SVD that spanned it, and the bigrading basis is then no longer
+        # the flag's, so the direct-sum check makes the second SVD.
         h = make()
         calls = {name: count_calls(monkeypatch, owner, attr)
                  for name, owner, attr in (("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),

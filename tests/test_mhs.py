@@ -389,6 +389,41 @@ def test_degenerate_flag_takes_the_batched_path(kind):
     assert_flag_matches_rows(h)
 
 
+def _surplus_flag(kind):
+    """A flag with one generator more than its dimension, so short of full
+    rank, whose F is nested with a full bottom: random_hodge_tate([1, 2,
+    1])'s with twice its last column, or the sum of its first and last,
+    appended to its bottom jump; or the rank-2 pure structure F^1 =
+    span(1, i) of which no weight-0 MHS allows, its F^0 spanned by three
+    generators."""
+    if kind == "purity":
+        return MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]}, HodgeFlag(
+            np.array([[1.0, 1.0, 0.0], [1j, 0.0, 1.0]]), (0, 1), (3, 1)))
+    h = random_hodge_tate([1, 2, 1], seed=5)
+    basis = h._flag.basis
+    extra = 2 * basis[:, 3] if kind == "multiple" else basis[:, 0] + basis[:, 3]
+    return MixedHodgeStructure(h.dimension, h.weight_frame, HodgeFlag(
+        np.column_stack([basis, extra]), h._flag.jumps, (5, *h._flag.ranks[1:])))
+
+
+@pytest.mark.parametrize("kind, report", [
+    ("multiple", "valid"), ("combination", "valid"),
+    ("purity", "[purity@0] pieces of weight 0 have dim 3, Gr^W_0 has dim 2\n"
+               "[purity@0] dim I^(1,-1) = 1 exceeds dim I^(-1,1) = 0\n"
+               "[purity@None] F^0 has dim 2, pieces I^(p',q) with p' >= 0 have dim 3")])
+def test_flag_short_of_rank_has_no_candidates(kind, report, monkeypatch):
+    # F passes its own checks, but a basis short of full rank has no
+    # unit-norm basis to cut blocks from: no Hodge--Tate candidates, so
+    # Deligne's formula decides and writes the report, word for word the
+    # report of the same F given as rows by jump
+    h = _surplus_flag(kind)
+    formula = count_calls(monkeypatch, mhs_mod, "_deligne_formula_pieces")
+    assert validate(h).describe() == report and formula == [h]
+    assert h._hodge()[1] == () and h._memo["unit"] is None
+    assert mhs_mod._hodge_tate_candidates(h) is None
+    assert_flag_matches_rows(h)
+
+
 @pytest.mark.parametrize("frame, report", [
     (WeightFrame((0,), ((1, 0, 0), (0, 1, 0)), (0, 0), (0, 1)),
      "[data@None] weight vector of wrong length"),
