@@ -49,12 +49,6 @@ class NotNilpotent(LinalgError):
     """Raised by nilpotent_exp when the argument is not nilpotent at tolerance."""
 
 
-def _check_finite(arr: np.ndarray) -> np.ndarray:
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise LinalgError("non-finite entries")
-    return arr
-
-
 def numerical_rank(s: np.ndarray) -> int:
     """Number of singular values above RANK_TOL times the largest.
 
@@ -70,6 +64,18 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
         return mat
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u[:, :numerical_rank(s)]
+
+
+def unit_columns(mat: np.ndarray) -> np.ndarray:
+    """Every column of mat (along axis -2, so of a stack too) divided by
+    its norm, x / norm(x) bit for bit; a zero column stays zero.  One of
+    norm below 1e-150, whose squares underflow, is first scaled by 2^600."""
+    norms = np.linalg.norm(mat, axis=-2, keepdims=True)
+    small = norms < 1e-150
+    if small.any():
+        mat = mat * np.where(small, 2.0 ** 600, 1.0)
+        norms = np.linalg.norm(mat, axis=-2, keepdims=True)
+    return mat / np.where(norms == 0.0, 1.0, norms)
 
 
 def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -94,29 +100,28 @@ class Subspace:
     @staticmethod
     def from_vector_sets(sets: Sequence[np.ndarray], ambient_dim: int) -> list["Subspace"]:
         """The span of each set of vectors (rows of length ambient_dim), from
-        one batched SVD.
+        one batched SVD: F given as rows by jump, and a dual's pieces.
 
         Each set's vectors become the columns of one stack, zero-padded to
         one count, which adds only zero singular values, and scaled to unit
-        norm (zero stays zero), which keeps every span, so small generators
-        (columns of A(z)^{-1} for H(z) scale like (2 pi)^{-k}) keep their
-        rank.  Each rank is `numerical_rank` of the set's own singular
-        values; an empty set spans zero.  Sets of one vector each make no
-        SVD: a scaled vector is its own basis, singular value 1 (0 if zero).
+        norm (`unit_columns`), which keeps every span, so no rank moves with
+        a generator's size.  Each rank is `numerical_rank` of the set's own
+        singular values; an empty set spans zero.  Sets of one vector each
+        make no SVD: a scaled vector is its own basis, singular value 1 (0
+        if zero).
         """
         sets = [np.asarray(rows, dtype=DTYPE) for rows in sets]
         for rows in sets:
             if rows.size and rows.shape[1] != ambient_dim:
                 raise DimensionMismatch(f"vectors of length {rows.shape[1]}, "
                                         f"ambient {ambient_dim}")
-            _check_finite(rows)
+            if not np.all(np.isfinite(rows)):
+                raise LinalgError("non-finite entries")
         spans = [Subspace.zero(ambient_dim)] * len(sets)
         full = [i for i, rows in enumerate(sets) if rows.size]
         if full:
-            stack = _padded([sets[i].T for i in full])
-            norms = np.linalg.norm(stack, axis=1, keepdims=True)
-            stack /= np.where(norms == 0.0, 1.0, norms)
-            u, s = ((stack, (norms[:, 0] > 0.0) * 1.0) if stack.shape[2] == 1
+            stack = unit_columns(_padded([sets[i].T for i in full]))
+            u, s = ((stack, stack.any(axis=1) * 1.0) if stack.shape[2] == 1
                     else np.linalg.svd(stack, full_matrices=False)[:2])
             for i, ub, sb in zip(full, u, s):
                 rank = numerical_rank(sb[:min(sets[i].shape)])
@@ -225,14 +230,14 @@ class Subspace:
     def sum(self, *others: "Subspace") -> "Subspace":
         """Span of self and every other side, from one SVD.
 
-        Zero sides are dropped.  When one side is left the result is that
-        side, with no SVD: its basis has orthonormal columns, so every
-        singular value is 1 and its numerical rank is its dim -- the
-        dimension the SVD would return.
+        Zero sides and repeats of one side are dropped.  When one side is
+        left the result is that side, with no SVD: its basis has
+        orthonormal columns, so every singular value is 1 and its numerical
+        rank is its dim -- the dimension the SVD would return.
         """
         if any(other.ambient_dim != self.ambient_dim for other in others):
             raise DimensionMismatch("ambient dimensions differ")
-        sides = [side for side in (self, *others) if side.dim > 0]
+        sides = [side for side in dict.fromkeys((self, *others)) if side.dim > 0]
         if len(sides) <= 1:
             return sides[0] if sides else self
         return Subspace(orthonormal_columns(np.hstack([side.basis for side in sides])))

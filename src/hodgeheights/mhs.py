@@ -17,10 +17,13 @@ F^p is the value at the smallest jump >= p, 0 above the largest, and the
 value at the smallest jump must be the full space.  It is given as rows
 by jump, or as a flag (`HodgeFlag`, as H(z), the random Hodge--Tate
 generator and Tate structures give it), and decided once, like W, in
-`_hodge`: every F^p and F's verdict.  A valid F has one orthonormal
-frame Q, F^p its first dim F^p columns (`_hodge_frame`); every dual,
-twist and conjugate is a flag whose basis is its own frame (the reversed
-conj(Q), Q or conj(Q)), so its F^p are slices with no factorisation.
+`_hodge`: every F^p and F's verdict.  A flag is nested by construction,
+so its own SVD alone decides it.  Every rank decision reads generators
+scaled to unit norm (`linalg.unit_columns`), so none moves with a
+generator's size.  A valid F has one orthonormal frame Q, F^p its first
+dim F^p columns (`_hodge_frame`); every dual, twist and conjugate is a
+flag whose basis is its own frame (the reversed conj(Q), Q or conj(Q)),
+so its F^p are slices with no factorisation.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -57,15 +60,15 @@ one-column block is its own orthonormal basis, the wider ones take one
 batched QR, and when every block is one column the candidates' basis is
 that unit-norm basis, whose singular values `_hodge` already has.
 `validate` certifies them; if they fail, or there are none (F given by
-jump, or a flag short of full rank), the formula's pieces decide
-validity and write the report.  Certified candidates are Deligne's
-pieces: each P_k lies in F^{k/2} and W_k, (iii) has dim Gr^W_k, (ii) dim
-F^p is the total dim of the P_k with k >= 2p, for every p, and (i) they
-are a direct sum.  Then the sum of the P_j with j <= k is direct, lies
-in W_k and has its dimension, so it is W_k; so P_k maps onto Gr^W_k and
-F^p is the sum of the P_k with k >= 2p.  Together these give F^{k/2}
-Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate
-MHS, and by uniqueness the P_k are its Deligne pieces.
+jump), the formula's pieces decide validity and write the report.
+Certified candidates are Deligne's pieces: each P_k lies in F^{k/2} and
+W_k, (iii) has dim Gr^W_k, (ii) dim F^p is the total dim of the P_k with
+k >= 2p, for every p, and (i) they are a direct sum.  Then the sum of
+the P_j with j <= k is direct, lies in W_k and has its dimension, so it
+is W_k; so P_k maps onto Gr^W_k and F^p is the sum of the P_k with k >=
+2p.  Together these give F^{k/2} Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k =
+0, so (W, F) is a Hodge--Tate MHS, and by uniqueness the P_k are its
+Deligne pieces.
 
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
@@ -73,12 +76,12 @@ parent through one call, `_inherit`, and no other way: its W subspaces
 (a twist's or conjugate's), W's verdict, F's frame, its Deligne pieces
 (with the singular values and inverse of their basis when it is the
 parent's or its conjugate), and the parent with the map that carries its
-delta over, which `deligne` resolves and then releases the parent.  The child never evaluates the formula.  What
-is still checked on the child: `validate` runs every containment,
-dimension and independence check on the child's own filtrations and
-pieces, and `deligne.delta_splitting` computes Y from the child's own
-bigrading and checks delta's defining, reality and lambda residuals
-against it.
+delta over, which `deligne` resolves and then releases the parent.  The
+child never evaluates the formula.  What is still checked on the child:
+`validate` runs every containment, dimension and independence check on
+the child's own filtrations and pieces, and `deligne.delta_splitting`
+computes Y from the child's own bigrading and checks delta's defining,
+reality and lambda residuals against it.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -101,7 +104,8 @@ import numpy as np
 
 from . import _rational
 from ._rational import RationalMatrix
-from .linalg import DTYPE, LinalgError, Subspace, _padded, nilpotent_exp, numerical_rank
+from .linalg import (DTYPE, LinalgError, Subspace, _padded, nilpotent_exp, numerical_rank,
+                     unit_columns)
 
 #: Tolerance for subspace residuals: F's nesting and the pieces' containment
 #: in validation, and the bigrading's smallest singular value.
@@ -247,9 +251,9 @@ def _readonly(values) -> np.ndarray:
 class HodgeFlag:
     """F as a flag: F^p, at jump jumps[i], is the span of the first
     ranks[i] columns of one complex basis with a row per coordinate.  The
-    jumps are sorted, and the basis is kept as a read-only copy of its
-    first max(ranks) columns, which the rows by jump of
-    `MixedHodgeStructure.hodge_filtration` are views of."""
+    jumps are sorted and the ranks do not grow with them, so F is nested by
+    construction.  The basis is kept as a read-only copy of its first
+    max(ranks) <= rows columns, of which `hodge_filtration`'s rows are views."""
 
     basis: np.ndarray
     jumps: tuple[int, ...]
@@ -258,14 +262,15 @@ class HodgeFlag:
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=DTYPE)
         by_jump = dict(sorted((int(p), int(r)) for p, r in zip(self.jumps, self.ranks)))
-        top = max(by_jump.values(), default=0)
+        ranks, top = tuple(by_jump.values()), max(by_jump.values(), default=0)
         if not (basis.ndim == 2 and len(by_jump) == len(self.jumps) == len(self.ranks)
-                and min(by_jump.values(), default=0) >= 0 and top <= basis.shape[1]):
-            raise ValueError("a Hodge flag needs a matrix basis and distinct jumps, each "
-                             "with a rank between 0 and its number of columns")
+                and min(ranks, default=0) >= 0 and top <= min(basis.shape)
+                and list(ranks) == sorted(ranks, reverse=True)):
+            raise ValueError("a Hodge flag needs a matrix basis and distinct jumps, each with a "
+                             "rank from 0 to its number of rows and columns, not growing with it")
         object.__setattr__(self, "basis", _readonly(basis[:, :top]))
         object.__setattr__(self, "jumps", tuple(by_jump))
-        object.__setattr__(self, "ranks", tuple(by_jump.values()))
+        object.__setattr__(self, "ranks", ranks)
 
 
 def _float_row(row: Sequence[Fraction]) -> list[float]:
@@ -364,7 +369,7 @@ class MixedHodgeStructure:
             q = np.zeros((n, 0), dtype=DTYPE)
             if any(0 < r < n for r in ranks.values()):
                 cols = np.array([_float_row(row) for row in self.weight_frame.rows]).T
-                q = np.linalg.qr(cols / np.linalg.norm(cols, axis=0))[0].astype(DTYPE)
+                q = np.linalg.qr(unit_columns(cols))[0].astype(DTYPE)
             return {None: Subspace.zero(n), **{k: Subspace.full(n) if r == n
                                                else Subspace(q[:, :r]) for k, r in ranks.items()}}
         return self.memo("W", compute)
@@ -378,50 +383,48 @@ class MixedHodgeStructure:
 
     def _hodge(self) -> tuple[dict | None, tuple[Violation, ...]]:
         """F decided once, memoized like W's verdict: every F^p by jump (None
-        on bad data) and F's verdict, its first data violation or else its
-        nesting with a full bottom.  With a frame Q (memo "Q": carried by a
-        derived structure, or one QR of a flag's unit-norm basis that one
-        values-only SVD finds of full rank, so that by Cauchy interlacing
-        every prefix has the rank the batched SVD would find), F^p is the
-        span of Q's first r_p columns and F is nested when the ranks do not
-        grow with p.  That unit-norm basis and its singular values are kept
-        beside Q (memo "unit"), for the Hodge--Tate candidates.  F by jump,
-        and a flag short of full rank, take one batched SVD and one batched
-        nesting residual."""
+        if there are none) and F's verdict, its first data violation or else
+        its nesting with a full bottom.  A flag is nested by construction
+        and decided by one values-only SVD of its unit-norm basis (memo
+        "unit", with the singular values): n columns of full rank give a
+        frame Q, one QR of it (memo "Q", which a derived structure carries
+        instead), F^p its first r_p columns (every prefix has full rank by
+        Cauchy interlacing); else the flag has no F^p and its bottom is not
+        full.  F by jump takes one batched SVD and one nesting residual."""
         def compute():
-            n, flag = self.dimension, self._flag
+            n, flag, jumps = self.dimension, self._flag, self._fjumps
             for arr in (self.hodge_filtration.values() if flag is None else (flag.basis.T,)):
                 if arr.size and (arr.ndim != 2 or arr.shape[1] != n):
                     return None, (Violation("data", None, "Hodge vector of wrong length"),)
                 if arr.size and not np.all(np.isfinite(arr)):
                     return None, (Violation("data", None, "non-finite Hodge entries"),)
-            if flag is not None and "Q" not in self._memo:
-                norms = np.linalg.norm(flag.basis, axis=0)
-                cols = flag.basis / np.where(norms > 0, norms, 1)
-                s = np.linalg.svd(cols, compute_uv=False) if cols.size else None
-                full = s is not None and numerical_rank(s) == cols.shape[1]
-                self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
-                self._memo["unit"] = (cols, s) if full else None
-            q = self._memo.get("Q")
-            if q is not None:
-                spans = [Subspace.full(n) if r == n else Subspace(q[:, :r]) for r in flag.ranks]
-                outside = [hi > lo for lo, hi in zip(flag.ranks, flag.ranks[1:])]
-            else:
+            bottom = [Violation("hodge", p, "bottom Hodge subspace is not full")
+                      for p in jumps[:1]]
+            if flag is None:
                 spans = Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
-                outside = [not resid < SUBSPACE_TOL * max(1, n) for resid in
-                           Subspace.containment_residuals(list(zip(spans[1:], spans)))]
-            jumps = self._fjumps
-            bad = [Violation("hodge", hi, f"F^{hi} not contained in F^{lo}")
-                   for lo, hi, out in zip(jumps, jumps[1:], outside) if out]
-            if jumps and spans[0].dim != n:
-                bad.append(Violation("hodge", jumps[0], "bottom Hodge subspace is not full"))
+                resid = Subspace.containment_residuals(list(zip(spans[1:], spans)))
+                bad = [Violation("hodge", hi, f"F^{hi} not contained in F^{lo}") for lo, hi, r
+                       in zip(jumps, jumps[1:], resid) if not r < SUBSPACE_TOL * max(1, n)]
+                bad += bottom if jumps and spans[0].dim != n else []
+            else:
+                if "Q" not in self._memo:
+                    cols = unit_columns(flag.basis)
+                    s = np.linalg.svd(cols, compute_uv=False) if flag.ranks[:1] == (n,) else None
+                    full = s is not None and numerical_rank(s) == n
+                    self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
+                    self._memo["unit"] = (cols, s) if full else None
+                q = self._memo["Q"]
+                if q is None:
+                    return None, tuple(bottom)
+                spans, bad = [Subspace.full(n) if r == n else Subspace(q[:, :r])
+                              for r in flag.ranks], []
             return {None: Subspace.zero(n), **dict(zip(jumps, spans))}, tuple(bad)
         return self.memo("F", compute)
 
     def _hodge_frame(self) -> np.ndarray:
         """F's orthonormal frame Q, F^p the span of its first dim F^p
-        columns, for F nested with a full bottom: the one `_hodge` read its
-        F^p off, else built from them by `Subspace.nested_frame`."""
+        columns, for a valid F: a flag's, or for rows by jump one built from
+        its F^p by `Subspace.nested_frame`."""
         spans = self._hodge()[0]
         if self._memo.get("Q") is None:
             self._memo["Q"] = Subspace.nested_frame([spans[p] for p in self._fjumps],
@@ -613,8 +616,8 @@ def _pieces(h: MixedHodgeStructure) -> Bigrading:
 def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
     """The column blocks of the unit-norm basis of h's flag (memo "unit")
     between the ranks of consecutive jumps, the block of jump p labelled
-    (p, p); None for F by jump, a flag short of full rank or an F that is
-    not nested with a full bottom.  Nothing else is checked here (module
+    (p, p); None for F by jump, a derived h (whose pieces are carried) or
+    a flag short of full rank.  Nothing else is checked here (module
     docstring).  No rank is decided: the basis has full rank, so by
     Cauchy interlacing so has every block.  A one-column block is its own
     orthonormal basis, and the wider blocks are orthonormalised by one
@@ -658,7 +661,8 @@ def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
                 if left.dim == 0:
                     continue
                 q = k - p
-                # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest weight
+                # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest
+                # weight, and a term that repeats is spanned once
                 right = cut(q, k).sum(*(cut(q - 1 - j, k - 2 - j)
                                         for j in range(k - 1 - wjumps[0])))
                 labels.append((p, q))

@@ -411,23 +411,14 @@ def tau(value: complex, size: int) -> np.ndarray:
     return np.diag([complex(value) ** j for j in range(size)]).astype(DTYPE)
 
 
-def shift_matrix(size: int) -> np.ndarray:
-    """e_0: the subdiagonal shift with zero first column."""
-    e0 = np.eye(size, k=-1, dtype=DTYPE)
-    e0[:, 0] = 0.0
-    return e0
-
-
 @dataclass(frozen=True)
 class PolylogMatrices:
-    """L(z), A(z) = L tau(2 pi i), A^{-1}, B = A conj(A)^{-1} tau(-1), e_0, ell."""
+    """L(z), A(z) = L tau(2 pi i), A^{-1}, B = A conj(A)^{-1} tau(-1)."""
 
     L: np.ndarray
     A: np.ndarray
     A_inv: np.ndarray
     B: np.ndarray
-    e0: np.ndarray
-    ell: np.ndarray
 
 
 def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
@@ -454,7 +445,7 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
         # (2 pi i)^-j as (-i)^j (2 pi)^-j, exact in the power of i
         scale = np.array([1, -1j, -1, 1j])[j % 4] * (2.0 * np.pi) ** -j.astype(float)
         mats = PolylogMatrices(L, L @ tau(TWO_PI_I, n), scale[:, None] * L_inv,
-                               (L * signs) @ (L_inv.conj() * signs), shift_matrix(n), ell)
+                               (L * signs) @ (L_inv.conj() * signs))
         for arr in vars(mats).values():
             arr.setflags(write=False)
         return mats

@@ -54,7 +54,7 @@ from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpoten
 from hodgeheights.framed import FramingTypeError
 from hodgeheights.mhs import SUBSPACE_TOL, Violation
 from hodgeheights.polylog import (_check_segment, _cheb_nodes, _panel_points,
-                                  build_matrices, log_z, tau)
+                                  branch_data, log_z, tau)
 
 
 class QI:
@@ -299,19 +299,30 @@ def dense_solve_delta(y, b):
     return delta
 
 
+def shift_matrix(size):
+    """e_0: the subdiagonal shift with zero first column."""
+    e0 = np.eye(size, k=-1, dtype=DTYPE)
+    e0[:, 0] = 0.0
+    return e0
+
+
+def polylog_ell(ctx):
+    """ell = -(Li_1, ..., Li_N), the first column of L(z) below its 1."""
+    return -np.array(branch_data(ctx, ctx.N)[1], dtype=DTYPE)
+
+
 def closed_form_betti_conjugator(ctx):
     """A conj(A)^{-1} from its block closed form
     [[1,0],[ell,Id]] e^{log(zzbar) e0} tau(-1) [[1,0],[-conj(ell),Id]];
     B(z) is this matrix times tau(-1).
     """
     n = ctx.N + 1
-    m = build_matrices(ctx)
-    lzz = 2.0 * log_z(ctx).real
+    ell, lzz = polylog_ell(ctx), 2.0 * log_z(ctx).real
     lower = np.eye(n, dtype=DTYPE)
-    lower[1:, 0] = m.ell
+    lower[1:, 0] = ell
     unlower = np.eye(n, dtype=DTYPE)
-    unlower[1:, 0] = -m.ell.conj()
-    return lower @ nilpotent_exp(lzz * m.e0) @ tau(-1.0, n) @ unlower
+    unlower[1:, 0] = -ell.conj()
+    return lower @ nilpotent_exp(lzz * shift_matrix(n)) @ tau(-1.0, n) @ unlower
 
 
 def complement_indices(inner_rows, outer_rows):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotUnipotent,
                                  Subspace, nilpotent_exp, nilpotent_exp_pair, nilpotent_log,
-                                 numerical_rank)
+                                 numerical_rank, unit_columns)
 
 from conftest import count_calls
 from oracles import (contains_subspace, equals, from_vectors, intersect,
@@ -481,3 +481,41 @@ class TestNumericalRank:
     def test_empty_and_all_zero_spectra_have_rank_zero(self):
         assert numerical_rank(np.array([])) == 0
         assert numerical_rank(np.zeros(3)) == 0
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       exps=st.lists(st.integers(-140, 150), min_size=4, max_size=4))
+def test_unit_columns_divide_by_the_norm(seed, n, exps):
+    # wherever every norm is at least 1e-150, a column (of a matrix or of
+    # each matrix of a stack) is x / norm(x) bit for bit
+    x = _complex_normal(np.random.default_rng(seed), (2, n, 4)) * 10.0 ** np.array(exps)
+    norms = np.linalg.norm(x, axis=-2, keepdims=True)
+    assert norms.min() >= 1e-150
+    assert np.array_equal(unit_columns(x), x / norms)
+    assert np.array_equal(unit_columns(x[1]), x[1] / norms[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), exp=st.integers(160, 320))
+def test_unit_columns_of_tiny_columns_are_unit(seed, n, exp):
+    # a column scaled down to 1e-160 .. 1e-320 (subnormal entries from
+    # about 1e-308) comes out of norm 1 to 1e-15, in its own direction; a
+    # column of ordinary size beside it is divided as usual, and a zero
+    # column stays zero
+    x = _complex_normal(np.random.default_rng(seed), (2, n, 3))
+    x[:, :, 0] *= 10.0 ** -exp
+    x[:, :, 2] = 0
+    u = unit_columns(x)
+    exact = np.ldexp(x[:, :, 0].real, 1000) + 1j * np.ldexp(x[:, :, 0].imag, 1000)
+    np.testing.assert_allclose(u[:, :, 0], exact / np.linalg.norm(exact, axis=1, keepdims=True),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(u[:, :, 0], axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(u[:, :, 1], x[:, :, 1] / np.linalg.norm(x[:, :, 1], axis=1,
+                                                                   keepdims=True))
+    assert not u[:, :, 2].any()
+    assert np.array_equal(unit_columns(x[0]), u[0])

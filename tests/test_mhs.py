@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
-from hodgeheights.linalg import nilpotent_exp
+from hodgeheights.linalg import LinalgError, Subspace, nilpotent_exp
 from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
                               conjugate, coordinate_flag, dual, random_hodge_tate,
                               random_hodge_tate_pair, tate, twist, validate)
@@ -297,6 +297,12 @@ def test_flag_rows_are_read_only_views_of_its_basis():
         HodgeFlag(np.eye(2), (0, 1), (2, 3))
     with pytest.raises(ValueError):
         HodgeFlag(np.eye(2), (0, 0), (2, 1))
+    # a flag is nested by construction: no more generators than rows, and
+    # no rank that grows with the jump
+    with pytest.raises(ValueError):
+        HodgeFlag(np.ones((2, 3)), (0, 1), (3, 1))
+    with pytest.raises(ValueError):
+        HodgeFlag(np.eye(2), (0, 1), (1, 2))
 
 
 def _as_rows(h):
@@ -381,24 +387,58 @@ def _degenerate_flag(kind):
 
 
 @pytest.mark.parametrize("kind", ["zero-generator", "repeated-generator", "rank-deficient"])
-def test_degenerate_flag_takes_the_batched_path(kind):
-    # a basis short of full rank has no frame, so its report is the batched
-    # SVD's, word for word
+def test_degenerate_flag_is_rejected_on_its_own_svd(kind, monkeypatch):
+    # a flag is nested by construction, so a basis short of full rank is
+    # decided by its one values-only SVD: no QR, no span of its rows, no
+    # nesting residual, and no F^p.  Its report is the batched SVD's of the
+    # same F given as rows by jump, word for word
     h = _degenerate_flag(kind)
-    assert not validate(h).ok and h._memo["Q"] is None
+    calls = {name: count_calls(monkeypatch, owner, attr)
+             for name, owner, attr in (("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),
+                                       ("sets", Subspace, "from_vector_sets"),
+                                       ("resid", Subspace, "containment_residuals"))}
+    assert validate(h).describe() == "[hodge@-2] bottom Hodge subspace is not full"
+    assert (len(calls["svd"]), len(calls["qr"])) == (1, 0)
+    assert calls["sets"] == [] and calls["resid"] == []
+    assert h._memo["Q"] is None
+    with pytest.raises(LinalgError, match="bottom Hodge subspace is not full"):
+        h.hodge_subspace(0)
+    monkeypatch.undo()
     assert_flag_matches_rows(h)
 
 
+def test_no_flag_reaches_the_rows_by_jump_path(monkeypatch):
+    # a flag, fresh or derived, full or short of rank, has its F^p and its
+    # frame from its own factorisation: never from spanning its rows, a
+    # nesting residual or a nested frame.  F given by jump takes all three
+    makers = [lambda: random_hodge_tate([1, 2, 1, 1], seed=6), lambda: tate(2),
+              lambda: polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6)),
+              lambda: _degenerate_flag("zero-generator"),
+              lambda: _as_rows(random_hodge_tate([1, 2, 1, 1], seed=6)),
+              curve_weight_gap_structure]
+    # each root fresh, and the children derived from other instances
+    structures = [make() for make in makers]
+    structures += [derive(h) for h in (make() for make in makers) if validate(h).ok
+                   for derive in (dual, conjugate, lambda x: twist(x, 1))]
+    for h in structures:
+        calls = [count_calls(monkeypatch, Subspace, name) for name in
+                 ("from_vector_sets", "containment_residuals", "nested_frame")]
+        if not h._hodge()[1]:
+            h._hodge_frame()
+        assert all(calls) if h._flag is None else not any(calls)
+        monkeypatch.undo()
+
+
 def _surplus_flag(kind):
-    """A flag with one generator more than its dimension, so short of full
-    rank, whose F is nested with a full bottom: random_hodge_tate([1, 2,
-    1])'s with twice its last column, or the sum of its first and last,
-    appended to its bottom jump; or the rank-2 pure structure F^1 =
+    """F nested with a full bottom and one generator more than its
+    dimension: random_hodge_tate([1, 2, 1])'s flag with twice its last
+    column, or the sum of its first and last, appended to its bottom jump
+    (a flag, refused); or, as rows by jump, the rank-2 pure structure F^1 =
     span(1, i) of which no weight-0 MHS allows, its F^0 spanned by three
     generators."""
     if kind == "purity":
-        return MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]}, HodgeFlag(
-            np.array([[1.0, 1.0, 0.0], [1j, 0.0, 1.0]]), (0, 1), (3, 1)))
+        return MixedHodgeStructure(2, {0: [[1, 0], [0, 1]]}, {
+            0: np.array([[1.0, 1j], [1.0, 0.0], [0.0, 1.0]]), 1: np.array([[1.0, 1j]])})
     h = random_hodge_tate([1, 2, 1], seed=5)
     basis = h._flag.basis
     extra = 2 * basis[:, 3] if kind == "multiple" else basis[:, 0] + basis[:, 3]
@@ -407,21 +447,60 @@ def _surplus_flag(kind):
 
 
 @pytest.mark.parametrize("kind, report", [
-    ("multiple", "valid"), ("combination", "valid"),
+    ("multiple", ValueError), ("combination", ValueError),
     ("purity", "[purity@0] pieces of weight 0 have dim 3, Gr^W_0 has dim 2\n"
                "[purity@0] dim I^(1,-1) = 1 exceeds dim I^(-1,1) = 0\n"
                "[purity@None] F^0 has dim 2, pieces I^(p',q) with p' >= 0 have dim 3")])
 def test_flag_short_of_rank_has_no_candidates(kind, report, monkeypatch):
-    # F passes its own checks, but a basis short of full rank has no
-    # unit-norm basis to cut blocks from: no Hodge--Tate candidates, so
-    # Deligne's formula decides and writes the report, word for word the
-    # report of the same F given as rows by jump
+    # a flag of more generators than its dimension is refused when it is
+    # made.  The same F given as rows by jump passes its own checks but
+    # has no Hodge--Tate candidates, so Deligne's formula decides and
+    # writes the report, word for word the one the surplus flag had
+    if report is ValueError:
+        with pytest.raises(ValueError):
+            _surplus_flag(kind)
+        return
     h = _surplus_flag(kind)
     formula = count_calls(monkeypatch, mhs_mod, "_deligne_formula_pieces")
     assert validate(h).describe() == report and formula == [h]
-    assert h._hodge()[1] == () and h._memo["unit"] is None
-    assert mhs_mod._hodge_tate_candidates(h) is None
-    assert_flag_matches_rows(h)
+    assert h._hodge()[1] == () and mhs_mod._hodge_tate_candidates(h) is None
+
+
+def _scaled(h, factor, as_rows):
+    """h with every generator of F multiplied by factor, as a flag or as
+    rows by jump."""
+    f = h._flag
+    hodge = ({p: rows * factor for p, rows in h.hodge_filtration.items()} if as_rows
+             else HodgeFlag(f.basis * factor, f.jumps, f.ranks))
+    return MixedHodgeStructure(h.dimension, h.weight_frame, hodge, h.comparison_matrix)
+
+
+@pytest.mark.parametrize("factor", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("as_rows", [False, True], ids=["flag", "rows"])
+def test_no_rank_decision_moves_with_a_generators_size(factor, as_rows):
+    # F's generators are scaled to unit norm before any rank is decided,
+    # also where the squares in their norms underflow, so Q(0) and a random
+    # Hodge--Tate structure with tiny generators keep their report, piece
+    # dims and heights
+    h = random_hodge_tate([1, 2, 1], seed=5)
+    for root, fh in ((tate(0), None), (h, random_framing(h, np.random.default_rng(5), b_level=2))):
+        small = _scaled(root, factor, as_rows)
+        small_fh = None if fh is None else framed.FramedMHS(small, fh.a, fh.b, fh.phi_class,
+                                                              fh.psi_class)
+        mine, want = _outcome(small, small_fh), _outcome(root, fh)
+        assert want[0] == "valid" and mine[:3] == want[:3]
+        scale = max(map(abs, want[3]), default=0.0)
+        np.testing.assert_allclose(mine[3], want[3], rtol=0, atol=1e-12 * scale + 1e-15)
+
+
+def test_polylog_flag_validates_where_column_norms_underflow():
+    # column k of A(z)^{-1} scales like (2 pi)^{-k}: at this z its norm is
+    # below 1e-150 from k = 188 and reads 0 from k = 203, where every square
+    # in it underflows, and the column still has rank
+    h = polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 210))
+    norms = np.linalg.norm(h._flag.basis, axis=0)
+    assert norms[188:].max() < 1e-150 and not norms[203:].any()
+    assert validate(h).ok
 
 
 @pytest.mark.parametrize("frame, report", [
@@ -525,7 +604,7 @@ def test_generator_lambda_zero_gives_split():
 
 
 def test_generator_moves_bigrading_by_exp_lambda():
-    from hodgeheights.linalg import nilpotent_exp
+    from hodgeheights.linalg import LinalgError, Subspace, nilpotent_exp
     split, lam, twisted = random_hodge_tate_pair([1, 2, 1], seed=33)
     bs = deligne.bigrading(split)
     bt = deligne.bigrading(twisted)

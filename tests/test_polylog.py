@@ -16,7 +16,8 @@ from hodgeheights.polylog import (MAX_N, NonConvergent, PathThroughSingularity,
                                   tau)
 
 from oracles import (closed_form_betti_conjugator, mp_polylog_base_heights,
-                     mp_polylog_delta, mp_polylog_ht2, sequential_transport_once)
+                     mp_polylog_delta, mp_polylog_ht2, polylog_ell, sequential_transport_once,
+                     shift_matrix)
 
 # frozen oracle values (defining series summed in 35-digit arithmetic)
 LI2_HALF = 0.5822405264650125059026563201596801
@@ -372,7 +373,7 @@ class TestMatrices:
         # 171! is beyond float range; lg^k / k! is formed without it
         mp = pytest.importorskip("mpmath")
         m = build_matrices(PolylogContext(0.3 + 0.2j, 172))
-        assert all(np.isfinite(arr).all() for arr in (m.L, m.A, m.B, m.ell))
+        assert all(np.isfinite(arr).all() for arr in (m.L, m.A, m.A_inv, m.B))
         want = complex(mp.log(mp.mpc(0.3, 0.2)) ** 171 / mp.factorial(171))
         assert abs(m.L[172, 1] - want) <= 1e-12 * abs(want)
 
@@ -383,7 +384,7 @@ class TestMatrices:
         polylog_mhs(ctx)
         delta_closed_form(ctx)
         assert build_matrices(ctx) is mats
-        assert not any(arr.flags.writeable for arr in (mats.L, mats.A, mats.B, mats.e0, mats.ell))
+        assert not any(arr.flags.writeable for arr in (mats.L, mats.A, mats.A_inv, mats.B))
 
     def test_L_at_rank_one(self):
         ctx = PolylogContext(0.3 + 0.2j, N=1)
@@ -394,8 +395,8 @@ class TestMatrices:
         ctx = PolylogContext(0.3 + 0.2j, N=6)
         m = build_matrices(ctx)
         lower = np.eye(7, dtype=complex)
-        lower[1:, 0] = m.ell
-        rebuilt = lower @ nilpotent_exp(log_z(ctx) * m.e0)
+        lower[1:, 0] = polylog_ell(ctx)
+        rebuilt = lower @ nilpotent_exp(log_z(ctx) * shift_matrix(7))
         assert np.linalg.norm(rebuilt - m.L) < 1e-10
 
     def test_conjugator_closed_form(self):
