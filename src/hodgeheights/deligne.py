@@ -88,11 +88,13 @@ def hodge_components(x: np.ndarray, b: Bigrading) -> dict[tuple[int, int], np.nd
 
 @dataclass(frozen=True, eq=False)
 class SplittingData:
-    """Grading operator, delta-splitting and diagnostics for one MHS."""
+    """Grading operator, delta-splitting and diagnostics for one MHS;
+    exp_minus_2i_delta is e^{-2i delta}, the map of the defining equation."""
 
     bigrading: Bigrading
     Y: np.ndarray
     delta: np.ndarray
+    exp_minus_2i_delta: np.ndarray
     delta_components: dict[tuple[int, int], np.ndarray]
     defining_residual: float
     reality_residual: float
@@ -124,7 +126,7 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     b = bigrading(h)
     y = grading_operator(b)
     if h.dimension == 0:
-        return SplittingData(b, y, y.copy(), {}, 0.0, 0.0, 0.0)
+        return SplittingData(b, y, y.copy(), y.copy(), {}, 0.0, 0.0, 0.0)
 
     # a derived structure carries its parent's delta over (mhs._inherit)
     parent, move = h._carry or (None, None)
@@ -151,5 +153,5 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
 
     # checked: a carry is released, so the parent can die; one that raised stays
     object.__setattr__(h, "_carry", None)
-    return SplittingData(b, y, delta, delta_components,
+    return SplittingData(b, y, delta, g, delta_components,
                          defining, reality, lam_resid)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
-from .linalg import DTYPE, nilpotent_exp
+from .linalg import DTYPE
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 
@@ -160,12 +160,12 @@ def height1_via_delta(fh: FramedMHS) -> float:
     """Same value through the splitting: Im < e_Hdual, e^{-2i delta} e_H >.
 
     Kept as an independent computation path; conj(e_H) equals
-    e^{-2i delta}(e_H) for every framed structure.
+    e^{-2i delta}(e_H) for every framed structure.  e^{-2i delta} is the
+    map the splitting checked its defining equation with.
     """
     _warn_degenerate(fh)
     el = frame_elements(fh)
-    delta = delta_splitting(fh.mhs).delta
-    moved = nilpotent_exp(-2j * delta) @ el.e_h
+    moved = delta_splitting(fh.mhs).exp_minus_2i_delta @ el.e_h
     return float(_pair(el.e_h_dual, moved).imag)
 
 

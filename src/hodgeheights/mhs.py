@@ -44,10 +44,11 @@ in W_k, so the right-hand side is one conjugated span,
 
 F^r cap W_s for every pair of jumps is one batched
 `Subspace.intersect_pairs`, each right-hand side is one `Subspace.sum`
-of its nonzero terms (one SVD), and all the pieces together are one
-more batch.  (One zero-padded batch of every right-hand side was
-measured slower: the sides' widths differ by up to 100x, so padding
-multiplies the factorisation work more than one call per side costs.)
+of its nonzero terms that lie in no other term (one SVD), and all the
+pieces together are one more batch.  (One zero-padded batch of every
+right-hand side was measured slower: the sides' widths differ by up to
+100x, so padding multiplies the factorisation work more than one call
+per side costs.)
 
 A Hodge--Tate structure, every piece of type (p, p), has as its pieces
 the standard splitting of a mixed Tate structure by its Hodge filtration
@@ -650,21 +651,29 @@ def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
             [(h.hodge_subspace(r), h.weight_subspace(s)) for r, s in jumps])))
         zero = Subspace.zero(n)
 
-        def cut(r: int, s: int) -> Subspace:
-            # F^r cap W_s is zero above the highest jump of F or below the lowest of W
-            return fw.get((h._hodge_jump(r), h._weight_jump(s)), zero)
+        def at(r: int, s: int) -> tuple[int | None, int | None]:
+            # the jumps F^r cap W_s is read at; None above the highest jump
+            # of F or below the lowest of W, where the term is zero
+            return h._hodge_jump(r), h._weight_jump(s)
 
         labels, pairs = [], []
         for k in h.weights_present():
             for p in range(fjumps[0], fjumps[-1] + 1):
-                left = cut(p, k)
+                left = fw.get(at(p, k), zero)
                 if left.dim == 0:
                     continue
                 q = k - p
                 # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest
-                # weight, and a term that repeats is spanned once
-                right = cut(q, k).sum(*(cut(q - 1 - j, k - 2 - j)
-                                        for j in range(k - 1 - wjumps[0])))
+                # weight.  Along the sum r and s fall, and so do their jumps
+                # (a, b); a term lies in every other with a' <= a and b' >= b,
+                # so in an earlier one with the same a or a later one with the
+                # same b.  Only the terms in no other are spanned, each once
+                terms = [key for key in dict.fromkeys(
+                    [at(q, k)] + [at(q - i, k - 1 - i) for i in range(1, k - wjumps[0])])
+                    if None not in key]
+                right = zero.sum(*(fw[key] for i, key in enumerate(terms)
+                                   if (i == 0 or terms[i - 1][0] != key[0])
+                                   and (i + 1 == len(terms) or terms[i + 1][1] != key[1])))
                 labels.append((p, q))
                 pairs.append((left, right.conjugate()))
         for pq, piece in zip(labels, Subspace.intersect_pairs(pairs)):

@@ -170,7 +170,7 @@ def _series_values(z: complex, count: int, terms: int) -> list[complex]:
             raise NonConvergent(f"series cutoff {terms} too small at |z|={abs(z):.3f}")
     n = np.arange(1.0, stop + 1.0)
     weights = n ** -np.arange(1.0, count + 1.0)[:, None]  # row k: 1 / n^(k+1)
-    return [complex(v) for v in weights @ powers[:stop]]
+    return (weights @ powers[:stop]).tolist()
 
 
 def _panel_points(a: complex, b: complex, step: float) -> list[complex]:
@@ -181,8 +181,10 @@ def _panel_points(a: complex, b: complex, step: float) -> list[complex]:
         if depth > 60:
             raise NonConvergent("panel subdivision did not terminate")
         mid = (lo + hi) / 2
-        dist = min(abs(mid), abs(mid - 1.0))
-        if abs(hi - lo) <= min(step, 0.6 * dist):
+        # the length against step first: most nodes fail it, and then the
+        # distance to {0, 1} is not needed
+        length = abs(hi - lo)
+        if length <= step and length <= 0.6 * min(abs(mid), abs(mid - 1.0)):
             out.append(hi)
             return
         rec(lo, mid, depth + 1)
@@ -242,28 +244,34 @@ def _transport_once(points: tuple[complex, ...], li: list[complex],
     ratio = (1.0 - t) / (1.0 - lo)
     # -log(ratio) from its modulus and angle: numpy's complex log is
     # several times slower, and no more accurate in absolute terms
-    g = -(np.log(np.abs(ratio)) + 1j * np.angle(ratio))
+    g = -(np.log(np.abs(ratio)) + 1j * np.arctan2(ratio.imag, ratio.real))
     ends = np.empty((count, 1 + lo.size), dtype=DTYPE)
     ends[:, 0] = li                          # the start values lead, as a panel
     ends[0, 1:] = g[-1]
+    gw, g_real = np.empty_like(g), g.view(np.float64)
     for k in range(1, count):
-        # Q is real: one real product on the float64 view of all panels
-        g = (Q @ (g * w).view(np.float64)).view(DTYPE)
+        # Q is real: one real product on the float64 view of all panels,
+        # written back over g
+        np.multiply(g, w, out=gw)
+        np.matmul(Q, gw.view(np.float64), out=g_real)
         ends[k, 1:] = g[-1]
     # short panels keep the ratios in the right half plane, so the
     # principal log of each ratio continues the running branch; after[p]
     # sums the log ratios after column p of ends, so after[0] = Lambda
-    after = np.append(np.cumsum(np.log(hi / lo)[::-1])[::-1], 0.0)
+    after = np.zeros(lo.size + 1, dtype=DTYPE)
+    np.cumsum(np.log(hi / lo)[::-1], out=after[-2::-1])
     factors = np.empty((count, after.size), dtype=DTYPE)
     factors[0] = 1.0
     factors[1:] = after / np.arange(1.0, count)[:, None]
     powers = np.cumprod(factors, axis=0)     # row m: after^m / m!
-    terms = powers @ ends.T
-    # the end value at index k sums terms[m, j] over m + j = k
-    lag = np.add.outer(np.arange(count), np.arange(count)).ravel()
-    out = (np.bincount(lag, terms.real.ravel())
-           + 1j * np.bincount(lag, terms.imag.ravel()))[:count]
-    return complex(np.log(points[0]) + after[0]), [complex(v) for v in out]
+    # the end value at index k sums terms[m, k - m] from 0.0 in the order
+    # of m: row m of terms, padded with zeros to width 2 count and read at
+    # width 2 count - 1, moves right by m, and the rows are added in turn
+    terms = np.zeros((count, 2 * count), dtype=DTYPE)
+    terms[:, :count] = powers @ ends.T
+    sheared = terms.ravel()[:count * (2 * count - 1)].reshape(count, -1)
+    out = np.add.reduce(sheared, axis=0, initial=0.0)[:count]
+    return complex(np.log(points[0]) + after[0]), out.tolist()
 
 
 def _transport(points: tuple[complex, ...], count: int) -> tuple[complex, list[complex]]:
@@ -436,11 +444,16 @@ def build_matrices(ctx: PolylogContext) -> PolylogMatrices:
         lg, vals = branch_data(ctx, ctx.N)
         n, ell = ctx.N + 1, -np.array(vals, dtype=DTYPE)
         j, signs = np.arange(n), (-1.0) ** np.arange(n)     # signs: tau(-1)
+        # Toeplitz blocks of x^(i-j)/(i-j)! for x = lg and -lg, gathered by
+        # lag i - j from one table whose last entry, lag -1, is the zero above
+        # the diagonal.  The powers of -lg are formed on their own: Python's
+        # complex x ** k squares repeatedly only up to k = 100, so past it
+        # they are not those of lg with alternating signs
+        table = np.zeros((2, n), dtype=DTYPE)
+        table[0, :-1] = _powers_over_factorials(lg, n - 1)
+        table[1, :-1] = _powers_over_factorials(-lg, n - 1)
         L, L_inv = np.eye(n, dtype=DTYPE), np.eye(n, dtype=DTYPE)
-        for mat, x in ((L, lg), (L_inv, -lg)):    # Toeplitz blocks of x^(i-j)/(i-j)!
-            powers = _powers_over_factorials(x, n - 1)
-            for i in range(1, n):
-                mat[i, 1:i + 1] = powers[i - 1::-1]
+        L[1:, 1:], L_inv[1:, 1:] = table[:, np.maximum(np.subtract.outer(j[1:], j[1:]), -1)]
         L[1:, 0], L_inv[1:, 0] = ell, -(L_inv[1:, 1:] @ ell)
         # (2 pi i)^-j as (-i)^j (2 pi)^-j, exact in the power of i
         scale = np.array([1, -1j, -1, 1j])[j % 4] * (2.0 * np.pi) ** -j.astype(float)

@@ -40,6 +40,11 @@
   predecessor's integrand (the log powers integrated too), cross-checking
   the batched pass of `hodgeheights.polylog._transport_once` on the
   same panels and integration matrices.
+* The panel recursion as first written, each node's distance to {0, 1}
+  formed before its length is compared with min(step, 0.6 dist), and the
+  polylog matrices with the Toeplitz blocks of L and L^{-1} filled one
+  row at a time: bit-for-bit references for `hodgeheights.polylog`'s
+  `_panel_points` and `build_matrices`.
 """
 
 from dataclasses import dataclass
@@ -53,7 +58,8 @@ from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpoten
                                  orthonormal_columns)
 from hodgeheights.framed import FramingTypeError
 from hodgeheights.mhs import SUBSPACE_TOL, Violation
-from hodgeheights.polylog import (_check_segment, _cheb_nodes, _panel_points,
+from hodgeheights.polylog import (TWO_PI_I, NonConvergent, PolylogMatrices, _check_segment,
+                                  _cheb_nodes, _panel_points, _powers_over_factorials,
                                   branch_data, log_z, tau)
 
 
@@ -538,6 +544,43 @@ def sequential_transport_once(points, li, step, order):
                 ends.append(prev[-1])
             li = ends
     return log_t, [complex(v) for v in li]
+
+
+def recursive_panel_points(a, b, step):
+    """[a, b] split in halves until each panel is at most min(step, 0.6 dist)
+    long, dist the distance of its midpoint to {0, 1}."""
+    out = [a]
+
+    def rec(lo, hi, depth):
+        if depth > 60:
+            raise NonConvergent("panel subdivision did not terminate")
+        mid = (lo + hi) / 2
+        dist = min(abs(mid), abs(mid - 1.0))
+        if abs(hi - lo) <= min(step, 0.6 * dist):
+            out.append(hi)
+            return
+        rec(lo, mid, depth + 1)
+        rec(mid, hi, depth + 1)
+
+    rec(a, b, 0)
+    return out
+
+
+def row_loop_matrices(ctx):
+    """L, A, A^{-1} and B of H(z), the Toeplitz blocks x^(i-j)/(i-j)! of L
+    (x = log z) and L^{-1} (x = -log z) filled one row at a time."""
+    lg, vals = branch_data(ctx, ctx.N)
+    n, ell = ctx.N + 1, -np.array(vals, dtype=DTYPE)
+    j, signs = np.arange(n), (-1.0) ** np.arange(n)
+    L, L_inv = np.eye(n, dtype=DTYPE), np.eye(n, dtype=DTYPE)
+    for mat, x in ((L, lg), (L_inv, -lg)):
+        powers = _powers_over_factorials(x, n - 1)
+        for i in range(1, n):
+            mat[i, 1:i + 1] = powers[i - 1::-1]
+    L[1:, 0], L_inv[1:, 0] = ell, -(L_inv[1:, 1:] @ ell)
+    scale = np.array([1, -1j, -1, 1j])[j % 4] * (2.0 * np.pi) ** -j.astype(float)
+    return PolylogMatrices(L, L @ tau(TWO_PI_I, n), scale[:, None] * L_inv,
+                           (L * signs) @ (L_inv.conj() * signs))
 
 
 def _mp_branch(z, N):

@@ -85,20 +85,22 @@ class TestBigrading:
         deligne.bigrading(h)
         assert len(calls) <= 1
 
-    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 8),
+    @pytest.mark.parametrize("make, bound", [(lambda: curve_weight_gap_structure(), 7),
                                              (lambda: odd_weight_gap_structure(), 5)],
                              ids=["curve", "odd"])
     def test_formula_svd_count(self, make, bound, monkeypatch):
         # Neither structure is Hodge--Tate, so Deligne's formula gives the
         # pieces: every F^p is one batched SVD and W_k are slices of one QR;
         # F^r cap W_s for every pair of jumps is one batched SVD, each
-        # right-hand side with two or more nonzero terms one more, and all
-        # the pieces one batch; the direct-sum check is one SVD of the
-        # assembled basis, which the bigrading reuses.  F is given by
-        # jump, so neither has Hodge--Tate candidates.  So validating and
-        # bigrading cost 8 and 5 SVDs and one QR; the curve's candidates
-        # F^{k/2} cap W_k made a ninth, with an SVD per jump of F and of W
-        # they were 13 and 8, and the formula's recursion made 16 and 10.
+        # right-hand side with two or more nonzero terms that no other term
+        # contains one more, and all the pieces one batch; the direct-sum
+        # check is one SVD of the assembled basis, which the bigrading
+        # reuses.  F is given by jump, so neither has Hodge--Tate
+        # candidates.  So validating and bigrading cost 7 and 5 SVDs and
+        # one QR; spanning the contained terms too made 8 for the curve,
+        # its candidates F^{k/2} cap W_k a ninth, with an SVD per jump of F
+        # and of W they were 13 and 8, and the formula's recursion made 16
+        # and 10.
         h = make()
         calls = count_calls(monkeypatch, np.linalg, "svd")
         qrs = count_calls(monkeypatch, np.linalg, "qr")

@@ -309,6 +309,24 @@ class TestHeights:
             fh = random_framing(h, rng)
             assert abs(height1(fh) - height1_via_delta(fh)) < 1e-9
 
+    def test_height1_via_delta_reads_the_splittings_exponential(self, polylog_ctx_factory):
+        # the splitting keeps the e^{-2i delta} of its defining residual: it is
+        # nilpotent_exp(-2i delta) bit for bit, so height1_via_delta is too
+        from hodgeheights.polylog import polylog_framed
+        rng = np.random.default_rng(11)
+        roots = [random_framing(random_hodge_tate([1, 2, 1, 1], seed=seed), rng)
+                 for seed in range(5)]
+        roots.append(polylog_framed(polylog_ctx_factory(2.5 - 1j, 6), 0, 6))
+        for root in roots:
+            # a root solves delta, its dual and conjugate carry it over
+            for fh in (root, dual_framed(root), conjugate_framed(root)):
+                split = deligne.delta_splitting(fh.mhs)
+                g = nilpotent_exp(-2j * split.delta)
+                assert split.exp_minus_2i_delta.tobytes() == g.tobytes()
+                el = frame_elements(fh)
+                want = complex(np.dot(el.e_h_dual, g @ el.e_h)).imag
+                assert height1_via_delta(fh) == want
+
     def test_conjugate_lift_identity(self):
         # conj(e_H) = e^{-2i delta}(e_H) as vectors
         from hodgeheights.deligne import delta_splitting

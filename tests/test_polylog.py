@@ -16,8 +16,8 @@ from hodgeheights.polylog import (MAX_N, NonConvergent, PathThroughSingularity,
                                   tau)
 
 from oracles import (closed_form_betti_conjugator, mp_polylog_base_heights,
-                     mp_polylog_delta, mp_polylog_ht2, polylog_ell, sequential_transport_once,
-                     shift_matrix)
+                     mp_polylog_delta, mp_polylog_ht2, polylog_ell, recursive_panel_points,
+                     row_loop_matrices, sequential_transport_once, shift_matrix)
 
 # frozen oracle values (defining series summed in 35-digit arithmetic)
 LI2_HALF = 0.5822405264650125059026563201596801
@@ -255,6 +255,21 @@ class TestTransport:
         polylog._polyline(PolylogContext(2.5 + 1.0j)),
         polylog._polyline(PolylogContext(1.2 + 0.1j)),
         LOOP_AROUND_ONE + (0.45 + 0.35j,),
+    ], ids=["principal", "near_one", "loop"])
+    @pytest.mark.parametrize("step", [polylog.QUADRATURE_STEP, polylog.QUADRATURE_STEP / 2,
+                                      polylog.QUADRATURE_STEP / 4])
+    def test_panel_points_are_the_recursions(self, path, step):
+        # comparing a node's length with step before its distance to {0, 1}
+        # keeps every decision and midpoint: the same grid, bit for bit
+        for a, b in zip(path, path[1:]):
+            got = polylog._panel_points(a, b, step)
+            want = recursive_panel_points(a, b, step)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("path", [
+        polylog._polyline(PolylogContext(2.5 + 1.0j)),
+        polylog._polyline(PolylogContext(1.2 + 0.1j)),
+        LOOP_AROUND_ONE + (0.45 + 0.35j,),
         *(polylog._polyline(PolylogContext(r * cmath.exp(1j * angle)))
           for r in (0.6, 1.5, 2.5, 4.0) for angle in (0.7, -2.9)),
         (0.3, 0.3, 0.3 - 0.9j, 0.3 - 0.9j, 2.3 - 0.9j),     # zero-length segments
@@ -376,6 +391,16 @@ class TestMatrices:
         assert all(np.isfinite(arr).all() for arr in (m.L, m.A, m.A_inv, m.B))
         want = complex(mp.log(mp.mpc(0.3, 0.2)) ** 171 / mp.factorial(171))
         assert abs(m.L[172, 1] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 170, 171, 172, 386])
+    @pytest.mark.parametrize("z", [0.6 - 0.5j, -3.9 - 0.4j])
+    def test_toeplitz_gather_is_the_row_loop(self, z, n):
+        # one index gather fills the blocks of L and L^{-1} with the values
+        # the row loop wrote, across k = 171, where x^k / k! turns into a
+        # running product: every matrix the same, bit for bit
+        mats, want = build_matrices(PolylogContext(z, n)), row_loop_matrices(PolylogContext(z, n))
+        for name in ("L", "A", "A_inv", "B"):
+            assert getattr(mats, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_matrices_are_built_once_per_context(self):
         # H(z) and delta's closed form share one build, read-only
