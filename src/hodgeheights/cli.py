@@ -26,6 +26,7 @@ from . import deligne, framed as framed_mod, jsonio, polylog as pl
 from .deligne import NumericalDegeneracy, ResidualTooLarge
 from .framed import FramingTypeError, RealityViolation
 from .jsonio import ParseError
+from .linalg import frobenius
 from .mhs import InvalidMHS, require_valid, validate
 from .polylog import (NonConvergent, PathThroughSingularity, PolylogContext,
                       TruncationOutOfRange)
@@ -142,7 +143,7 @@ def cmd_height(args) -> int:
 def _delta_residual(ctx: PolylogContext) -> float:
     """Frobenius distance between the generic delta of H(z) and its closed form."""
     delta = deligne.delta_splitting(pl.polylog_mhs(ctx)).delta
-    return float(np.linalg.norm(delta - pl.delta_closed_form(ctx)))
+    return float(frobenius(delta - pl.delta_closed_form(ctx)))
 
 
 def _framed_heights(ctx: PolylogContext, fh, a: int, b: int) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mhs
-from .linalg import DTYPE, nilpotent_exp_pair
+from .linalg import DTYPE, frobenius, nilpotent_exp_pair
 from .mhs import SUBSPACE_TOL, Bigrading, MixedHodgeStructure, require_valid
 
 #: Tolerance for the defining-equation residual of the splitting.
@@ -110,7 +110,7 @@ def _solve_delta(b: Bigrading) -> np.ndarray:
     x = np.where(lowering, np.linalg.solve((2 * cd + lower).T, 1j * lower.T).T, 0)
     # x^k = 0 once k reaches the number of weights
     arctan = sum(((-1) ** (k // 2) * np.linalg.matrix_power(x, k) / k
-                  for k in range(3, len(np.unique(w)), 2)), x)
+                  for k in range(3, len(set(w.tolist())), 2)), x)
     return b.basis @ arctan @ b.inverse_basis
 
 
@@ -131,13 +131,13 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     # a derived structure carries its parent's delta over (mhs._inherit)
     parent, move = h._carry or (None, None)
     delta = _solve_delta(b) if parent is None else move(delta_splitting(parent).delta)
-    scale = max(1.0, float(np.linalg.norm(y)))
+    scale = max(1.0, float(frobenius(y)))
     g, ginv = nilpotent_exp_pair(-2j * delta)
-    defining = float(np.linalg.norm(g @ y @ ginv - y.conj())) / scale
+    defining = float(frobenius(g @ y @ ginv - y.conj())) / scale
     if defining > SPLITTING_TOL:
         raise ResidualTooLarge(
             f"splitting residual {defining:.2e} exceeds {SPLITTING_TOL:.2e}")
-    reality = float(np.linalg.norm(delta.imag))
+    reality = float(frobenius(delta.imag))
     if reality > REALITY_TOL * scale:
         raise ResidualTooLarge(
             f"delta has imaginary part {reality:.2e} (tolerance {REALITY_TOL:.2e})")
@@ -149,7 +149,7 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
         if a < 0 and bb < 0:
             delta_components[(a, bb)] = mat
         else:
-            lam_resid += float(np.linalg.norm(mat))
+            lam_resid += float(frobenius(mat))
 
     # checked: a carry is released, so the parent can die; one that raised stays
     object.__setattr__(h, "_carry", None)

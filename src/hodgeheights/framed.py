@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
-from .linalg import DTYPE
+from .linalg import DTYPE, frobenius
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 
@@ -86,9 +86,11 @@ class FramedMHS:
             raise FramingTypeError(f"phi_class is not in W_{2 * a}")
         if weight is None or weight < 2 * a:
             raise FramingTypeError(f"phi_class vanishes in Gr^W_{2 * a}")
-        for row in h.weight_frame.rows[:h.weight_rank(2 * b - 1)]:
-            if sum(f * x for f, x in zip(self.psi_class, row) if x):
-                raise FramingTypeError(f"psi_class does not vanish on W_{2 * b - 1}")
+        # psi on the rows spanning W_{2b-1}: on a coordinate frame, its entries at their pivots
+        f, r = h.weight_frame, h.weight_rank(2 * b - 1)
+        if (any(self.psi_class[c] for c in f.pivots[:r]) if f.coordinate else
+                any(sum(p * x for p, x in zip(self.psi_class, row) if x) for row in f.rows[:r])):
+            raise FramingTypeError(f"psi_class does not vanish on W_{2 * b - 1}")
         return floats[:n], floats[n:]
 
 
@@ -110,7 +112,7 @@ def _typed_lift(frame: np.ndarray, coords: np.ndarray, labels, p: int, q: int,
     mine = [label == (p, q) for label in labels]
     others = [i for i, (pi, qi) in enumerate(labels) if pi + qi == p + q and (pi, qi) != (p, q)]
     if others:
-        scale = max(float(np.linalg.norm(coords)), 1e-30)
+        scale = max(float(frobenius(coords)), 1e-30)
         large = np.abs(coords[others]) > SUBSPACE_TOL * scale
         if large.any():
             pi, qi = labels[others[int(np.argmax(large))]]
@@ -271,7 +273,7 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     require_valid(hs)
     require_valid(ht)
 
-    real_ok = bool(np.linalg.norm(f.imag) < tol * max(1.0, np.linalg.norm(f)))
+    real_ok = bool(frobenius(f.imag) < tol * max(1.0, frobenius(f)))
     w_ok = all(
         hs.weight_subspace(k).apply(f).containment_residual(ht.weight_subspace(k))
         < tol for k in hs.weight_jumps)
@@ -284,14 +286,14 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     diff = m1 * (f @ phi_s) - phi_t
     # equality of graded classes: the difference drops into W_{2a-1}
     phi_ok = bool(ht.weight_subspace(2 * target.a - 1).contains(diff)
-                  or np.linalg.norm(diff) < tol)
+                  or frobenius(diff) < tol)
 
     psi_s = np.array([float(x) for x in source.psi_class])
     psi_t = np.array([float(x) for x in target.psi_class])
     pulled = m2 * (f.T @ psi_t) - psi_s
     # psi agreement only matters on W_{2b} of the source
     w2b = hs.weight_subspace(2 * source.b)
-    psi_ok = bool(np.linalg.norm(pulled @ w2b.basis) < tol * max(1.0, np.linalg.norm(psi_t)))
+    psi_ok = bool(frobenius(pulled @ w2b.basis) < tol * max(1.0, frobenius(psi_t)))
 
     return MorphismReport(
         real_ok, w_ok, f_ok, phi_ok, psi_ok, m1, m2,

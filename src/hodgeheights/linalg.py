@@ -10,7 +10,8 @@ in one, and `Subspace.from_vector_sets` any number of vector sets).
 stacked product, and `Subspace.nested_frame` gives a decreasing chain of
 subspaces one orthonormal frame, each a slice of it.  The nilpotent
 exponential of a matrix and of its negative come from one series
-(`nilpotent_exp_pair`).
+(`nilpotent_exp_pair`).  Every whole-array norm is `frobenius`, numpy's
+norm without its argument dispatch.
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -55,7 +56,21 @@ def numerical_rank(s: np.ndarray) -> int:
     `s` is sorted in decreasing order, as numpy's SVD returns it; an empty
     or all-zero spectrum has rank 0.
     """
-    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
+    return np.count_nonzero(s > RANK_TOL * s[0]) if s.size else 0
+
+
+def frobenius(x: np.ndarray) -> np.floating:
+    """np.linalg.norm(x) of the whole array, bit for bit as numpy forms it
+    (the entries in memory order, real.real + imag.imag, then the square
+    root), without its argument dispatch."""
+    x = np.asarray(x)
+    if not issubclass(x.dtype.type, (np.inexact, np.object_)):
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
 
 
 def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -147,11 +162,11 @@ class Subspace:
     def contains(self, vector: Sequence[complex]) -> bool:
         """Membership: residual of the orthogonal projection below RANK_TOL |v|."""
         v = np.asarray(vector, dtype=DTYPE)
-        nv = np.linalg.norm(v)
+        nv = frobenius(v)
         if nv == 0.0:
             return True
         resid = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(np.linalg.norm(resid) < RANK_TOL * nv)
+        return bool(frobenius(resid) < RANK_TOL * nv)
 
     def containment_residual(self, other: "Subspace") -> float:
         """How far self is from being contained in `other` (0 when contained)."""
@@ -282,14 +297,14 @@ def _nilpotent_terms(mat: np.ndarray, divisor) -> list[np.ndarray]:
     that k, and t_n is formed only when no earlier term decided.
     """
     n = mat.shape[0]
-    scale = max(np.linalg.norm(mat), 1.0)
+    scale = max(frobenius(mat), 1.0)
     terms, term, product, nilpotent = [], np.eye(n, dtype=DTYPE), 1, False
     for k in range(1, n + 1):
         if k == n and nilpotent:
             break
         term = term @ mat / divisor(k)
         product *= divisor(k)
-        nilpotent = nilpotent or bool(np.linalg.norm(term) * product <= RANK_TOL * scale**k)
+        nilpotent = nilpotent or bool(frobenius(term) * product <= RANK_TOL * scale**k)
         if k < n:
             terms.append(term)
     if not nilpotent:

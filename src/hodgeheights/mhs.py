@@ -12,18 +12,20 @@ weight, W_k the span of those of weight <= k, so dim W_k is exact.  Rows
 given by jump are framed in one pass that also decides, exactly, that W
 is nested with a full top; constructions that know the frame hand it
 over, checked by integer comparisons on first use (`_frame_violations`).
-All W_k are column slices of one QR of the frame.  F is sparse by jump:
-F^p is the value at the smallest jump >= p, 0 above the largest, and the
-value at the smallest jump must be the full space.  It is given as rows
-by jump, or as a flag (`HodgeFlag`, as H(z), the random Hodge--Tate
-generator and Tate structures give it), and decided once, like W, in
-`_hodge`: every F^p and F's verdict.  A flag is nested by construction,
-so its own SVD alone decides it.  Every rank decision reads generators
-scaled to unit norm (`linalg.unit_columns`), so none moves with a
-generator's size.  A valid F has one orthonormal frame Q, F^p its first
-dim F^p columns (`_hodge_frame`); every dual, twist and conjugate is a
-flag whose basis is its own frame (the reversed conj(Q), Q or conj(Q)),
-so its F^p are slices with no factorisation.
+All W_k are column slices of one orthonormal frame: the identity columns
+at the pivots of a coordinate frame (`WeightFrame.coordinate`, every row
+a standard vector, as every construction here gives), else one QR of the
+rows.  F is sparse by jump: F^p is the value at the smallest jump >= p,
+0 above the largest, and the value at the smallest jump must be the full
+space.  It is given as rows by jump, or as a flag (`HodgeFlag`, as H(z),
+the random Hodge--Tate generator and Tate structures give it), and
+decided once, like W, in `_hodge`: every F^p and F's verdict.  A flag is
+nested by construction, so its own SVD alone decides it.  Every rank
+decision reads generators scaled to unit norm (`linalg.unit_columns`),
+so none moves with a generator's size.  A valid F has one orthonormal
+frame Q, F^p its first dim F^p columns (`_hodge_frame`); every dual,
+twist and conjugate is a flag whose basis is its own frame (the reversed
+conj(Q), Q or conj(Q)), so its F^p are slices with no factorisation.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -157,6 +159,16 @@ class WeightFrame:
     rows: tuple[tuple, ...]
     weights: tuple[int, ...]
     pivots: tuple[int, ...]
+
+    @cached_property
+    def coordinate(self) -> bool:
+        """Whether every row is the standard vector at its pivot, decided
+        once: then W_k is spanned by the standard vectors at the first dim
+        W_k pivots, and a vector's coordinates in the frame are its entries
+        there.  Every construction in the library, and every dual, twist
+        or conjugate of one, has such a frame."""
+        return all(0 <= c < len(row) and row[c] == 1 and not any(row[:c])
+                   and not any(row[c + 1:]) for row, c in zip(self.rows, self.pivots))
 
     def shifted(self, shift: int) -> "WeightFrame":
         """The same rows with every weight and jump moved by shift."""
@@ -362,14 +374,22 @@ class MixedHodgeStructure:
 
     def _weight_spans(self) -> dict:
         """Every W_k by jump, memoized: the first weight_rank(k) columns of
-        one QR of the frame's rows as unit-norm float columns, or the whole
-        space when full.  The exact rank decides the dimension, so no
-        scaling of the rational rows moves it."""
+        an orthonormal frame, or the whole space when full.  A coordinate
+        frame (`WeightFrame.coordinate`) is read by index, the identity
+        columns at its pivots; any other takes one QR of its rows as
+        unit-norm float columns.  On a coordinate frame that QR is the same
+        columns up to sign, so every projector, and every containment
+        residual, has the same value.  The exact rank decides the
+        dimension, so no scaling of the rational rows moves it."""
         def compute():
-            n, ranks = self.dimension, {k: self.weight_rank(k) for k in self._wjumps}
-            q = np.zeros((n, 0), dtype=DTYPE)
-            if any(0 < r < n for r in ranks.values()):
-                cols = np.array([_float_row(row) for row in self.weight_frame.rows]).T
+            n, f = self.dimension, self.weight_frame
+            ranks = {k: self.weight_rank(k) for k in self._wjumps}
+            if not any(0 < r < n for r in ranks.values()):
+                q = np.zeros((n, 0), dtype=DTYPE)
+            elif f.coordinate:
+                q = np.eye(n, dtype=DTYPE)[:, list(f.pivots)]
+            else:
+                cols = np.array([_float_row(row) for row in f.rows]).T
                 q = np.linalg.qr(unit_columns(cols))[0].astype(DTYPE)
             return {None: Subspace.zero(n), **{k: Subspace.full(n) if r == n
                                                else Subspace(q[:, :r]) for k, r in ranks.items()}}
@@ -440,9 +460,14 @@ class MixedHodgeStructure:
 
     def weight_of(self, vector: Sequence[Fraction]) -> int | None:
         """The least k with the rational vector in W_k (None for 0), exactly:
-        the largest weight of its nonzero coordinates in the frame, read
-        off in one elimination in row order."""
+        the largest weight of its nonzero coordinates in the frame.  Those
+        of a coordinate frame are the vector's entries at the pivots, so it
+        is the largest weight whose pivot entry is nonzero; any other frame
+        reads them off in one elimination in row order."""
         f = self.weight_frame
+        if f.coordinate:
+            return next((w for w, c in zip(reversed(f.weights), reversed(f.pivots))
+                         if vector[c]), None)
         v, weight = list(vector), None
         for row, w, c in zip(f.rows, f.weights, f.pivots):
             if v[c]:

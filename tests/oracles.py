@@ -45,6 +45,11 @@
   polylog matrices with the Toeplitz blocks of L and L^{-1} filled one
   row at a time: bit-for-bit references for `hodgeheights.polylog`'s
   `_panel_points` and `build_matrices`.
+* The weight of a rational vector by elimination against the rows of a
+  weight frame (`eliminated_weight`), cross-checking the read by index of
+  `MixedHodgeStructure.weight_of` on a coordinate frame, and a structure
+  and its framing moved by an exact rational change of basis (`sheared`,
+  `sheared_class`, `sheared_covector`), whose weight frame is not one.
 """
 
 from dataclasses import dataclass
@@ -57,7 +62,7 @@ from hodgeheights.linalg import (DTYPE, RANK_TOL, DimensionMismatch, NotNilpoten
                                  NotUnipotent, Subspace, nilpotent_exp, numerical_rank,
                                  orthonormal_columns)
 from hodgeheights.framed import FramingTypeError
-from hodgeheights.mhs import SUBSPACE_TOL, Violation
+from hodgeheights.mhs import SUBSPACE_TOL, HodgeFlag, MixedHodgeStructure, Violation
 from hodgeheights.polylog import (TWO_PI_I, NonConvergent, PolylogMatrices, _check_segment,
                                   _cheb_nodes, _panel_points, _powers_over_factorials,
                                   branch_data, log_z, tau)
@@ -471,6 +476,60 @@ def loop_typed_lift(frame, coords, labels, p, q, what):
                 f"{what}: graded class has a component of type ({pi},{qi}), "
                 f"expected pure ({p},{q})")
     return frame @ lift
+
+
+def eliminated_weight(frame, vector):
+    """The least k with the rational vector in W_k (None for 0): the vector
+    is reduced by the frame's rows in order, each row taking away the
+    vector's entry at its pivot, and the weight is that of the last row
+    that took away a nonzero entry."""
+    v, weight = [Fraction(x) for x in vector], None
+    for row, w, c in zip(frame.rows, frame.weights, frame.pivots):
+        if v[c]:
+            v = [x - v[c] * y for x, y in zip(v, row)]
+            weight = w
+    return weight
+
+
+def _exact_inverse(g):
+    """g^{-1} for an invertible rational matrix: [g | I] reduced is [I | g^{-1}]."""
+    n = len(g)
+    rows, _ = dense_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)])
+    return [row[n:] for row in rows]
+
+
+#: The exact unipotent change of basis of docs/examples/polylog-sheared.json
+#: (`sheared` of polylog-framed.json): it moves W off the coordinate
+#: subspaces, so no row of the sheared frame but the last is a unit vector.
+SHEAR = ((1, 2, -1, Fraction(1, 2)), (0, 1, 1, -1), (0, 0, 1, 3), (0, 0, 0, 1))
+
+
+def sheared_class(g, vector):
+    """g v, exactly, for a rational class v."""
+    return tuple(sum(Fraction(x) * y for x, y in zip(row, vector)) for row in g)
+
+
+def sheared_covector(g, covector):
+    """psi g^{-1}, exactly: the covector that takes g v to psi(v)."""
+    return tuple(sheared_class(list(zip(*_exact_inverse(g))), covector))
+
+
+def sheared(h, g):
+    """h moved by the exact rational change of basis v -> g v: W_k spanned by
+    g times h's rational rows of W_k (given by jump, so framed afresh), F^p
+    by g times its rows (a flag stays a flag, of g times its basis), and
+    the comparison matrix C g^{-1}.  An isomorphism of mixed Hodge
+    structures, so with its framing moved by `sheared_class` and
+    `sheared_covector` it has the same heights."""
+    gf = np.array([[float(x) for x in row] for row in g], dtype=DTYPE)
+    weight = {k: [sheared_class(g, row) for row in rows]
+              for k, rows in h.weight_filtration.items()}
+    flag = h._flag
+    hodge = ({p: (gf @ rows.T).T for p, rows in h.hodge_filtration.items()} if flag is None
+             else HodgeFlag(gf @ flag.basis, flag.jumps, flag.ranks))
+    comparison = (None if h.comparison_matrix is None else h.comparison_matrix
+                  @ np.array([[float(x) for x in row] for row in _exact_inverse(g)]))
+    return MixedHodgeStructure(h.dimension, weight, hodge, comparison)
 
 
 def from_vectors(vectors, ambient_dim=None):

@@ -17,7 +17,7 @@ from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
 
 from conftest import count_calls, random_framing
-from oracles import loop_typed_lift
+from oracles import SHEAR, loop_typed_lift, sheared, sheared_class, sheared_covector
 
 
 def unit(i, n):
@@ -112,15 +112,26 @@ class TestFrameElements:
             outcomes.add("lifted")
         assert outcomes == {"raised", "lifted"}
 
-    @pytest.mark.parametrize("phi, psi, message", [
-        (unit(0, 3), unit(2, 4), "frame vectors of wrong length"),
-        (unit(3, 4), unit(2, 4), "phi_class vanishes in Gr\\^W_0"),
-        (unit(0, 4), unit(3, 4), "psi_class does not vanish on W_-5"),
-    ], ids=["wrong_length", "phi_vanishes", "psi_not_vanishing"])
-    def test_check_rejects_frame_data(self, polylog_ctx_factory, phi, psi, message):
-        # H(z) at N = 3 has W_{-2k} spanned by e_k..e_3
+    @pytest.mark.parametrize("phi, psi, message, shear", [
+        (unit(0, 3), unit(2, 4), "frame vectors of wrong length", None),
+        (unit(3, 4), unit(2, 4), "phi_class vanishes in Gr\\^W_0", None),
+        (unit(0, 4), unit(3, 4), "psi_class does not vanish on W_-5", None),
+        (unit(0, 3), unit(2, 4), "frame vectors of wrong length", SHEAR),
+        (unit(3, 4), unit(2, 4), "phi_class vanishes in Gr\\^W_0", SHEAR),
+        (unit(0, 4), unit(3, 4), "psi_class does not vanish on W_-5", SHEAR),
+    ], ids=["wrong_length", "phi_vanishes", "psi_not_vanishing",
+            "sheared-wrong_length", "sheared-phi_vanishes", "sheared-psi_not_vanishing"])
+    def test_check_rejects_frame_data(self, polylog_ctx_factory, phi, psi, message, shear):
+        # H(z) at N = 3 has W_{-2k} spanned by e_k..e_3, a coordinate frame
+        # read by index; sheared, its frame rows are not unit vectors and
+        # the same classes, moved with it, are checked by elimination
         from hodgeheights.polylog import polylog_mhs
         h = polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 3))
+        if shear is not None:
+            h = sheared(h, shear)
+            assert not h.weight_frame.coordinate
+            phi = sheared_class(shear, phi) if len(phi) == 4 else phi
+            psi = sheared_covector(shear, psi)
         fh = FramedMHS(h, 0, -2, phi, psi)
         with pytest.raises(FramingTypeError, match=message):
             fh.check()
@@ -195,12 +206,13 @@ class TestEachFactOnce:
         # echelon form and no Fraction -> float conversion.  F is handed
         # over as a flag, the columns of A(z)^{-1}: one values-only SVD
         # decides its rank and every F^p is a slice of one QR, so there is
-        # no batched F SVD.  W_k are slices of one QR.  The candidates are
-        # the columns of the flag's unit-norm basis, one each, with no
-        # span, SVD or intersection, and the direct-sum check reads that
-        # basis's singular values off the same SVD: 1 SVD and 2 QRs, which
-        # do not grow with N.  The heights read frame coordinates, never an
-        # echelon form.
+        # no batched F SVD.  The frame is a coordinate frame, so W_k are
+        # identity columns at its pivots, read by index with no QR.  The
+        # candidates are the columns of the flag's unit-norm basis, one
+        # each, with no span, SVD or intersection, and the direct-sum check
+        # reads that basis's singular values off the same SVD: 1 SVD and 1
+        # QR, which do not grow with N (a QR of the W frame made a second).
+        # The heights read frame coordinates, never an echelon form.
         from hodgeheights import _rational
         from hodgeheights.polylog import PolylogContext, polylog_framed, polylog_mhs
         ctx = PolylogContext(0.3 + 0.2j, n)
@@ -214,7 +226,7 @@ class TestEachFactOnce:
         deligne.delta_splitting(h)
         assert calls["rref"] == [] and calls["float"] == [] and calls["cuts"] == []
         assert calls["sets"] == []
-        assert (len(calls["svd"]), len(calls["qr"])) == (1, 2)
+        assert (len(calls["svd"]), len(calls["qr"])) == (1, 1)
         for b in range(1, n + 1):
             fh = polylog_framed(ctx, 0, b)
             height1(fh)
@@ -222,8 +234,8 @@ class TestEachFactOnce:
         assert calls["rref"] == []
 
     @pytest.mark.parametrize("make, svds, qrs", [
-        (lambda: random_hodge_tate([1, 2, 1], seed=4), 2, 3),
-        (lambda: random_hodge_tate([1, 1, 1, 1], seed=4), 1, 2),
+        (lambda: random_hodge_tate([1, 2, 1], seed=4), 2, 2),
+        (lambda: random_hodge_tate([1, 1, 1, 1], seed=4), 1, 1),
         (lambda: mhs_mod.tate(2), 1, 1)], ids=["random-121", "random-1111", "tate"])
     def test_fresh_constructions_find_no_intersection(self, make, svds, qrs, monkeypatch):
         # the random generator and Q(a) hand their pieces over as the
@@ -233,7 +245,9 @@ class TestEachFactOnce:
         # singular values are the bigrading's, so that is the only SVD.  A
         # wider block, [1, 2, 1]'s, takes one batched QR in place of the
         # SVD that spanned it, and the bigrading basis is then no longer
-        # the flag's, so the direct-sum check makes the second SVD.
+        # the flag's, so the direct-sum check makes the second SVD.  The
+        # other QR is the flag's frame: W is a coordinate frame, read by
+        # index (a QR of it made one more).
         h = make()
         calls = {name: count_calls(monkeypatch, owner, attr)
                  for name, owner, attr in (("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +26,7 @@ from hodgeheights.polylog import (NonConvergent, PathThroughSingularity,
                                   polylog_mhs)
 
 from conftest import random_framing
+from oracles import SHEAR, sheared, sheared_class, sheared_covector
 
 
 class TestScalarFormats:
@@ -103,6 +107,23 @@ class TestDocuments:
         _, _, h = random_hodge_tate_pair([1, 1, 1], seed=9)
         fh = random_framing(h, np.random.default_rng(2))
         assert_round_trip_heights(h, fh)
+
+    def test_sheared_document_is_the_framed_one_moved(self):
+        # polylog-sheared.json is polylog-framed.json moved by the exact
+        # unipotent change of basis SHEAR, framing classes too: its W rows
+        # are not unit vectors, so its W_k take the QR and its classes the
+        # elimination.  Same verdict and pieces, the same heights to 1e-12
+        h, fh = parse_mhs_document((EXAMPLES / "polylog-framed.json").read_text())
+        text = (EXAMPLES / "polylog-sheared.json").read_text()
+        hs, fs = parse_mhs_document(text)
+        moved = framed.FramedMHS(sheared(h, SHEAR), fh.a, fh.b, sheared_class(SHEAR, fh.phi_class),
+                                 sheared_covector(SHEAR, fh.psi_class))
+        assert json.loads(text) == mhs_to_document(moved.mhs, moved)
+        assert h.weight_frame.coordinate and not hs.weight_frame.coordinate
+        assert validate(hs).describe() == validate(h).describe() == "valid"
+        assert deligne.bigrading(hs).piece_dims() == deligne.bigrading(h).piece_dims()
+        heights = [(framed.height1(g), framed.height2(g)) for g in (fh, fs)]
+        np.testing.assert_allclose(heights[1], heights[0], rtol=0, atol=1e-12)
 
     def test_parse_error_reports_path(self):
         doc = mhs_to_document(tate(0))
@@ -270,6 +291,22 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         # base framing of the shipped document satisfies ht2 = -ht1/2
         assert abs(out["ht2"] + 0.5 * out["ht1"]) < 1e-9
+
+    def test_cold_start_imports_no_masked_arrays(self):
+        # a fresh interpreter splits H(z) and a shipped document without
+        # importing numpy.ma (np.unique, counting delta's weights, did)
+        code = ("import sys\n"
+                "from hodgeheights import cli, deligne, polylog\n"
+                "h = polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6))\n"
+                "deligne.delta_splitting(h)\n"
+                "assert cli.main(['splitting', sys.argv[1]]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, "-c", code, str(EXAMPLES / "polylog-framed.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_formula_example_is_not_hodge_tate(self, capsys):
         # the shipped document that keeps Deligne's general formula in use

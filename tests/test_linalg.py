@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotUnipotent,
-                                 Subspace, nilpotent_exp, nilpotent_exp_pair, nilpotent_log,
-                                 numerical_rank, unit_columns)
+                                 Subspace, frobenius, nilpotent_exp, nilpotent_exp_pair,
+                                 nilpotent_log, numerical_rank, unit_columns)
 
 from conftest import count_calls
 from oracles import (contains_subspace, equals, from_vectors, intersect,
@@ -519,3 +519,43 @@ def test_unit_columns_of_tiny_columns_are_unit(seed, n, exp):
                                                                    keepdims=True))
     assert not u[:, :, 2].any()
     assert np.array_equal(unit_columns(x[0]), u[0])
+
+
+def _array_of(kind, seed, shape, exp):
+    rng = np.random.default_rng(seed)
+    if kind == "int":
+        return rng.integers(-1000, 1000, size=shape)
+    x = rng.standard_normal(shape) * 10.0 ** exp
+    return x if kind == "real" else x + 1j * rng.standard_normal(shape) * 10.0 ** exp
+
+
+_VIEWS = {"as-is": lambda x: x, "transposed": lambda x: x.T,
+          "fortran": np.asfortranarray, "strided-imag": lambda x: (1j * x)[::2, ::-1].imag,
+          "reversed-rows": lambda x: x[::-1]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["int", "real", "complex"]), seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(0, 5), st.integers(0, 5)), exp=st.integers(-200, 200),
+       view=st.sampled_from(sorted(_VIEWS)))
+def test_frobenius_is_numpys_norm_bit_for_bit(kind, seed, shape, exp, view):
+    # the same value and type as np.linalg.norm of the whole array: empty,
+    # int, real and complex arrays, transposed, Fortran-order and strided
+    # views, entries from 1e-200 (squares that underflow) to 1e200
+    # (squares that overflow to inf)
+    x = _VIEWS[view](_array_of(kind, seed, shape, exp))
+    with np.errstate(over="ignore"):
+        want, got = np.linalg.norm(x), frobenius(x)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+def test_frobenius_of_vectors_and_scalars():
+    for x in (np.zeros(0), np.array(3 - 4j), np.array([1e200, 1e200]), [3, 4], np.eye(3)[1],
+              np.array([1e-200 + 1e-200j]), np.ones((2, 3, 4), dtype=np.complex64)):
+        with np.errstate(over="ignore"):
+            want, got = np.linalg.norm(x), frobenius(x)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    assert frobenius([3, 4]) == 5.0
+    with np.errstate(over="ignore"):
+        assert np.isinf(frobenius(np.array([1e200, 1e200])))
+

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
-from hodgeheights.linalg import LinalgError, Subspace, nilpotent_exp
+from hodgeheights.linalg import LinalgError, Subspace, nilpotent_exp, orthonormal_columns
 from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
                               conjugate, coordinate_flag, dual, random_hodge_tate,
                               random_hodge_tate_pair, tate, twist, validate)
 
 from conftest import count_calls, random_framing
-from oracles import (equals, from_vectors, graded_purity_violations, graded_rational_basis,
-                     nullspace, weight_rows)
+from oracles import (eliminated_weight, equals, from_vectors, graded_purity_violations,
+                     graded_rational_basis, nullspace, sheared, weight_rows)
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
@@ -211,8 +211,10 @@ def test_dual_keeps_its_annihilators(monkeypatch):
 
 def test_dual_pieces_are_one_batch(monkeypatch):
     # the dual's pieces are the parent's inverse basis rows, spanned in one
-    # batched SVD, and with its independence check that is two SVDs (and
-    # the QR of its W frame).  A parent whose F is a flag of full rank has
+    # batched SVD, and with its independence check that is two SVDs.  Its
+    # W frame, the exact dual of a coordinate frame, is a coordinate frame
+    # too, so its W_k are read by index with no QR (a QR of it made one).
+    # A parent whose F is a flag of full rank has
     # its frame already; one whose F is given by jump (the formula
     # fixtures) builds it from its spans in one batched SVD of known ranks,
     # a third.  Their pieces are one vector each, spanned with no SVD, so
@@ -224,7 +226,7 @@ def test_dual_pieces_are_one_batch(monkeypatch):
         qrs = count_calls(monkeypatch, np.linalg, "qr")
         d = dual(h)
         deligne.delta_splitting(d)
-        assert (len(svds), len(qrs)) == (svd_count, 1)
+        assert (len(svds), len(qrs)) == (svd_count, 0)
         monkeypatch.undo()
 
 
@@ -537,21 +539,11 @@ def test_derived_frames_pass_the_frame_check():
     assert mhs_mod._frame_violations(3, coordinate_flag([1, 2])) == ()
     g = np.triu(np.random.default_rng(8).integers(-3, 4, size=(5, 5)), 1) + np.eye(5, dtype=int)
     base = random_hodge_tate([2, 1, 2], seed=8)
-    for h in (base, _in_basis(base, g)):
+    for h in (base, sheared(base, g.tolist())):
         mhs_mod.require_valid(h)
         for child in (dual(h), twist(h, 1), conjugate(h), dual(dual(h))):
             assert mhs_mod._frame_violations(h.dimension, child.weight_frame) == ()
             assert child._memo["frame"] == ()
-
-
-def _in_basis(h, g):
-    """h moved by the rational change of basis g (an integer matrix): an
-    isomorphic structure whose W is given by rows that are not unit vectors."""
-    n = h.dimension
-    return MixedHodgeStructure(
-        n, {k: [[sum(v[i] * int(g[j, i]) for i in range(n)) for j in range(n)] for v in rows]
-            for k, rows in h.weight_filtration.items()},
-        {p: arr @ g.T for p, arr in h.hodge_filtration.items()})
 
 
 def test_weight_verdict_and_dual_annihilators_hold_through_the_frame(monkeypatch):
@@ -567,7 +559,7 @@ def test_weight_verdict_and_dual_annihilators_hold_through_the_frame(monkeypatch
     # vectors is framed by their exact dual basis, with no echelon form,
     # and keeps its annihilators as F: no SVD
     g = np.triu(np.random.default_rng(8).integers(-3, 4, size=(5, 5)), 1) + np.eye(5, dtype=int)
-    h = _in_basis(random_hodge_tate([2, 1, 2], seed=8), g)
+    h = sheared(random_hodge_tate([2, 1, 2], seed=8), g.tolist())
     assert {x for row in h.weight_frame.rows for x in row} - {0, 1}
     mhs_mod.require_valid(h)
     rrefs.clear()
@@ -629,6 +621,74 @@ def test_pieces_outside_the_filtrations_are_rejected():
         assert outside == weights
         with pytest.raises(InvalidMHS):
             mhs_mod.require_valid(child)
+
+
+class _GeneralFrame(WeightFrame):
+    """A weight frame read as a general one, by one QR and by elimination,
+    whatever its rows."""
+
+    coordinate = False
+
+
+def _read_generally(h):
+    f = h.weight_frame
+    return MixedHodgeStructure(h.dimension, _GeneralFrame(f.jumps, f.rows, f.weights, f.pivots),
+                               h.hodge_filtration if h._flag is None else h._flag)
+
+
+_DERIVED = {"root": lambda h: h, "dual": dual, "twist": lambda h: twist(h, -1),
+            "conjugate-dual": lambda h: dual(conjugate(h))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4), seed=st.integers(0, 2**16),
+       derive=st.sampled_from(sorted(_DERIVED)), polylog_n=st.sampled_from([None, 3, 7]))
+def test_coordinate_weight_spans_match_the_qr(dims, seed, derive, polylog_n):
+    # a coordinate frame's W_k, identity columns at its pivots, are the
+    # columns the QR of its rows gives, up to sign, so every containment
+    # residual against them has the same bytes: the pieces in their
+    # W_{p+q} and random subspaces in every W_k
+    root = (random_hodge_tate(dims, seed=seed) if polylog_n is None
+            else polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, polylog_n)))
+    # the child's frame and flag, in a structure of their own
+    child = _DERIVED[derive](root)
+    h = MixedHodgeStructure(child.dimension, child.weight_frame, child._flag)
+    general = _read_generally(h)
+    assert h.weight_frame.coordinate
+    mine, qr = h._weight_spans(), general._weight_spans()
+    assert mine.keys() == qr.keys()
+    for k in mine:
+        assert np.array_equal(np.abs(mine[k].basis), np.abs(qr[k].basis))
+    rng, n = np.random.default_rng(seed), h.dimension
+    xs = [orthonormal_columns(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+          for d in range(n + 1)]
+    xs = [Subspace(x) for x in xs] + list(deligne.bigrading(h).pieces.values())
+    assert (Subspace.containment_residuals([(x, mine[k]) for x in xs for k in mine]).tobytes()
+            == Subspace.containment_residuals([(x, qr[k]) for x in xs for k in qr]).tobytes())
+    assert validate(general).describe() == validate(h).describe() == "valid"
+    assert deligne.bigrading(general).piece_dims() == deligne.bigrading(h).piece_dims()
+
+
+_RATIONALS = st.one_of(st.just(0), st.integers(-5, 5),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), shift=st.integers(-3, 3),
+       dualised=st.booleans(), data=st.data())
+def test_weight_of_reads_a_coordinate_frame_by_index(dims, shift, dualised, data):
+    # on a coordinate frame the weight of a rational vector is that of its
+    # last nonzero pivot entry, the weight elimination finds (int and
+    # Fraction entries); the same frame read generally eliminates
+    f = coordinate_flag(dims).shifted(2 * shift)
+    f = f.dual() if dualised else f
+    n = sum(dims)
+    h = MixedHodgeStructure(n, f, {0: np.eye(n)})
+    vector = data.draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    assert f.coordinate
+    assert (h.weight_of(vector) == _read_generally(h).weight_of(vector)
+            == eliminated_weight(f, vector))
+    assert h.weight_of([0] * n) is None
 
 
 def _spanned_weight_subspace(h, k):
