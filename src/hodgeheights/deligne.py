@@ -23,14 +23,19 @@ is one linear solve and a finite odd series.  It runs once per root
 structure: a derived structure carries its parent's delta over through
 the map `mhs._inherit` recorded, and releases the parent once its own
 splitting is checked.  Every structure still computes Y from its own
-bigrading and checks the defining, reality and lambda residuals of its
-delta, so a wrong carry raises ResidualTooLarge.  Degree-by-degree and
-fixed-point solvers of the defining equation are test oracles (tests/oracles.py).
+bigrading and checks the defining and reality residuals of its delta,
+so a wrong carry raises ResidualTooLarge.  delta's Hodge components and
+the lambda residual (the norms of the components that do not lower both
+indices) are diagnostics, reported and never compared with a tolerance;
+they are computed on first read, by one `hodge_components`.
+Degree-by-degree and fixed-point solvers of the defining equation are
+test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,16 +94,37 @@ def hodge_components(x: np.ndarray, b: Bigrading) -> dict[tuple[int, int], np.nd
 @dataclass(frozen=True, eq=False)
 class SplittingData:
     """Grading operator, delta-splitting and diagnostics for one MHS;
-    exp_minus_2i_delta is e^{-2i delta}, the map of the defining equation."""
+    exp_minus_2i_delta is e^{-2i delta}, the map of the defining equation.
+    The diagnostics `delta_components` and `lambda_residual` are computed
+    on first read and kept."""
 
     bigrading: Bigrading
     Y: np.ndarray
     delta: np.ndarray
     exp_minus_2i_delta: np.ndarray
-    delta_components: dict[tuple[int, int], np.ndarray]
     defining_residual: float
     reality_residual: float
-    lambda_residual: float
+
+    @cached_property
+    def _diagnostics(self) -> tuple[dict[tuple[int, int], np.ndarray], float]:
+        """delta's Hodge components that lower both indices, and the sum of
+        the norms of the others, from one `hodge_components`."""
+        lowering, rest = {}, 0.0
+        for (a, b), mat in hodge_components(self.delta, self.bigrading).items():
+            if a < 0 and b < 0:
+                lowering[(a, b)] = mat
+            else:
+                rest += float(frobenius(mat))
+        return lowering, rest
+
+    @property
+    def delta_components(self) -> dict[tuple[int, int], np.ndarray]:
+        return self._diagnostics[0]
+
+    @property
+    def lambda_residual(self) -> float:
+        """0 when delta lies in Lambda^{-1,-1}, as it must; reported only."""
+        return self._diagnostics[1]
 
 
 def _solve_delta(b: Bigrading) -> np.ndarray:
@@ -126,7 +152,7 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
     b = bigrading(h)
     y = grading_operator(b)
     if h.dimension == 0:
-        return SplittingData(b, y, y.copy(), y.copy(), {}, 0.0, 0.0, 0.0)
+        return SplittingData(b, y, y.copy(), y.copy(), 0.0, 0.0)
 
     # a derived structure carries its parent's delta over (mhs._inherit)
     parent, move = h._carry or (None, None)
@@ -142,16 +168,6 @@ def _compute_splitting(h: MixedHodgeStructure) -> SplittingData:
         raise ResidualTooLarge(
             f"delta has imaginary part {reality:.2e} (tolerance {REALITY_TOL:.2e})")
 
-    comps = hodge_components(delta, b)
-    lam_resid = 0.0
-    delta_components = {}
-    for (a, bb), mat in comps.items():
-        if a < 0 and bb < 0:
-            delta_components[(a, bb)] = mat
-        else:
-            lam_resid += float(frobenius(mat))
-
     # checked: a carry is released, so the parent can die; one that raised stays
     object.__setattr__(h, "_carry", None)
-    return SplittingData(b, y, delta, g, delta_components,
-                         defining, reality, lam_resid)
+    return SplittingData(b, y, delta, g, defining, reality)

@@ -76,15 +76,19 @@ Deligne pieces.
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
 parent through one call, `_inherit`, and no other way: its W subspaces
-(a twist's or conjugate's), W's verdict, F's frame, its Deligne pieces
-(with the singular values and inverse of their basis when it is the
-parent's or its conjugate), and the parent with the map that carries its
-delta over, which `deligne` resolves and then releases the parent.  The
-child never evaluates the formula.  What is still checked on the child:
-`validate` runs every containment, dimension and independence check on
-the child's own filtrations and pieces, and `deligne.delta_splitting`
-computes Y from the child's own bigrading and checks delta's defining,
-reality and lambda residuals against it.
+and the parent's verdict (a twist's or conjugate's), W's verdict, F's
+frame, its Deligne pieces (with the singular values and inverse of their
+basis when it is the parent's or its conjugate), and the parent with the
+map that carries its delta over, which `deligne` resolves and then
+releases the parent.  The child never evaluates the formula.  What is
+checked on the child: a twist or conjugate takes its parent's verdict as
+its report, by functoriality, so `require_valid` checks nothing on it;
+the dual's pieces are new floats, so it is validated on them and its own
+filtrations, every containment, dimension and independence check; and
+`validate` called directly is always the full check, on any structure.
+`deligne.delta_splitting` computes Y from every child's own bigrading
+and checks delta's defining and reality residuals against it, so a wrong
+carry raises.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
@@ -497,6 +501,11 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
     column blocks, its Hodge--Tate candidates, come first: passing the
     criteria certifies them as Deligne's pieces (module docstring).  If
     there are none, or they fail, the formula's pieces decide and report.
+
+    Called directly, this is always the full check.  `require_valid`
+    memoizes it, except on a twist or conjugate, which takes its parent's
+    verdict by functoriality (`_inherit`); the dual is validated on its
+    own pieces.
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -724,7 +733,8 @@ def _assemble(h: MixedHodgeStructure, pieces: dict[tuple[int, int], Subspace],
 
 
 def require_valid(h: MixedHodgeStructure) -> None:
-    """Raise InvalidMHS unless h is valid; the report is kept on h."""
+    """Raise InvalidMHS unless h is valid; the report is kept on h (a twist
+    or conjugate has its parent's from `_inherit`)."""
     report = h.memo("report", lambda: validate(h))
     if not report.ok:
         raise InvalidMHS(report)
@@ -733,16 +743,22 @@ def require_valid(h: MixedHodgeStructure) -> None:
 # -- constructions ------------------------------------------------------
 
 
-def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, spans: dict,
+def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, taken: dict,
              pieces: dict, known, carry_delta) -> MixedHodgeStructure:
     """child, derived from the valid h, with what it takes from h (whose
-    splitting fixes the child's): W's subspaces by jump (spans["W"], if
-    given), W's verdict (its frame is h's, shifted or dual), F's frame (the
-    basis of the child's flag), pieces by label with the singular values
-    and inverse of their basis (`known`, or ()), and (h, carry_delta) as
+    splitting fixes the child's): memo entries as they are (`taken`), W's
+    verdict (its frame is h's, shifted or dual), F's frame (the basis of
+    the child's flag), pieces by label with the singular values and
+    inverse of their basis (`known`, or ()), and (h, carry_delta) as
     child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
-    and then releases h, so delta is solved once per root."""
-    child._memo.update(spans, Q=child._flag.basis, frame=(),
+    and then releases h, so delta is solved once per root.
+
+    A twist or conjugate takes W's subspaces by jump and h's verdict, its
+    report, in `taken`: its pieces are h's relabelled or conjugated, so by
+    functoriality it is valid, and `require_valid` checks nothing on it.
+    The dual takes neither: its pieces are new floats, and it is validated
+    on them.  `validate` called directly always runs every check."""
+    child._memo.update(taken, Q=child._flag.basis, frame=(),
                        pieces=_assemble(child, pieces, *known))
     object.__setattr__(child, "_carry", (h, carry_delta))
     return child
@@ -804,8 +820,9 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
         h.dimension, h.weight_frame.shifted(2 * s),
         HodgeFlag(c(q), [p + s for p in jumps], [h.hodge_subspace(p).dim for p in jumps]),
         comparison if comparison is None else c(comparison))
-    spans = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()}}
-    return _inherit(h, child, spans,
+    taken = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
+             "report": h._memo["report"]}
+    return _inherit(h, child, taken,
                     {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
                     (b.singular_values, c(b.inverse_basis)),
                     lambda delta: -delta if conjugated else delta)

@@ -340,6 +340,35 @@ class TestDeltaSplitting:
         for (a, b) in data.delta_components:
             assert a < 0 and b < 0
 
+    @pytest.mark.parametrize("first", ["lambda_residual", "delta_components"])
+    def test_diagnostics_are_computed_once_when_read(self, first, monkeypatch):
+        # the splitting's gates are its defining and reality residuals; the
+        # Hodge components of delta and the lambda residual are diagnostics,
+        # computed by one hodge_components on first read, bit for bit as
+        # the split of all of delta's components below
+        from hodgeheights.polylog import PolylogContext, polylog_mhs
+        h = random_hodge_tate([1, 2, 1, 1], seed=12)
+        structures = [polylog_mhs(PolylogContext(0.6 - 0.5j, 10)), h, dual(h), twist(h, 2),
+                      conjugate(h), conjugate(dual(h)), curve_weight_gap_structure()]
+        real = deligne.hodge_components
+        calls = count_calls(monkeypatch, deligne, "hodge_components")
+        for x in structures:
+            data = delta_splitting(x)
+            assert calls == []
+            getattr(data, first)
+            assert len(calls) == 1
+            lowering, rest = {}, 0.0
+            for (a, b), mat in real(data.delta, data.bigrading).items():
+                if a < 0 and b < 0:
+                    lowering[(a, b)] = mat
+                else:
+                    rest += float(linalg.frobenius(mat))
+            assert data.lambda_residual == rest
+            assert data.delta_components.keys() == lowering.keys()
+            assert all(np.array_equal(data.delta_components[k], m) for k, m in lowering.items())
+            assert len(calls) == 1
+            calls.clear()
+
     def test_graded_delta_powers_are_real(self):
         # pi_{k'} o delta^r o iota_k in rational graded frames has no
         # imaginary part, for k' < k and r > 0

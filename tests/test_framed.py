@@ -170,8 +170,9 @@ class TestEachFactOnce:
 
     def test_derived_structures_inherit_pieces(self, calls):
         # dual, twist and conjugate take their pieces from the validated
-        # parent: each child is validated and bigraded once, on its own
-        # filtrations, and computes neither candidates nor Deligne's formula
+        # parent, and compute neither candidates nor Deligne's formula; each
+        # is bigraded once.  Only the dual is validated, on its own
+        # filtrations: a twist or conjugate takes its parent's verdict
         h = random_hodge_tate([1, 2, 1, 2], seed=31)
         fh = random_framing(h, np.random.default_rng(31))
         self.all_heights(fh)
@@ -179,8 +180,43 @@ class TestEachFactOnce:
         for child in children:
             self.all_heights(child)
         derived = [child.mhs for child in children]
-        assert calls == {"validate": [h] + derived, "candidates": [h], "formula": [],
+        assert calls == {"validate": [h, derived[0]], "candidates": [h], "formula": [],
                          "bigrading": [h] + derived, "check": [fh] + children}
+
+    @pytest.mark.parametrize("root", ["random", "polylog", "curve"])
+    def test_twist_and_conjugate_carry_the_verdict(self, root, monkeypatch):
+        # a twist or conjugate of a valid structure is valid by functoriality:
+        # it takes its parent's report, so its validity, bigrading and
+        # heights run no MHS criterion and no containment residual.  A
+        # direct `validate` still checks it in full, and the dual, whose
+        # pieces are new floats, is validated on them once
+        from hodgeheights.polylog import PolylogContext, polylog_framed
+        from test_deligne import curve_weight_gap_structure
+        if root == "random":
+            h = random_hodge_tate([2, 1, 2], seed=8)
+            fh = random_framing(h, np.random.default_rng(8))
+        elif root == "polylog":
+            fh = polylog_framed(PolylogContext(0.6 - 0.5j, 6), 1, 4)
+        else:
+            fh = FramedMHS(curve_weight_gap_structure(), 0, -2, unit(0, 4), unit(3, 4))
+        self.all_heights(fh)
+        calls = {name: count_calls(monkeypatch, owner, attr)
+                 for name, owner, attr in (("purity", mhs_mod, "_purity_violations"),
+                                           ("residuals", Subspace, "containment_residuals"))}
+        for child in (twist_framed(fh, 3), conjugate_framed(fh),
+                      twist_framed(conjugate_framed(fh), -2)):
+            mhs_mod.require_valid(child.mhs)
+            deligne.bigrading(child.mhs)
+            height1(child)
+            height2(child)
+            assert calls == {"purity": [], "residuals": []}
+            assert child.mhs._memo["report"] == fh.mhs._memo["report"]
+            assert mhs_mod.validate(child.mhs).ok
+            assert calls["purity"] == [child.mhs]
+            calls["purity"].clear()
+            calls["residuals"].clear()
+        mhs_mod.require_valid(dual_framed(fh).mhs)
+        assert len(calls["purity"]) == 1
 
     def test_polylog(self, calls, polylog_ctx_factory):
         from hodgeheights.polylog import polylog_framed

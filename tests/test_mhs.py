@@ -607,20 +607,26 @@ def test_generator_moves_bigrading_by_exp_lambda():
 
 
 def test_pieces_outside_the_filtrations_are_rejected():
-    # A derived structure is validated on the pieces it inherits: each must
-    # lie in the child's own F^p and W_{p+q}.  Seeded with its parent's
-    # pieces unchanged, a twist fails the dimension counts as well; a
-    # conjugate passes them, so the containment condition alone rejects it
-    # (at every weight but the lowest, whose piece W_{-4} is real).
+    # A direct `validate` checks a derived structure on the pieces it
+    # inherits: each must lie in the child's own F^p and W_{p+q}.  Seeded
+    # with its parent's pieces unchanged, a twist fails the dimension
+    # counts as well; a conjugate passes them, so the containment condition
+    # alone rejects it (at every weight but the lowest, whose piece W_{-4}
+    # is real).  `require_valid` reads the verdict a twist or conjugate
+    # carries, so the tampered conjugate is caught by its splitting: its
+    # Y is the parent's, which the carried -delta does not take to conj(Y)
     h = random_hodge_tate([1, 2, 1], seed=4)
     parent = deligne.bigrading(h).pieces
-    for child, weights in ((twist(h, 1), {0, -2, -4}), (conjugate(h), {0, -2})):
+    twisted, conjugated = twist(h, 1), conjugate(h)
+    for child, weights in ((twisted, {0, -2, -4}), (conjugated, {0, -2})):
         child._memo["pieces"] = mhs_mod._assemble(child, parent)
-        outside = {v.index for v in validate(child).violations
+        report = validate(child)
+        outside = {v.index for v in report.violations
                    if v.kind == "purity" and "does not lie in" in v.message}
         assert outside == weights
-        with pytest.raises(InvalidMHS):
-            mhs_mod.require_valid(child)
+        assert not report.ok
+    with pytest.raises(deligne.ResidualTooLarge):
+        deligne.delta_splitting(conjugated)
 
 
 class _GeneralFrame(WeightFrame):
