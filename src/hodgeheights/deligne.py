@@ -22,12 +22,13 @@ so g Y g^{-1} = C Y C^{-1}.  The Cayley transform i (g - 1)(g + 1)^{-1}
 is one linear solve and a finite odd series.  It runs once per root
 structure: a derived structure carries its parent's delta over through
 the map `mhs._inherit` recorded, and releases the parent once its own
-splitting is checked.  Every structure still computes Y from its own
-bigrading and checks the defining and reality residuals of its delta,
-so a wrong carry raises ResidualTooLarge.  delta's Hodge components and
-the lambda residual (the norms of the components that do not lower both
-indices) are diagnostics, reported and never compared with a tolerance;
-they are computed on first read, by one `hodge_components`.
+splitting is checked.  Every bigrading checks in integers that its
+pieces fill each Gr^W_k, and every splitting computes Y from its own
+bigrading and checks its delta's defining and reality residuals, so a
+wrong carry raises.  delta's Hodge components and the lambda residual
+(the norms of the components that do not lower both indices) are
+diagnostics, reported and never compared with a tolerance; they are
+computed on first read, by one `hodge_components`.
 Degree-by-degree and fixed-point solvers of the defining equation are
 test oracles (tests/oracles.py).
 """
@@ -60,6 +61,11 @@ class ResidualTooLarge(ValueError):
 def _compute_bigrading(h: MixedHodgeStructure) -> Bigrading:
     require_valid(h)
     b = mhs._pieces(h)
+    # every structure's pieces, a twist's or conjugate's carried ones too, fill
+    # each Gr^W_k: their columns have the weights of W's frame rows
+    if sorted(p + q for p, q in b.labels) != list(h.weight_frame.weights):
+        bad = mhs._dimension_violations(h, b.piece_dims())
+        raise mhs.InvalidMHS(mhs.ValidationReport(tuple(bad)))
     # validation made the pieces a direct sum; they must also be well apart
     if h.dimension > 0 and b.singular_values[-1] < SUBSPACE_TOL:
         raise NumericalDegeneracy(f"bigrading pieces nearly dependent "

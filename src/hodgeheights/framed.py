@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
-from .linalg import DTYPE, frobenius
+from .linalg import DTYPE, RANK_TOL, frobenius, tail_norms
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 
@@ -264,8 +264,10 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     not move the bigradings functorially), W and F.  Frame compatibility
     means phi'-class = m1 * f(phi) and psi = m2 * psi' o f on the graded
     level.  For a genuine (scaled) framed morphism
-    m1 * Ht_i(source) = m2 * Ht_i(target).  Residuals are judged at
-    ``mhs.SUBSPACE_TOL``.
+    m1 * Ht_i(source) = m2 * Ht_i(target).  Each containment is a tail in
+    a square frame: a source W_k's or F^p's image, in q_t^* f q_s or
+    Q_t^* f Q_s, at ``mhs.SUBSPACE_TOL`` times its norm (a zero image lies
+    in anything); phi's class against W_{2a-1} in q_t, at RANK_TOL times.
     """
     tol = SUBSPACE_TOL
     f = np.asarray(f, dtype=DTYPE)
@@ -274,19 +276,27 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     require_valid(ht)
 
     real_ok = bool(frobenius(f.imag) < tol * max(1.0, frobenius(f)))
-    w_ok = all(
-        hs.weight_subspace(k).apply(f).containment_residual(ht.weight_subspace(k))
-        < tol for k in hs.weight_jumps)
-    f_ok = all(
-        hs.hodge_subspace(p).apply(f).containment_residual(ht.hodge_subspace(p))
-        < tol for p in hs.hodge_jumps)
+    (qs, fs), ft = hs._frames(), ht._frames()[1]
+
+    def preserved(image: np.ndarray, widths: list[int], ranks: list[int]) -> bool:
+        # the image of each source prefix, side by side, against the target's
+        blocks = np.hstack([image[:, :r] for r in widths])
+        return bool(np.all(tail_norms(blocks, widths, ranks)
+                           <= tol * tail_norms(blocks, widths, [0] * len(widths))))
+
+    w_ok = preserved(ht._weight_coordinates(f @ qs), [hs.weight_rank(k) for k in hs.weight_jumps],
+                     [ht.weight_rank(k) for k in hs.weight_jumps])
+    f_ok = preserved(ft.conj().T @ f @ fs, [hs.hodge_subspace(p).dim for p in hs.hodge_jumps],
+                     [ht.hodge_subspace(p).dim for p in hs.hodge_jumps])
 
     phi_s = np.array([float(x) for x in source.phi_class])
     phi_t = np.array([float(x) for x in target.phi_class])
     diff = m1 * (f @ phi_s) - phi_t
     # equality of graded classes: the difference drops into W_{2a-1}
-    phi_ok = bool(ht.weight_subspace(2 * target.a - 1).contains(diff)
-                  or frobenius(diff) < tol)
+    size = frobenius(diff)
+    below = tail_norms(ht._weight_coordinates(diff[:, None]), [1],
+                       [ht.weight_rank(2 * target.a - 1)])[0]
+    phi_ok = bool(size < tol or below < RANK_TOL * size)
 
     psi_s = np.array([float(x) for x in source.psi_class])
     psi_t = np.array([float(x) for x in target.psi_class])

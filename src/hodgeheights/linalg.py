@@ -6,12 +6,14 @@ relative tolerance against the largest singular value (applied in closed
 form to principal sines by `Subspace.intersect_pairs`, which intersects
 a batch of pairs in one SVD; `Subspace.sum` spans any number of sides
 in one, and `Subspace.from_vector_sets` any number of vector sets).
-`Subspace.containment_residuals` judges a batch of containments in one
-stacked product, and `Subspace.nested_frame` gives a decreasing chain of
-subspaces one orthonormal frame, each a slice of it.  The nilpotent
-exponential of a matrix and of its negative come from one series
-(`nilpotent_exp_pair`).  Every whole-array norm is `frobenius`, numpy's
-norm without its argument dispatch.
+`Subspace.nested_frame` gives a decreasing chain of subspaces one square
+orthonormal frame, each a prefix of its columns.  Every containment is
+read in such a frame by one rule, `tail_norms`: for a unitary Q, X's
+residual against Q's first r columns is the norm of (Q^* X)[r:].  The
+nilpotent series (exp, log, and `nilpotent_exp_pair`, the exp of a
+matrix and of its negative) sum their terms as they come, in O(n^2)
+memory.  Every whole-array norm is `frobenius`, numpy's norm without
+its argument dispatch.
 
 All values are immutable and all operations are pure, so everything here
 is safe to share between threads.
@@ -93,6 +95,18 @@ def unit_columns(mat: np.ndarray) -> np.ndarray:
     return mat / np.where(norms == 0.0, 1.0, norms)
 
 
+def tail_norms(coords: np.ndarray, widths: Sequence[int], ranks: Sequence[int]) -> np.ndarray:
+    """The Frobenius norm of each column block of coords below its row
+    rank: the blocks are consecutive, of the given widths, and block i is
+    read from row ranks[i] down (none of it at the number of rows).  For
+    coords = Q^* X, Q unitary, that is ||X_i - Q_r Q_r^* X_i||, r = ranks[i]:
+    how far block X_i is from the span of Q's first r columns."""
+    below = np.arange(coords.shape[0])[:, None] >= np.repeat(ranks, widths)
+    squares = np.where(below, coords.real ** 2 + coords.imag ** 2, 0.0).sum(axis=0)
+    blocks = np.repeat(np.arange(len(widths)), widths)
+    return np.sqrt(np.bincount(blocks, squares, minlength=len(widths)))
+
+
 def _padded(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The matrices as one stack, each zero-padded at the bottom right to
     the largest shape."""
@@ -158,30 +172,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def contains(self, vector: Sequence[complex]) -> bool:
-        """Membership: residual of the orthogonal projection below RANK_TOL |v|."""
-        v = np.asarray(vector, dtype=DTYPE)
-        nv = frobenius(v)
-        if nv == 0.0:
-            return True
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(frobenius(resid) < RANK_TOL * nv)
-
-    def containment_residual(self, other: "Subspace") -> float:
-        """How far self is from being contained in `other` (0 when contained)."""
-        return float(Subspace.containment_residuals([(self, other)])[0])
-
-    @staticmethod
-    def containment_residuals(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> np.ndarray:
-        """How far each x is from being contained in its y (0 when it is),
-        as one stacked X - Y (Y^* X) Frobenius norm.  Every X and Y is
-        zero-padded to one shape, which changes no residual."""
-        if any(x.ambient_dim != y.ambient_dim for x, y in pairs):
-            raise DimensionMismatch("ambient dimensions differ")
-        xs, ys = (_padded([pair[i].basis for pair in pairs]) for i in (0, 1))
-        resid = xs - ys @ (ys.conj().transpose(0, 2, 1) @ xs)
-        return np.linalg.norm(resid, axis=(1, 2))
 
     @staticmethod
     def intersect_pairs(pairs: Sequence[tuple["Subspace", "Subspace"]]) -> list["Subspace"]:
@@ -279,26 +269,23 @@ class Subspace:
     def conjugate(self) -> "Subspace":
         return Subspace(self.basis.conj())
 
-    def apply(self, operator: np.ndarray) -> "Subspace":
-        """Image of self under the given matrix (must be injective on self to
-        preserve dimension; rank is re-decided at RANK_TOL)."""
-        return Subspace(orthonormal_columns(operator @ self.basis))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _nilpotent_terms(mat: np.ndarray, divisor) -> list[np.ndarray]:
-    """The terms t_k = t_{k-1} @ mat / divisor(k), t_0 = Id, for k = 1 .. n-1.
+def _nilpotent_terms(mat: np.ndarray, divisor):
+    """The terms t_k = t_{k-1} @ mat / divisor(k), t_0 = Id, for k = 1 .. n-1,
+    yielded one at a time, so a caller sums them in O(n^2) memory.
 
     The same products decide that mat is nilpotent: some k <= n has
     ||mat^k|| <= RANK_TOL scale^k, scale = max(||mat||, 1), where mat^k is
-    t_k times divisor(1) ... divisor(k).  Every term is kept, also past
-    that k, and t_n is formed only when no earlier term decided.
+    t_k times divisor(1) ... divisor(k).  Every term is yielded, also past
+    that k, and t_n is formed only when no earlier term decided; if none
+    does, NotNilpotent is raised after the last term.
     """
     n = mat.shape[0]
     scale = max(frobenius(mat), 1.0)
-    terms, term, product, nilpotent = [], np.eye(n, dtype=DTYPE), 1, False
+    term, product, nilpotent = np.eye(n, dtype=DTYPE), 1, False
     for k in range(1, n + 1):
         if k == n and nilpotent:
             break
@@ -306,10 +293,9 @@ def _nilpotent_terms(mat: np.ndarray, divisor) -> list[np.ndarray]:
         product *= divisor(k)
         nilpotent = nilpotent or bool(frobenius(term) * product <= RANK_TOL * scale**k)
         if k < n:
-            terms.append(term)
+            yield term
     if not nilpotent:
         raise NotNilpotent(f"matrix is not nilpotent at tolerance {RANK_TOL}")
-    return terms
 
 
 def nilpotent_exp(mat: np.ndarray) -> np.ndarray:
@@ -335,9 +321,11 @@ def nilpotent_exp_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = mat.shape[0]
     if n == 0:
         return mat.copy(), mat.copy()
-    terms = _nilpotent_terms(mat, lambda k: k)
-    return (sum(terms, np.eye(n, dtype=DTYPE)),
-            sum((-t if k % 2 else t for k, t in enumerate(terms, 1)), np.eye(n, dtype=DTYPE)))
+    plus, minus = np.eye(n, dtype=DTYPE), np.eye(n, dtype=DTYPE)
+    for k, term in enumerate(_nilpotent_terms(mat, lambda k: k), 1):
+        plus = plus + term
+        minus = minus + (-term if k % 2 else term)
+    return plus, minus
 
 
 def nilpotent_log(mat: np.ndarray) -> np.ndarray:
@@ -353,8 +341,8 @@ def nilpotent_log(mat: np.ndarray) -> np.ndarray:
         return mat.copy()
     nil = mat - np.eye(n, dtype=DTYPE)
     try:
-        powers = _nilpotent_terms(nil, lambda k: 1)
+        return sum((((-1) ** (k + 1)) * power / k
+                    for k, power in enumerate(_nilpotent_terms(nil, lambda k: 1), 1)),
+                   np.zeros_like(nil))
     except NotNilpotent as exc:
         raise NotUnipotent(str(exc)) from exc
-    return sum((((-1) ** (k + 1)) * power / k for k, power in enumerate(powers, 1)),
-               np.zeros_like(nil))

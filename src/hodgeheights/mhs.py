@@ -12,20 +12,22 @@ weight, W_k the span of those of weight <= k, so dim W_k is exact.  Rows
 given by jump are framed in one pass that also decides, exactly, that W
 is nested with a full top; constructions that know the frame hand it
 over, checked by integer comparisons on first use (`_frame_violations`).
-All W_k are column slices of one orthonormal frame: the identity columns
-at the pivots of a coordinate frame (`WeightFrame.coordinate`, every row
-a standard vector, as every construction here gives), else one QR of the
-rows.  F is sparse by jump: F^p is the value at the smallest jump >= p,
-0 above the largest, and the value at the smallest jump must be the full
-space.  It is given as rows by jump, or as a flag (`HodgeFlag`, as H(z),
-the random Hodge--Tate generator and Tate structures give it), and
-decided once, like W, in `_hodge`: every F^p and F's verdict.  A flag is
-nested by construction, so its own SVD alone decides it.  Every rank
-decision reads generators scaled to unit norm (`linalg.unit_columns`),
-so none moves with a generator's size.  A valid F has one orthonormal
-frame Q, F^p its first dim F^p columns (`_hodge_frame`); every dual,
-twist and conjugate is a flag whose basis is its own frame (the reversed
-conj(Q), Q or conj(Q)), so its F^p are slices with no factorisation.
+F is sparse by jump: F^p is the value at the smallest jump >= p, 0 above
+the largest, and the value at the smallest jump must be the full space.
+It is given as rows by jump, or as a flag (`HodgeFlag`, as H(z), the
+random Hodge--Tate generator and Tate structures give it), and decided
+once, like W, in `_hodge`: every F^p and F's verdict.  A flag is nested
+by construction, so its own SVD alone decides it.  Every rank decision
+reads generators scaled to unit norm (`linalg.unit_columns`), so none
+moves with a generator's size.
+
+A valid structure holds two square orthonormal frames (`_frames`): q,
+W_k its first dim W_k columns (the identity columns at the pivots of a
+coordinate frame, `WeightFrame.coordinate`, as every construction here
+gives, else one QR of the rows), and Q, F^p its first dim F^p columns (a
+flag's QR, or one SVD of known ranks of rows by jump that nest); every
+dual, twist and conjugate is a flag that is its own frame.  Every
+containment is read in them by one rule, `linalg.tail_norms`.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -35,8 +37,7 @@ with
 
 refining both filtrations.  Validity is decided on these pieces, which
 then become the bigrading (`Bigrading`, see `deligne`); `validate` is the
-one place the MHS criteria are written and run (`_purity_violations`),
-each batch of containments as one stacked residual.
+one place the MHS criteria are written and run (`_purity_violations`).
 
 The formula is evaluated as written, for any (W, F) whose filtrations
 are nested (`_deligne_formula_pieces`).  W_k is real and every term lies
@@ -44,50 +45,41 @@ in W_k, so the right-hand side is one conjugated span,
 
     conj(F^q cap W_k + sum_{j >= 0} F^{q-1-j} cap W_{k-2-j}),   k = p+q.
 
-F^r cap W_s for every pair of jumps is one batched
-`Subspace.intersect_pairs`, each right-hand side is one `Subspace.sum`
-of its nonzero terms that lie in no other term (one SVD), and all the
-pieces together are one more batch.  (One zero-padded batch of every
-right-hand side was measured slower: the sides' widths differ by up to
-100x, so padding multiplies the factorisation work more than one call
-per side costs.)
+F^r cap W_s for every pair of jumps is one batched `intersect_pairs`,
+each right-hand side one `Subspace.sum` of its nonzero terms that lie in
+no other (one SVD each: their widths differ up to 100x, so one padded
+batch was measured slower), and all the pieces one more batch.
 
 A Hodge--Tate structure, every piece of type (p, p), has as its pieces
 the standard splitting of a mixed Tate structure by its Hodge filtration
 (Deligne 1989), P_k = F^{k/2} cap W_k for every weight k, all even.  A
 flag hands them over: its block of jump p, the columns between the ranks
 of consecutive jumps, is the candidate P_{2p} (`_hodge_tate_candidates`;
-column k of A(z)^{-1} for H(z)).  The blocks are cut from the unit-norm
-basis that `_hodge` found of full rank, so no rank is left to decide: a
-one-column block is its own orthonormal basis, the wider ones take one
-batched QR, and when every block is one column the candidates' basis is
-that unit-norm basis, whose singular values `_hodge` already has.
-`validate` certifies them; if they fail, or there are none (F given by
-jump), the formula's pieces decide validity and write the report.
-Certified candidates are Deligne's pieces: each P_k lies in F^{k/2} and
-W_k, (iii) has dim Gr^W_k, (ii) dim F^p is the total dim of the P_k with
-k >= 2p, for every p, and (i) they are a direct sum.  Then the sum of
-the P_j with j <= k is direct, lies in W_k and has its dimension, so it
-is W_k; so P_k maps onto Gr^W_k and F^p is the sum of the P_k with k >=
-2p.  Together these give F^{k/2} Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k =
-0, so (W, F) is a Hodge--Tate MHS, and by uniqueness the P_k are its
-Deligne pieces.
+column k of A(z)^{-1} for H(z)).  `validate` certifies them; if they
+fail, or there are none (F given by jump), the formula's pieces decide
+validity and write the report.  Certified candidates are Deligne's
+pieces: each P_k lies in F^{k/2} and W_k, (iii) has dim Gr^W_k, (ii) dim
+F^p is the total dim of the P_k with k >= 2p, for every p, and (i) they
+are a direct sum.  Then the sum of the P_j with j <= k is direct, lies
+in W_k and has its dimension, so it is W_k; so P_k maps onto Gr^W_k and
+F^p is the sum of the P_k with k >= 2p.  Together these give F^{k/2}
+Gr^W_k = Gr^W_k and F^{k/2+1} Gr^W_k = 0, so (W, F) is a Hodge--Tate
+MHS, and by uniqueness the P_k are its Deligne pieces.
 
 The splitting is functorial (Cattani--Kaplan--Schmid), so a dual, Tate
 twist or conjugate of a valid structure takes what it inherits from its
-parent through one call, `_inherit`, and no other way: its W subspaces
-and the parent's verdict (a twist's or conjugate's), W's verdict, F's
+parent through one call, `_inherit`, and no other way: W's verdict, F's
 frame, its Deligne pieces (with the singular values and inverse of their
-basis when it is the parent's or its conjugate), and the parent with the
-map that carries its delta over, which `deligne` resolves and then
-releases the parent.  The child never evaluates the formula.  What is
-checked on the child: a twist or conjugate takes its parent's verdict as
-its report, by functoriality, so `require_valid` checks nothing on it;
-the dual's pieces are new floats, so it is validated on them and its own
-filtrations, every containment, dimension and independence check; and
-`validate` called directly is always the full check, on any structure.
-`deligne.delta_splitting` computes Y from every child's own bigrading
-and checks delta's defining and reality residuals against it, so a wrong
+basis when it is the parent's or its conjugate), a twist's or
+conjugate's W subspaces, W frame and parent's report, and the parent
+with the map that carries its delta over, which `deligne` resolves and
+then releases the parent.  The child never evaluates the formula.  A
+twist or conjugate takes its parent's verdict, by functoriality, so
+`require_valid` checks nothing on it; the dual is validated on its
+pieces, new floats; `validate` called directly is always the full
+check.  `deligne.bigrading` checks in integers that every structure's
+pieces fill each Gr^W_k, and `deligne.delta_splitting` checks delta's
+defining and reality residuals against every child's own Y, so a wrong
 carry raises.
 
 Instances are immutable; all operations are pure functions returning new
@@ -111,8 +103,8 @@ import numpy as np
 
 from . import _rational
 from ._rational import RationalMatrix
-from .linalg import (DTYPE, LinalgError, Subspace, _padded, nilpotent_exp, numerical_rank,
-                     unit_columns)
+from .linalg import (DTYPE, LinalgError, Subspace, _padded, frobenius, nilpotent_exp,
+                     numerical_rank, tail_norms, unit_columns)
 
 #: Tolerance for subspace residuals: F's nesting and the pieces' containment
 #: in validation, and the bigrading's smallest singular value.
@@ -258,6 +250,12 @@ def _frame_violations(n: int, f: WeightFrame) -> tuple[Violation, ...]:
     return ()
 
 
+def _nesting_residuals(spans: Sequence[Subspace]) -> list[float]:
+    """||X - Y Y^* X|| for adjacent spans (Y, X) of F by jump, before F has a frame."""
+    return [frobenius(x.basis - y.basis @ (y.basis.conj().T @ x.basis))
+            for y, x in zip(spans, spans[1:])]
+
+
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=DTYPE)
     arr.setflags(write=False)
@@ -377,27 +375,35 @@ class MixedHodgeStructure:
         return self._weight_spans()[self._weight_jump(k)]
 
     def _weight_spans(self) -> dict:
-        """Every W_k by jump, memoized: the first weight_rank(k) columns of
-        an orthonormal frame, or the whole space when full.  A coordinate
-        frame (`WeightFrame.coordinate`) is read by index, the identity
-        columns at its pivots; any other takes one QR of its rows as
-        unit-norm float columns.  On a coordinate frame that QR is the same
-        columns up to sign, so every projector, and every containment
-        residual, has the same value.  The exact rank decides the
-        dimension, so no scaling of the rational rows moves it."""
+        """Every W_k by jump, memoized: the first weight_rank(k) (an exact
+        rank) columns of W's square orthonormal frame q (memo "q"), or the
+        whole space.  q is the identity at a coordinate frame's pivots, else
+        one QR of the unit-norm rows: on a coordinate frame the same columns
+        up to sign, so every projector and residual has one value."""
         def compute():
             n, f = self.dimension, self.weight_frame
-            ranks = {k: self.weight_rank(k) for k in self._wjumps}
-            if not any(0 < r < n for r in ranks.values()):
-                q = np.zeros((n, 0), dtype=DTYPE)
-            elif f.coordinate:
+            if f.coordinate:
                 q = np.eye(n, dtype=DTYPE)[:, list(f.pivots)]
             else:
                 cols = np.array([_float_row(row) for row in f.rows]).T
                 q = np.linalg.qr(unit_columns(cols))[0].astype(DTYPE)
+            self._memo["q"] = q
+            ranks = {k: self.weight_rank(k) for k in self._wjumps}
             return {None: Subspace.zero(n), **{k: Subspace.full(n) if r == n
                                                else Subspace(q[:, :r]) for k, r in ranks.items()}}
         return self.memo("W", compute)
+
+    def _frames(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(q, Q), W's and F's square orthonormal frames: W_k is spanned by q's
+        first dim W_k columns, a valid F^p by Q's first dim F^p (else None)."""
+        self._weight_spans()
+        self._hodge()
+        return self._memo["q"], self._memo.get("Q")
+
+    def _weight_coordinates(self, x: np.ndarray) -> np.ndarray:
+        """q^* x: on a coordinate frame, x's rows at its pivots, read by index."""
+        f = self.weight_frame
+        return x[list(f.pivots)] if f.coordinate else self._frames()[0].conj().T @ x
 
     def hodge_subspace(self, p: int) -> Subspace:
         """F^p as a Subspace, the one of the jump whose rows span it."""
@@ -413,9 +419,10 @@ class MixedHodgeStructure:
         and decided by one values-only SVD of its unit-norm basis (memo
         "unit", with the singular values): n columns of full rank give a
         frame Q, one QR of it (memo "Q", which a derived structure carries
-        instead), F^p its first r_p columns (every prefix has full rank by
-        Cauchy interlacing); else the flag has no F^p and its bottom is not
-        full.  F by jump takes one batched SVD and one nesting residual."""
+        instead), F^p its first r_p columns (full rank by Cauchy
+        interlacing); else the flag has no F^p and its bottom is not full.
+        F by jump takes one batched SVD, `_nesting_residuals` and, if valid,
+        one SVD of known ranks for Q (`Subspace.nested_frame`)."""
         def compute():
             n, flag, jumps = self.dimension, self._flag, self._fjumps
             for arr in (self.hodge_filtration.values() if flag is None else (flag.basis.T,)):
@@ -427,10 +434,12 @@ class MixedHodgeStructure:
                       for p in jumps[:1]]
             if flag is None:
                 spans = Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
-                resid = Subspace.containment_residuals(list(zip(spans[1:], spans)))
+                resid = _nesting_residuals(spans)
                 bad = [Violation("hodge", hi, f"F^{hi} not contained in F^{lo}") for lo, hi, r
                        in zip(jumps, jumps[1:], resid) if not r < SUBSPACE_TOL * max(1, n)]
                 bad += bottom if jumps and spans[0].dim != n else []
+                if not bad:
+                    self._memo["Q"] = Subspace.nested_frame(spans, n)
             else:
                 if "Q" not in self._memo:
                     cols = unit_columns(flag.basis)
@@ -445,16 +454,6 @@ class MixedHodgeStructure:
                               for r in flag.ranks], []
             return {None: Subspace.zero(n), **dict(zip(jumps, spans))}, tuple(bad)
         return self.memo("F", compute)
-
-    def _hodge_frame(self) -> np.ndarray:
-        """F's orthonormal frame Q, F^p the span of its first dim F^p
-        columns, for a valid F: a flag's, or for rows by jump one built from
-        its F^p by `Subspace.nested_frame`."""
-        spans = self._hodge()[0]
-        if self._memo.get("Q") is None:
-            self._memo["Q"] = Subspace.nested_frame([spans[p] for p in self._fjumps],
-                                                    self.dimension)
-        return self._memo["Q"]
 
     # -- exact weight-graded data --------------------------------------
 
@@ -495,17 +494,16 @@ def validate(h: MixedHodgeStructure) -> ValidationReport:
 
     After the data and the filtrations' containments and fullness (W
     exactly), validity is decided on Deligne's pieces I^{p,q}, memoized
-    on h for its bigrading.  This is the one place the MHS criteria are
-    written (`_purity_violations`).  A derived structure's pieces are
-    carried over from its parent, and they decide.  Otherwise a flag's
-    column blocks, its Hodge--Tate candidates, come first: passing the
-    criteria certifies them as Deligne's pieces (module docstring).  If
-    there are none, or they fail, the formula's pieces decide and report.
+    on h for its bigrading, by the MHS criteria (`_purity_violations`).
+    A derived structure's pieces are carried over from its parent, and
+    they decide.  Otherwise a flag's column blocks, its Hodge--Tate
+    candidates, come first: passing the criteria certifies them as
+    Deligne's pieces (module docstring).  If there are none, or they
+    fail, the formula's pieces decide and report.
 
     Called directly, this is always the full check.  `require_valid`
     memoizes it, except on a twist or conjugate, which takes its parent's
-    verdict by functoriality (`_inherit`); the dual is validated on its
-    own pieces.
+    verdict (`_inherit`).
     """
     bad: list[Violation] = []
     n = h.dimension
@@ -549,22 +547,35 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     is a purity violation at its weight k (p+q for containment), or at
     None for (i) and (ii); (i) is decided only when all else holds.
     """
-    bad = []
-    items = sorted(pieces.pieces.items())
-    resid = Subspace.containment_residuals(
-        [(piece, h.hodge_subspace(p)) for (p, q), piece in items]
-        + [(piece, h.weight_subspace(p + q)) for (p, q), piece in items])
+    # each piece's residual against F^p and W_{p+q}: the tail of its
+    # coordinates in F's frame Q and in W's, side by side in block order
+    order = list(dict.fromkeys(pieces.labels))
+    coords = np.hstack([h._frames()[1].conj().T @ pieces.basis,
+                        h._weight_coordinates(pieces.basis)])
+    resid = tail_norms(coords, [pieces.pieces[pq].dim for pq in order] * 2,
+                       [h.hodge_subspace(p).dim for p, _ in order]
+                       + [h.weight_rank(p + q) for p, q in order]).reshape(2, -1)
     tol = SUBSPACE_TOL * max(1, h.dimension)
-    for ((p, q), _), in_f, in_w in zip(items, resid, resid[len(items):]):
-        if not (in_f < tol and in_w < tol):
-            bad.append(Violation("purity", p + q, f"I^({p},{q}) does not lie in "
-                                 f"F^{p} and W_{p + q}"))
-    # one pass over the pieces: those of each weight in label order, and
-    # the total dim at each first index
-    dims, of_weight, at_p = pieces.piece_dims(), {}, {}
+    bad = [Violation("purity", p + q, f"I^({p},{q}) does not lie in F^{p} and W_{p + q}")
+           for (p, q), rf, rw in sorted(zip(order, *resid)) if not (rf < tol and rw < tol)]
+    dims = pieces.piece_dims()
+    bad += _dimension_violations(h, dims)
+    for p in range(h.hodge_jumps[0], h.hodge_jumps[-1] + 1):
+        above = sum(d for (p_, _), d in dims.items() if p_ >= p)
+        if above != h.hodge_subspace(p).dim:
+            bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
+                                 f"pieces I^(p',q) with p' >= {p} have dim {above}"))
+    if not bad and numerical_rank(pieces.singular_values) < h.dimension:
+        bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
+    return bad
+
+
+def _dimension_violations(h: MixedHodgeStructure, dims: Mapping) -> list[Violation]:
+    """(iii) and (iv) of `_purity_violations` on the piece dims, in
+    integers: each Gr^W_k is filled, and dim I^{p,q} <= dim I^{q,p}."""
+    bad, of_weight = [], {}
     for (p, q), d in sorted(dims.items()):
         of_weight.setdefault(p + q, []).append((p, q, d))
-        at_p[p] = at_p.get(p, 0) + d
     for k in h.weights_present():
         here = of_weight.get(k, [])
         total = sum(d for _, _, d in here)
@@ -575,18 +586,6 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
             if d > dims.get((q, p), 0):
                 bad.append(Violation("purity", k, f"dim I^({p},{q}) = {d} exceeds "
                                      f"dim I^({q},{p}) = {dims.get((q, p), 0)}"))
-    # dims of the pieces I^(p',q) with p' >= p, for p from the top jump down
-    first, last = h.hodge_jumps[0], h.hodge_jumps[-1]
-    total, above = sum(d for p, d in at_p.items() if p > last), {}
-    for p in range(last, first - 1, -1):
-        total += at_p.get(p, 0)
-        above[p] = total
-    for p in range(first, last + 1):
-        if above[p] != h.hodge_subspace(p).dim:
-            bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
-                                 f"pieces I^(p',q) with p' >= {p} have dim {above[p]}"))
-    if not bad and numerical_rank(pieces.singular_values) < h.dimension:
-        bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
     return bad
 
 
@@ -652,14 +651,12 @@ def _hodge_tate_candidates(h: MixedHodgeStructure) -> Bigrading | None:
     """The column blocks of the unit-norm basis of h's flag (memo "unit")
     between the ranks of consecutive jumps, the block of jump p labelled
     (p, p); None for F by jump, a derived h (whose pieces are carried) or
-    a flag short of full rank.  Nothing else is checked here (module
-    docstring).  No rank is decided: the basis has full rank, so by
-    Cauchy interlacing so has every block.  A one-column block is its own
-    orthonormal basis, and the wider blocks are orthonormalised by one
-    batched QR of zero-padded stacks, whose leading columns padding does
-    not move.  When every block is one column the basis assembled is the
-    unit-norm basis itself, so its singular values are those `_hodge`
-    found."""
+    a flag short of full rank; `validate` checks them.  The basis has full
+    rank, so by Cauchy interlacing every block has: no rank is decided.  A
+    one-column block is its own orthonormal basis, the wider ones take one
+    batched QR of zero-padded stacks (padding moves no leading column), and
+    when every block is one column the assembled basis is the unit-norm
+    basis, whose singular values `_hodge` found."""
     verdict, unit = h._hodge()[1], h._memo.get("unit")
     if verdict or unit is None:
         return None
@@ -753,11 +750,10 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, taken: dict,
     child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
     and then releases h, so delta is solved once per root.
 
-    A twist or conjugate takes W's subspaces by jump and h's verdict, its
-    report, in `taken`: its pieces are h's relabelled or conjugated, so by
+    A twist or conjugate takes W's subspaces by jump, W's frame q and h's
+    report in `taken`: its pieces are h's relabelled or conjugated, so by
     functoriality it is valid, and `require_valid` checks nothing on it.
-    The dual takes neither: its pieces are new floats, and it is validated
-    on them.  `validate` called directly always runs every check."""
+    The dual takes none: its pieces are new floats, validated as such."""
     child._memo.update(taken, Q=child._flag.basis, frame=(),
                        pieces=_assemble(child, pieces, *known))
     object.__setattr__(child, "_carry", (h, carry_delta))
@@ -790,7 +786,7 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     dual's flag and its own frame.  Conventions make dual(Q(a)) = Q(-a).
     """
     require_valid(h)
-    n, q = h.dimension, h._hodge_frame()
+    n, q = h.dimension, h._frames()[1]
     jumps = [-p for p in reversed(h.hodge_jumps)]
     child = MixedHodgeStructure(n, h.weight_frame.dual(), HodgeFlag(
         q[:, ::-1].conj(), jumps, [n - h.hodge_subspace(1 - j).dim for j in jumps]))
@@ -812,7 +808,7 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
     delta(H) is real, so conj H has -delta(H); only conj H keeps the
     comparison (conj)."""
     require_valid(h)
-    b, q, jumps = _pieces(h), h._hodge_frame(), h.hodge_jumps
+    b, (q_w, q), jumps = _pieces(h), h._frames(), h.hodge_jumps
     c = np.conj if conjugated else np.asarray
     move = Subspace.conjugate if conjugated else lambda x: x
     comparison = h.comparison_matrix if conjugated else None
@@ -821,7 +817,7 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
         HodgeFlag(c(q), [p + s for p in jumps], [h.hodge_subspace(p).dim for p in jumps]),
         comparison if comparison is None else c(comparison))
     taken = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
-             "report": h._memo["report"]}
+             "q": q_w, "report": h._memo["report"]}
     return _inherit(h, child, taken,
                     {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
                     (b.singular_values, c(b.inverse_basis)),

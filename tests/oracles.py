@@ -541,9 +541,32 @@ def from_vectors(vectors, ambient_dim=None):
     return Subspace.from_vector_sets([rows], n)[0]
 
 
+def containment_residual(inner, outer):
+    """How far inner is from lying in outer (0 when it does): ||X - Y (Y^* X)||
+    for their orthonormal bases X and Y."""
+    if inner.ambient_dim != outer.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    x, y = inner.basis, outer.basis
+    return float(np.linalg.norm(x - y @ (y.conj().T @ x)))
+
+
+def contains(space, vector):
+    """Membership: the residual of the vector's projection on space is below
+    RANK_TOL times its norm (a zero vector is in every space)."""
+    v = np.asarray(vector, dtype=DTYPE)
+    size = np.linalg.norm(v)
+    return bool(size == 0.0 or np.linalg.norm(v - space.basis @ (space.basis.conj().T @ v))
+                < RANK_TOL * size)
+
+
+def image(space, operator):
+    """The image of space under the matrix, its rank decided at RANK_TOL."""
+    return Subspace(orthonormal_columns(operator @ space.basis))
+
+
 def contains_subspace(outer, inner, tol=RANK_TOL):
     """inner lies in outer, at tol times the ambient dimension."""
-    return inner.containment_residual(outer) < tol * max(1, outer.ambient_dim)
+    return containment_residual(inner, outer) < tol * max(1, outer.ambient_dim)
 
 
 def equals(a, b, tol=RANK_TOL):

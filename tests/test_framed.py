@@ -187,9 +187,9 @@ class TestEachFactOnce:
     def test_twist_and_conjugate_carry_the_verdict(self, root, monkeypatch):
         # a twist or conjugate of a valid structure is valid by functoriality:
         # it takes its parent's report, so its validity, bigrading and
-        # heights run no MHS criterion and no containment residual.  A
-        # direct `validate` still checks it in full, and the dual, whose
-        # pieces are new floats, is validated on them once
+        # heights run no MHS criterion, no tail norm and no nesting
+        # residual.  A direct `validate` still checks it in full, and the
+        # dual, whose pieces are new floats, is validated on them once
         from hodgeheights.polylog import PolylogContext, polylog_framed
         from test_deligne import curve_weight_gap_structure
         if root == "random":
@@ -202,19 +202,20 @@ class TestEachFactOnce:
         self.all_heights(fh)
         calls = {name: count_calls(monkeypatch, owner, attr)
                  for name, owner, attr in (("purity", mhs_mod, "_purity_violations"),
-                                           ("residuals", Subspace, "containment_residuals"))}
+                                           ("tails", mhs_mod, "tail_norms"),
+                                           ("nesting", mhs_mod, "_nesting_residuals"))}
         for child in (twist_framed(fh, 3), conjugate_framed(fh),
                       twist_framed(conjugate_framed(fh), -2)):
             mhs_mod.require_valid(child.mhs)
             deligne.bigrading(child.mhs)
             height1(child)
             height2(child)
-            assert calls == {"purity": [], "residuals": []}
+            assert calls == {"purity": [], "tails": [], "nesting": []}
             assert child.mhs._memo["report"] == fh.mhs._memo["report"]
             assert mhs_mod.validate(child.mhs).ok
             assert calls["purity"] == [child.mhs]
-            calls["purity"].clear()
-            calls["residuals"].clear()
+            for made in calls.values():
+                made.clear()
         mhs_mod.require_valid(dual_framed(fh).mhs)
         assert len(calls["purity"]) == 1
 

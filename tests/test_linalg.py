@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from hodgeheights.linalg import (RANK_TOL, DimensionMismatch, NotNilpotent, NotUnipotent,
                                  Subspace, frobenius, nilpotent_exp, nilpotent_exp_pair,
-                                 nilpotent_log, numerical_rank, unit_columns)
+                                 nilpotent_log, numerical_rank, tail_norms, unit_columns)
 
 from conftest import count_calls
-from oracles import (contains_subspace, equals, from_vectors, intersect,
-                     oracle_intersection_dim, oracle_member, oracle_rank, oracle_sum_dim,
-                     stacked_intersection, two_pass_exp, two_pass_log)
+from oracles import (containment_residual, contains, contains_subspace, equals, from_vectors,
+                     intersect, oracle_intersection_dim, oracle_member, oracle_rank,
+                     oracle_sum_dim, stacked_intersection, two_pass_exp, two_pass_log)
 
 
 def span(*vectors, n=None):
@@ -27,7 +27,7 @@ class TestSubspaceBasics:
     def test_coordinate_intersection(self):
         s = intersect(span(e(0, 3), e(1, 3)), span(e(1, 3), e(2, 3)))
         assert s.dim == 1
-        assert s.contains(e(1, 3))
+        assert contains(s, e(1, 3))
 
     def test_self_intersection_idempotent(self):
         s = span([1, 2j, 3], [0, 1, 1j])
@@ -36,7 +36,7 @@ class TestSubspaceBasics:
     def test_sum_of_axes(self):
         s = span(e(0, 3)).sum(span(e(1, 3)))
         assert s.dim == 2
-        assert s.contains(e(0, 3)) and s.contains(e(1, 3))
+        assert contains(s, e(0, 3)) and contains(s, e(1, 3))
 
     def test_sum_with_zero_is_identity(self):
         s = span([1, 1j, 0], [2, 0, 5])
@@ -50,9 +50,9 @@ class TestSubspaceBasics:
 
     def test_membership_scaling(self):
         s = span([1, 2, 3])
-        assert s.contains([2, 4, 6])
-        assert not s.contains([1, 2, 4])
-        assert s.contains([0, 0, 0])
+        assert contains(s, [2, 4, 6])
+        assert not contains(s, [1, 2, 4])
+        assert contains(s, [0, 0, 0])
 
 
 def random_rational_rows(rng, count, n, scale=6):
@@ -100,15 +100,16 @@ def test_oracle_agreement_small_battery():
         assert intersect(a, b).dim == oracle_intersection_dim(ra, rb)
         if ra:
             probe = [sum(3 * x for x in col) for col in zip(*ra)]
-            assert a.contains(probe) == oracle_member(probe, ra)
+            assert contains(a, probe) == oracle_member(probe, ra)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**16),
        shapes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), min_size=1, max_size=5))
 def test_batched_spans_and_residuals_match_one_set_at_a_time(n, seed, shapes):
-    # rank-deficient, zero and empty row sets, zero-padded into one SVD and
-    # one stacked residual
+    # rank-deficient, zero and empty row sets, zero-padded into one SVD; and
+    # each span's residual against every other, read as the tail of its
+    # coordinates in a unitary frame whose leading columns span the other
     rng = np.random.default_rng(seed)
     sets = []
     for m, r in shapes:
@@ -121,11 +122,12 @@ def test_batched_spans_and_residuals_match_one_set_at_a_time(n, seed, shapes):
         assert got.dim == want.dim
         assert np.linalg.norm(got.basis @ got.basis.conj().T
                               - want.basis @ want.basis.conj().T) < 1e-12
-    pairs = [(x, y) for x in batch for y in single]
-    want = [np.linalg.norm(x.basis - y.basis @ (y.basis.conj().T @ x.basis)) for x, y in pairs]
-    assert np.allclose(Subspace.containment_residuals(pairs), want, rtol=1e-12, atol=1e-12)
-    assert np.allclose([x.containment_residual(y) for x, y in pairs], want,
-                       rtol=1e-12, atol=1e-12)
+    stacked = np.hstack([x.basis for x in batch])
+    for y in single:
+        frame = np.linalg.qr(np.hstack([y.basis, rng.standard_normal((n, n))]))[0]
+        want = [containment_residual(x, y) for x in batch]
+        got = tail_norms(frame.conj().T @ stacked, [x.dim for x in batch], [y.dim] * len(batch))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,13 +138,35 @@ def test_membership_closed_under_combos(v1, v2, c1, c2):
     rows = [v1, v2]
     s = span(*rows, n=4)
     combo = [c1 * a + c2 * b for a, b in zip(v1, v2)]
-    assert s.contains(combo)
+    assert contains(s, combo)
     assert s.dim == oracle_rank(rows)
 
 
 def random_unitary(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tail_norms_are_projection_residuals(n, seed, data):
+    # the rows of Q^* X from r on have the norm of X's residual against the
+    # span of Q's first r columns, Q unitary: ragged and empty blocks, and
+    # ranks 0 (the whole block) and n (nothing) in every draw
+    rng = np.random.default_rng(seed)
+    blocks = data.draw(st.lists(st.tuples(st.integers(0, n + 2), st.integers(0, n)),
+                                min_size=1, max_size=6))
+    blocks += [(data.draw(st.integers(1, 3)), 0), (data.draw(st.integers(1, 3)), n)]
+    widths, ranks = zip(*blocks)
+    q = random_unitary(rng, n)
+    x = unit_columns(rng.standard_normal((n, sum(widths)))
+                     + 1j * rng.standard_normal((n, sum(widths))))
+    got = tail_norms(q.conj().T @ x, widths, ranks)
+    edges = np.cumsum((0,) + widths)
+    want = [np.linalg.norm(x[:, lo:hi] - q[:, :r] @ (q[:, :r].conj().T @ x[:, lo:hi]))
+            for lo, hi, r in zip(edges, edges[1:], ranks)]
+    assert got.shape == (len(widths),)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
 def random_subspace(rng, n, d):

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
-from hodgeheights.linalg import LinalgError, Subspace, nilpotent_exp, orthonormal_columns
+from hodgeheights.linalg import (LinalgError, Subspace, nilpotent_exp, orthonormal_columns,
+                                 tail_norms)
 from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
                               conjugate, coordinate_flag, dual, random_hodge_tate,
                               random_hodge_tate_pair, tate, twist, validate)
 
 from conftest import count_calls, random_framing
 from oracles import (eliminated_weight, equals, from_vectors, graded_purity_violations,
-                     graded_rational_basis, nullspace, sheared, weight_rows)
+                     graded_rational_basis, image, nullspace, sheared, weight_rows)
 from test_deligne import curve_weight_gap_structure, odd_weight_gap_structure
 
 
@@ -214,13 +215,13 @@ def test_dual_pieces_are_one_batch(monkeypatch):
     # batched SVD, and with its independence check that is two SVDs.  Its
     # W frame, the exact dual of a coordinate frame, is a coordinate frame
     # too, so its W_k are read by index with no QR (a QR of it made one).
-    # A parent whose F is a flag of full rank has
-    # its frame already; one whose F is given by jump (the formula
-    # fixtures) builds it from its spans in one batched SVD of known ranks,
-    # a third.  Their pieces are one vector each, spanned with no SVD, so
-    # every dual here makes two
+    # A valid parent has its F frame already: a flag of full rank its QR,
+    # and one whose F is given by jump (the formula fixtures) the nested
+    # frame its validation built (its dual built it, a second SVD, when it
+    # was made on first use).  The fixtures' pieces are one vector each,
+    # spanned with no SVD, so their duals make one SVD, the random one two
     for h, svd_count in ((random_hodge_tate([1, 2, 1, 1], seed=6), 2),
-                         (curve_weight_gap_structure(), 2), (odd_weight_gap_structure(), 2)):
+                         (curve_weight_gap_structure(), 1), (odd_weight_gap_structure(), 1)):
         mhs_mod.require_valid(h)
         svds = count_calls(monkeypatch, np.linalg, "svd")
         qrs = count_calls(monkeypatch, np.linalg, "qr")
@@ -392,16 +393,17 @@ def _degenerate_flag(kind):
 def test_degenerate_flag_is_rejected_on_its_own_svd(kind, monkeypatch):
     # a flag is nested by construction, so a basis short of full rank is
     # decided by its one values-only SVD: no QR, no span of its rows, no
-    # nesting residual, and no F^p.  Its report is the batched SVD's of the
-    # same F given as rows by jump, word for word
+    # nesting residual, no tail norm, and no F^p.  Its report is the
+    # batched SVD's of the same F given as rows by jump, word for word
     h = _degenerate_flag(kind)
     calls = {name: count_calls(monkeypatch, owner, attr)
              for name, owner, attr in (("svd", np.linalg, "svd"), ("qr", np.linalg, "qr"),
                                        ("sets", Subspace, "from_vector_sets"),
-                                       ("resid", Subspace, "containment_residuals"))}
+                                       ("nesting", mhs_mod, "_nesting_residuals"),
+                                       ("tails", mhs_mod, "tail_norms"))}
     assert validate(h).describe() == "[hodge@-2] bottom Hodge subspace is not full"
     assert (len(calls["svd"]), len(calls["qr"])) == (1, 0)
-    assert calls["sets"] == [] and calls["resid"] == []
+    assert calls["sets"] == calls["nesting"] == calls["tails"] == []
     assert h._memo["Q"] is None
     with pytest.raises(LinalgError, match="bottom Hodge subspace is not full"):
         h.hodge_subspace(0)
@@ -413,6 +415,7 @@ def test_no_flag_reaches_the_rows_by_jump_path(monkeypatch):
     # a flag, fresh or derived, full or short of rank, has its F^p and its
     # frame from its own factorisation: never from spanning its rows, a
     # nesting residual or a nested frame.  F given by jump takes all three
+    # when F is decided, a valid one its frame too
     makers = [lambda: random_hodge_tate([1, 2, 1, 1], seed=6), lambda: tate(2),
               lambda: polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6)),
               lambda: _degenerate_flag("zero-generator"),
@@ -423,10 +426,10 @@ def test_no_flag_reaches_the_rows_by_jump_path(monkeypatch):
     structures += [derive(h) for h in (make() for make in makers) if validate(h).ok
                    for derive in (dual, conjugate, lambda x: twist(x, 1))]
     for h in structures:
-        calls = [count_calls(monkeypatch, Subspace, name) for name in
-                 ("from_vector_sets", "containment_residuals", "nested_frame")]
-        if not h._hodge()[1]:
-            h._hodge_frame()
+        calls = [count_calls(monkeypatch, owner, name) for owner, name in
+                 ((Subspace, "from_vector_sets"), (mhs_mod, "_nesting_residuals"),
+                  (Subspace, "nested_frame"))]
+        h._hodge()
         assert all(calls) if h._flag is None else not any(calls)
         monkeypatch.undo()
 
@@ -603,7 +606,7 @@ def test_generator_moves_bigrading_by_exp_lambda():
     g = nilpotent_exp(lam)
     assert set(bs.pieces) == set(bt.pieces)
     for pq, piece in bs.pieces.items():
-        assert equals(piece.apply(g), bt.pieces[pq], 1e-8)
+        assert equals(image(piece, g), bt.pieces[pq], 1e-8)
 
 
 def test_pieces_outside_the_filtrations_are_rejected():
@@ -613,8 +616,10 @@ def test_pieces_outside_the_filtrations_are_rejected():
     # counts as well; a conjugate passes them, so the containment condition
     # alone rejects it (at every weight but the lowest, whose piece W_{-4}
     # is real).  `require_valid` reads the verdict a twist or conjugate
-    # carries, so the tampered conjugate is caught by its splitting: its
-    # Y is the parent's, which the carried -delta does not take to conj(Y)
+    # carries, so the tampered twist is caught by its bigrading, whose
+    # pieces fail the dimension counts (the same violations, word for
+    # word), and the tampered conjugate by its splitting: its Y is the
+    # parent's, which the carried -delta does not take to conj(Y)
     h = random_hodge_tate([1, 2, 1], seed=4)
     parent = deligne.bigrading(h).pieces
     twisted, conjugated = twist(h, 1), conjugate(h)
@@ -625,6 +630,10 @@ def test_pieces_outside_the_filtrations_are_rejected():
                    if v.kind == "purity" and "does not lie in" in v.message}
         assert outside == weights
         assert not report.ok
+    with pytest.raises(InvalidMHS) as raised:
+        deligne.bigrading(twisted)
+    assert raised.value.report.violations
+    assert set(raised.value.report.violations) <= set(validate(twisted).violations)
     with pytest.raises(deligne.ResidualTooLarge):
         deligne.delta_splitting(conjugated)
 
@@ -652,8 +661,10 @@ _DERIVED = {"root": lambda h: h, "dual": dual, "twist": lambda h: twist(h, -1),
 def test_coordinate_weight_spans_match_the_qr(dims, seed, derive, polylog_n):
     # a coordinate frame's W_k, identity columns at its pivots, are the
     # columns the QR of its rows gives, up to sign, so every containment
-    # residual against them has the same bytes: the pieces in their
-    # W_{p+q} and random subspaces in every W_k
+    # residual against them has the same bytes: the coordinates read by
+    # index at the pivots are the QR frame's product up to sign, and their
+    # tail norms, of the pieces below W_{p+q} and of random subspaces below
+    # every W_k, are equal
     root = (random_hodge_tate(dims, seed=seed) if polylog_n is None
             else polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, polylog_n)))
     # the child's frame and flag, in a structure of their own
@@ -665,12 +676,18 @@ def test_coordinate_weight_spans_match_the_qr(dims, seed, derive, polylog_n):
     assert mine.keys() == qr.keys()
     for k in mine:
         assert np.array_equal(np.abs(mine[k].basis), np.abs(qr[k].basis))
+    assert np.array_equal(np.abs(h._frames()[0]), np.abs(general._frames()[0]))
     rng, n = np.random.default_rng(seed), h.dimension
     xs = [orthonormal_columns(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
           for d in range(n + 1)]
-    xs = [Subspace(x) for x in xs] + list(deligne.bigrading(h).pieces.values())
-    assert (Subspace.containment_residuals([(x, mine[k]) for x in xs for k in mine]).tobytes()
-            == Subspace.containment_residuals([(x, qr[k]) for x in xs for k in qr]).tobytes())
+    xs += [x.basis for x in deligne.bigrading(h).pieces.values()]
+    widths, xs = [x.shape[1] for x in xs], np.hstack(xs)
+    by_index, by_qr = h._weight_coordinates(xs), general._weight_coordinates(xs)
+    assert np.array_equal(np.abs(by_index), np.abs(by_qr))
+    for k in mine:
+        ranks = [mine[k].dim] * len(widths)
+        assert (tail_norms(by_index, widths, ranks).tobytes()
+                == tail_norms(by_qr, widths, ranks).tobytes())
     assert validate(general).describe() == validate(h).describe() == "valid"
     assert deligne.bigrading(general).piece_dims() == deligne.bigrading(h).piece_dims()
 
