@@ -25,12 +25,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
 from . import mhs as mhs_mod
 from .deligne import REALITY_TOL, bigrading, delta_splitting
-from .linalg import DTYPE, RANK_TOL, frobenius, tail_norms
+from .linalg import DTYPE, RANK_TOL, DimensionMismatch, frobenius, tail_norms
 from .mhs import SUBSPACE_TOL, MixedHodgeStructure, require_valid
 
 
@@ -51,7 +52,9 @@ class FramedMHS:
     representing the graded functional (its behaviour off W_{2b} is
     irrelevant: components of weight below -2b in the dual cannot reach
     I^{-b,-b}).  Entries that are int or Fraction are kept as given, as
-    in `mhs.WeightFrame` rows; any other is made a Fraction.
+    in `mhs.WeightFrame` rows; any other is made a Fraction.  Raises
+    FramingTypeError unless a and b are integers and every entry is a
+    finite rational.
     """
 
     mhs: MixedHodgeStructure
@@ -61,12 +64,17 @@ class FramedMHS:
     psi_class: tuple[int | Fraction, ...]
 
     def __init__(self, mhs, a, b, phi_class, psi_class):
+        if not (isinstance(a, Integral) and isinstance(b, Integral)):
+            raise FramingTypeError(f"framing indices must be integers, not {a!r} and {b!r}")
         object.__setattr__(self, "mhs", mhs)
         object.__setattr__(self, "a", int(a))
         object.__setattr__(self, "b", int(b))
         for name, v in (("phi_class", phi_class), ("psi_class", psi_class)):
-            object.__setattr__(self, name, tuple(
-                x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v))
+            try:
+                v = tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v)
+            except (TypeError, ValueError, OverflowError):
+                raise FramingTypeError(f"{name} entries must be finite rationals") from None
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "_elements", None)   # set by frame_elements
 
     def check(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +180,10 @@ def height1_via_delta(fh: FramedMHS) -> float:
 
 
 def delta_pairing(fh: FramedMHS, power: int = 1) -> complex:
-    """< e_Hdual, delta^power (e_H) > (real whenever power >= 1 and b < a)."""
+    """< e_Hdual, delta^power (e_H) > (real whenever power >= 1 and b < a).
+    Raises ValueError unless power is a non-negative integer."""
+    if not (isinstance(power, Integral) and power >= 0):
+        raise ValueError(f"delta_pairing needs a non-negative integer power, not {power!r}")
     el = frame_elements(fh)
     delta = delta_splitting(fh.mhs).delta
     v = el.e_h
@@ -268,10 +279,14 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
     a square frame: a source W_k's or F^p's image, in q_t^* f q_s or
     Q_t^* f Q_s, at ``mhs.SUBSPACE_TOL`` times its norm (a zero image lies
     in anything); phi's class against W_{2a-1} in q_t, at RANK_TOL times.
+    Raises DimensionMismatch unless f is (target.dim, source.dim).
     """
     tol = SUBSPACE_TOL
     f = np.asarray(f, dtype=DTYPE)
     hs, ht = source.mhs, target.mhs
+    if f.shape != (ht.dimension, hs.dimension):
+        raise DimensionMismatch(f"f has shape {f.shape}, a map from the source to the "
+                                f"target needs {(ht.dimension, hs.dimension)}")
     require_valid(hs)
     require_valid(ht)
 
@@ -286,8 +301,8 @@ def framed_morphism_check(f: np.ndarray, source: FramedMHS, target: FramedMHS,
 
     w_ok = preserved(ht._weight_coordinates(f @ qs), [hs.weight_rank(k) for k in hs.weight_jumps],
                      [ht.weight_rank(k) for k in hs.weight_jumps])
-    f_ok = preserved(ft.conj().T @ f @ fs, [hs.hodge_subspace(p).dim for p in hs.hodge_jumps],
-                     [ht.hodge_subspace(p).dim for p in hs.hodge_jumps])
+    f_ok = preserved(ft.conj().T @ f @ fs, [hs.hodge_rank(p) for p in hs.hodge_jumps],
+                     [ht.hodge_rank(p) for p in hs.hodge_jumps])
 
     phi_s = np.array([float(x) for x in source.phi_class])
     phi_t = np.array([float(x) for x in target.phi_class])

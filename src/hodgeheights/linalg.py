@@ -7,7 +7,9 @@ form to principal sines by `Subspace.intersect_pairs`, which intersects
 a batch of pairs in one SVD; `Subspace.sum` spans any number of sides
 in one, and `Subspace.from_vector_sets` any number of vector sets).
 `Subspace.nested_frame` gives a decreasing chain of subspaces one square
-orthonormal frame, each a prefix of its columns.  Every containment is
+orthonormal frame, each a prefix of its columns; `mhs` keeps each
+filtration as such a frame and its ranks, so a full subspace is a square
+unitary basis.  Every containment is
 read in such a frame by one rule, `tail_norms`: for a unitary Q, X's
 residual against Q's first r columns is the norm of (Q^* X)[r:].  The
 nilpotent series (exp, log, and `nilpotent_exp_pair`, the exp of a
@@ -37,7 +39,7 @@ RANK_TOL = 1e-9
 
 
 class LinalgError(ValueError):
-    pass
+    """No answer on this input: non-finite vectors, or an F^p with no frame."""
 
 
 class DimensionMismatch(LinalgError):
@@ -160,10 +162,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(np.zeros((ambient_dim, 0), dtype=DTYPE))
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(np.eye(ambient_dim, dtype=DTYPE))
 
     @property
     def ambient_dim(self) -> int:

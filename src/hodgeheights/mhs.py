@@ -16,8 +16,8 @@ F is sparse by jump: F^p is the value at the smallest jump >= p, 0 above
 the largest, and the value at the smallest jump must be the full space.
 It is given as rows by jump, or as a flag (`HodgeFlag`, as H(z), the
 random Hodge--Tate generator and Tate structures give it), and decided
-once, like W, in `_hodge`: every F^p and F's verdict.  A flag is nested
-by construction, so its own SVD alone decides it.  Every rank decision
+once, like W, in `_hodge`: dim F^p at every jump and F's verdict.  A flag
+is nested by construction, so its own SVD alone decides it.  Every rank decision
 reads generators scaled to unit norm (`linalg.unit_columns`), so none
 moves with a generator's size.
 
@@ -26,8 +26,11 @@ W_k its first dim W_k columns (the identity columns at the pivots of a
 coordinate frame, `WeightFrame.coordinate`, as every construction here
 gives, else one QR of the rows), and Q, F^p its first dim F^p columns (a
 flag's QR, or one SVD of known ranks of rows by jump that nest); every
-dual, twist and conjugate is a flag that is its own frame.  Every
-containment is read in them by one rule, `linalg.tail_norms`.
+dual, twist and conjugate is a flag that is its own frame.  The frames
+and the ranks (`weight_rank`, `hodge_rank`) are all that is kept of W and
+F: `weight_subspace` and `hodge_subspace` are prefix views made when
+asked (a full W_k is q itself; an F with no frame has none).  Every
+containment is read in the frames by one rule, `linalg.tail_norms`.
 
 Every valid MHS (F, W) on V determines a unique bigrading V_C = (+) I^{p,q}
 with
@@ -45,8 +48,9 @@ in W_k, so the right-hand side is one conjugated span,
 
     conj(F^q cap W_k + sum_{j >= 0} F^{q-1-j} cap W_{k-2-j}),   k = p+q.
 
-F^r cap W_s for every pair of jumps is one batched `intersect_pairs`,
-each right-hand side one `Subspace.sum` of its nonzero terms that lie in
+F^r cap W_s, keyed by (dim F^r, dim W_s), is one batched
+`intersect_pairs` over the pairs of jumps, each
+right-hand side one `Subspace.sum` of its nonzero terms that lie in
 no other (one SVD each: their widths differ up to 100x, so one padded
 batch was measured slower), and all the pieces one more batch.
 
@@ -71,7 +75,7 @@ twist or conjugate of a valid structure takes what it inherits from its
 parent through one call, `_inherit`, and no other way: W's verdict, F's
 frame, its Deligne pieces (with the singular values and inverse of their
 basis when it is the parent's or its conjugate), a twist's or
-conjugate's W subspaces, W frame and parent's report, and the parent
+conjugate's W frame q and parent's report, and the parent
 with the map that carries its delta over, which `deligne` resolves and
 then releases the parent.  The child never evaluates the formula.  A
 twist or conjugate takes its parent's verdict, by functoriality, so
@@ -84,8 +88,8 @@ carry raises.
 
 Instances are immutable; all operations are pure functions returning new
 structures, safe for concurrent use.  Facts derived from a structure (its
-subspaces, weight rows, validation report, pieces, bigrading and
-splitting) are memoized on the instance and die with it.
+frames and F's ranks, weight rows, validation report, pieces, bigrading
+and splitting) are memoized on the instance and die with it.
 """
 
 from __future__ import annotations
@@ -331,7 +335,6 @@ class MixedHodgeStructure:
         # (parent, map) of a derived structure until its delta is carried over
         object.__setattr__(self, "_carry", None)
         object.__setattr__(self, "_flag", flag)
-        object.__setattr__(self, "_wjumps", frame.jumps)
         # the frozen Hodge filtration is sorted by jump
         object.__setattr__(self, "_fjumps", tuple(self.hodge_filtration))
 
@@ -339,21 +342,11 @@ class MixedHodgeStructure:
 
     @property
     def weight_jumps(self) -> list[int]:
-        return list(self._wjumps)
+        return list(self.weight_frame.jumps)
 
     @property
     def hodge_jumps(self) -> list[int]:
         return list(self._fjumps)
-
-    def _weight_jump(self, k: int) -> int | None:
-        """The jump whose value is W_k (None below the lowest jump)."""
-        i = bisect_right(self._wjumps, k)
-        return self._wjumps[i - 1] if i else None
-
-    def _hodge_jump(self, p: int) -> int | None:
-        """The jump whose value is F^p (None above the highest jump)."""
-        i = bisect_left(self._fjumps, p)
-        return self._fjumps[i] if i < len(self._fjumps) else None
 
     @property
     def weight_filtration(self) -> dict[int, RationalMatrix]:
@@ -371,58 +364,54 @@ class MixedHodgeStructure:
         return self._memo[key]
 
     def weight_subspace(self, k: int) -> Subspace:
-        """W_k as a Subspace, the one of the jump whose rows span it."""
-        return self._weight_spans()[self._weight_jump(k)]
+        """W_k, the first weight_rank(k) columns of W's frame q: a view, not kept."""
+        return Subspace(self._frames()[0][:, :self.weight_rank(k)])
 
-    def _weight_spans(self) -> dict:
-        """Every W_k by jump, memoized: the first weight_rank(k) (an exact
-        rank) columns of W's square orthonormal frame q (memo "q"), or the
-        whole space.  q is the identity at a coordinate frame's pivots, else
-        one QR of the unit-norm rows: on a coordinate frame the same columns
-        up to sign, so every projector and residual has one value."""
-        def compute():
-            n, f = self.dimension, self.weight_frame
-            if f.coordinate:
-                q = np.eye(n, dtype=DTYPE)[:, list(f.pivots)]
-            else:
-                cols = np.array([_float_row(row) for row in f.rows]).T
-                q = np.linalg.qr(unit_columns(cols))[0].astype(DTYPE)
-            self._memo["q"] = q
-            ranks = {k: self.weight_rank(k) for k in self._wjumps}
-            return {None: Subspace.zero(n), **{k: Subspace.full(n) if r == n
-                                               else Subspace(q[:, :r]) for k, r in ranks.items()}}
-        return self.memo("W", compute)
+    def hodge_subspace(self, p: int) -> Subspace:
+        """F^p, the first hodge_rank(p) columns of F's frame Q: a view, not
+        kept.  Raises LinalgError if F has no frame."""
+        return Subspace(self._frames()[1][:, :self.hodge_rank(p)])
 
     def _frames(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(q, Q), W's and F's square orthonormal frames: W_k is spanned by q's
-        first dim W_k columns, a valid F^p by Q's first dim F^p (else None)."""
-        self._weight_spans()
+        first dim W_k columns, a valid F^p by Q's first dim F^p (else None).
+        q (memo "q") is the identity at a coordinate frame's pivots, else one
+        QR of the unit-norm rows: on a coordinate frame the same columns up
+        to sign, so every projector and residual has one value."""
+        def weight():
+            n, f = self.dimension, self.weight_frame
+            if f.coordinate:
+                return np.eye(n, dtype=DTYPE)[:, list(f.pivots)]
+            cols = np.array([_float_row(row) for row in f.rows]).T
+            return np.linalg.qr(unit_columns(cols))[0].astype(DTYPE)
         self._hodge()
-        return self._memo["q"], self._memo.get("Q")
+        return self.memo("q", weight), self._memo.get("Q")
 
     def _weight_coordinates(self, x: np.ndarray) -> np.ndarray:
         """q^* x: on a coordinate frame, x's rows at its pivots, read by index."""
         f = self.weight_frame
         return x[list(f.pivots)] if f.coordinate else self._frames()[0].conj().T @ x
 
-    def hodge_subspace(self, p: int) -> Subspace:
-        """F^p as a Subspace, the one of the jump whose rows span it."""
-        spans, verdict = self._hodge()
-        if spans is None:
+    def hodge_rank(self, p: int) -> int:
+        """dim F^p: the rank at the smallest jump >= p, 0 above the largest.
+        Raises LinalgError if F has no frame."""
+        ranks, verdict = self._hodge()
+        if ranks is None:
             raise LinalgError(verdict[0].message)
-        return spans[self._hodge_jump(p)]
+        return (*ranks, 0)[bisect_left(self._fjumps, p)]
 
-    def _hodge(self) -> tuple[dict | None, tuple[Violation, ...]]:
-        """F decided once, memoized like W's verdict: every F^p by jump (None
-        if there are none) and F's verdict, its first data violation or else
+    def _hodge(self) -> tuple[tuple[int, ...] | None, tuple[Violation, ...]]:
+        """F decided once, memoized like W's verdict: dim F^p by jump (None
+        if F has no frame) and F's verdict, its first data violation or else
         its nesting with a full bottom.  A flag is nested by construction
         and decided by one values-only SVD of its unit-norm basis (memo
         "unit", with the singular values): n columns of full rank give a
         frame Q, one QR of it (memo "Q", which a derived structure carries
         instead), F^p its first r_p columns (full rank by Cauchy
-        interlacing); else the flag has no F^p and its bottom is not full.
-        F by jump takes one batched SVD, `_nesting_residuals` and, if valid,
-        one SVD of known ranks for Q (`Subspace.nested_frame`)."""
+        interlacing); else the flag has no frame and its bottom is not full.
+        F by jump takes one batched SVD of its rows' spans, which feed only
+        `_nesting_residuals` and, if valid, one SVD of known ranks for Q
+        (`Subspace.nested_frame`)."""
         def compute():
             n, flag, jumps = self.dimension, self._flag, self._fjumps
             for arr in (self.hodge_filtration.values() if flag is None else (flag.basis.T,)):
@@ -430,29 +419,25 @@ class MixedHodgeStructure:
                     return None, (Violation("data", None, "Hodge vector of wrong length"),)
                 if arr.size and not np.all(np.isfinite(arr)):
                     return None, (Violation("data", None, "non-finite Hodge entries"),)
-            bottom = [Violation("hodge", p, "bottom Hodge subspace is not full")
-                      for p in jumps[:1]]
+            bottom = tuple(Violation("hodge", p, "bottom Hodge subspace is not full")
+                           for p in jumps[:1])
             if flag is None:
                 spans = Subspace.from_vector_sets(list(self.hodge_filtration.values()), n)
                 resid = _nesting_residuals(spans)
-                bad = [Violation("hodge", hi, f"F^{hi} not contained in F^{lo}") for lo, hi, r
-                       in zip(jumps, jumps[1:], resid) if not r < SUBSPACE_TOL * max(1, n)]
-                bad += bottom if jumps and spans[0].dim != n else []
-                if not bad:
-                    self._memo["Q"] = Subspace.nested_frame(spans, n)
-            else:
-                if "Q" not in self._memo:
-                    cols = unit_columns(flag.basis)
-                    s = np.linalg.svd(cols, compute_uv=False) if flag.ranks[:1] == (n,) else None
-                    full = s is not None and numerical_rank(s) == n
-                    self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
-                    self._memo["unit"] = (cols, s) if full else None
-                q = self._memo["Q"]
-                if q is None:
-                    return None, tuple(bottom)
-                spans, bad = [Subspace.full(n) if r == n else Subspace(q[:, :r])
-                              for r in flag.ranks], []
-            return {None: Subspace.zero(n), **dict(zip(jumps, spans))}, tuple(bad)
+                bad = tuple(Violation("hodge", hi, f"F^{hi} not contained in F^{lo}") for lo, hi, r
+                            in zip(jumps, jumps[1:], resid) if not r < SUBSPACE_TOL * max(1, n))
+                bad += bottom if jumps and spans[0].dim != n else ()
+                if bad:
+                    return None, bad
+                self._memo["Q"] = Subspace.nested_frame(spans, n)
+                return tuple(s.dim for s in spans), ()
+            if "Q" not in self._memo:
+                cols = unit_columns(flag.basis)
+                s = np.linalg.svd(cols, compute_uv=False) if flag.ranks[:1] == (n,) else None
+                full = s is not None and numerical_rank(s) == n
+                self._memo["Q"] = np.linalg.qr(cols)[0] if full else None
+                self._memo["unit"] = (cols, s) if full else None
+            return (None, bottom) if self._memo["Q"] is None else (flag.ranks, ())
         return self.memo("F", compute)
 
     # -- exact weight-graded data --------------------------------------
@@ -553,7 +538,7 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     coords = np.hstack([h._frames()[1].conj().T @ pieces.basis,
                         h._weight_coordinates(pieces.basis)])
     resid = tail_norms(coords, [pieces.pieces[pq].dim for pq in order] * 2,
-                       [h.hodge_subspace(p).dim for p, _ in order]
+                       [h.hodge_rank(p) for p, _ in order]
                        + [h.weight_rank(p + q) for p, q in order]).reshape(2, -1)
     tol = SUBSPACE_TOL * max(1, h.dimension)
     bad = [Violation("purity", p + q, f"I^({p},{q}) does not lie in F^{p} and W_{p + q}")
@@ -562,8 +547,8 @@ def _purity_violations(h: MixedHodgeStructure, pieces) -> list[Violation]:
     bad += _dimension_violations(h, dims)
     for p in range(h.hodge_jumps[0], h.hodge_jumps[-1] + 1):
         above = sum(d for (p_, _), d in dims.items() if p_ >= p)
-        if above != h.hodge_subspace(p).dim:
-            bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_subspace(p).dim}, "
+        if above != h.hodge_rank(p):
+            bad.append(Violation("purity", None, f"F^{p} has dim {h.hodge_rank(p)}, "
                                  f"pieces I^(p',q) with p' >= {p} have dim {above}"))
     if not bad and numerical_rank(pieces.singular_values) < h.dimension:
         bad.append(Violation("purity", None, "the pieces I^(p,q) are linearly dependent"))
@@ -676,16 +661,17 @@ def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
     n = h.dimension
     pieces: dict[tuple[int, int], Subspace] = {}
     if n > 0:
-        fjumps, wjumps = h.hodge_jumps, h.weight_jumps
-        jumps = [(r, s) for r in fjumps for s in wjumps]
-        fw = dict(zip(jumps, Subspace.intersect_pairs(
-            [(h.hodge_subspace(r), h.weight_subspace(s)) for r, s in jumps])))
-        zero = Subspace.zero(n)
+        fjumps, wjumps, zero = h.hodge_jumps, h.weight_jumps, Subspace.zero(n)
 
-        def at(r: int, s: int) -> tuple[int | None, int | None]:
-            # the jumps F^r cap W_s is read at; None above the highest jump
-            # of F or below the lowest of W, where the term is zero
-            return h._hodge_jump(r), h._weight_jump(s)
+        def at(r: int, s: int) -> tuple[int, int]:
+            # F^r cap W_s keyed by (dim F^r, dim W_s): a zero rank is a zero
+            # term, and jumps of equal rank share one key
+            return h.hodge_rank(r), h.weight_rank(s)
+
+        jumps = {at(r, s): (r, s) for r in fjumps for s in wjumps}
+        keys = [key for key in jumps if 0 not in key]
+        fw = dict(zip(keys, Subspace.intersect_pairs(
+            [(h.hodge_subspace(r), h.weight_subspace(s)) for r, s in map(jumps.get, keys)])))
 
         labels, pairs = [], []
         for k in h.weights_present():
@@ -695,13 +681,14 @@ def _deligne_formula_pieces(h: MixedHodgeStructure) -> Bigrading:
                     continue
                 q = k - p
                 # conj(F^q cap W_k + U^{q-1}_{k-2}); U's terms end at the lowest
-                # weight.  Along the sum r and s fall, and so do their jumps
-                # (a, b); a term lies in every other with a' <= a and b' >= b,
-                # so in an earlier one with the same a or a later one with the
-                # same b.  Only the terms in no other are spanned, each once
+                # weight.  Along the sum r and s fall, so dim F^r rises and dim
+                # W_s falls; a term (a, b) lies in every other with a' >= a and
+                # b' >= b, so in an earlier one with the same a or a later one
+                # with the same b.  Only the terms in no other are spanned, each
+                # once
                 terms = [key for key in dict.fromkeys(
                     [at(q, k)] + [at(q - i, k - 1 - i) for i in range(1, k - wjumps[0])])
-                    if None not in key]
+                    if 0 not in key]
                 right = zero.sum(*(fw[key] for i, key in enumerate(terms)
                                    if (i == 0 or terms[i - 1][0] != key[0])
                                    and (i + 1 == len(terms) or terms[i + 1][1] != key[1])))
@@ -750,9 +737,9 @@ def _inherit(h: MixedHodgeStructure, child: MixedHodgeStructure, taken: dict,
     child._carry: `deligne.delta_splitting` takes carry_delta(h's delta)
     and then releases h, so delta is solved once per root.
 
-    A twist or conjugate takes W's subspaces by jump, W's frame q and h's
-    report in `taken`: its pieces are h's relabelled or conjugated, so by
-    functoriality it is valid, and `require_valid` checks nothing on it.
+    A twist or conjugate takes W's frame q and h's report in `taken`: its
+    pieces are h's relabelled or conjugated, so by functoriality it is
+    valid, and `require_valid` checks nothing on it.
     The dual takes none: its pieces are new floats, validated as such."""
     child._memo.update(taken, Q=child._flag.basis, frame=(),
                        pieces=_assemble(child, pieces, *known))
@@ -789,7 +776,7 @@ def dual(h: MixedHodgeStructure) -> MixedHodgeStructure:
     n, q = h.dimension, h._frames()[1]
     jumps = [-p for p in reversed(h.hodge_jumps)]
     child = MixedHodgeStructure(n, h.weight_frame.dual(), HodgeFlag(
-        q[:, ::-1].conj(), jumps, [n - h.hodge_subspace(1 - j).dim for j in jumps]))
+        q[:, ::-1].conj(), jumps, [n - h.hodge_rank(1 - j) for j in jumps]))
     # Row i of the inverse bigrading basis pairs to 1 with column i and to
     # 0 with every other, so the rows labelled (p, q) span I^{-p,-q}(dual).
     b = _pieces(h)
@@ -814,11 +801,9 @@ def _relabelled(h: MixedHodgeStructure, s: int, conjugated: bool) -> MixedHodgeS
     comparison = h.comparison_matrix if conjugated else None
     child = MixedHodgeStructure(
         h.dimension, h.weight_frame.shifted(2 * s),
-        HodgeFlag(c(q), [p + s for p in jumps], [h.hodge_subspace(p).dim for p in jumps]),
+        HodgeFlag(c(q), [p + s for p in jumps], [h.hodge_rank(p) for p in jumps]),
         comparison if comparison is None else c(comparison))
-    taken = {"W": {None if k is None else k + 2 * s: x for k, x in h._weight_spans().items()},
-             "q": q_w, "report": h._memo["report"]}
-    return _inherit(h, child, taken,
+    return _inherit(h, child, {"q": q_w, "report": h._memo["report"]},
                     {(p + s, q + s): move(x) for (p, q), x in b.pieces.items()},
                     (b.singular_values, c(b.inverse_basis)),
                     lambda delta: -delta if conjugated else delta)

@@ -354,7 +354,7 @@ def complement_indices(inner_rows, outer_rows):
 
 def weight_rows(h, k):
     """Exact rational rows spanning W_k (none below the lowest jump)."""
-    return h.weight_filtration.get(h._weight_jump(k), ())
+    return next((rows for j, rows in reversed(h.weight_filtration.items()) if j <= k), ())
 
 
 def graded_rational_basis(h, k):

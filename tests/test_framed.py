@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hodgeheights.framed import (FramedMHS, FramingTypeError,
                                  framed_morphism_check, height1,
                                  height1_via_delta, height2, twist_framed)
 from hodgeheights import deligne, mhs as mhs_mod
-from hodgeheights.linalg import Subspace, nilpotent_exp
+from hodgeheights.linalg import DimensionMismatch, Subspace, nilpotent_exp
 from hodgeheights.mhs import (MixedHodgeStructure, random_hodge_tate,
                               random_hodge_tate_pair)
 
@@ -111,6 +112,29 @@ class TestFrameElements:
             assert np.array_equal(_typed_lift(*args), want)
             outcomes.add("lifted")
         assert outcomes == {"raised", "lifted"}
+
+    @pytest.mark.parametrize("a, b", [(-0.5, -3), ("0", -2), (0, -2.0), (0, None)])
+    def test_framing_indices_must_be_integers(self, a, b):
+        # an index is not truncated to an integer, nor parsed from a string
+        h = random_hodge_tate([1, 1, 1], seed=0)
+        with pytest.raises(FramingTypeError, match="framing indices must be integers"):
+            FramedMHS(h, a, b, unit(0, 3), unit(2, 3))
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, "x", 1j, None])
+    def test_framing_entries_must_be_finite_rationals(self, entry):
+        h = random_hodge_tate([1, 1, 1], seed=0)
+        for phi, psi, name in (((entry, 0, 0), unit(2, 3), "phi_class"),
+                               (unit(0, 3), (0, 0, entry), "psi_class")):
+            with pytest.raises(FramingTypeError, match=f"{name} entries must be finite rationals"):
+                FramedMHS(h, 0, -2, phi, psi)
+
+    def test_framing_keeps_integral_indices_and_rational_entries(self):
+        # numpy integers are integers, and every finite rational entry is
+        # kept exactly: a float, a string fraction and a numpy integer
+        h = random_hodge_tate([1, 1, 1], seed=0)
+        fh = FramedMHS(h, np.int64(0), np.int32(-2), (0.5, "1/3", np.int64(2)), unit(2, 3))
+        assert (fh.a, fh.b) == (0, -2) and type(fh.a) is int
+        assert fh.phi_class == (Fraction(1, 2), Fraction(1, 3), 2)
 
     @pytest.mark.parametrize("phi, psi, message, shear", [
         (unit(0, 3), unit(2, 4), "frame vectors of wrong length", None),
@@ -513,6 +537,7 @@ class TestBiextensionRelation:
         h = random_hodge_tate([1, 1, 1, 1], seed=6)
         fh = random_framing(h, np.random.default_rng(17), a_level=0, b_level=3)
         pairings = [delta_pairing(fh, r) for r in range(0, 8)]
+        assert delta_pairing(fh, np.int64(3)) == pairings[3]
         total = sum((-2j) ** k / math.factorial(k) * pairings[k]
                     for k in range(len(pairings)))
         assert abs(height1(fh) - total.imag) < 1e-10
@@ -521,6 +546,15 @@ class TestBiextensionRelation:
         expanded = (-2 * pairings[1].real + (4.0 / 3.0) * pairings[3].real
                     - (4.0 / 15.0) * pairings[5].real)
         assert abs(height1(fh) - expanded) < 1e-10
+
+
+    @pytest.mark.parametrize("power", [-1, 1.5, 2.0, "2", None])
+    def test_delta_pairing_needs_a_non_negative_integer_power(self, power):
+        # -1 is not read as the power-0 pairing, nor 1.5 as a TypeError
+        h = random_hodge_tate([1, 1, 1], seed=6)
+        fh = random_framing(h, np.random.default_rng(17))
+        with pytest.raises(ValueError, match="non-negative integer power"):
+            delta_pairing(fh, power)
 
 
 def _delta_power_vector(fh, power):
@@ -615,6 +649,14 @@ class TestFramedMorphisms:
         assert report.is_framed_morphism
         assert abs(height1(fh_moved) - height1(fh)) < 1e-9
         assert abs(height2(fh_moved) - height2(fh)) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2,), (2, 3, 1)])
+    def test_map_of_the_wrong_shape_is_rejected(self, shape):
+        # f maps the rank-3 source to the rank-2 target: both shapes are named
+        source = random_framing(random_hodge_tate([1, 1, 1], seed=8), np.random.default_rng(5))
+        target = random_framing(random_hodge_tate([1, 1], seed=30), np.random.default_rng(2))
+        with pytest.raises(DimensionMismatch, match=rf"{re.escape(str(shape))}.*\(2, 3\)"):
+            framed_morphism_check(np.zeros(shape), source, target)
 
     def test_non_morphism_detected(self):
         h = random_hodge_tate([1, 1], seed=30)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeheights import _rational, deligne, framed, mhs as mhs_mod, polylog
+from hodgeheights.jsonio import parse_mhs_document
 from hodgeheights.linalg import (LinalgError, Subspace, nilpotent_exp, orthonormal_columns,
                                  tail_norms)
 from hodgeheights.mhs import (HodgeFlag, InvalidMHS, MixedHodgeStructure, WeightFrame,
@@ -153,19 +155,50 @@ def test_dual_and_conjugate_of_valid_are_valid():
         assert validate(twist(h, 2)).ok
 
 
-def test_subspaces_are_memoized_by_jump(polylog_ctx_factory):
+def test_subspaces_are_read_by_jump(polylog_ctx_factory):
     # W jumps at -8, -6, ..., 0 and F at -4, ..., 0: every index between, below
-    # or above the jumps reads the subspace of the jump whose rows it spans
+    # or above the jumps reads the basis of the jump whose rows span it
     from hodgeheights.polylog import polylog_mhs
     h = polylog_mhs(polylog_ctx_factory(0.3 + 0.2j, 4))
     for k in (-7, -5, -3, -1, 1, 5):
-        assert h.weight_subspace(k) is h.weight_subspace(h._weight_jump(k))
-    assert h.weight_subspace(-9) is h.weight_subspace(-12)
+        jump = max(j for j in h.weight_jumps if j <= k)
+        assert np.array_equal(h.weight_subspace(k).basis, h.weight_subspace(jump).basis)
+    assert np.array_equal(h.weight_subspace(-9).basis, h.weight_subspace(-12).basis)
     assert h.weight_subspace(-9).dim == 0
     for p in (-9, -5):
-        assert h.hodge_subspace(p) is h.hodge_subspace(-4)
-    assert h.hodge_subspace(1) is h.hodge_subspace(3)
-    assert h.hodge_subspace(1).dim == 0
+        assert np.array_equal(h.hodge_subspace(p).basis, h.hodge_subspace(-4).basis)
+    assert np.array_equal(h.hodge_subspace(1).basis, h.hodge_subspace(3).basis)
+    assert h.hodge_subspace(1).dim == h.hodge_rank(1) == 0
+
+
+def _sheared_document():
+    path = Path(__file__).parent.parent / "docs" / "examples" / "polylog-sheared.json"
+    return parse_mhs_document(path.read_text())[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_hodge_tate([1, 2, 1, 1], seed=6),
+    lambda: polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6)),
+    lambda: _as_rows(random_hodge_tate([1, 2, 1, 1], seed=6)),
+    lambda: _as_rows(polylog.polylog_mhs(polylog.PolylogContext(0.3 + 0.2j, 6))),
+    curve_weight_gap_structure, odd_weight_gap_structure, _sheared_document,
+], ids=["flag", "polylog-flag", "rows", "polylog-rows", "curve-weight-gap", "odd-weight-gap",
+        "polylog-sheared"])
+def test_subspaces_are_prefixes_of_the_frames(make):
+    # W_k and F^p are views of the two square frames, q's first dim W_k
+    # columns and Q's first dim F^p, at every index between, below and above
+    # the jumps: for F given by jump too, whose rows' own spans are another
+    # basis, and for every child
+    h = make()
+    for x in (h, dual(h), twist(h, 1), conjugate(h), dual(conjugate(h))):
+        assert validate(x).ok
+        q_w, q_f = x._frames()
+        for k in range(x.weight_jumps[0] - 1, x.weight_jumps[-1] + 2):
+            assert np.array_equal(x.weight_subspace(k).basis, q_w[:, :x.weight_rank(k)])
+        for p in range(x.hodge_jumps[0] - 1, x.hodge_jumps[-1] + 2):
+            assert np.array_equal(x.hodge_subspace(p).basis, q_f[:, :x.hodge_rank(p)])
+        assert x.hodge_rank(x.hodge_jumps[0]) == x.dimension
+        assert x.hodge_rank(x.hodge_jumps[-1] + 1) == 0
 
 
 @pytest.mark.parametrize("derive", [dual, lambda h: twist(h, 2), lambda h: twist(h, -1),
@@ -672,10 +705,9 @@ def test_coordinate_weight_spans_match_the_qr(dims, seed, derive, polylog_n):
     h = MixedHodgeStructure(child.dimension, child.weight_frame, child._flag)
     general = _read_generally(h)
     assert h.weight_frame.coordinate
-    mine, qr = h._weight_spans(), general._weight_spans()
-    assert mine.keys() == qr.keys()
-    for k in mine:
-        assert np.array_equal(np.abs(mine[k].basis), np.abs(qr[k].basis))
+    for k in h.weight_jumps:
+        assert np.array_equal(np.abs(h.weight_subspace(k).basis),
+                              np.abs(general.weight_subspace(k).basis))
     assert np.array_equal(np.abs(h._frames()[0]), np.abs(general._frames()[0]))
     rng, n = np.random.default_rng(seed), h.dimension
     xs = [orthonormal_columns(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
@@ -684,8 +716,8 @@ def test_coordinate_weight_spans_match_the_qr(dims, seed, derive, polylog_n):
     widths, xs = [x.shape[1] for x in xs], np.hstack(xs)
     by_index, by_qr = h._weight_coordinates(xs), general._weight_coordinates(xs)
     assert np.array_equal(np.abs(by_index), np.abs(by_qr))
-    for k in mine:
-        ranks = [mine[k].dim] * len(widths)
+    for k in h.weight_jumps:
+        ranks = [h.weight_rank(k)] * len(widths)
         assert (tail_norms(by_index, widths, ranks).tobytes()
                 == tail_norms(by_qr, widths, ranks).tobytes())
     assert validate(general).describe() == validate(h).describe() == "valid"
@@ -742,18 +774,21 @@ def _polylog_structure(n):
 ], ids=["N4", "N6", "N10", "N11", "N12", "dual121", "dual213", "dual1111",
         "bad-twist"])
 def test_full_weight_subspace_changes_no_verdict(make, monkeypatch):
-    # a W_k of full exact rank is the whole space, taken without an SVD;
-    # spanning its rows instead gives the same report and piece dimensions
+    # a W_k of full exact rank is W's whole frame q, taken without an SVD;
+    # in Deligne's formula (F given by jump), spanning W_k's rows instead
+    # gives the same report and piece dimensions
     h = make()
     top = h.weight_jumps[-1]
-    report, dims = validate(h).describe(), mhs_mod._pieces(h).piece_dims()
-    assert np.array_equal(h.weight_subspace(top).basis, np.eye(h.dimension))
-    monkeypatch.setattr(MixedHodgeStructure, "weight_subspace", lambda self, k: self.memo(
-        ("W", self._weight_jump(k)), lambda: _spanned_weight_subspace(self, k)))
-    spanned = make()
+    assert np.array_equal(h.weight_subspace(top).basis, h._frames()[0])
+    rows = _as_rows(h)
+    report, dims = validate(rows).describe(), mhs_mod._pieces(rows).piece_dims()
+    formula = count_calls(monkeypatch, mhs_mod, "_deligne_formula_pieces")
+    monkeypatch.setattr(MixedHodgeStructure, "weight_subspace",
+                        lambda self, k: _spanned_weight_subspace(self, k))
+    spanned = _as_rows(make())
     assert validate(spanned).describe() == report
     assert mhs_mod._pieces(spanned).piece_dims() == dims
-
+    assert formula == [spanned]
 
 
 @pytest.mark.parametrize("dims", [[1, 2, 1], [1, 1, 1], [2, 1, 1]])
